@@ -9,7 +9,7 @@ from .geometry import (SpectralField, TorusGeometry, build_geometry,
 from .smoothing import (ScalingPlan, SmoothingSymbol, apply_I, gwp_budget,
                         gwp_threshold, m_value, rescale, symbol_self_check,
                         total_exponent)
-from .multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m4, bare_m6,
+from .multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m6,
                           m_multiplier_symbol, omega, omega_symbol, sigma_product,
                           sigma_symbol, sohinger_tuple, x_substitute)
 from .classify import (ResonanceClassification, Thresholds, classify,

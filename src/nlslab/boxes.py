@@ -29,7 +29,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import sharp_shell_index

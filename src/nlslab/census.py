@@ -7,7 +7,9 @@ requested threshold, and accumulates per-class counts, the minimum
 non-resonant supremum |M|/|omega|, the resonant supremum against the
 mean-value bound m(N1*)N1* m(N3*)N3*, and the worst witnesses.  The rules
 themselves are threshold-free apart from the below-threshold cut, so one
-pass serves every N.
+pass serves every N.  The 1-D rules live in ``classify``: the kernel brings
+each integer block to the classifier's canonical form and runs its rule
+cascade, so the census and ``classify_batch_1d`` cannot drift apart.
 
 Bound verification enumerates structured families tailored to each kept
 region (near-collision pairs, paired quadruples, comparable shells) plus a
@@ -22,21 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
-                       RES_I, RES_II, RES_III, RES_2D, RULE_NAMES, Thresholds,
-                       classify_batch_1d, classify_batch_2d, code_label,
-                       is_nonresonant, is_resonant)
+from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE, RES_I,
+                       RES_II, RES_III, Thresholds, _cascade_1d, classify_batch_1d,
+                       classify_batch_2d, code_label, is_nonresonant,
+                       is_resonant)
 from .multipliers import omega
 from .smoothing import SmoothingSymbol, m_value
 
 
+# enumeration block sizes: odd triples per 1-D block, (k1, k2) rows (in
+# units of the lattice size) per 2-D block
+_TRIPLE_CHUNK = 48
+_PAIR_CHUNK_2D = 64
+
+
 class BudgetError(RuntimeError):
     """The enumeration would exceed the configured tuple budget."""
-
-
-def _m_sq_table(kmax: int, N: float, s: float) -> np.ndarray:
-    sym = SmoothingSymbol(N, 1.0 - s)
-    return m_value(np.arange(kmax + 1, dtype=float), sym) ** 2
 
 
 def _m_table(kmax: int, N: float, s: float) -> np.ndarray:
@@ -118,8 +121,7 @@ def _odd_triples(kmax: int):
 
 def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
                         thresholds: Thresholds = Thresholds(),
-                        budget: int = 10 ** 9, triple_chunk: int = 48,
-                        progress=None) -> dict:
+                        budget: int = 10 ** 9, progress=None) -> dict:
     """Exhaustive census over Gamma_6 on the integer lattice |k_i| <= kmax.
 
     One pass serves every threshold N (the rules depend on N only through
@@ -135,7 +137,7 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     G = thresholds.gap
     reports = {float(N): CensusReport(1, float(N), kmax, s, thresholds.gap)
                for N in N_values}
-    msq = {N: _m_sq_table(kmax, N, s).astype(np.float64) for N in reports}
+    msq = {N: _m_table(kmax, N, s) ** 2 for N in reports}
     mtab = {N: _m_table(6 * kmax + 1, N, s) for N in reports}
 
     odd, weight = _odd_triples(kmax)
@@ -150,8 +152,8 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     k4 = g4.reshape(1, -1)
     ke_sq = k2 ** 2 + k4 ** 2
     done = 0
-    for start in range(0, len(odd), triple_chunk):
-        stop = min(start + triple_chunk, len(odd))
+    for start in range(0, len(odd), _TRIPLE_CHUNK):
+        stop = min(start + _TRIPLE_CHUNK, len(odd))
         done += _census_chunk_1d(
             reports, odd[start:stop], weight[start:stop], o_sum[start:stop],
             o_sq[start:stop],
@@ -164,23 +166,9 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     return reports
 
 
-def _merge_top5(A, B):
-    """Largest five of the union of two abs-descending triples A, B."""
-    a0, a1, a2 = A
-    b0, b1, b2 = B
-    n1 = np.maximum(a0, b0)
-    n2 = np.maximum(np.minimum(a0, b0), np.maximum(a1, b1))
-    n3 = np.maximum.reduce([np.minimum(a0, b1), np.minimum(a1, b0), a2, b2])
-    n4 = np.maximum.reduce([np.minimum(a0, b2), np.minimum(a1, b1),
-                            np.minimum(a2, b0)])
-    n5 = np.maximum(np.minimum(a1, b2), np.minimum(a2, b1))
-    return n1, n2, n3, n4, n5
-
-
 def _census_chunk_1d(reports, odd, weight, o_sum, o_sq, o_msum,
                      k2, k4, ke_sq, kmax, G, msq, mtab) -> int:
-    Bn = len(odd)
-    k6 = -(o_sum[:, None] + k2 + k4)  # (Bn, I)
+    k6 = -(o_sum[:, None] + k2 + k4)  # (triples, I)
     valid = np.abs(k6) <= kmax
     k6c = np.where(valid, k6, 0)
     a_k6 = np.abs(k6c)
@@ -209,51 +197,10 @@ def _census_chunk_1d(reports, odd, weight, o_sum, o_sq, o_msum,
     B1 = np.where(flip, o1, e[1]); aB1 = np.where(flip, ao[1], ae[1])
     B2 = np.where(flip, o2, e[2]); aB2 = np.where(flip, ao[2], ae[2])
 
-    n1, n2, n3, n4, n5 = _merge_top5((aA0, aA1, aA2), (aB0, aB1, aB2))
     om = np.abs(o_sq[:, None] - (ke_sq + k6c ** 2)).astype(np.float64)
-    n1f = n1.astype(np.float64)
-    n3f = n3.astype(np.float64)
-
-    codes = np.full(k6.shape, RES_III, dtype=np.int8)
-    undecided = valid.copy()
-
-    def settle(mask, code):
-        hit = undecided & mask
-        codes[hit] = code
-        undecided[hit] = False
-
-    settle(aB0 * G <= n1, NR_PAIR)
-    settle((n3 > 0) & (n3 >= G * n4) & (om * G >= n1f * n3f), NR_TRIPLE)
-
-    two_high = undecided & (n1 >= G * n3)
-    s12 = (A0 + B0).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(n1 > 0, n3f ** 2 / np.maximum(n1f, 1e-300), 0.0)
-    settle(two_high & (np.abs(s12) > G * L) & (om * G >= n1f * np.abs(s12)),
-           NR_BILINEAR)
-    settle(two_high, RES_I)
-
-    four_high = undecided & (n4 >= G * n5) & (n4 > 0)
-    cert = om * G >= n1f ** 2
-    cA = 1 + (aA1 >= n4).astype(np.int8) + (aA2 >= n4).astype(np.int8)
-    settle(four_high & (cA == 2), RES_II)
-
-    def trio_nr(t0, t1, t2, u):
-        same = ((np.sign(t0) == np.sign(t1)) & (np.sign(t1) == np.sign(t2)))
-        near = np.zeros_like(same)
-        for v in (t0, t1, t2):
-            same_sign = np.sign(v) == np.sign(u)
-            gap_ok = np.where(same_sign, np.abs(v - u), np.abs(v + u)) * G <= n1
-            near |= gap_ok
-        return same | near
-
-    sel1 = four_high & undecided & (cA == 1)
-    settle(sel1 & trio_nr(B0, B1, B2, A0) & cert, NR_SIGNS)
-    settle(sel1, RES_II)
-    sel3 = four_high & undecided & (cA == 3)
-    settle(sel3 & trio_nr(A0, A1, A2, B0) & cert, NR_SIGNS)
-    settle(sel3, RES_II)
-    codes[undecided & valid] = RES_III
+    codes, ns, s12, _ = _cascade_1d((A0, A1, A2), (B0, B1, B2),
+                                    (aA0, aA1, aA2), (aB0, aB1, aB2), om, G)
+    n1, n3 = ns[0], ns[2]
     codes[~valid] = -1
 
     w = np.broadcast_to(weight[:, None], k6.shape)
@@ -325,7 +272,7 @@ def _kernel_accumulate(rep, codes, valid, om, M, n1, n3, s12, w,
 
 def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
                         thresholds: Thresholds = Thresholds(),
-                        budget: int = 10 ** 9, chunk: int = 64) -> dict:
+                        budget: int = 10 ** 9) -> dict:
     """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax."""
     side = np.arange(-kmax, kmax + 1, dtype=np.int64)
     pts = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -339,8 +286,8 @@ def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
     pair = np.stack(np.meshgrid(np.arange(Q), np.arange(Q), indexing="ij"),
                     axis=-1).reshape(-1, 2)
     done = 0
-    for start in range(0, len(pair), chunk * Q):
-        stop = min(start + chunk * Q, len(pair))
+    for start in range(0, len(pair), _PAIR_CHUNK_2D * Q):
+        stop = min(start + _PAIR_CHUNK_2D * Q, len(pair))
         i12 = pair[start:stop]
         k1 = pts[i12[:, 0]]
         k2 = pts[i12[:, 1]]
@@ -452,11 +399,6 @@ class BoundReport:
             "max_ratio": self.sup_ratio,
             "witness_tuple": list(self.witness),
         }
-
-
-def _signed_sorted(tup):
-    order = np.argsort(-np.abs(tup), axis=-1, kind="stable")
-    return np.take_along_axis(tup, order, axis=-1)
 
 
 def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.ndarray:

@@ -112,12 +112,6 @@ class ResonanceClassification:
         return bool(is_nonresonant(self.code))
 
 
-def _sorted_by_abs_desc(vals: np.ndarray) -> np.ndarray:
-    """Sort the last axis by descending absolute value, keeping signs."""
-    order = np.argsort(-np.abs(vals), axis=-1, kind="stable")
-    return np.take_along_axis(vals, order, axis=-1)
-
-
 def _sort3_abs_desc(v0, v1, v2):
     """Three-element compare-exchange network on |.|, keeping signed values."""
     def ce(a, b):
@@ -144,6 +138,64 @@ def _merge_sorted_triples(a, b):
     return n1, n2, n3, n4, n5, n6
 
 
+def _cascade_1d(A, B, aA, aB, aom, G):
+    """Rules 2-6 on canonical six-slot tuples; the below-threshold cut is the
+    caller's.
+
+    ``A`` is the parity holding the largest magnitude, ``B`` the other; each
+    is a triple of signed slot arrays sorted by descending |.|, and ``aA``,
+    ``aB`` are their magnitudes (integer or float).  ``aom`` is |Omega| as
+    float.  Returns (codes, ns, s12, L): ``ns`` the six merged magnitudes in
+    the input dtype, ``s12`` the top cross-parity pair sum and ``L`` the
+    near-collision scale N3*^2/N1*.
+    """
+    ns = _merge_sorted_triples(aA, aB)
+    n1, n2, n3, n4, n5 = ns[:5]
+    n1f = n1.astype(np.float64)
+    n3f = n3.astype(np.float64)
+
+    codes = np.full(n1.shape, RES_III, dtype=np.int8)
+    undecided = np.ones(n1.shape, dtype=bool)
+
+    def settle(mask, code):
+        hit = undecided & mask
+        codes[hit] = code
+        undecided[hit] = False
+
+    settle(aB[0] * G <= n1, NR_PAIR)
+    settle((n3 > 0) & (n3 >= G * n4) & (aom * G >= n1f * n3f), NR_TRIPLE)
+
+    two_high = undecided & (n1 >= G * n3)
+    s12 = (A[0] + B[0]).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.where(n1 > 0, n3f**2 / np.maximum(n1f, 1e-300), 0.0)
+    settle(two_high & (np.abs(s12) > G * L) & (aom * G >= n1f * np.abs(s12)),
+           NR_BILINEAR)
+    settle(two_high, RES_I)
+
+    four_high = undecided & (n4 >= G * n5) & (n4 > 0)
+    cert = aom * G >= n1f**2
+    # high slots in A: |A0| = N1* >= N4* always counts
+    c_odd = 1 + (aA[1] >= n4).astype(np.int8) + (aA[2] >= n4).astype(np.int8)
+    settle(four_high & (c_odd == 2), RES_II)
+
+    # distribution (II): one high slot in A, trio = B; (III): mirrored
+    for c, trio, u in ((1, B, A[0]), (3, A, B[0])):
+        sel = four_high & undecided & (c_odd == c)
+        if not np.any(sel):
+            continue
+        same_sign_trio = ((np.sign(trio[0]) == np.sign(trio[1]))
+                          & (np.sign(trio[1]) == np.sign(trio[2])))
+        near = np.zeros_like(sel)
+        for v in trio:
+            same = np.sign(v) == np.sign(u)
+            near |= np.where(same, np.abs(v - u), np.abs(v + u)) * G <= n1
+        settle(sel & (same_sign_trio | near) & cert, NR_SIGNS)
+        settle(sel, RES_II)
+    # remaining: five comparable magnitudes, RES_III
+    return codes, ns, s12, L
+
+
 def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
     """Vectorized six-slot classifier.
 
@@ -154,7 +206,6 @@ def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
     arr = as_tuple_array(k, 1)
     if arr.shape[-1] != 6:
         raise ValueError("1d classifier expects six slots")
-    G = thresholds.gap
 
     o0, o1, o2 = _sort3_abs_desc(arr[..., 0], arr[..., 2], arr[..., 4])
     e0, e1, e2 = _sort3_abs_desc(arr[..., 1], arr[..., 3], arr[..., 5])
@@ -162,65 +213,18 @@ def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
     o0, e0 = np.where(flip, e0, o0), np.where(flip, o0, e0)
     o1, e1 = np.where(flip, e1, o1), np.where(flip, o1, e1)
     o2, e2 = np.where(flip, e2, o2), np.where(flip, o2, e2)
-    o = np.stack([o0, o1, o2], axis=-1)
-    e = np.stack([e0, e1, e2], axis=-1)
-
-    ns = _merge_sorted_triples((np.abs(o0), np.abs(o1), np.abs(o2)),
-                               (np.abs(e0), np.abs(e1), np.abs(e2)))
-    n1, n2, n3, n4, n5 = ns[:5]
-    mags = np.stack(ns, axis=-1)
     sq = arr * arr
     aom = np.abs(sq[..., 0] - sq[..., 1] + sq[..., 2] - sq[..., 3]
                  + sq[..., 4] - sq[..., 5])
 
-    codes = np.full(arr.shape[:-1], RES_III, dtype=np.int8)
-    undecided = np.ones(arr.shape[:-1], dtype=bool)
+    codes, ns, s12, L = _cascade_1d(
+        (o0, o1, o2), (e0, e1, e2), (np.abs(o0), np.abs(o1), np.abs(o2)),
+        (np.abs(e0), np.abs(e1), np.abs(e2)), aom, thresholds.gap)
+    codes[ns[0] <= N] = BELOW
 
-    def settle(mask, code):
-        hit = undecided & mask
-        codes[hit] = code
-        undecided[hit] = False
-
-    settle(n1 <= N, BELOW)
-    settle(np.abs(e[..., 0]) * G <= n1, NR_PAIR)
-    settle((n3 > 0) & (n3 >= G * n4) & (aom * G >= n1 * n3), NR_TRIPLE)
-
-    two_high = undecided & (n1 >= G * n3)
-    s12 = o[..., 0] + e[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(n1 > 0, n3**2 / np.maximum(n1, 1e-300), 0.0)
-    settle(two_high & (np.abs(s12) > G * L) & (aom * G >= n1 * np.abs(s12)),
-           NR_BILINEAR)
-    settle(two_high, RES_I)
-
-    four_high = undecided & (n4 >= G * n5) & (n4 > 0)
-    cert = aom * G >= n1**2
-    c_odd = np.sum(np.abs(o) >= n4[..., None], axis=-1)
-    settle(four_high & (c_odd == 2), RES_II)
-
-    # distribution (II): one odd high, trio = conjugated slots; (III): mirrored
-    for c, trio, single in ((1, e, o), (3, o, e)):
-        sel = four_high & undecided & (c_odd == c)
-        if not np.any(sel):
-            continue
-        u = single[..., 0]
-        same_sign_trio = (
-            (np.sign(trio[..., 0]) == np.sign(trio[..., 1]))
-            & (np.sign(trio[..., 1]) == np.sign(trio[..., 2]))
-        )
-        near = np.zeros_like(sel)
-        for j in range(3):
-            v = trio[..., j]
-            same = np.sign(v) == np.sign(u)
-            gap_ok = np.where(same, np.abs(v - u), np.abs(v + u)) * G <= n1
-            near |= gap_ok
-        settle(sel & (same_sign_trio | near) & cert, NR_SIGNS)
-        settle(sel, RES_II)
-
-    # remaining: five comparable magnitudes
-    codes[undecided] = RES_III
-
-    info = {"odd": o, "even": e, "mags": mags, "s12": s12, "L": L, "flip": flip,
+    info = {"odd": np.stack([o0, o1, o2], axis=-1),
+            "even": np.stack([e0, e1, e2], axis=-1),
+            "mags": np.stack(ns, axis=-1), "s12": s12, "L": L, "flip": flip,
             "abs_omega": aom}
     return codes, info
 
@@ -256,7 +260,7 @@ def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
              d: int = 1) -> ResonanceClassification:
     """Classify one tuple and report the compared quantities as a witness."""
     arr = as_tuple_array(np.array(entries, dtype=float), d)
-    n_slots = arr.shape[0] if d == 1 else arr.shape[0]
+    n_slots = arr.shape[0]
     if (d, n_slots) not in ((1, 6), (2, 4)):
         raise ValueError(f"classification defined for 6 slots (1d) / 4 slots (2d), got {n_slots}")
     if d == 1:

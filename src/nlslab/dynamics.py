@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energies import SIGN, EnergyReport, mass, energy
+from .energies import SIGN, energy, mass, nonlinear_coefficient_field
 from .geometry import (SpectralField, TorusGeometry, field_from_modes,
-                       from_physical, random_field, to_physical, zero_field)
+                       free_evolve, from_physical, random_field, to_physical,
+                       zero_field)
 
 
 @dataclass(frozen=True)
@@ -60,18 +61,14 @@ def _oversample(geometry: TorusGeometry) -> int:
     return (geometry.nonlinearity_degree + 2) // 2
 
 
-def free_phase(f: SpectralField, t: float) -> SpectralField:
-    return f.with_coeffs(np.exp(-1j * t * f.kabs() ** 2) * f.coeffs)
-
-
 def strang_step(f: SpectralField, dt: float, sign: str = "defocusing") -> SpectralField:
     kappa = SIGN[sign]
     p = f.geometry.nonlinearity_degree  # exponent 1 + 4/d
-    half = free_phase(f, dt / 2.0)
+    half = free_evolve(f, dt / 2.0)
     vals = to_physical(half, _oversample(f.geometry))
     vals = vals * np.exp(-1j * kappa * dt * np.abs(vals) ** (p - 1))
     mid = from_physical(vals, f.geometry, f.cutoff)
-    return free_phase(mid, dt / 2.0)
+    return free_evolve(mid, dt / 2.0)
 
 
 def galerkin_rhs(f: SpectralField, sign: str = "defocusing",
@@ -81,9 +78,7 @@ def galerkin_rhs(f: SpectralField, sign: str = "defocusing",
     lin = -1j * f.kabs() ** 2 * f.coeffs
     if not nonlinear:
         return f.with_coeffs(lin)
-    p = f.geometry.nonlinearity_degree
-    vals = to_physical(f, _oversample(f.geometry))
-    nl = from_physical(np.abs(vals) ** (p - 1) * vals, f.geometry, f.cutoff)
+    nl = nonlinear_coefficient_field(f)
     return f.with_coeffs(lin - 1j * kappa * nl.coeffs)
 
 
@@ -94,10 +89,6 @@ def rk4_step(f: SpectralField, dt: float, sign: str = "defocusing",
     k3 = galerkin_rhs(f.with_coeffs(f.coeffs + 0.5 * dt * k2), sign, nonlinear).coeffs
     k4 = galerkin_rhs(f.with_coeffs(f.coeffs + dt * k3), sign, nonlinear).coeffs
     return f.with_coeffs(f.coeffs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-
-
-def strang_free_step(f: SpectralField, dt: float) -> SpectralField:
-    return free_phase(f, dt)
 
 
 @dataclass
@@ -143,7 +134,7 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
 
     def step(u):
         if not cfg.nonlinear:
-            return strang_free_step(u, dt)
+            return free_evolve(u, dt)
         if cfg.integrator == "strang":
             return strang_step(u, dt, cfg.sign)
         return rk4_step(u, dt, cfg.sign)

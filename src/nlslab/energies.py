@@ -43,13 +43,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Thresholds, classify_batch_1d, classify_batch_2d, is_nonresonant, is_resonant
-from .geometry import SpectralField, from_physical, integrate_grid, norm, to_physical
+from .geometry import SpectralField, from_physical, integrate_grid, mass, to_physical
 from .multipliers import bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
 SIGN = {"defocusing": 1.0, "focusing": -1.0}
 
 DEFAULT_TUPLE_BUDGET = 2 ** 27
+
+# outer-slot rows per block of the Gamma_n enumerations; the block size of
+# the lattice sums fixes their summation order, hence the last bits of every
+# Lambda value
+_SUM_ROWS_1D = 1 << 14
+_SUM_ROWS_2D = 1 << 12
+_TABLE_ROWS = 1 << 12
 
 
 class ConsistencyError(RuntimeError):
@@ -75,10 +82,6 @@ def energy(f: SpectralField, sign: str = "defocusing") -> float:
     return kinetic + kappa * potential
 
 
-def mass(f: SpectralField) -> float:
-    return norm(f, "l2") ** 2
-
-
 # -- Gamma_n lattice sums ------------------------------------------------------
 
 
@@ -101,7 +104,7 @@ def _lattice_1d(field: SpectralField):
     return K, scale
 
 
-def gamma_sum_1d(fields, symbol_values, chunk_rows: int = 1 << 14,
+def gamma_sum_1d(fields, symbol_values,
                  budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
     """Sum over Gamma_n tuples on the 1d mode lattice of symbol * slot values.
 
@@ -129,8 +132,8 @@ def gamma_sum_1d(fields, symbol_values, chunk_rows: int = 1 << 14,
 
     # product of slot vectors over the outer slots, flattened in C order
     total = 0.0 + 0.0j
-    for start in range(0, outer_total, chunk_rows):
-        stop = min(start + chunk_rows, outer_total)
+    for start in range(0, outer_total, _SUM_ROWS_1D):
+        stop = min(start + _SUM_ROWS_1D, outer_total)
         idx = np.unravel_index(np.arange(start, stop), outer_shape)
         prod_outer = np.ones(stop - start, dtype=np.complex128)
         sum_outer = np.zeros(stop - start, dtype=np.int64)
@@ -156,7 +159,7 @@ def gamma_sum_1d(fields, symbol_values, chunk_rows: int = 1 << 14,
     return complex(total)
 
 
-def gamma_sum_2d(fields, symbol_values, chunk_rows: int = 1 << 12,
+def gamma_sum_2d(fields, symbol_values,
                  budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
     """Gamma_n sum on the 2d mode lattice (composite slot index per slot)."""
     n = len(fields)
@@ -185,8 +188,8 @@ def gamma_sum_2d(fields, symbol_values, chunk_rows: int = 1 << 12,
     outer_shape = (Q,) * (n - 2)
 
     total = 0.0 + 0.0j
-    for start in range(0, outer_total, chunk_rows):
-        stop = min(start + chunk_rows, outer_total)
+    for start in range(0, outer_total, _SUM_ROWS_2D):
+        stop = min(start + _SUM_ROWS_2D, outer_total)
         idx = np.unravel_index(np.arange(start, stop), outer_shape)
         prod_outer = np.ones(stop - start, dtype=np.complex128)
         sum0 = np.zeros(stop - start, dtype=np.int64)
@@ -215,52 +218,6 @@ def gamma_sum_2d(fields, symbol_values, chunk_rows: int = 1 << 12,
             sym = symbol_values(tup)
         total += np.sum(np.where(valid, sym * vals, 0.0))
     return complex(total)
-
-
-def lambda_series(table, samples, deg: int, chunk_rows: int = 1 << 12,
-                  budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
-    """Lambda_deg(table; u, ubar, ...) for many states sharing one lattice.
-
-    Streams the symbol table once for the whole sample list (the табле pass
-    dominates the cost of repeated single evaluations).  1d only; returns
-    the complex value per sample with the measure weight applied.
-    """
-    if not samples:
-        return np.zeros(0, dtype=complex)
-    g = samples[0].geometry
-    if g.dimension != 1:
-        return np.array([lambda_eval(table, [f] * deg, "direct", budget=budget)
-                         for f in samples])
-    K, scale = _lattice_1d(samples[0])
-    P = 2 * K + 1
-    if P ** (deg - 1) > budget:
-        raise ValueError(f"tuple count {P**(deg-1)} exceeds budget {budget}")
-    modes = np.arange(-K, K + 1)
-    vecs = [slot_vectors([f] * deg, 1) for f in samples]  # per sample per slot
-    S = len(samples)
-    tbl = np.asarray(table).reshape(P ** (deg - 2), P)
-    outer_shape = (P,) * (deg - 2)
-    totals = np.zeros(S, dtype=complex)
-    for start in range(0, tbl.shape[0], chunk_rows):
-        stop = min(start + chunk_rows, tbl.shape[0])
-        idx = np.unravel_index(np.arange(start, stop), outer_shape)
-        sum_outer = np.zeros(stop - start, dtype=np.int64)
-        for j in range(deg - 2):
-            sum_outer += modes[idx[j]]
-        m_last = -(sum_outer[:, None] + modes[None, :])
-        valid = np.abs(m_last) <= K
-        gather_idx = np.clip(m_last + K, 0, P - 1)
-        sym = np.where(valid, tbl[start:stop], 0.0)
-        for si in range(S):
-            v = vecs[si]
-            prod_outer = v[0][idx[0]]
-            for j in range(1, deg - 2):
-                prod_outer = prod_outer * v[j][idx[j]]
-            block = (prod_outer[:, None] * v[deg - 2][None, :]) \
-                * v[deg - 1][gather_idx]
-            totals[si] += np.sum(sym * block)
-    w = g.measure_weight
-    return w ** (deg - 1) * totals
 
 
 def lambda_eval(symbol_values, fields, strategy: str = "direct",
@@ -409,8 +366,7 @@ def _correction_values(tup, valid, d, deg, sym, thresholds, N, slot_tables=None)
 
 def correction_tables(template: SpectralField, N: float, s: float,
                       thresholds: Thresholds = Thresholds(),
-                      dtype=np.float64, chunk_rows: int = 1 << 12,
-                      budget: int = DEFAULT_TUPLE_BUDGET,
+                      dtype=np.float64, budget: int = DEFAULT_TUPLE_BUDGET,
                       which: tuple = ("sigma_tilde", "mbar", "combined")) -> CorrectionTables:
     """Build sigma~/Mbar/combined tables for the lattice of ``template``.
 
@@ -424,12 +380,12 @@ def correction_tables(template: SpectralField, N: float, s: float,
     if d == 1:
         K, scale = _lattice_1d(template)
         P = 2 * K + 1
-        blocks = _tuple_blocks_1d(K, scale, deg, chunk_rows)
+        blocks = _tuple_blocks_1d(K, scale, deg, _TABLE_ROWS)
         points = P
     else:
         K0, K1 = template.cutoff
         s0, s1 = g.axis_scales
-        blocks = _tuple_blocks_2d(K0, K1, s0, s1, deg, chunk_rows)
+        blocks = _tuple_blocks_2d(K0, K1, s0, s1, deg, _TABLE_ROWS)
         points = (2 * K0 + 1) * (2 * K1 + 1)
     if points ** (deg - 1) > budget:
         raise ValueError(f"table size {points**(deg-1)} exceeds budget {budget}")
@@ -491,14 +447,6 @@ class EnergyReport:
     correction: float
     e_i2: float
     sign: str
-
-
-def sigma_slot_factors(sym: SmoothingSymbol, deg: int, d: int):
-    """Per-slot factors of sigma_deg (without the 1/deg prefactor)."""
-    def factor(k):
-        sq = k**2 if d == 1 else np.sum(np.asarray(k) ** 2, axis=-1)
-        return m_value(np.sqrt(sq), sym)
-    return [factor] * deg
 
 
 def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",

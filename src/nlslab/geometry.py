@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -309,15 +309,6 @@ def sharp_shell_index(kabs) -> np.ndarray:
     return out
 
 
-def dyadic_levels(max_abs: float) -> list[int]:
-    levels = [1]
-    n = 2
-    while n <= 2 * max_abs:
-        levels.append(n)
-        n *= 2
-    return levels
-
-
 def smooth_shell_weight(kabs, level: int) -> np.ndarray:
     """Raised-cosine Littlewood-Paley weight; the levels sum to one exactly."""
     kabs = np.asarray(kabs, dtype=float)
@@ -356,17 +347,6 @@ def project_set(f: SpectralField, mask: np.ndarray) -> SpectralField:
     return f.with_coeffs(np.where(mask, f.coeffs, 0.0))
 
 
-def project_interval(f: SpectralField, lo: float, hi: float, axis: int = 0) -> SpectralField:
-    """Projection to physical frequencies lo <= k_axis <= hi (1d interval)."""
-    grids = f.freq_grids()
-    mask = (grids[axis] >= lo) & (grids[axis] <= hi)
-    return project_set(f, mask)
-
-
-def project_ball(f: SpectralField, radius: float) -> SpectralField:
-    return project_set(f, f.kabs() <= radius)
-
-
 # -- free evolution and space-time norms --------------------------------------
 
 
@@ -395,21 +375,6 @@ def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float,
     dt = t_end / (len(fields) - 1)
     total = float(np.trapezoid(space, dx=dt))
     return total ** (1.0 / p)
-
-
-def bilinear_l2_spacetime(us: Sequence[SpectralField], vs: Sequence[SpectralField],
-                          t_end: float, oversample: int = 2) -> float:
-    """||u v||_{L2([0,T] x torus)} from paired uniform time samples."""
-    if len(us) != len(vs) or len(us) < 4:
-        raise ValueError("need paired sample lists with at least 4 samples")
-    geometry = us[0].geometry
-    space = np.array([
-        np.mean(np.abs(to_physical(u, oversample) * to_physical(v, oversample)) ** 2)
-        * geometry.volume
-        for u, v in zip(us, vs)
-    ])
-    dt = t_end / (len(us) - 1)
-    return float(np.sqrt(np.trapezoid(space, dx=dt)))
 
 
 # -- serialization -------------------------------------------------------------

@@ -80,10 +80,6 @@ def bare_m6(k, sym: SmoothingSymbol, d: int = 1) -> np.ndarray:
     return np.sum(m2 * sq * _alt_signs(sq.shape[-1]), axis=-1)
 
 
-# bare M_4 is the same alternating sum on four slots
-bare_m4 = bare_m6
-
-
 def sigma_product(k, sym: SmoothingSymbol, d: int = 1) -> np.ndarray:
     """prod_i m(k_i)."""
     r = mags(k, d)
@@ -99,7 +95,7 @@ class FrequencyTuple:
 
     def __post_init__(self):
         arr = as_tuple_array(np.array(self.entries, dtype=float), self.d)
-        n = arr.shape[0] if self.d == 1 else arr.shape[0]
+        n = arr.shape[0]
         if n not in (2, 4, 6, 10):
             raise ValueError(f"slot count {n} not in (2, 4, 6, 10)")
         res = constraint_residual(arr, self.d)

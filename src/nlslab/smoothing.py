@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpectralField, TorusGeometry, norm
+from .geometry import SpectralField, TorusGeometry
 
 # max slope of phi on [0,1]; measured on a fine grid, rounded up.
 PHI_MAX_SLOPE = 1.40

@@ -87,6 +87,11 @@ def test_verdict_invariance_under_slot_symmetries():
     codes_n, _ = classify_batch_1d(-tups, N=8.0)
     assert np.array_equal(codes, codes_n)
 
+    # lattice indices vs physical frequencies m / lambda: a power-of-two
+    # rescaling of the tuples and N is exact in float
+    codes_r, _ = classify_batch_1d(tups / 8.0, N=8.0 / 8.0)
+    assert np.array_equal(codes, codes_r)
+
 
 def test_nonresonant_never_sees_zero_resonance_small_sweep():
     # exhaustive over a small lattice: no nonresonant verdict with omega = 0

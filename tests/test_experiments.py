@@ -10,6 +10,7 @@ import pytest
 from nlslab.cli import main
 from nlslab.config import (ConfigError, config_hash, fmt, parse_config_text,
                            validate)
+from nlslab.experiments import linear_l6_plane_wave_check
 
 
 class TestConfig:
@@ -106,6 +107,25 @@ class TestRunners:
             assert code == 0
             outs.append((tmp_path / name / "strichartz.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_l6_calibration_passes(self):
+        cal = linear_l6_plane_wave_check(n_freq=32.0, lam=4.0)
+        assert cal["error"] < 1e-10
+        assert cal["measured"] == pytest.approx(cal["expected"], rel=1e-12)
+
+    def test_l6_calibration_can_fail(self, tmp_path, monkeypatch):
+        import nlslab.experiments as experiments
+
+        norm = experiments.lp_spacetime_norm
+        monkeypatch.setattr(experiments, "lp_spacetime_norm",
+                            lambda *a, **k: norm(*a, **k) * (1 + 1e-6))
+        cfgfile = tmp_path / "d.cfg"
+        cfgfile.write_text("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 5\n")
+        code = main(["strichartz", "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+        assert code == 2
+        rows = (tmp_path / "r" / "strichartz.csv").read_text().splitlines()
+        l6 = [r for r in rows if r.startswith("calibration-l6")]
+        assert len(l6) == 1 and l6[0].endswith("calibration-error")
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NLSLAB_OUT", str(tmp_path / "env_dir"))
