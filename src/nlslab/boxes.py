@@ -129,6 +129,15 @@ class AxisTable:
         return val
 
 
+@lru_cache(maxsize=32)
+def _unit_gauss_legendre(nodes: int) -> tuple:
+    """Gauss-Legendre nodes mapped to [0, 1] and halved weights (read-only)."""
+    x, w = leggauss(nodes)
+    u, half_w = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = half_w.flags.writeable = False
+    return u, half_w
+
+
 def _axis_expand(g, center: float, length: float, trunc: int, order: int,
                  rtol: float = 1e-6) -> AxisTable:
     """One-axis expansion: raw coefficients by Gauss-Legendre quadrature,
@@ -147,9 +156,8 @@ def _axis_expand(g, center: float, length: float, trunc: int, order: int,
     xi_all = np.concatenate([xi_lo, tail])
 
     def raw_coefficients(nodes):
-        x, w = leggauss(nodes)
-        u = 0.5 * (x + 1.0)
-        vals = np.real(np.asarray(g(a + length * u))) * (0.5 * w)
+        u, half_w = _unit_gauss_legendre(nodes)
+        vals = np.real(np.asarray(g(a + length * u))) * half_w
         phases = np.exp(-2j * np.pi * np.outer(xi_all, u))
         return phases @ vals
 

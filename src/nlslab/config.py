@@ -141,7 +141,8 @@ SCHEMAS = {
         "slack": Field(float, 0.0), "n_ref": Field(float, 256.0),
     },
     "almost-conservation": {
-        "d": Field(int, 1), "kcut": Field(int, 20),
+        "d": Field(int, 1), "gamma": Field(float, 1.0), "lambda": Field(float, 1.0),
+        "kcut": Field(int, 20),
         "n_grid": Field("float-list", [4.0, 8.0, 16.0]),
         "s": Field(float, 0.5), "sign": Field(str, "defocusing"),
         "mass": Field(float, 0.25), "dt": Field(float, 0.0),

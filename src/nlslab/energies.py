@@ -44,19 +44,20 @@ import numpy as np
 
 from .classify import Thresholds, classify_batch_1d, classify_batch_2d, is_nonresonant, is_resonant
 from .geometry import SpectralField, from_physical, integrate_grid, mass, to_physical
-from .multipliers import bare_m6, omega, sigma_product
+from .multipliers import sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
 SIGN = {"defocusing": 1.0, "focusing": -1.0}
 
 DEFAULT_TUPLE_BUDGET = 2 ** 27
 
-# outer-slot rows per block of the Gamma_n enumerations; the block size of
-# the lattice sums fixes their summation order, hence the last bits of every
-# Lambda value
-_SUM_ROWS_1D = 1 << 14
-_SUM_ROWS_2D = 1 << 12
-_TABLE_ROWS = 1 << 12
+# block sizes of the Gamma_n enumerations: a lattice sum cuts each
+# equal-sigma row group into blocks of at most _GROUP_ROWS rows, which fixes
+# its summation order (hence the last bits of every Lambda value) and bounds
+# a block's working set; a table build fills whole rows, about _TABLE_TUPLES
+# tuples at a time, which bounds its classifier temporaries
+_GROUP_ROWS = 1 << 12
+_TABLE_TUPLES = 1 << 16
 
 
 class ConsistencyError(RuntimeError):
@@ -85,139 +86,144 @@ def energy(f: SpectralField, sign: str = "defocusing") -> float:
 # -- Gamma_n lattice sums ------------------------------------------------------
 
 
-def slot_vectors(fields, d: int) -> list[np.ndarray]:
+def slot_vectors(fields) -> list[np.ndarray]:
     """Per-slot coefficient vectors v_j with v_j[m] = uhat_j at mode m for odd
-    slots and conj(uhat_j(-m)) for even slots (1-indexed parity)."""
-    vecs = []
-    for j, f in enumerate(fields):
-        if (j + 1) % 2 == 0:
-            rev = f.coeffs[::-1] if d == 1 else f.coeffs[::-1, ::-1]
-            vecs.append(np.conj(np.ascontiguousarray(rev)).reshape(-1))
+    slots and conj(uhat_j(-m)) for even slots (1-indexed parity), flattened
+    over the composite mode index."""
+    return [np.conj(np.flip(f.coeffs)).reshape(-1) if (j + 1) % 2 == 0
+            else np.ascontiguousarray(f.coeffs).reshape(-1)
+            for j, f in enumerate(fields)]
+
+
+class _Lattice:
+    """Gamma_n tuples on the mode lattice of a field, addressed as (row, column).
+
+    Each slot carries a composite mode index in [0, Q): C order over the
+    axes, Q = prod(2 K_a + 1), so d = 1 is the one-axis case.  A row is the
+    C-order index of slots 1..n-2, a column is slot n-1, and slot n is fixed
+    by the constraint to -(k_1 + ... + k_(n-1)); it lies on the lattice only
+    when every axis of it lies in [-K_a, K_a].  Tables over slots 1..n-1
+    are stored as (rows, Q).
+    """
+
+    def __init__(self, field: SpectralField, n: int):
+        g = field.geometry
+        self.n, self.d = n, g.dimension
+        self.K = np.array(field.cutoff)
+        self.shape = tuple(int(p) for p in 2 * self.K + 1)
+        self.Q = int(np.prod(self.shape))
+        self.rows = self.Q ** (n - 2)
+        # integer and physical modes of every composite index, (Q, d)
+        self.modes = np.stack(np.unravel_index(np.arange(self.Q), self.shape), axis=-1) - self.K
+        self.freqs = self.modes / np.array(g.axis_scales)
+        self.strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
+
+    def index(self, m):
+        """Composite index of integer modes (..., d), clipped onto the
+        lattice, and whether each mode lies on it."""
+        valid = np.all(np.abs(m) <= self.K, axis=-1)
+        return np.clip(m + self.K, 0, 2 * self.K) @ self.strides, valid
+
+    def outer(self, rows) -> list[np.ndarray]:
+        """Composite indices of slots 1..n-2 of the given rows."""
+        return list(np.unravel_index(rows, (self.Q,) * (self.n - 2)))
+
+    def tuples(self, outer, cols):
+        """Slot indices (R, C, n), physical tuples and the on-lattice mask of
+        R rows (``outer``: their slots 1..n-2) times the columns ``cols``.
+
+        Physical tuples are (R, C, n) in 1d and (R, C, n, d) otherwise.
+        """
+        R = len(outer[0]) if outer else 1
+        idx = np.empty((R, len(cols), self.n), dtype=np.int64)
+        total = np.zeros((R, 1, self.d), dtype=np.int64)
+        for j, o in enumerate(outer):
+            idx[:, :, j] = o[:, None]
+            total += self.modes[o][:, None]
+        idx[:, :, self.n - 2] = cols
+        idx[:, :, self.n - 1], valid = self.index(-(total + self.modes[cols]))
+        tup = self.freqs[idx]
+        return idx, (tup[..., 0] if self.d == 1 else tup), valid
+
+    def groups(self, max_rows: int):
+        """Blocks of at most ``max_rows`` rows that share the mode sum sigma
+        of slots 1..n-2, hence slot n = -(sigma + k_(n-1)) in every column.
+
+        Yields (rows, outer, cols, last): the row numbers, the composite
+        indices of their slots 1..n-2, the columns with slot n on the
+        lattice and slot n's index per column.  A sum with |sigma_a| > 2 K_a
+        on some axis leaves no column on the lattice and is skipped.
+        """
+        n_out = self.n - 2
+        if n_out == 0:
+            yield (np.zeros(1, dtype=np.int64), [], np.arange(self.Q),
+                   self.index(-self.modes)[0])
+            return
+        # rows = prefix (slots 1..n-3) x tail (slot n-2, fixed by sigma)
+        prefix = list(np.unravel_index(np.arange(self.Q ** (n_out - 1)),
+                                       (self.Q,) * (n_out - 1))) if n_out > 1 else []
+        psum = sum((self.modes[p] for p in prefix), np.zeros((1, self.d), dtype=np.int64))
+        reach = min(n_out, 2) * self.K
+        for offset in np.ndindex(*(2 * reach + 1)):
+            sigma = np.array(offset) - reach
+            last, ok = self.index(-(sigma + self.modes))
+            cols = np.flatnonzero(ok)
+            tail, ok = self.index(sigma - psum)
+            keep = np.flatnonzero(ok)
+            for start in range(0, len(keep), max_rows):
+                sel = keep[start:start + max_rows]
+                yield (sel * self.Q + tail[sel], [p[sel] for p in prefix] + [tail[sel]],
+                       cols, last[cols])
+
+
+def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
+    """Constrained Gamma_n sums of symbol * slot values, one per field set.
+
+    ``field_sets`` holds n-field sequences on one mode lattice.  ``symbol``
+    is a callable on physical tuples ((..., n) in 1d, (..., n, d) otherwise)
+    or a table of shape (Q,)*(n-1) over slots 1..n-1 (slot n is fixed by the
+    constraint; entries at tuples whose slot n is off the lattice are
+    ignored).  Returns the plain sums; the caller applies the measure weight
+    w^(n-1).
+
+    Rows with equal mode sum sigma of slots 1..n-2 share slot n in every
+    column, so each block of them costs one matrix product of the outer slot
+    products O (sets x rows) with the table block, [Re O; Im O] @ T, which
+    is then contracted against v_(n-1)[c] v_n[-(sigma + c)].
+    """
+    field_sets = [list(fs) for fs in field_sets]
+    n = len(field_sets[0])
+    lat = _Lattice(field_sets[0][0], n)
+    if lat.Q ** (n - 1) > budget:
+        raise ValueError(f"tuple count {lat.Q ** (n - 1)} exceeds budget {budget}")
+    vecs = [np.stack(v) for v in zip(*map(slot_vectors, field_sets))]  # per slot (sets, Q)
+    table = None if callable(symbol) else np.asarray(symbol).reshape(lat.rows, lat.Q)
+    S = len(field_sets)
+    out = np.zeros(S, dtype=np.complex128)
+    for rows, outer, cols, last in lat.groups(_GROUP_ROWS):
+        T = symbol(lat.tuples(outer, cols)[1]) if table is None else table[rows[:, None], cols]
+        O = np.ones((S, len(rows)), dtype=np.complex128)
+        for v, idx in zip(vecs, outer):
+            O *= v[:, idx]
+        if np.iscomplexobj(T):
+            G = O @ T
         else:
-            vecs.append(np.ascontiguousarray(f.coeffs).reshape(-1))
-    return vecs
-
-
-def _lattice_1d(field: SpectralField):
-    K = field.cutoff[0]
-    scale = field.geometry.axis_scales[0]
-    return K, scale
+            G = np.concatenate([O.real, O.imag]) @ T
+            G = G[:S] + 1j * G[S:]
+        out += np.sum(G * vecs[n - 2][:, cols] * vecs[n - 1][:, last], axis=1)
+    return out
 
 
 def gamma_sum_1d(fields, symbol_values,
                  budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
-    """Sum over Gamma_n tuples on the 1d mode lattice of symbol * slot values.
-
-    ``symbol_values`` is either a callable on physical tuples (..., n) or a
-    precomputed table of shape (P,)*(n-1) over slots 1..n-1 (slot n is fixed
-    by the constraint; entries at invalid tuples are ignored).  Returns the
-    plain constrained sum; the caller applies the measure weight w^(n-1).
-    """
-    n = len(fields)
-    K, scale = _lattice_1d(fields[0])
-    P = 2 * K + 1
-    if P ** (n - 1) > budget:
-        raise ValueError(f"tuple count {P**(n-1)} exceeds budget {budget}")
-    vecs = slot_vectors(fields, 1)
-    modes = np.arange(-K, K + 1)
-
-    if n == 2:
-        tup = np.stack([modes / scale, -modes / scale], axis=-1)
-        sym = symbol_values(tup) if callable(symbol_values) else np.asarray(symbol_values)
-        return complex(np.sum(sym * vecs[0] * vecs[1][::-1]))
-
-    table = None if callable(symbol_values) else np.asarray(symbol_values).reshape(P ** (n - 2), P)
-    outer_shape = (P,) * (n - 2)
-    outer_total = P ** (n - 2)
-
-    # product of slot vectors over the outer slots, flattened in C order
-    total = 0.0 + 0.0j
-    for start in range(0, outer_total, _SUM_ROWS_1D):
-        stop = min(start + _SUM_ROWS_1D, outer_total)
-        idx = np.unravel_index(np.arange(start, stop), outer_shape)
-        prod_outer = np.ones(stop - start, dtype=np.complex128)
-        sum_outer = np.zeros(stop - start, dtype=np.int64)
-        for j in range(n - 2):
-            prod_outer *= vecs[j][idx[j]]
-            sum_outer += modes[idx[j]]
-        m_pen = modes  # slot n-1, full axis
-        m_last = -(sum_outer[:, None] + m_pen[None, :])
-        valid = np.abs(m_last) <= K
-        vals = prod_outer[:, None] * vecs[n - 2][None, :]
-        gathered = np.where(valid, vecs[n - 1][np.clip(m_last + K, 0, P - 1)], 0.0)
-        vals = vals * gathered
-        if table is not None:
-            sym = table[start:stop]
-        else:
-            tup = np.empty((stop - start, P, n))
-            for j in range(n - 2):
-                tup[..., j] = (modes[idx[j]] / scale)[:, None]
-            tup[..., n - 2] = (m_pen / scale)[None, :]
-            tup[..., n - 1] = m_last / scale
-            sym = symbol_values(tup)
-        total += np.sum(np.where(valid, sym * vals, 0.0))
-    return complex(total)
+    """Gamma_n sum of one field set on the 1d mode lattice (``gamma_sums``)."""
+    return complex(gamma_sums(symbol_values, [fields], budget)[0])
 
 
 def gamma_sum_2d(fields, symbol_values,
                  budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
-    """Gamma_n sum on the 2d mode lattice (composite slot index per slot)."""
-    n = len(fields)
-    f0 = fields[0]
-    K0, K1 = f0.cutoff
-    P0, P1 = 2 * K0 + 1, 2 * K1 + 1
-    Q = P0 * P1
-    if Q ** (n - 1) > budget:
-        raise ValueError(f"tuple count {Q**(n-1)} exceeds budget {budget}")
-    s0, s1 = f0.geometry.axis_scales
-    vecs = slot_vectors(fields, 2)
-    m0 = np.repeat(np.arange(-K0, K0 + 1), P1)
-    m1 = np.tile(np.arange(-K1, K1 + 1), P0)
-
-    if n == 2:
-        tup = np.stack([
-            np.stack([m0 / s0, m1 / s1], axis=-1),
-            np.stack([-m0 / s0, -m1 / s1], axis=-1),
-        ], axis=-2)
-        sym = symbol_values(tup) if callable(symbol_values) else np.asarray(symbol_values)
-        lin2 = (-m0 + K0) * P1 + (-m1 + K1)
-        return complex(np.sum(sym * vecs[0] * vecs[1][lin2]))
-
-    table = None if callable(symbol_values) else np.asarray(symbol_values).reshape(Q ** (n - 2), Q)
-    outer_total = Q ** (n - 2)
-    outer_shape = (Q,) * (n - 2)
-
-    total = 0.0 + 0.0j
-    for start in range(0, outer_total, _SUM_ROWS_2D):
-        stop = min(start + _SUM_ROWS_2D, outer_total)
-        idx = np.unravel_index(np.arange(start, stop), outer_shape)
-        prod_outer = np.ones(stop - start, dtype=np.complex128)
-        sum0 = np.zeros(stop - start, dtype=np.int64)
-        sum1 = np.zeros(stop - start, dtype=np.int64)
-        for j in range(n - 2):
-            prod_outer *= vecs[j][idx[j]]
-            sum0 += m0[idx[j]]
-            sum1 += m1[idx[j]]
-        last0 = -(sum0[:, None] + m0[None, :])
-        last1 = -(sum1[:, None] + m1[None, :])
-        valid = (np.abs(last0) <= K0) & (np.abs(last1) <= K1)
-        lin = np.clip((last0 + K0) * P1 + (last1 + K1), 0, Q - 1)
-        vals = prod_outer[:, None] * vecs[n - 2][None, :]
-        vals = vals * np.where(valid, vecs[n - 1][lin], 0.0)
-        if table is not None:
-            sym = table[start:stop]
-        else:
-            tup = np.empty((stop - start, Q, n, 2))
-            for j in range(n - 2):
-                tup[..., j, 0] = (m0[idx[j]] / s0)[:, None]
-                tup[..., j, 1] = (m1[idx[j]] / s1)[:, None]
-            tup[..., n - 2, 0] = (m0 / s0)[None, :]
-            tup[..., n - 2, 1] = (m1 / s1)[None, :]
-            tup[..., n - 1, 0] = last0 / s0
-            tup[..., n - 1, 1] = last1 / s1
-            sym = symbol_values(tup)
-        total += np.sum(np.where(valid, sym * vals, 0.0))
-    return complex(total)
+    """Gamma_n sum of one field set on the 2d mode lattice (``gamma_sums``)."""
+    return complex(gamma_sums(symbol_values, [fields], budget)[0])
 
 
 def lambda_eval(symbol_values, fields, strategy: str = "direct",
@@ -274,71 +280,17 @@ class CorrectionTables:
     combined: np.ndarray | None   # sigma_deg + sigma_tilde (real table)
 
 
-def _tuple_blocks_1d(K: int, scale: float, n: int, chunk_rows: int):
-    P = 2 * K + 1
-    modes = np.arange(-K, K + 1)
-    outer_total = P ** (n - 2)
-    outer_shape = (P,) * (n - 2)
-    for start in range(0, outer_total, chunk_rows):
-        stop = min(start + chunk_rows, outer_total)
-        idx = np.unravel_index(np.arange(start, stop), outer_shape)
-        sum_outer = np.zeros(stop - start, dtype=np.int64)
-        cols = []
-        for j in range(n - 2):
-            cols.append(np.broadcast_to(modes[idx[j]][:, None], (stop - start, P)))
-            sum_outer += modes[idx[j]]
-        m_pen = np.broadcast_to(modes[None, :], (stop - start, P))
-        m_last = -(sum_outer[:, None] + modes[None, :])
-        tup = np.stack(cols + [m_pen, m_last], axis=-1) / scale
-        valid = np.abs(m_last) <= K
-        yield start, stop, tup, valid
-
-
-def _tuple_blocks_2d(K0: int, K1: int, s0: float, s1: float, n: int, chunk_rows: int):
-    P0, P1 = 2 * K0 + 1, 2 * K1 + 1
-    Q = P0 * P1
-    m0 = np.repeat(np.arange(-K0, K0 + 1), P1)
-    m1 = np.tile(np.arange(-K1, K1 + 1), P0)
-    outer_total = Q ** (n - 2)
-    outer_shape = (Q,) * (n - 2)
-    for start in range(0, outer_total, chunk_rows):
-        stop = min(start + chunk_rows, outer_total)
-        idx = np.unravel_index(np.arange(start, stop), outer_shape)
-        B = stop - start
-        sum0 = np.zeros(B, dtype=np.int64)
-        sum1 = np.zeros(B, dtype=np.int64)
-        comps = []
-        for j in range(n - 2):
-            comps.append((np.broadcast_to(m0[idx[j]][:, None], (B, Q)),
-                          np.broadcast_to(m1[idx[j]][:, None], (B, Q))))
-            sum0 += m0[idx[j]]
-            sum1 += m1[idx[j]]
-        comps.append((np.broadcast_to(m0[None, :], (B, Q)),
-                      np.broadcast_to(m1[None, :], (B, Q))))
-        last0 = -(sum0[:, None] + m0[None, :])
-        last1 = -(sum1[:, None] + m1[None, :])
-        comps.append((last0, last1))
-        tup = np.stack([np.stack([c0 / s0, c1 / s1], axis=-1) for c0, c1 in comps], axis=-2)
-        valid = (np.abs(last0) <= K0) & (np.abs(last1) <= K1)
-        yield start, stop, tup, valid
-
-
-def _correction_values(tup, valid, d, deg, sym, thresholds, N, slot_tables=None):
+def _correction_values(idx, tup, valid, d, deg, slots, thresholds, N):
     """sigma~, R (with Mbar = iR), and sigma+sigma~ on a block of tuples.
 
-    ``slot_tables`` (per-mode lookup of |k|^2, m^2|k|^2, m) short-circuits
-    the symbol evaluation on lattice-valued tuples.
+    ``idx`` holds the composite slot indices of the tuples, ``tup`` their
+    physical values; ``slots`` are per-mode lookups of |k|^2, m^2|k|^2 and m,
+    so every symbol value is a gather.
     """
-    if slot_tables is not None:
-        idx = slot_tables["index"](tup)
-        sq = slot_tables["sq"][idx]
-        om = np.sum(sq * slot_tables["signs"], axis=-1)
-        bare = np.sum(slot_tables["msq_sq"][idx] * slot_tables["signs"], axis=-1)
-        sig = np.prod(slot_tables["m"][idx], axis=-1) / deg
-    else:
-        om = omega(tup, d)
-        bare = bare_m6(tup, sym, d)
-        sig = sigma_product(tup, sym, d) / deg
+    signs = np.array([1.0, -1.0] * (deg // 2))
+    om = np.sum(slots["sq"][idx] * signs, axis=-1)
+    bare = np.sum(slots["msq_sq"][idx] * signs, axis=-1)
+    sig = np.prod(slots["m"][idx], axis=-1) / deg
     if d == 1:
         codes, _ = classify_batch_1d(tup, N, thresholds)
     else:
@@ -374,65 +326,27 @@ def correction_tables(template: SpectralField, N: float, s: float,
     afford the correction table).
     """
     g = template.geometry
-    d = g.dimension
     deg = g.nonlinearity_degree + 1
-    sym = SmoothingSymbol(N, 1.0 - s)
-    if d == 1:
-        K, scale = _lattice_1d(template)
-        P = 2 * K + 1
-        blocks = _tuple_blocks_1d(K, scale, deg, _TABLE_ROWS)
-        points = P
-    else:
-        K0, K1 = template.cutoff
-        s0, s1 = g.axis_scales
-        blocks = _tuple_blocks_2d(K0, K1, s0, s1, deg, _TABLE_ROWS)
-        points = (2 * K0 + 1) * (2 * K1 + 1)
-    if points ** (deg - 1) > budget:
-        raise ValueError(f"table size {points**(deg-1)} exceeds budget {budget}")
-    shape = (points,) * (deg - 1)
-    rows = points ** (deg - 2)
-
-    def alloc(name):
-        return np.zeros((rows, points), dtype=dtype) if name in which else None
-
-    # per-mode symbol lookups: tuples live on the lattice, so every slot
-    # value reduces to a table gather
-    signs = np.array([1.0, -1.0] * (deg // 2))
-    if d == 1:
-        modes = np.arange(-K, K + 1) / scale
-        mvals = m_value(np.abs(modes), sym)
-        slot_tables = {
-            "index": lambda t: np.clip(np.rint(t * scale).astype(np.int64) + K, 0, P - 1),
-            "sq": modes**2, "m": mvals, "msq_sq": mvals**2 * modes**2,
-            "signs": signs,
-        }
-    else:
-        P1 = 2 * K1 + 1
-        g0, g1 = np.meshgrid(np.arange(-K0, K0 + 1) / s0,
-                             np.arange(-K1, K1 + 1) / s1, indexing="ij")
-        sqgrid = (g0**2 + g1**2).reshape(-1)
-        mgrid = m_value(np.sqrt(sqgrid), sym)
-
-        def index2(t):
-            i0 = np.clip(np.rint(t[..., 0] * s0).astype(np.int64) + K0, 0, 2 * K0)
-            i1 = np.clip(np.rint(t[..., 1] * s1).astype(np.int64) + K1, 0, 2 * K1)
-            return i0 * P1 + i1
-
-        slot_tables = {"index": index2, "sq": sqgrid, "m": mgrid,
-                       "msq_sq": mgrid**2 * sqgrid, "signs": signs}
-
-    st, mb, cm = alloc("sigma_tilde"), alloc("mbar"), alloc("combined")
-    for start, stop, tup, valid in blocks:
-        a, b, c = _correction_values(tup, valid, d, deg, sym, thresholds, N,
-                                     slot_tables)
-        if st is not None:
-            st[start:stop] = np.where(valid, a, 0.0)
-        if mb is not None:
-            mb[start:stop] = np.where(valid, b, 0.0)
-        if cm is not None:
-            cm[start:stop] = np.where(valid, c, 0.0)
-    reshape = lambda t: t.reshape(shape) if t is not None else None
-    return CorrectionTables(d, deg, N, s, thresholds, reshape(st), reshape(mb), reshape(cm))
+    lat = _Lattice(template, deg)
+    if lat.Q ** (deg - 1) > budget:
+        raise ValueError(f"table size {lat.Q ** (deg - 1)} exceeds budget {budget}")
+    sq = np.sum(lat.freqs ** 2, axis=-1)
+    m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
+    slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
+    tables = {name: np.zeros((lat.rows, lat.Q), dtype=dtype) if name in which else None
+              for name in ("sigma_tilde", "mbar", "combined")}
+    cols = np.arange(lat.Q)
+    block = max(1, _TABLE_TUPLES // lat.Q)
+    for start in range(0, lat.rows, block):
+        stop = min(start + block, lat.rows)
+        idx, tup, valid = lat.tuples(lat.outer(np.arange(start, stop)), cols)
+        values = _correction_values(idx, tup, valid, g.dimension, deg, slots, thresholds, N)
+        for table, vals in zip(tables.values(), values):
+            if table is not None:
+                table[start:stop] = np.where(valid, vals, 0.0)
+    st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) if t is not None else None
+                  for t in tables.values())
+    return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
 
 
 # -- modified energies ---------------------------------------------------------
@@ -528,27 +442,6 @@ def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField,
     return w ** (len(fields) - 1) * s
 
 
-def energy_derivative_terms(f: SpectralField, tables: CorrectionTables,
-                            sign: str = "defocusing",
-                            budget: int = DEFAULT_TUPLE_BUDGET) -> dict:
-    """kappa*Lambda_deg(Mbar_deg) and Lambda_(deg+4)(Mbar_(deg+4)) at one state."""
-    kappa = _kappa(sign)
-    deg = tables.deg
-    fields = [f] * deg
-    lam_mbar = 1j * lambda_eval(tables.mbar_imag, fields, "direct", budget=budget)
-    nl = nonlinear_coefficient_field(f)
-    total_sub = 0.0 + 0.0j
-    for j in range(1, deg + 1):
-        term = lambda_with_substitution(tables.combined, fields, j, nl, budget=budget)
-        total_sub += (-1) ** j * term
-    lam_big = 1j * kappa * total_sub
-    return {
-        "lambda_mbar": kappa * float(np.real(lam_mbar)),
-        "lambda_mbar_big": float(np.real(lam_big)),
-        "imag_leak": max(abs(float(np.imag(lam_mbar))), abs(float(np.imag(lam_big)))),
-    }
-
-
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral at the sample points; Simpson on even prefixes,
     one trapezoid correction on odd ones."""
@@ -570,9 +463,11 @@ def energy_identity_residual(samples, times, N: float, s: float,
     """Residual series of the modified-energy identity along a trajectory.
 
     ``samples`` are uniformly spaced fields, ``times`` their times.  Returns
-    the per-sample pieces and the residual r(t); exactness of the discrete
-    identity makes r vanish at the integrator/quadrature order under dt
-    refinement.
+    the per-sample pieces, the residual r(t) and ``imag_leak``, the largest
+    |Im| of Lambda(Mbar_deg) and Lambda(Mbar_(deg+4)) (both are real in exact
+    arithmetic); exactness of the discrete identity makes r vanish at the
+    integrator/quadrature order under dt refinement.  Each Lambda term is one
+    ``gamma_sums`` call over all samples.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -585,18 +480,22 @@ def energy_identity_residual(samples, times, N: float, s: float,
     deg = f0.geometry.nonlinearity_degree + 1
     if tables is None:
         tables = correction_tables(f0, N, s, thresholds, budget=budget)
+    w = f0.geometry.measure_weight ** (deg - 1)
 
-    e1 = np.empty(len(samples))
-    corr = np.empty(len(samples))
-    mbar = np.empty(len(samples))
-    mbar_big = np.empty(len(samples))
-    for i, f in enumerate(samples):
-        e1[i] = e_i1(f, N, s, sign, check=None)
-        corr[i] = kappa * float(np.real(
-            lambda_eval(tables.sigma_tilde, [f] * deg, "direct", budget=budget)))
-        terms = energy_derivative_terms(f, tables, sign, budget=budget)
-        mbar[i] = terms["lambda_mbar"]
-        mbar_big[i] = terms["lambda_mbar_big"]
+    e1 = np.array([e_i1(f, N, s, sign, check=None) for f in samples])
+    plain = [[f] * deg for f in samples]
+    corr = kappa * np.real(w * gamma_sums(tables.sigma_tilde, plain, budget))
+    lam_mbar = 1j * w * gamma_sums(tables.mbar_imag, plain, budget)
+    # Lambda_(deg+4)(Mbar_(deg+4)): the equation substituted into slot j of
+    # sigma + sigma~, the collapsed group being a lattice mode
+    substituted = []
+    for f in samples:
+        nl = nonlinear_coefficient_field(f)
+        substituted += [[nl if i == j else f for i in range(deg)] for j in range(deg)]
+    sub = w * gamma_sums(tables.combined, substituted, budget).reshape(len(samples), deg)
+    lam_big = 1j * kappa * (sub @ (-1.0) ** np.arange(1, deg + 1))
+    mbar = kappa * np.real(lam_mbar)
+    mbar_big = np.real(lam_big)
     integral = cumulative_simpson(mbar + mbar_big, float(dts[0]))
     predicted = e1[0] - (corr - corr[0]) + integral
     residual = e1 - predicted
@@ -608,4 +507,6 @@ def energy_identity_residual(samples, times, N: float, s: float,
         "lambda_mbar": mbar,
         "lambda_mbar_big": mbar_big,
         "residual": residual,
+        "imag_leak": float(max(np.max(np.abs(np.imag(lam_mbar))),
+                               np.max(np.abs(np.imag(lam_big))))),
     }

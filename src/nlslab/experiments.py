@@ -21,7 +21,8 @@ from .census import (VERIFY_CASES, BudgetError, resonance_census_1d,
 from .classify import Thresholds
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
-from .energies import correction_tables, e_i1, energy_identity_residual, lambda_eval
+from .energies import (SIGN, correction_tables, e_i1, energy_identity_residual,
+                       gamma_sums)
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
 from .smoothing import SmoothingSymbol, apply_I, gwp_budget, total_exponent
@@ -121,7 +122,7 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "energy_track.csv", TRACK_COLUMNS, rows)
     write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
-                   {"aborted": traj.aborted})
+                   {"aborted": traj.aborted, "imag_leak": out["imag_leak"]})
     rmax = float(np.max(np.abs(out["residual"])))
     _summary(out_dir, [
         f"energy-track: N={N} s={s} residual max {rmax:.3e}",
@@ -410,17 +411,18 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
                           sample_stride=max(1, steps // cfg["samples"]))
     traj = evolve(evo, u0)
     th = Thresholds(gap=cfg["gap_factor"])
+    deg = g.nonlinearity_degree + 1
+    plain = [[f] * deg for f in traj.samples]
+    # E_I^2 = E_I^1 + kappa Lambda_deg(sigma~)
+    weight = SIGN[cfg["sign"]] * g.measure_weight ** (deg - 1)
     rows = []
     for N in cfg["n_grid"]:
         tabs = correction_tables(traj.samples[0], N, cfg["s"], th,
                                  dtype=np.float32, which=("sigma_tilde",),
                                  budget=cfg["budget"])
-        deg = g.nonlinearity_degree + 1
         e1 = np.array([e_i1(f, N, cfg["s"], cfg["sign"], check=None)
                        for f in traj.samples])
-        corr = np.array([float(np.real(lambda_eval(
-            tabs.sigma_tilde, [f] * deg, "direct", budget=cfg["budget"])))
-            for f in traj.samples])
+        corr = np.real(weight * gamma_sums(tabs.sigma_tilde, plain, cfg["budget"]))
         del tabs
         e2 = e1 + corr
         sym = SmoothingSymbol(N, 1 - cfg["s"])

@@ -96,6 +96,18 @@ class TestRunners:
         header = (tmp_path / "e" / "energy_track.csv").read_text().splitlines()[0]
         assert header == ("t,mass,energy,e_i1,correction,e_i2,"
                           "lambda_mbar_n,lambda_mbar_n4,residual")
+        guards = json.loads((tmp_path / "e" / "manifest.json").read_text())["guards"]
+        assert 0.0 <= guards["imag_leak"] < 1e-12
+
+    def test_almost_conservation_run(self, tmp_path):
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text("kcut = 6\nn_grid = 2,4\nsamples = 4\nt_end = 0.05\n")
+        code = main(["almost-conservation", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "a")])
+        rows = (tmp_path / "a" / "almost_conservation.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["2.0", "4.0"]
+        guards = json.loads((tmp_path / "a" / "manifest.json").read_text())["guards"]
+        assert code == (0 if guards["monotone"] and guards["corrected_below_raw"] else 2)
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
