@@ -442,7 +442,47 @@ def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.nda
     last = -free.sum(axis=1, keepdims=True)
     tup = np.concatenate([free, last], axis=1)
     out.append(tup[np.abs(tup[:, 5]) <= kmax])
-    return np.unique(np.concatenate(out, axis=0), axis=0).astype(np.float64)
+    return _unique_rows(out, kmax)
+
+
+def _unique_rows(blocks: list, kmax: int) -> np.ndarray:
+    """``np.unique(np.concatenate(blocks), axis=0)`` as float64, for integer
+    rows with entries in [-kmax, kmax]; empties ``blocks``.
+
+    Each row packs into one int64 key with digits k_i + kmax in base
+    2 kmax + 1; key order is the rows' lexicographic order, so sorting the
+    keys and unpacking them gives the same rows in the same order, without
+    concatenating the rows or sorting over a structured dtype.  The blocks
+    are released once packed, before the sort, which keeps the peak memory
+    at that of the keys.
+    """
+    base = 2 * int(kmax) + 1
+    width = blocks[0].shape[1]
+    if base ** width > np.iinfo(np.int64).max:
+        tup = np.concatenate(blocks)
+        blocks.clear()
+        return np.unique(tup, axis=0).astype(np.float64)
+    keys = np.zeros(sum(len(b) for b in blocks), dtype=np.int64)
+    start = 0
+    for b in blocks:
+        part = keys[start:start + len(b)]
+        for col in b.T:
+            part *= base
+            part += col
+            part += kmax
+        start += len(b)
+    blocks.clear()
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    rows = np.empty((len(keys), width), dtype=np.float64)
+    digit = np.empty_like(keys)
+    for j in range(width - 1, -1, -1):
+        np.divmod(keys, base, out=(keys, digit))
+        np.subtract(digit, kmax, out=rows[:, j])
+    return rows
 
 
 def verify_multiplier_bounds(case: str, N: float, kmax: int, s: float = 0.5,

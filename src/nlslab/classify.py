@@ -235,8 +235,9 @@ def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
     if arr.shape[-2] != 4:
         raise ValueError("2d classifier expects four slots")
     G = thresholds.gap
-    m = np.sqrt(np.sum(arr**2, axis=-1))  # (..., 4)
-    n1 = np.max(m, axis=-1)
+    sq = arr**2
+    m = np.sqrt(sq[..., 0] + sq[..., 1])  # (..., 4)
+    n1 = np.maximum(np.maximum(m[..., 0], m[..., 1]), np.maximum(m[..., 2], m[..., 3]))
 
     codes = np.full(m.shape[:-1], RES_2D, dtype=np.int8)
     below = n1 <= N

@@ -54,10 +54,10 @@ DEFAULT_TUPLE_BUDGET = 2 ** 27
 # block sizes of the Gamma_n enumerations: a lattice sum cuts each
 # equal-sigma row group into blocks of at most _GROUP_ROWS rows, which fixes
 # its summation order (hence the last bits of every Lambda value) and bounds
-# a block's working set; a table build fills whole rows, about _TABLE_TUPLES
-# tuples at a time, which bounds its classifier temporaries
+# a block's working set; a table build classifies about _TABLE_TUPLES
+# on-lattice tuples at a time, which bounds its classifier temporaries
 _GROUP_ROWS = 1 << 12
-_TABLE_TUPLES = 1 << 16
+_TABLE_TUPLES = 1 << 14
 
 
 class ConsistencyError(RuntimeError):
@@ -124,27 +124,6 @@ class _Lattice:
         valid = np.all(np.abs(m) <= self.K, axis=-1)
         return np.clip(m + self.K, 0, 2 * self.K) @ self.strides, valid
 
-    def outer(self, rows) -> list[np.ndarray]:
-        """Composite indices of slots 1..n-2 of the given rows."""
-        return list(np.unravel_index(rows, (self.Q,) * (self.n - 2)))
-
-    def tuples(self, outer, cols):
-        """Slot indices (R, C, n), physical tuples and the on-lattice mask of
-        R rows (``outer``: their slots 1..n-2) times the columns ``cols``.
-
-        Physical tuples are (R, C, n) in 1d and (R, C, n, d) otherwise.
-        """
-        R = len(outer[0]) if outer else 1
-        idx = np.empty((R, len(cols), self.n), dtype=np.int64)
-        total = np.zeros((R, 1, self.d), dtype=np.int64)
-        for j, o in enumerate(outer):
-            idx[:, :, j] = o[:, None]
-            total += self.modes[o][:, None]
-        idx[:, :, self.n - 2] = cols
-        idx[:, :, self.n - 1], valid = self.index(-(total + self.modes[cols]))
-        tup = self.freqs[idx]
-        return idx, (tup[..., 0] if self.d == 1 else tup), valid
-
     def groups(self, max_rows: int):
         """Blocks of at most ``max_rows`` rows that share the mode sum sigma
         of slots 1..n-2, hence slot n = -(sigma + k_(n-1)) in every column.
@@ -175,6 +154,41 @@ class _Lattice:
                 yield (sel * self.Q + tail[sel], [p[sel] for p in prefix] + [tail[sel]],
                        cols, last[cols])
 
+    def slots(self, outer, cols, last):
+        """Composite slot indices (R, C, n) of one block from ``groups``."""
+        idx = np.empty((len(outer[0]) if outer else 1, len(cols), self.n), dtype=np.int64)
+        for j, o in enumerate(outer):
+            idx[:, :, j] = o[:, None]
+        idx[:, :, self.n - 2] = cols
+        idx[:, :, self.n - 1] = last
+        return idx
+
+    def physical(self, idx):
+        """Physical tuples of slot indices: (..., n) in 1d, (..., n, d) otherwise."""
+        tup = np.take(self.freqs, idx, axis=0)
+        return tup[..., 0] if self.d == 1 else tup
+
+    def on_lattice(self, max_tuples: int):
+        """The on-lattice tuples, each once, in blocks of at most
+        max(``max_tuples``, Q) tuples.
+
+        Gathers the blocks of ``groups`` and yields (pos, idx): the flat
+        table positions row * Q + column and the composite slot indices
+        (T, n).  Slot n comes from ``groups``, so every tuple is on the
+        lattice and tuples with slot n off it are never visited.
+        """
+        pos, idx, count = [], [], 0
+        for rows, outer, cols, last in self.groups(max(1, max_tuples // self.Q)):
+            size = len(rows) * len(cols)
+            if count and count + size > max_tuples:
+                yield np.concatenate(pos), np.concatenate(idx)
+                pos, idx, count = [], [], 0
+            pos.append((rows[:, None] * self.Q + cols).reshape(-1))
+            idx.append(self.slots(outer, cols, last).reshape(-1, self.n))
+            count += size
+        if pos:
+            yield np.concatenate(pos), np.concatenate(idx)
+
 
 def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
     """Constrained Gamma_n sums of symbol * slot values, one per field set.
@@ -201,7 +215,8 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     S = len(field_sets)
     out = np.zeros(S, dtype=np.complex128)
     for rows, outer, cols, last in lat.groups(_GROUP_ROWS):
-        T = symbol(lat.tuples(outer, cols)[1]) if table is None else table[rows[:, None], cols]
+        T = (symbol(lat.physical(lat.slots(outer, cols, last))) if table is None
+             else table[rows[:, None], cols])
         O = np.ones((S, len(rows)), dtype=np.complex128)
         for v, idx in zip(vecs, outer):
             O *= v[:, idx]
@@ -280,23 +295,34 @@ class CorrectionTables:
     combined: np.ndarray | None   # sigma_deg + sigma_tilde (real table)
 
 
-def _correction_values(idx, tup, valid, d, deg, slots, thresholds, N):
-    """sigma~, R (with Mbar = iR), and sigma+sigma~ on a block of tuples.
+def _correction_values(idx, tup, d, deg, slots, thresholds, N):
+    """sigma~, R (with Mbar = iR), and sigma+sigma~ on a block of on-lattice
+    tuples.
 
-    ``idx`` holds the composite slot indices of the tuples, ``tup`` their
-    physical values; ``slots`` are per-mode lookups of |k|^2, m^2|k|^2 and m,
-    so every symbol value is a gather.
+    ``idx`` holds the composite slot indices of the tuples (T, n), ``tup``
+    their physical values; ``slots`` are per-mode lookups of |k|^2, m^2|k|^2
+    and m, so every symbol value is a gather per slot, summed (or
+    multiplied) in slot order.
     """
-    signs = np.array([1.0, -1.0] * (deg // 2))
-    om = np.sum(slots["sq"][idx] * signs, axis=-1)
-    bare = np.sum(slots["msq_sq"][idx] * signs, axis=-1)
-    sig = np.prod(slots["m"][idx], axis=-1) / deg
+    sq, msq_sq, m = slots["sq"], slots["msq_sq"], slots["m"]
+    first = idx[:, 0]
+    om, bare, sig = sq[first], msq_sq[first], m[first]
+    for j in range(1, deg):
+        col = idx[:, j]
+        if j % 2:
+            om = om - sq[col]
+            bare = bare - msq_sq[col]
+        else:
+            om = om + sq[col]
+            bare = bare + msq_sq[col]
+        sig = sig * m[col]
+    sig = sig / deg
     if d == 1:
         codes, _ = classify_batch_1d(tup, N, thresholds)
     else:
         codes, _ = classify_batch_2d(tup, N, thresholds)
-    nr = is_nonresonant(codes) & valid
-    res = is_resonant(codes) & valid
+    nr = is_nonresonant(codes)
+    res = is_resonant(codes)
     if np.any(nr & (om == 0.0)):
         raise ConsistencyError(
             "non-resonant verdict with vanishing resonance function; "
@@ -305,8 +331,7 @@ def _correction_values(idx, tup, valid, d, deg, slots, thresholds, N):
     ratio = np.zeros_like(om)
     np.divide(bare, om, out=ratio, where=nr)
     if d == 1:
-        ups = valid & (codes != 0)
-        sigma_tilde = np.where(ups, -sig, 0.0) + np.where(nr, ratio / deg, 0.0)
+        sigma_tilde = np.where(codes != 0, -sig, 0.0) + np.where(nr, ratio / deg, 0.0)
         r_imag = np.where(res, bare / deg, 0.0)
     else:
         sigma_tilde = np.where(nr, ratio / deg - sig, 0.0)
@@ -316,6 +341,13 @@ def _correction_values(idx, tup, valid, d, deg, slots, thresholds, N):
     return sigma_tilde, r_imag, combined
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    import os
+
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def correction_tables(template: SpectralField, N: float, s: float,
                       thresholds: Thresholds = Thresholds(),
                       dtype=np.float64, budget: int = DEFAULT_TUPLE_BUDGET,
@@ -323,29 +355,33 @@ def correction_tables(template: SpectralField, N: float, s: float,
     """Build sigma~/Mbar/combined tables for the lattice of ``template``.
 
     ``which`` selects the tables to materialize (large lattices may only
-    afford the correction table).
+    afford the correction table).  Only on-lattice tuples are classified;
+    the other entries stay zero.  Raises ValueError, before allocating,
+    when the tables would take more than half of physical memory.
     """
     g = template.geometry
     deg = g.nonlinearity_degree + 1
     lat = _Lattice(template, deg)
     if lat.Q ** (deg - 1) > budget:
         raise ValueError(f"table size {lat.Q ** (deg - 1)} exceeds budget {budget}")
+    names = ("sigma_tilde", "mbar", "combined")
+    nbytes = sum(name in which for name in names) * lat.Q ** (deg - 1) * np.dtype(dtype).itemsize
+    if nbytes > _physical_memory() // 2:
+        raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
+                         f"({_physical_memory()} bytes)")
     sq = np.sum(lat.freqs ** 2, axis=-1)
     m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
     slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
-    tables = {name: np.zeros((lat.rows, lat.Q), dtype=dtype) if name in which else None
-              for name in ("sigma_tilde", "mbar", "combined")}
-    cols = np.arange(lat.Q)
-    block = max(1, _TABLE_TUPLES // lat.Q)
-    for start in range(0, lat.rows, block):
-        stop = min(start + block, lat.rows)
-        idx, tup, valid = lat.tuples(lat.outer(np.arange(start, stop)), cols)
-        values = _correction_values(idx, tup, valid, g.dimension, deg, slots, thresholds, N)
-        for table, vals in zip(tables.values(), values):
+    tables = [np.zeros(lat.rows * lat.Q, dtype=dtype) if name in which else None
+              for name in names]
+    for pos, idx in lat.on_lattice(_TABLE_TUPLES):
+        values = _correction_values(idx, lat.physical(idx), g.dimension, deg, slots,
+                                    thresholds, N)
+        for table, vals in zip(tables, values):
             if table is not None:
-                table[start:stop] = np.where(valid, vals, 0.0)
+                table[pos] = vals
     st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) if t is not None else None
-                  for t in tables.values())
+                  for t in tables)
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
 
 

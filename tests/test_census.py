@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlslab import census
 from nlslab.census import (BudgetError, BoundReport, resonance_census_1d,
                            resonance_census_2d, sohinger_presence,
                            verify_multiplier_bounds)
@@ -122,3 +123,31 @@ class TestVerify:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="case"):
             verify_multiplier_bounds("v", N=4.0, kmax=8)
+
+
+class TestFamilyTuples:
+    @pytest.mark.parametrize("case", ["ii", "nonresonant"])
+    def test_equals_unique_of_concatenated_families(self, case, monkeypatch):
+        seen = []
+        unique_rows = census._unique_rows
+
+        def capture(blocks, kmax):
+            seen.append([b.copy() for b in blocks])
+            return unique_rows(blocks, kmax)
+
+        monkeypatch.setattr(census, "_unique_rows", capture)
+        got = census._family_tuples_1d(case, 6.0, 12, 4.0, np.random.default_rng(0))
+        ref = np.unique(np.concatenate(seen[0]), axis=0).astype(np.float64)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_unique_rows_at_the_int64_key_limit(self):
+        # (2*723+1)^6 fits an int64 key, (2*724+1)^6 does not: the packed
+        # keys and the row sort on either side of the limit
+        rng = np.random.default_rng(3)
+        tup = rng.integers(-723, 724, size=(500, 6))
+        blocks = [tup, tup[:50], np.full((2, 6), 723), np.full((1, 6), -723)]
+        ref = np.unique(np.concatenate(blocks), axis=0).astype(np.float64)
+        for kmax in (723, 724):
+            consumed = list(blocks)
+            assert np.array_equal(census._unique_rows(consumed, kmax), ref)
+            assert consumed == []

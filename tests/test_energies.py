@@ -8,10 +8,11 @@ import pytest
 
 from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant
 from nlslab.dynamics import EvolutionConfig, evolve
-from nlslab.energies import (ConsistencyError, correction_tables,
-                             cumulative_simpson, e_i1, energy,
-                             energy_identity_residual, gamma_sums, lambda_eval,
-                             mass, modified_energy)
+from nlslab import energies
+from nlslab.energies import (_TABLE_TUPLES, ConsistencyError, _Lattice,
+                             correction_tables, cumulative_simpson, e_i1,
+                             energy, energy_identity_residual, gamma_sums,
+                             lambda_eval, mass, modified_energy)
 from nlslab.geometry import build_geometry, field_from_modes, free_evolve, random_field, zero_field
 from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
@@ -266,6 +267,89 @@ class TestCorrectionTables:
         tups = tups[np.max(np.abs(tups), axis=1) <= 8.0]
         full = 1j / 6.0 * bare_m6(tups, sym) + (sigma_product(tups, sym) / 6.0) * (-1j * omega(tups))
         assert np.max(np.abs(full)) == 0.0
+
+
+def slots_1_to_n_minus_1(field, n):
+    """Every (n-1)-tuple of composite mode indices, in table order, and
+    whether its slot n lies on the lattice."""
+    cut = np.array(field.cutoff)
+    modes = np.array(list(itertools.product(*(range(-k, k + 1) for k in cut))))
+    free = np.array(list(itertools.product(range(len(modes)), repeat=n - 1)))
+    last = -modes[free].sum(axis=1)
+    on = np.all(np.abs(last) <= cut, axis=-1)
+    last_idx = np.ravel_multi_index(tuple((last[on] + cut).T), tuple(2 * cut + 1))
+    return free, on, last_idx
+
+
+def convolution_count(cutoff, n):
+    """On-lattice Gamma_n tuples: per axis, a window of the (n-1)-fold
+    convolution of the box indicator (axes are independent)."""
+    count = 1
+    for K in cutoff:
+        acc = np.ones(1, dtype=np.int64)
+        for _ in range(n - 1):
+            acc = np.convolve(acc, np.ones(2 * K + 1, dtype=np.int64))
+        centre = (n - 1) * K
+        count *= int(acc[centre - K:centre + K + 1].sum())
+    return count
+
+
+ENUMERATED = [(1, (), (3,), 6), (2, (0.75,), (3, 2), 4)]
+
+
+class TestOnLatticeEnumeration:
+    @pytest.mark.parametrize("block", [1, 7, _TABLE_TUPLES])
+    @pytest.mark.parametrize("d, gamma, cutoff, n", ENUMERATED)
+    def test_every_on_lattice_tuple_once(self, d, gamma, cutoff, n, block):
+        field = zero_field(build_geometry(d, gamma, 1.0), cutoff)
+        lat = _Lattice(field, n)
+        blocks = list(lat.on_lattice(block))
+        assert all(0 < len(p) == len(i) <= max(block, lat.Q) for p, i in blocks)
+        pos = np.concatenate([p for p, _ in blocks])
+        idx = np.concatenate([i for _, i in blocks])
+        free, on, last_idx = slots_1_to_n_minus_1(field, n)
+        expected = np.concatenate([free[on], last_idx[:, None]], axis=1)
+        assert len(idx) == len(expected) == convolution_count(cutoff, n)
+        seen = {tuple(r) for r in idx}
+        assert len(seen) == len(idx) and seen == {tuple(r) for r in expected}
+        assert np.array_equal(pos, np.ravel_multi_index(tuple(idx[:, :-1].T),
+                                                        (lat.Q,) * (n - 1)))
+
+    @pytest.mark.parametrize("d, gamma, cutoff, n", ENUMERATED)
+    def test_off_lattice_entries_zero(self, d, gamma, cutoff, n):
+        field = zero_field(build_geometry(d, gamma, 1.0), cutoff)
+        tabs = correction_tables(field, 1.0, 0.5)
+        _, on, _ = slots_1_to_n_minus_1(field, n)
+        for t in (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined):
+            flat = t.reshape(-1)
+            assert np.all(flat[~on] == 0.0) and np.any(flat[on] != 0.0)
+
+
+class TestMemoryGuard:
+    def test_tables_past_half_of_memory_refused(self, monkeypatch):
+        field = zero_field(build_geometry(1), 3)
+        one_table = 7 ** 5 * np.dtype(np.float32).itemsize
+        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * one_table)
+        correction_tables(field, 1.0, 0.5, dtype=np.float32, which=("sigma_tilde",))
+        with pytest.raises(ValueError, match="physical memory"):
+            correction_tables(field, 1.0, 0.5, dtype=np.float32)
+        with pytest.raises(ValueError, match="physical memory"):
+            correction_tables(field, 1.0, 0.5, which=("sigma_tilde",))
+        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * one_table - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            correction_tables(field, 1.0, 0.5, dtype=np.float32, which=("sigma_tilde",))
+
+    def test_refused_before_enumerating(self, monkeypatch):
+        def no_enumeration(self, max_tuples):
+            raise AssertionError("enumerated past the memory guard")
+
+        monkeypatch.setattr(energies, "_physical_memory", lambda: 0)
+        monkeypatch.setattr(energies._Lattice, "on_lattice", no_enumeration)
+        with pytest.raises(ValueError, match="physical memory"):
+            correction_tables(zero_field(build_geometry(1), 3), 1.0, 0.5)
+
+    def test_physical_memory_positive(self):
+        assert energies._physical_memory() > 0
 
 
 def test_cumulative_simpson_polynomials():

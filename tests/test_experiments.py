@@ -1,5 +1,6 @@
 """Config parsing, run directories, determinism, and the CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -75,6 +76,15 @@ class TestRunners:
         assert code == 0
         body = (tmp_path / "c" / "census.csv").read_text()
         assert body.startswith("N,gap,kmax,class,count")
+
+    def test_verify_run_pinned(self, tmp_path):
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text("cases = ii\nn_grid = 4\nkmax_per_n = 1\ngap_grid = 4\n")
+        code = main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")])
+        assert code == 0
+        body = (tmp_path / "v" / "verify.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == (
+            "aa71fffaf0961349a1055309af9a329c34bd6588a80aa63f7840270798f9e000")
 
     def test_simulate_checkpoint(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
