@@ -96,7 +96,8 @@ class Field:
 
 GLOBAL_FIELDS = {
     "seed": Field(int, 0, "base RNG seed"),
-    "threads": Field(int, 1, "worker threads for independent grid points"),
+    "threads": Field(int, 1, "worker threads for independent grid points "
+                     "(strichartz only; 1 elsewhere)"),
     "gap_factor": Field(float, 4.0, "comparator gap G"),
     "budget": Field(int, 10 ** 9, "tuple enumeration guard"),
 }
@@ -162,6 +163,11 @@ def validate(command: str, raw: dict) -> dict:
     out = {}
     for key, fld in schema.items():
         out[key] = fld.convert(raw[key]) if key in raw else fld.default
+    if out["threads"] < 1:
+        raise ConfigError(f"threads={out['threads']} must be >= 1")
+    if out["threads"] != 1 and command != "strichartz":
+        raise ConfigError(f"threads={out['threads']}: {command} runs on one "
+                          "thread; only strichartz uses more")
     return out
 
 

@@ -79,7 +79,8 @@ def energy(f: SpectralField, sign: str = "defocusing") -> float:
     kinetic = 0.5 * g.measure_weight * float(np.sum(f.kabs() ** 2 * np.abs(f.coeffs) ** 2))
     oversample = (deg + 2) // 2
     vals = to_physical(f, oversample)
-    potential = float(np.mean(np.abs(vals) ** deg)) * g.volume / deg
+    mod2 = vals.real ** 2 + vals.imag ** 2
+    potential = float(np.mean(mod2 ** (deg // 2))) * g.volume / deg
     return kinetic + kappa * potential
 
 
@@ -458,7 +459,8 @@ def nonlinear_coefficient_field(f: SpectralField) -> SpectralField:
     p = g.nonlinearity_degree  # 5 or 3
     oversample = (p + 2) // 2
     vals = to_physical(f, oversample)
-    return from_physical(np.abs(vals) ** (p - 1) * vals, g, f.cutoff)
+    mod2 = vals.real ** 2 + vals.imag ** 2
+    return from_physical(mod2 ** ((p - 1) // 2) * vals, g, f.cutoff)
 
 
 def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField,

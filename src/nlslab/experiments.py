@@ -33,6 +33,11 @@ TRACK_COLUMNS = ["t", "mass", "energy", "e_i1", "correction", "e_i2",
                  "lambda_mbar_n", "lambda_mbar_n4", "residual"]
 
 
+# energy-track fails when max|residual| exceeds this many times the residual's
+# a-posteriori error estimate (see identity_tolerance).
+IDENTITY_SAFETY = 4.0
+
+
 def _geometry(cfg):
     d = cfg["d"]
     gamma = (cfg["gamma"],) if d == 2 else ()
@@ -72,6 +77,31 @@ def run_simulate(cfg: dict, out_dir: Path) -> int:
         f"aborted: {traj.aborted}",
     ])
     return 2 if traj.aborted else 0
+
+
+def identity_tolerance(t, y, energy, e_i1) -> float:
+    """IDENTITY_SAFETY times the error estimate of the identity residual.
+
+    The residual is time-integration plus quadrature error:
+
+    * quadrature: the cumulative integral is Simpson on even prefixes
+      (panel error h^5/90 |y''''| ~ h |D4 y| / 90 per panel) with one
+      trapezoid step on odd prefixes (h^3/12 |y''| ~ h |D2 y| / 12), where
+      y = Lambda(Mbar_n) + Lambda(Mbar_n+4) and D2, D4 are its finite
+      differences on the sample grid;
+    * integrator: RK4 error in the state moves E_I^1 by as much as it moves
+      the truncated energy, whose drift the run records;
+    * rounding: about 1e-13 per sample of the largest |E_I^1|.
+    """
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    energy = np.asarray(energy, dtype=float)
+    h = float(t[1] - t[0])
+    d2 = np.abs(np.diff(y, 2))
+    d4 = np.abs(np.diff(y, 4)) if len(y) > 4 else np.zeros(1)
+    quadrature = h * d2.max() / 12 + (len(y) // 2) * h * d4.max() / 90
+    integrator = float(np.max(np.abs(energy - energy[0])))
+    rounding = 1e-13 * len(y) * float(np.max(np.abs(e_i1)))
+    return float(IDENTITY_SAFETY * (quadrature + integrator + rounding))
 
 
 def run_energy_track(cfg: dict, out_dir: Path) -> int:
@@ -121,15 +151,20 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
         })
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "energy_track.csv", TRACK_COLUMNS, rows)
-    write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
-                   {"aborted": traj.aborted, "imag_leak": out["imag_leak"]})
     rmax = float(np.max(np.abs(out["residual"])))
+    tol = identity_tolerance(out["t"], out["lambda_mbar"] + out["lambda_mbar_big"],
+                             [r["energy"] for r in traj.reports], out["e_i1"])
+    ok = rmax <= tol  # a NaN residual fails
+    write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
+                   {"aborted": traj.aborted, "imag_leak": out["imag_leak"],
+                    "residual_max": rmax, "residual_tol": tol})
     _summary(out_dir, [
-        f"energy-track: N={N} s={s} residual max {rmax:.3e}",
+        f"energy-track: N={N} s={s} residual max {rmax:.3e} (tolerance {tol:.3e})",
         f"E_I^2 increment: {float(np.max(np.abs(out['e_i2'] - out['e_i2'][0]))):.3e}",
         f"E_I^1 increment: {float(np.max(np.abs(out['e_i1'] - out['e_i1'][0]))):.3e}",
+        "identity ok" if ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
     ])
-    return 0
+    return 0 if ok else 2
 
 
 # -- strichartz probes -----------------------------------------------------------
@@ -139,14 +174,34 @@ def _interval_modes(lo: float, hi: float, lam: float) -> np.ndarray:
     return np.arange(int(np.ceil(lo * lam)), int(np.floor(hi * lam)) + 1) / lam
 
 
+def _smooth5_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length pocketfft runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p235 = p35
+            while p235 < n:
+                p235 *= 2
+            best = min(best, p235)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
                           rng, coherent: bool = True,
                           dtype=np.complex64) -> np.ndarray:
     """||P_I1 e^{it dxx} f1 . P_I2 e^{it dxx} f2||_{L2_tx} over random draws.
 
     Frequency intervals [-3M/2, -M/2] and [M/2, 3M/2] (separation M inside
-    [-10M, 10M]); the product norm is computed in coefficient space by
-    batched convolution.  Coherent draws are amplitude-jittered co-located
+    [-10M, 10M]); the product norm is computed in coefficient space.  Per
+    time row the product's coefficients are the linear convolution of the
+    two packets, of length len1+len2-1; zero-padded to a 5-smooth length
+    ``pad`` >= that, its squared l2 norm is sum|fa.fb|^2 / pad by Parseval,
+    where fa, fb are the padded packets' DFTs, so a draw costs two batched
+    FFTs and no inverse.  Coherent draws are amplitude-jittered co-located
     wave packets (the extremizing class); incoherent draws are random-phase.
     """
     T = lam / n_freq
@@ -155,7 +210,7 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
     L = 2 * np.pi * lam
     n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
     t = np.linspace(0.0, T, n_t)
-    pad = 1 << int(np.ceil(np.log2(len(k1) + len(k2))))
+    pad = _smooth5_length(len(k1) + len(k2) - 1)
     phase1 = np.exp(-1j * np.outer(t, k1**2)).astype(dtype)
     phase2 = np.exp(-1j * np.outer(t, k2**2)).astype(dtype)
     out = np.empty(draws)
@@ -170,8 +225,9 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
         b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
         fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1)
         fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1)
-        conv = np.fft.ifft(fa * fb, axis=1)[:, : len(k1) + len(k2) - 1]
-        sq = L * np.sum(np.abs(conv).astype(np.float64) ** 2, axis=1)
+        prod = fa * fb
+        prod = prod.view(prod.real.dtype)  # (re, im) pairs: sum of squares = |.|^2
+        sq = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
         out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
     return out
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -144,8 +145,8 @@ class SpectralField:
         return tuple(np.meshgrid(*axes, indexing="ij")) if len(axes) > 1 else (axes[0],)
 
     def kabs(self) -> np.ndarray:
-        grids = self.freq_grids()
-        return np.sqrt(sum(g * g for g in grids))
+        """|k| on the lattice; cached per (geometry, cutoff), read-only."""
+        return _kabs(self.geometry, self.cutoff)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.geometry, self.cutoff, coeffs)
@@ -168,6 +169,17 @@ class SpectralField:
     def _check_compatible(self, other: "SpectralField"):
         if self.geometry != other.geometry or self.cutoff != other.cutoff:
             raise ValueError("fields live on different lattices")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=32)
+def _kabs(geometry: TorusGeometry, cutoff: tuple[int, ...]) -> np.ndarray:
+    grids = zero_field(geometry, cutoff).freq_grids()
+    return _read_only(np.sqrt(sum(g * g for g in grids)))
 
 
 def zero_field(geometry: TorusGeometry, cutoff) -> SpectralField:
@@ -241,32 +253,50 @@ def grid_sizes(f: SpectralField, oversample: int = 1) -> tuple[int, ...]:
     return tuple((2 * k + 1) * oversample for k in f.cutoff)
 
 
+@lru_cache(maxsize=32)
+def _grid_index(cutoff: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per axis, the grid slots of the modes -K..K (negative modes wrap)."""
+    return tuple(_read_only(np.arange(-k, k + 1) % m) for k, m in zip(cutoff, sizes))
+
+
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Evaluate the trigonometric polynomial on a uniform grid.
 
-    Grid on axis j has (2K_j+1)*oversample points at x_m = m*side/M.
+    Grid on axis j has (2K_j+1)*oversample points at x_m = m*side/M.  The
+    inverse FFT runs axis by axis, last axis first as ``np.fft.ifftn`` does,
+    and each pass transforms only the lines that carry modes: in 2-D the
+    axis-1 pass sees the 2K_0+1 occupied rows, not all M_0.
     """
     if oversample < 1:
         raise ValueError(f"oversample={oversample} must be >= 1")
     sizes = grid_sizes(f, oversample)
-    w = f.geometry.measure_weight
-    buf = np.zeros(sizes, dtype=np.complex128)
-    slices = tuple(np.arange(-k, k + 1) % m for k, m in zip(f.cutoff, sizes))
-    buf[np.ix_(*slices)] = w * f.coeffs
-    vals = np.fft.ifftn(buf) * np.prod(sizes)
-    return vals
+    index = _grid_index(f.cutoff, sizes)
+    vals = f.geometry.measure_weight * f.coeffs
+    for axis in reversed(range(len(sizes))):
+        buf = np.zeros(vals.shape[:axis] + (sizes[axis],) + vals.shape[axis + 1:],
+                       dtype=np.complex128)
+        buf[(slice(None),) * axis + (index[axis],)] = vals
+        vals = np.fft.ifft(buf, axis=axis)
+    return vals * np.prod(sizes)
 
 
 def from_physical(values: np.ndarray, geometry: TorusGeometry, cutoff) -> SpectralField:
-    """Recover coefficients from grid samples (grid must resolve the cutoff)."""
+    """Recover coefficients from grid samples (grid must resolve the cutoff).
+
+    The forward FFT runs last axis first, as ``np.fft.fftn`` does, and keeps
+    only the resolved modes after each pass: in 2-D the axis-0 pass sees the
+    2K_1+1 kept columns, not all M_1.
+    """
     cut = _cutoff_tuple(cutoff, geometry.dimension)
     for m, k in zip(values.shape, cut):
         if m < 2 * k + 1:
             raise ValueError(f"grid size {m} too small for cutoff {k}")
-    spec = np.fft.fftn(values) / np.prod(values.shape)
+    index = _grid_index(cut, values.shape)
+    spec = values
+    for axis in reversed(range(len(cut))):
+        spec = np.fft.fft(spec, axis=axis).take(index[axis], axis=axis)
     w = 1.0 / geometry.volume
-    slices = tuple(np.arange(-k, k + 1) % m for k, m in zip(cut, values.shape))
-    coeffs = spec[np.ix_(*slices)] / w
+    coeffs = spec / np.prod(values.shape) / w
     return SpectralField(geometry, cut, coeffs)
 
 
@@ -350,9 +380,18 @@ def project_set(f: SpectralField, mask: np.ndarray) -> SpectralField:
 # -- free evolution and space-time norms --------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _free_propagator(geometry: TorusGeometry, cutoff: tuple[int, ...],
+                     t: float) -> np.ndarray:
+    return _read_only(np.exp(-1j * t * _kabs(geometry, cutoff) ** 2))
+
+
 def free_evolve(f: SpectralField, t: float) -> SpectralField:
-    """Apply the free propagator: each coefficient gains exp(-i t |k|^2)."""
-    return f.with_coeffs(np.exp(-1j * t * f.kabs() ** 2) * f.coeffs)
+    """Apply the free propagator: each coefficient gains exp(-i t |k|^2).
+
+    The propagator is cached per (geometry, cutoff, t), read-only.
+    """
+    return f.with_coeffs(_free_propagator(f.geometry, f.cutoff, float(t)) * f.coeffs)
 
 
 def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float,

@@ -120,6 +120,23 @@ class TestVerify:
         assert res.count > 0 and non.count > 0
         assert non.sup_ratio <= 1.5
 
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv", "nonresonant"])
+    def test_chunked_equals_one_shot(self, case, monkeypatch):
+        family = census._family_tuples_1d
+
+        def subset(*args):
+            rows = family(*args)
+            keep = np.random.default_rng(2).choice(len(rows), 3000, replace=False)
+            return rows[np.sort(keep)]
+
+        monkeypatch.setattr(census, "_family_tuples_1d", subset)
+        monkeypatch.setattr(census, "_VERIFY_ROWS", 1 << 30)
+        whole = verify_multiplier_bounds(case, N=4.0, kmax=10, s=0.5)
+        monkeypatch.setattr(census, "_VERIFY_ROWS", 7)
+        chunked = verify_multiplier_bounds(case, N=4.0, kmax=10, s=0.5)
+        assert whole.count > 0, case
+        assert chunked == whole
+
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="case"):
             verify_multiplier_bounds("v", N=4.0, kmax=8)

@@ -11,7 +11,9 @@ import pytest
 from nlslab.cli import main
 from nlslab.config import (ConfigError, config_hash, fmt, parse_config_text,
                            validate)
-from nlslab.experiments import linear_l6_plane_wave_check
+from nlslab.experiments import (_interval_modes, _smooth5_length,
+                                bilinear_packet_norms, identity_tolerance,
+                                linear_l6_plane_wave_check)
 
 
 class TestConfig:
@@ -37,6 +39,24 @@ class TestConfig:
             parse_config_text("a = 1\na = 2")
         with pytest.raises(ConfigError, match="expected"):
             parse_config_text("just words")
+
+    def test_threads_must_be_positive(self):
+        for command in ("strichartz", "census"):
+            with pytest.raises(ConfigError, match="threads"):
+                validate(command, {"threads": 0})
+
+    def test_threads_only_for_strichartz(self):
+        assert validate("strichartz", {"threads": 2})["threads"] == 2
+        for command in ("simulate", "energy-track", "census", "verify", "budget",
+                        "almost-conservation"):
+            assert validate(command, {"threads": 1})["threads"] == 1
+            with pytest.raises(ConfigError, match="threads"):
+                validate(command, {"threads": 2})
+
+    def test_threads_error_exits_one(self, tmp_path):
+        assert main(["budget", "--threads", "2", "--out", str(tmp_path / "b")]) == 1
+        assert main(["strichartz", "--threads", "0", "--out", str(tmp_path / "s")]) == 1
+        assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -109,6 +129,39 @@ class TestRunners:
         guards = json.loads((tmp_path / "e" / "manifest.json").read_text())["guards"]
         assert 0.0 <= guards["imag_leak"] < 1e-12
 
+    def test_energy_track_gate_can_fail(self, tmp_path, monkeypatch):
+        import nlslab.experiments as experiments
+
+        residual = experiments.energy_identity_residual
+
+        def inflated(*args, **kwargs):
+            out = residual(*args, **kwargs)
+            out["residual"] = out["residual"] * 1e6
+            return out
+
+        monkeypatch.setattr(experiments, "energy_identity_residual", inflated)
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                           "energy.n_cut = 2\ndata.modes = 4\n")
+        code = main(["energy-track", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        guards = json.loads((tmp_path / "e" / "manifest.json").read_text())["guards"]
+        assert guards["residual_max"] > guards["residual_tol"] > 0.0
+
+    def test_identity_tolerance_terms(self):
+        t = np.linspace(0.0, 0.8, 9)                  # h = 0.1
+        y = 3.0 * t**2 + t**4                         # D2 = 6h^2 + ..., D4 = 24h^4
+        energy = 2.0 + np.array([0, 1, -3, 2, 0, 0, 0, 0, 0]) * 1e-9
+        e_i1 = np.full(9, -5.0)
+        d2 = np.max(np.abs(np.diff(y, 2)))
+        quadrature = 0.1 * d2 / 12 + 4 * 0.1 * (24 * 0.1**4) / 90
+        expected = 4.0 * (quadrature + 3e-9 + 1e-13 * 9 * 5.0)
+        assert identity_tolerance(t, y, energy, e_i1) == pytest.approx(expected, rel=1e-9)
+        # three samples: no fourth difference
+        assert identity_tolerance(t[:3], y[:3], energy[:3], e_i1[:3]) == pytest.approx(
+            4.0 * (0.1 * abs(y[2] - 2 * y[1] + y[0]) / 12 + 3e-9 + 3e-13 * 5.0), rel=1e-9)
+
     def test_almost_conservation_run(self, tmp_path):
         cfgfile = tmp_path / "a.cfg"
         cfgfile.write_text("kcut = 6\nn_grid = 2,4\nsamples = 4\nt_end = 0.05\n")
@@ -167,3 +220,108 @@ class TestRunners:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+# Every subcommand at a reduced config, with the exit code its runner
+# documents, read back from the guards it wrote into the manifest.
+SMOKE = {
+    "budget": ("s_grid = 0.3,0.6\n", lambda g: 0),
+    "census": ("n_grid = 2\nkmax = 3\n", lambda g: 2 if g["violations"] else 0),
+    "simulate": ("d = 2\ngamma = 0.75\nkcut = 4\nt_end = 0.004\ndt = 0.001\n"
+                 "stride = 2\n", lambda g: 2 if g["aborted"] else 0),
+    "energy-track": ("kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                     "energy.n_cut = 2\ndata.modes = 4\n",
+                     lambda g: 0 if g["residual_max"] <= g["residual_tol"] else 2),
+    "strichartz": ("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 3\n",
+                   lambda g: 0),
+    "verify": ("cases = ii,sigma6\nn_grid = 4\nkmax_per_n = 1\ngap_grid = 4\n",
+               lambda g: 2 if g["unstable_cases"] else 0),
+    "almost-conservation": ("kcut = 5\nn_grid = 2,4\nsamples = 4\nt_end = 0.02\n",
+                            lambda g: 0 if g["monotone"] and g["corrected_below_raw"]
+                            else 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE))
+def test_cli_smoke_every_subcommand(command, tmp_path):
+    from nlslab.cli import RUNNERS
+
+    assert set(SMOKE) == set(RUNNERS)
+    text, expected = SMOKE[command]
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(text)
+    code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+    guards = json.loads((tmp_path / "r" / "manifest.json").read_text())["guards"]
+    assert code == expected(guards)
+    if command != "almost-conservation":
+        assert code == 0
+    if command == "energy-track":
+        assert 0.0 < guards["residual_max"] <= guards["residual_tol"]
+    assert (tmp_path / "r" / "summary.txt").exists()
+
+
+# -- the strichartz packet draw ----------------------------------------------------
+
+
+def test_smooth5_length_is_minimal():
+    limit = 6000
+    smooth = np.zeros(limit + 1, dtype=bool)
+    for a in range(14):
+        for b in range(9):
+            for c in range(6):
+                n = 2 ** a * 3 ** b * 5 ** c
+                if n <= limit:
+                    smooth[n] = True
+    nxt = np.empty(limit + 1, dtype=int)
+    following = limit + 1
+    for n in range(limit, 0, -1):
+        if smooth[n]:
+            following = n
+        nxt[n] = following
+    for n in range(1, 5001):
+        assert _smooth5_length(n) == nxt[n], n
+    assert _smooth5_length(2049) == 2160
+
+
+def _convolution_draws(M, n_freq, lam, draws, rng, coherent, dtype=np.complex64):
+    """The packet draw as three FFTs: the product's coefficients by a
+    power-of-two padded convolution, then their l2 norm per time row."""
+    T = lam / n_freq
+    k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
+    k2 = _interval_modes(0.5 * M, 1.5 * M, lam)
+    L = 2 * np.pi * lam
+    n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
+    t = np.linspace(0.0, T, n_t)
+    pad = 1 << int(np.ceil(np.log2(len(k1) + len(k2))))
+    phase1 = np.exp(-1j * np.outer(t, k1**2)).astype(dtype)
+    phase2 = np.exp(-1j * np.outer(t, k2**2)).astype(dtype)
+    out = np.empty(draws)
+    for i in range(draws):
+        if coherent:
+            a = 1 + 0.2 * (rng.standard_normal(len(k1)) + 1j * rng.standard_normal(len(k1)))
+            b = 1 + 0.2 * (rng.standard_normal(len(k2)) + 1j * rng.standard_normal(len(k2)))
+        else:
+            a = np.exp(2j * np.pi * rng.random(len(k1)))
+            b = np.exp(2j * np.pi * rng.random(len(k2)))
+        a = (a / np.sqrt(L * np.sum(np.abs(a) ** 2))).astype(dtype)
+        b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
+        fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1)
+        fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1)
+        conv = np.fft.ifft(fa * fb, axis=1)[:, : len(k1) + len(k2) - 1]
+        sq = L * np.sum(np.abs(conv).astype(np.float64) ** 2, axis=1)
+        out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
+    return out
+
+
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("coherent", [True, False])
+def test_parseval_draw_matches_convolution(M, coherent):
+    args = (M, 64.0, 16.0, 4)
+    got = bilinear_packet_norms(*args, np.random.default_rng(3), coherent)
+    ref = _convolution_draws(*args, np.random.default_rng(3), coherent)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-6
+    exact = bilinear_packet_norms(*args, np.random.default_rng(3), coherent,
+                                  dtype=np.complex128)
+    ref = _convolution_draws(*args, np.random.default_rng(3), coherent,
+                             dtype=np.complex128)
+    assert np.max(np.abs(exact - ref) / ref) <= 1e-12

@@ -193,3 +193,65 @@ def test_fields_are_immutable():
     u = zero_field(g, 3)
     with pytest.raises(ValueError):
         u.coeffs[0] = 1.0
+
+
+# -- the pruned transforms against numpy's n-D FFTs ---------------------------
+
+
+def _ifftn_reference(f, oversample):
+    sizes = tuple((2 * k + 1) * oversample for k in f.cutoff)
+    buf = np.zeros(sizes, dtype=np.complex128)
+    slots = tuple(np.arange(-k, k + 1) % m for k, m in zip(f.cutoff, sizes))
+    buf[np.ix_(*slots)] = f.geometry.measure_weight * f.coeffs
+    return np.fft.ifftn(buf) * np.prod(sizes)
+
+
+def _fftn_reference(values, geometry, cutoff):
+    spec = np.fft.fftn(values) / np.prod(values.shape)
+    slots = tuple(np.arange(-k, k + 1) % m for k, m in zip(cutoff, values.shape))
+    return spec[np.ix_(*slots)] / (1.0 / geometry.volume)
+
+
+TRANSFORM_CASES = [(1, (), 7), (1, (), 32), (2, (0.75,), 7), (2, (0.75,), (5, 3)),
+                   (2, (0.6,), (3, 8)), (2, (1.0,), (32, 32)), (2, (0.75,), 0)]
+
+
+@pytest.mark.parametrize("d, gamma, cutoff", TRANSFORM_CASES)
+@pytest.mark.parametrize("oversample", [1, 2, 3])
+def test_transforms_bit_identical_to_numpy_nd(d, gamma, cutoff, oversample):
+    g = build_geometry(d, gamma, 1.7)
+    u = random_field(g, cutoff, np.random.default_rng(11))
+    vals = to_physical(u, oversample)
+    assert vals.tobytes() == _ifftn_reference(u, oversample).tobytes()
+    back = from_physical(vals, g, u.cutoff)
+    assert back.coeffs.tobytes() == _fftn_reference(vals, g, u.cutoff).tobytes()
+    # a grid finer than the cutoff needs, and a smaller cutoff on it
+    small = tuple(max(0, k - 1) for k in u.cutoff)
+    assert (from_physical(vals, g, small).coeffs.tobytes()
+            == _fftn_reference(vals, g, small).tobytes())
+
+
+@pytest.mark.parametrize("d, gamma, cutoff", TRANSFORM_CASES)
+def test_free_evolve_bit_identical_to_phase_product(d, gamma, cutoff):
+    g = build_geometry(d, gamma, 1.3)
+    u = random_field(g, cutoff, np.random.default_rng(5))
+    kabs = np.sqrt(sum(x * x for x in u.freq_grids()))
+    assert u.kabs().tobytes() == kabs.tobytes()
+    for t in (0.0, 0.013, 0.013, np.float64(2.5)):
+        expected = np.exp(-1j * t * kabs ** 2) * u.coeffs
+        assert free_evolve(u, t).coeffs.tobytes() == expected.tobytes()
+
+
+def test_cached_lattice_arrays_are_read_only():
+    import nlslab.geometry as geometry
+
+    g = build_geometry(2, (0.75,), 1.0)
+    u = random_field(g, (4, 3), RNG)
+    free_evolve(u, 0.1)
+    assert u.kabs() is u.kabs()
+    cached = [u.kabs(), geometry._free_propagator(g, u.cutoff, 0.1),
+              *geometry._grid_index(u.cutoff, (18, 14))]
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
