@@ -1,15 +1,17 @@
 """Exhaustive resonance censuses and multiplier-bound verification sweeps.
 
 The census enumerates every zero-sum tuple on the integer lattice up to a
-cutoff (chunked, integer-exact resonance function), classifies it at each
+cutoff (in blocks, integer-exact resonance function), classifies it at each
 requested threshold, and accumulates per-class counts, the minimum
 |omega| per non-resonant rule against its claimed lower bound, the
 non-resonant supremum |M|/|omega|, the resonant supremum against the
 mean-value bound m(N1*)N1* m(N3*)N3*, and the worst witnesses.  The rules
 themselves are threshold-free apart from the below-threshold cut, so one
-pass serves every N.  The 1-D rules live in ``classify``: the kernel brings
-each integer block to the classifier's canonical form and runs its rule
-cascade, so the census and ``classify_batch_1d`` cannot drift apart.
+pass serves every N.  1-D tuples come as orbit-reduced odd triples with
+multiplicities, brought to the canonical form of ``classify``'s rule
+cascade (so the census and ``classify_batch_1d`` cannot drift apart); 2-D
+tuples come from the Gamma_n lattice enumerator of ``energies``.  Both
+dimensions fold their blocks into the same class accumulator.
 
 Bound verification enumerates structured families tailored to each kept
 region (near-collision pairs, paired quadruples, comparable shells) plus a
@@ -24,18 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE, RES_I,
-                       RES_II, RES_III, Thresholds, _cascade_1d, classify_batch_1d,
-                       classify_batch_2d, code_label, is_nonresonant,
-                       is_resonant)
-from .multipliers import omega
+from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_TRIPLE, RES_I, RES_II,
+                       Thresholds, _cascade_1d, _sort3_abs_desc, classify_batch_1d,
+                       classify_batch_2d, code_label, is_nonresonant, is_resonant)
+from .energies import _TABLE_TUPLES, _Lattice
+from .geometry import build_geometry, zero_field
+from .multipliers import bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, m_value
 
 
-# enumeration block sizes: odd triples per 1-D block, (k1, k2) rows (in
-# units of the lattice size) per 2-D block
+# odd triples per 1-D census block
 _TRIPLE_CHUNK = 48
-_PAIR_CHUNK_2D = 64
 # family tuples per classifier block in 1-D bound verification
 _VERIFY_ROWS = 1 << 16
 
@@ -56,6 +57,7 @@ class ClassStat:
     min_omega_ratio: float = np.inf  # |omega| / claimed lower bound
     max_ratio: float = 0.0           # class-specific supremum
     witness: tuple = ()
+    witness_pos: int = -1            # enumeration position of the witness
 
     def row(self, label):
         return {
@@ -81,16 +83,6 @@ class CensusReport:
 
     def stat(self, code: int) -> ClassStat:
         return self.classes.setdefault(int(code), ClassStat())
-
-    @property
-    def nonresonant_sup(self) -> float:
-        return max((st.max_ratio for c, st in self.classes.items()
-                    if is_nonresonant(c)), default=0.0)
-
-    @property
-    def resonant_sup(self) -> float:
-        return max((st.max_ratio for c, st in self.classes.items()
-                    if is_resonant(c)), default=0.0)
 
     def counts_by_family(self) -> dict:
         out = {"below": 0, "resonant": 0, "nonresonant": 0}
@@ -136,7 +128,6 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     total_raw = P ** 5
     if total_raw > budget:
         raise BudgetError(f"would enumerate {total_raw} tuples > budget {budget}")
-    G = thresholds.gap
     reports = {float(N): CensusReport(1, float(N), kmax, s, thresholds.gap)
                for N in N_values}
     msq = {N: _m_table(kmax, N, s) ** 2 for N in reports}
@@ -145,22 +136,16 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     odd, weight = _odd_triples(kmax)
     o_sum = odd.sum(axis=1)
     o_sq = np.sum(odd.astype(np.int64) ** 2, axis=1)
-    o_m = {N: msq[N][np.abs(odd)] * odd.astype(np.float64) ** 2 for N in reports}
-    o_msum = {N: o_m[N].sum(axis=1) for N in reports}
+    o_msum = {N: (msq[N][np.abs(odd)] * odd.astype(np.float64) ** 2).sum(axis=1)
+              for N in reports}
 
     modes = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    g2, g4 = np.meshgrid(modes, modes, indexing="ij")
-    k2 = g2.reshape(1, -1)
-    k4 = g4.reshape(1, -1)
-    ke_sq = k2 ** 2 + k4 ** 2
+    k2, k4 = (g.reshape(-1) for g in np.meshgrid(modes, modes, indexing="ij"))
     done = 0
     for start in range(0, len(odd), _TRIPLE_CHUNK):
-        stop = min(start + _TRIPLE_CHUNK, len(odd))
-        done += _census_chunk_1d(
-            reports, odd[start:stop], weight[start:stop], o_sum[start:stop],
-            o_sq[start:stop],
-            {N: o_msum[N][start:stop] for N in reports},
-            k2, k4, ke_sq, kmax, G, msq, mtab)
+        tri = np.arange(start, min(start + _TRIPLE_CHUNK, len(odd)))
+        done += _census_chunk_1d(reports, tri, odd, weight, o_sum, o_sq, o_msum,
+                                 k2, k4, kmax, thresholds.gap, msq, mtab)
         if progress is not None:
             progress(done)
     for rep in reports.values():
@@ -168,190 +153,136 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     return reports
 
 
-def _census_chunk_1d(reports, odd, weight, o_sum, o_sq, o_msum,
-                     k2, k4, ke_sq, kmax, G, msq, mtab) -> int:
-    k6 = -(o_sum[:, None] + k2 + k4)  # (triples, I)
-    valid = np.abs(k6) <= kmax
-    k6c = np.where(valid, k6, 0)
-    a_k6 = np.abs(k6c)
+def _census_chunk_1d(reports, tri, odd, weight, o_sum, o_sq, o_msum,
+                     k2, k4, kmax, G, msq, mtab) -> int:
+    """Census of the tuples with odd slots ``odd[tri]`` and even slots k2, k4;
+    k6 is fixed by the constraint.  Returns the weighted tuple count."""
+    k6 = -(o_sum[tri, None] + k2 + k4)  # (triples, I)
+    rows, cols = np.nonzero(np.abs(k6) <= kmax)
+    t, k6 = tri[rows], k6[rows, cols]
+    k2, k4 = k2[cols], k4[cols]
+    pos = t * (2 * kmax + 1) ** 2 + cols  # enumeration order: triple, then (k2, k4)
 
-    # even side sorted by absolute value (three compare-exchanges)
-    e = [np.broadcast_to(k2, k6.shape), np.broadcast_to(k4, k6.shape), k6c]
-    ae = [np.abs(e[0]), np.abs(e[1]), a_k6]
-
-    def cmpx(i, j):
-        swap = ae[i] < ae[j]
-        ae[i], ae[j] = np.where(swap, ae[j], ae[i]), np.where(swap, ae[i], ae[j])
-        e[i], e[j] = np.where(swap, e[j], e[i]), np.where(swap, e[i], e[j])
-
-    cmpx(0, 1); cmpx(1, 2); cmpx(0, 1)
-
-    o0 = np.broadcast_to(odd[:, 0:1], k6.shape)
-    o1 = np.broadcast_to(odd[:, 1:2], k6.shape)
-    o2 = np.broadcast_to(odd[:, 2:3], k6.shape)
-    ao = (np.abs(o0), np.abs(o1), np.abs(o2))
-
-    flip = ae[0] > ao[0]
-    A0 = np.where(flip, e[0], o0); aA0 = np.where(flip, ae[0], ao[0])
-    A1 = np.where(flip, e[1], o1); aA1 = np.where(flip, ae[1], ao[1])
-    A2 = np.where(flip, e[2], o2); aA2 = np.where(flip, ae[2], ao[2])
-    B0 = np.where(flip, o0, e[0]); aB0 = np.where(flip, ao[0], ae[0])
-    B1 = np.where(flip, o1, e[1]); aB1 = np.where(flip, ao[1], ae[1])
-    B2 = np.where(flip, o2, e[2]); aB2 = np.where(flip, ao[2], ae[2])
-
-    om = np.abs(o_sq[:, None] - (ke_sq + k6c ** 2)).astype(np.float64)
-    codes, ns, s12, _ = _cascade_1d((A0, A1, A2), (B0, B1, B2),
-                                    (aA0, aA1, aA2), (aB0, aB1, aB2), om, G)
+    # canonical form: each parity |.|-sorted (the triples already are), the
+    # parity holding the largest magnitude first
+    e = _sort3_abs_desc(k2, k4, k6)
+    o = (odd[t, 0], odd[t, 1], odd[t, 2])
+    flip = np.abs(e[0]) > np.abs(o[0])
+    A = tuple(np.where(flip, x, y) for x, y in zip(e, o))
+    B = tuple(np.where(flip, y, x) for x, y in zip(e, o))
+    om = np.abs(o_sq[t] - (k2 ** 2 + k4 ** 2 + k6 ** 2)).astype(np.float64)
+    codes, ns, s12, _ = _cascade_1d(A, B, tuple(map(np.abs, A)),
+                                    tuple(map(np.abs, B)), om, G)
     n1, n3 = ns[0], ns[2]
-    codes[~valid] = -1
-
-    w = np.broadcast_to(weight[:, None], k6.shape)
-    absk2 = np.abs(k2)
-    absk4 = np.abs(k4)
-    for N, rep in reports.items():
-        below = n1 <= N
-        codes_N = np.where(below & valid, BELOW, codes)
-        me = msq[N][absk2] * (k2.astype(np.float64) ** 2) \
-            + msq[N][absk4] * (k4.astype(np.float64) ** 2) \
-            + msq[N][a_k6] * (k6c.astype(np.float64) ** 2)
-        M = np.abs(o_msum[N][:, None] - me)
-        _kernel_accumulate(rep, codes_N, valid, om, M, n1, n3, s12, w,
-                           mtab[N], G, odd, k2, k4, k6c)
-    return int((valid * w).sum())
-
-
-def _kernel_accumulate(rep, codes, valid, om, M, n1, n3, s12, w,
-                       mtab, G, odd, k2, k4, k6c):
     n1f = n1.astype(np.float64)
     n3c = np.maximum(n3, 1)
-    for code in (BELOW, RES_I, RES_II, RES_III,
-                 NR_PAIR, NR_TRIPLE, NR_BILINEAR, NR_SIGNS):
-        sel = valid & (codes == code)
-        cnt = int(w[sel].sum()) if np.any(sel) else 0
-        if cnt == 0:
-            continue
-        st = rep.stat(code)
-        st.count += cnt
-        if code == BELOW:
-            continue
+    w = weight[t]
 
-        def witness_at(flat_bool, flat_pos):
-            rows, cols = np.nonzero(flat_bool)
-            r, c = int(rows[flat_pos]), int(cols[flat_pos])
-            return (int(odd[r, 0]), int(k2[0, c]), int(odd[r, 1]),
-                    int(k4[0, c]), int(odd[r, 2]), int(k6c[r, c]))
+    def claimed(code, i):
+        if code == NR_PAIR:
+            return (1 - 3 / G**2) * n1f[i] ** 2
+        if code == NR_TRIPLE:
+            return n1f[i] * n3[i] / G
+        if code == NR_BILINEAR:
+            return n1f[i] * np.abs(s12[i]) / G
+        return n1f[i] ** 2 / G
 
-        if code >= NR_PAIR:
-            om_sel = om[sel]
-            if np.any(om_sel == 0.0):
-                bad = int(np.flatnonzero(om_sel == 0.0)[0])
-                rep.violations += int(np.sum(om_sel == 0.0))
-                st.min_abs_omega = 0.0
-                st.min_omega_ratio = 0.0
-                st.witness = witness_at(sel, bad)
-                continue
-            if code == NR_PAIR:
-                claimed = (1 - 3 / G**2) * n1f[sel] ** 2
-            elif code == NR_TRIPLE:
-                claimed = n1f[sel] * n3[sel] / G
-            elif code == NR_BILINEAR:
-                claimed = n1f[sel] * np.abs(s12[sel]) / G
-            else:
-                claimed = n1f[sel] ** 2 / G
-            st.min_abs_omega = min(st.min_abs_omega, float(om_sel.min()))
-            st.min_omega_ratio = min(st.min_omega_ratio,
-                                     float((om_sel / claimed).min()))
-            ratios = M[sel] / om_sel
-        else:
-            bound = mtab[n1[sel]] * n1f[sel] * mtab[n3c[sel]] * n3c[sel]
-            st.min_abs_omega = min(st.min_abs_omega, float(om[sel].min()))
-            ratios = M[sel] / bound
-        mx = float(ratios.max())
-        if mx > st.max_ratio:
-            st.max_ratio = mx
-            st.witness = witness_at(sel, int(ratios.argmax()))
+    def witness(i):
+        r = t[i]
+        return (int(odd[r, 0]), int(k2[i]), int(odd[r, 1]), int(k4[i]),
+                int(odd[r, 2]), int(k6[i]))
+
+    for N, rep in reports.items():
+        me = msq[N][np.abs(k2)] * (k2.astype(np.float64) ** 2) \
+            + msq[N][np.abs(k4)] * (k4.astype(np.float64) ** 2) \
+            + msq[N][np.abs(k6)] * (k6.astype(np.float64) ** 2)
+        M = np.abs(o_msum[N][t] - me)
+        _accumulate(rep, np.where(n1 <= N, BELOW, codes), w, om, M, pos, claimed,
+                    lambda i, m=mtab[N]: m[n1[i]] * n1f[i] * m[n3c[i]] * n3c[i],
+                    witness)
+    return int(w.sum())
 
 
 def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
                         thresholds: Thresholds = Thresholds(),
                         budget: int = 10 ** 9) -> dict:
-    """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax."""
-    side = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    pts = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
-    Q = len(pts)
-    if Q ** 3 > budget:
-        raise BudgetError(f"would enumerate {Q**3} tuples > budget {budget}")
-    reports = {float(N): CensusReport(2, float(N), kmax, s, thresholds.gap)
-               for N in N_values}
-    sym = {float(N): SmoothingSymbol(N, 1.0 - s) for N in N_values}
+    """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax.
 
-    pair = np.stack(np.meshgrid(np.arange(Q), np.arange(Q), indexing="ij"),
-                    axis=-1).reshape(-1, 2)
+    Walks the on-lattice tuples of the unit square torus (physical
+    frequencies are the integer modes) in ``_Lattice.on_lattice`` blocks, so
+    memory stays bounded whatever kmax is.  Each block is classified once;
+    the below-threshold cut, |Omega| and M come per N from per-mode lookups
+    of |k|^2 and m^2, summed in slot order.
+    """
+    lat = _Lattice(zero_field(build_geometry(2, (1.0,), 1.0), kmax), 4)
+    if lat.Q ** 3 > budget:
+        raise BudgetError(f"would enumerate {lat.Q ** 3} tuples > budget {budget}")
+    G = thresholds.gap
+    reports = {float(N): CensusReport(2, float(N), kmax, s, G) for N in N_values}
+    sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode
+    root = np.sqrt(np.arange(sq.max() + 1, dtype=np.float64))  # |k| by |k|^2
+    mtab = {N: m_value(root, SmoothingSymbol(N, 1.0 - s)) for N in reports}
+    bare = {N: mtab[N][sq] ** 2 * sq for N in reports}
     done = 0
-    for start in range(0, len(pair), _PAIR_CHUNK_2D * Q):
-        stop = min(start + _PAIR_CHUNK_2D * Q, len(pair))
-        i12 = pair[start:stop]
-        k1 = pts[i12[:, 0]]
-        k2 = pts[i12[:, 1]]
-        k3 = pts[None, :, :]
-        k4 = -(k1[:, None, :] + k2[:, None, :] + k3)
-        valid = np.all(np.abs(k4) <= kmax, axis=-1)
-        tup = np.stack([np.broadcast_to(k1[:, None, :], k4.shape),
-                        np.broadcast_to(k2[:, None, :], k4.shape),
-                        np.broadcast_to(k3, k4.shape), k4], axis=-2)
-        tupv = tup[valid].astype(np.float64)
-        if len(tupv) == 0:
-            continue
-        sqs = np.sum(tup[valid] ** 2, axis=-1)  # integer |k_i|^2
-        om = np.abs(sqs[:, 0] - sqs[:, 1] + sqs[:, 2] - sqs[:, 3]).astype(float)
-        base_codes, info = classify_batch_2d(tupv, N=0.0, thresholds=thresholds)
-        mags = np.sort(info["mags"], axis=-1)[..., ::-1]
-        n1 = mags[..., 0]
-        for N in reports:
-            rep = reports[N]
-            codes = np.where(n1 <= N, BELOW, base_codes)
-            m2 = m_value(np.sqrt(sqs.astype(float)), sym[N]) ** 2
-            M = np.abs(np.sum(m2 * sqs * np.array([1.0, -1.0, 1.0, -1.0]), axis=-1))
-            _accumulate_2d(rep, codes, om, M, mags, tupv, sym[N], thresholds.gap)
-        done += int(valid.sum())
+    for pos, idx in lat.on_lattice(_TABLE_TUPLES):
+        base, _ = classify_batch_2d(lat.physical(idx), N=0.0, thresholds=thresholds)
+        s4 = sq[idx]
+        om = np.abs(s4[:, 0] - s4[:, 1] + s4[:, 2] - s4[:, 3]).astype(np.float64)
+        # |k|^2 of the largest slot, and of the second and third largest
+        # clipped below at 1
+        ranked = np.sort(s4, axis=1)
+        r1, r2, r3 = ranked[:, 3], np.maximum(ranked[:, 2], 1), np.maximum(ranked[:, 1], 1)
+        n1, lo, n3 = root[r1], root[r2], root[r3]
+        weight = np.ones(len(pos), dtype=np.int64)
+        for N, rep in reports.items():
+            b = bare[N][idx]
+            M = np.abs(b[:, 0] - b[:, 1] + b[:, 2] - b[:, 3])
+            _accumulate(rep, np.where(n1 <= N, BELOW, base), weight, om, M, pos,
+                        lambda code, i: 2.0 * (1 - 1 / G**2) * lo[i] ** 2,
+                        lambda i, m=mtab[N]: m[r1[i]] * n1[i] * m[r3[i]] * n3[i],
+                        lambda i: tuple(float(x) for x in lat.modes[idx[i]].ravel()))
+        done += len(pos)
     for rep in reports.values():
         rep.total = done
     return reports
 
 
-def _accumulate_2d(rep, codes, om, M, mags, tup, sym, gap):
-    n1 = mags[..., 0]
-    n3 = np.maximum(mags[..., 2], 1.0)
-    res_bound = m_value(n1, sym) * n1 * m_value(n3, sym) * n3
-    for code in np.unique(codes):
-        sel = codes == code
+def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
+    """Fold a block of on-lattice tuples into ``rep``'s class statistics.
+
+    Flat arrays over the block: verdict codes, tuple weights, |Omega|, M and
+    the tuples' enumeration positions.  ``claimed(code, i)`` is the lower
+    bound a non-resonant rule claims for |Omega| at block indices i,
+    ``bound(i)`` the resonant mean-value bound m(N1*)N1* m(N3*)N3* and
+    ``witness(i)`` the tuple at index i.  Per class: the count, min |Omega|,
+    min |Omega|/claimed, and the supremum of M/|Omega| (non-resonant; a zero
+    |Omega| there is a violation, ratio inf) or of M/bound (resonant) with
+    its witness, the earliest maximizer in enumeration order.
+    """
+    for code in np.flatnonzero(np.bincount(codes)):
+        i = np.flatnonzero(codes == code)
         st = rep.stat(code)
-        st.count += int(sel.sum())
+        st.count += int(weight[i].sum())
         if code == BELOW:
             continue
+        om_i = om[i]
+        st.min_abs_omega = min(st.min_abs_omega, float(om_i.min()))
         if is_nonresonant(code):
-            om_sel = om[sel]
-            if np.any(om_sel == 0.0):
-                rep.violations += int(np.sum(om_sel == 0.0))
-                st.min_abs_omega = 0.0
-                st.min_omega_ratio = 0.0
-                continue
-            lo = np.maximum(mags[sel][..., 1], 1.0)
-            claimed = 2.0 * (1 - 1 / gap**2) * lo**2
-            st.min_abs_omega = min(st.min_abs_omega, float(om_sel.min()))
+            zero = om_i == 0.0
+            rep.violations += int(zero.sum())
             st.min_omega_ratio = min(st.min_omega_ratio,
-                                     float((om_sel / claimed).min()))
-            ratios = M[sel] / om_sel
-            mx = float(ratios.max())
-            if mx > st.max_ratio:
-                st.max_ratio = mx
-                st.witness = tuple(float(x) for x in tup[sel][int(ratios.argmax())].ravel())
+                                     float((om_i / claimed(code, i)).min()))
+            ratios = np.full(len(i), np.inf)
+            np.divide(M[i], om_i, out=ratios, where=~zero)
         else:
-            ratios = M[sel] / res_bound[sel]
-            mx = float(ratios.max())
-            if mx > st.max_ratio:
-                st.max_ratio = mx
-                st.witness = tuple(float(x) for x in tup[sel][int(ratios.argmax())].ravel())
+            ratios = M[i] / bound(i)
+        mx = float(ratios.max())
+        top = i[ratios == mx]
+        at = top[np.argmin(pos[top])]
+        if mx > st.max_ratio or (st.witness and mx == st.max_ratio
+                                 and pos[at] < st.witness_pos):
+            st.max_ratio, st.witness_pos = mx, int(pos[at])
+            st.witness = witness(at)
 
 
 def sohinger_presence(report_or_kmax, thresholds: Thresholds = Thresholds(),
@@ -509,7 +440,6 @@ def verify_multiplier_bounds(case: str, N: float, kmax: int, s: float = 0.5,
             free = rng.integers(-kmax, kmax + 1, size=(20000, n - 1, 2))
             tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
             tup = tup[np.max(np.abs(tup[:, -1]), axis=-1) <= kmax].astype(float)
-        from .multipliers import sigma_product
         vals = sigma_product(tup, sym, d)
         rep.count = len(tup)
         rep.sup_ratio = float(np.max(vals))
@@ -517,15 +447,12 @@ def verify_multiplier_bounds(case: str, N: float, kmax: int, s: float = 0.5,
         return rep
 
     if case.startswith("2d"):
-        side = np.arange(-kmax, kmax + 1)
         free = rng.integers(-kmax, kmax + 1, size=(400000, 3, 2))
         tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
         tup = tup[np.max(np.abs(tup[:, -1]), axis=-1) <= kmax].astype(float)
         codes, info = classify_batch_2d(tup, N, thresholds)
-        sqs = np.sum(tup**2, axis=-1)
-        M = np.abs(np.sum(m_value(np.sqrt(sqs), sym) ** 2 * sqs
-                          * np.array([1.0, -1.0, 1.0, -1.0]), axis=-1))
-        om = np.abs(sqs[:, 0] - sqs[:, 1] + sqs[:, 2] - sqs[:, 3])
+        M = np.abs(bare_m6(tup, sym, 2))
+        om = np.abs(omega(tup, 2))
         mags = np.sort(info["mags"], axis=-1)[..., ::-1]
         if case == "2d-resonant":
             sel = is_resonant(codes)
@@ -567,9 +494,8 @@ def _kept_ratios_1d(case: str, tup: np.ndarray, N: float, gap: float,
     those rows."""
     codes, info = classify_batch_1d(tup, N, thresholds)
     mags = info["mags"]
-    om = np.abs(omega(tup))
-    m2 = m_value(np.abs(tup), sym) ** 2
-    M = np.abs(np.sum(m2 * tup**2 * np.array([1, -1, 1, -1, 1, -1]), axis=-1))
+    om = info["abs_omega"]
+    M = np.abs(bare_m6(tup, sym))
     # cross-parity pair sums in canonical order: these are the separations
     # the mean-value telescoping of the kept region controls
     o, e = info["odd"], info["even"]

@@ -224,8 +224,7 @@ def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
 
     info = {"odd": np.stack([o0, o1, o2], axis=-1),
             "even": np.stack([e0, e1, e2], axis=-1),
-            "mags": np.stack(ns, axis=-1), "s12": s12, "L": L, "flip": flip,
-            "abs_omega": aom}
+            "mags": np.stack(ns, axis=-1), "s12": s12, "L": L, "abs_omega": aom}
     return codes, info
 
 

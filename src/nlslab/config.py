@@ -121,9 +121,8 @@ SCHEMAS = {
         "energy.n_cut": Field(float, 4.0), "energy.s": Field(float, 0.5),
     },
     "strichartz": {
-        "d": Field(int, 1), "n_freq": Field(float, 256.0), "lambda": Field(float, 64.0),
+        "n_freq": Field(float, 256.0), "lambda": Field(float, 64.0),
         "m_grid": Field("int-list", [4, 8, 16, 32]), "samples": Field(int, 200),
-        "kind": Field(str, "bilinear"),
     },
     "census": {
         "d": Field(int, 1), "n_grid": Field("float-list", [4.0, 8.0]),

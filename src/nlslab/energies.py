@@ -54,8 +54,8 @@ DEFAULT_TUPLE_BUDGET = 2 ** 27
 # block sizes of the Gamma_n enumerations: a lattice sum cuts each
 # equal-sigma row group into blocks of at most _GROUP_ROWS rows, which fixes
 # its summation order (hence the last bits of every Lambda value) and bounds
-# a block's working set; a table build classifies about _TABLE_TUPLES
-# on-lattice tuples at a time, which bounds its classifier temporaries
+# a block's working set; a table build (and the 2-D census) classifies about
+# _TABLE_TUPLES on-lattice tuples at a time, which bounds its temporaries
 _GROUP_ROWS = 1 << 12
 _TABLE_TUPLES = 1 << 14
 

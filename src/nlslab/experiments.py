@@ -18,7 +18,7 @@ import numpy as np
 from .census import (VERIFY_CASES, BudgetError, resonance_census_1d,
                      resonance_census_2d, sohinger_presence,
                      verify_multiplier_bounds)
-from .classify import Thresholds
+from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
 from .energies import (SIGN, correction_tables, e_i1, energy_identity_residual,
@@ -108,21 +108,14 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     g = _geometry(cfg)
     rng = np.random.default_rng(cfg["seed"])
     if cfg["data.kind"] == "hs_random" and cfg["data.modes"]:
-        # sparse random data: a few excited modes
+        # sparse random data: a few excited modes, drawn as composite indices
+        K = cfg["kcut"]
+        shape = (2 * K + 1,) * g.dimension
         modes = {}
-        d = g.dimension
-        if d == 1:
-            choices = rng.choice(np.arange(-cfg["kcut"], cfg["kcut"] + 1),
-                                 size=cfg["data.modes"], replace=False)
-            for n in choices:
-                modes[int(n)] = 0.6 * (rng.standard_normal() + 1j * rng.standard_normal())
-        else:
-            K = cfg["kcut"]
-            pts = [(i, j) for i in range(-K, K + 1) for j in range(-K, K + 1)]
-            for idx in rng.choice(len(pts), size=cfg["data.modes"], replace=False):
-                modes[pts[idx]] = 0.6 * (rng.standard_normal() + 1j * rng.standard_normal())
-        from .geometry import field_from_modes
-        u0 = field_from_modes(g, cfg["kcut"], modes)
+        for q in rng.choice(int(np.prod(shape)), size=cfg["data.modes"], replace=False):
+            mode = tuple(int(i) - K for i in np.unravel_index(q, shape))
+            modes[mode] = 0.6 * (rng.standard_normal() + 1j * rng.standard_normal())
+        u0 = field_from_modes(g, K, modes)
     else:
         u0 = initial_data(g, cfg["kcut"], kind=cfg["data.kind"], rng=rng,
                           s=cfg["data.s"], mass_target=cfg["data.mass"])
@@ -346,9 +339,10 @@ def run_census(cfg: dict, out_dir: Path) -> int:
                 rows.append(row)
             violations += rep.violations
             if rep.violations and witness is None:
-                for code, st in rep.classes.items():
-                    if st.min_abs_omega == 0.0:
-                        witness = st.witness
+                # a violating non-resonant class's witness is its first
+                # zero-|Omega| tuple; resonant classes may reach 0 legitimately
+                witness = next(st.witness for code, st in sorted(rep.classes.items())
+                               if is_nonresonant(code) and st.min_abs_omega == 0.0)
             total_check = sum(fams.values()) == rep.total
             if not total_check:
                 violations += 1

@@ -1,14 +1,22 @@
 """Census kernel: partition, exactness, cross-validation, bound sweeps."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab import census
 from nlslab.census import (BudgetError, BoundReport, resonance_census_1d,
                            resonance_census_2d, sohinger_presence,
                            verify_multiplier_bounds)
-from nlslab.classify import (BELOW, Thresholds, classify_batch_1d,
-                             is_nonresonant, is_resonant)
+from nlslab.classify import (BELOW, NR_2D, NR_SIGNS, Thresholds, classify_batch_1d,
+                             classify_batch_2d, is_nonresonant, is_resonant)
+from nlslab.cli import main
 from nlslab.multipliers import omega
 from nlslab.smoothing import SmoothingSymbol, m_value
 
@@ -92,6 +100,141 @@ def test_2d_census_partitions_and_sound():
         for code, st in rep.classes.items():
             if is_nonresonant(code) and st.count:
                 assert st.min_abs_omega > 0
+
+
+def reference_census_2d(N_values, kmax, s, th):
+    """The 2-D census by ordered enumeration of all Q^3 (k1, k2, k3), C order,
+    in one shot: per class the count, min |omega|, min |omega|/claimed, the
+    supremum ratio and its first maximizer."""
+    side = np.arange(-kmax, kmax + 1)
+    pts = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+    i1, i2, i3 = (g.ravel() for g in np.meshgrid(*[np.arange(len(pts))] * 3,
+                                                 indexing="ij"))
+    k4 = -(pts[i1] + pts[i2] + pts[i3])
+    valid = np.all(np.abs(k4) <= kmax, axis=-1)
+    tup = np.stack([pts[i1], pts[i2], pts[i3], k4], axis=1)[valid].astype(float)
+    sqs = np.sum(tup**2, axis=-1)
+    om = np.abs(sqs[:, 0] - sqs[:, 1] + sqs[:, 2] - sqs[:, 3])
+    base, info = classify_batch_2d(tup, N=0.0, thresholds=th)
+    mags = np.sort(info["mags"], axis=-1)[..., ::-1]
+    n1, n3 = mags[:, 0], np.maximum(mags[:, 2], 1.0)
+    out = {}
+    for N in N_values:
+        sym = SmoothingSymbol(N, 1.0 - s)
+        codes = np.where(n1 <= N, BELOW, base)
+        M = np.abs(np.sum(m_value(np.sqrt(sqs), sym) ** 2 * sqs
+                          * np.array([1.0, -1.0, 1.0, -1.0]), axis=-1))
+        rows = {}
+        for code in np.unique(codes):
+            sel = codes == code
+            row = {"count": int(sel.sum()), "min_abs_omega": None,
+                   "min_omega_ratio": None, "max_ratio": 0.0, "witness_tuple": []}
+            if code != BELOW:
+                row["min_abs_omega"] = float(om[sel].min())
+                if is_nonresonant(code):
+                    claimed = 2.0 * (1 - 1 / th.gap**2) * np.maximum(mags[sel, 1], 1.0) ** 2
+                    row["min_omega_ratio"] = float((om[sel] / claimed).min())
+                    ratios = M[sel] / om[sel]
+                else:
+                    ratios = M[sel] / (m_value(n1[sel], sym) * n1[sel]
+                                       * m_value(n3[sel], sym) * n3[sel])
+                row["max_ratio"] = float(ratios.max())
+                row["witness_tuple"] = [float(x) for x in tup[sel][int(ratios.argmax())].ravel()]
+            rows[int(code)] = row
+        out[float(N)] = (rows, len(tup))
+    return out
+
+
+# blocks of about 1000 tuples split the lattice into many out-of-order
+# sigma-group blocks; 2^20 keeps it in one block: witness ties are then
+# decided across blocks and within a block respectively
+@pytest.mark.parametrize("block", [1000, 1 << 20])
+@pytest.mark.parametrize("kmax", [2, 4])
+@pytest.mark.parametrize("gap", [2.0, 3.0, 4.0, 6.0])
+def test_2d_census_matches_reference_enumeration(kmax, gap, block, monkeypatch):
+    monkeypatch.setattr(census, "_TABLE_TUPLES", block)
+    th = Thresholds(gap=gap)
+    N_values = (1.0, 2.0, 3.5, 5.0)
+    ref = reference_census_2d(N_values, kmax, 0.6, th)
+    reports = resonance_census_2d(N_values, kmax, s=0.6, thresholds=th)
+    for N, (rows, total) in ref.items():
+        rep = reports[N]
+        assert rep.total == total
+        assert rep.violations == 0
+        assert sorted(rep.classes) == sorted(rows)
+        for code, row in rows.items():
+            got = rep.classes[code].row(None)
+            del got["class"]
+            assert got == row, (N, code)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_2d_census_memory_is_bounded():
+    # the whole-lattice enumeration peaked near 660 MB; the on-lattice blocks
+    # keep the interpreter close to its import footprint.  The peak is the
+    # child's own VmHWM: Linux carries ru_maxrss over from the forking
+    # process, so that would count this test process too.
+    script = ("from nlslab.census import resonance_census_2d\n"
+              "resonance_census_2d([4.0, 8.0], 6)\n"
+              "status = open('/proc/self/status').read()\n"
+              "print(status.split('VmHWM:')[1].split()[0])\n")
+    src = str(Path(nlslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) / 1024 < 150
+
+
+class TestSoundnessGate:
+    """The census exits 2 and names a zero-|Omega| witness when a
+    non-resonant verdict meets a vanishing resonance function.  Only part of
+    the zero-|Omega| tuples are made non-resonant, so resonant classes still
+    reach |Omega| = 0, as they legitimately do."""
+
+    @staticmethod
+    def run(tmp_path, d):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"d = {d}\nkmax = {3 if d == 1 else 2}\nn_grid = 1\n")
+        code = main(["census", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        guards = json.loads((tmp_path / "r" / "manifest.json").read_text())["guards"]
+        lines = (tmp_path / "r" / "summary.txt").read_text().splitlines()
+        witness = [ln.split(": ", 1)[1] for ln in lines if ln.startswith("witness tuple")]
+        rows = (tmp_path / "r" / "census.csv").read_text().splitlines()
+        resonant_zero = [r for r in rows if ",Resonant(" in r and r.split(",")[5] == "0.0"]
+        return code, guards, witness, resonant_zero
+
+    def test_d1(self, tmp_path, monkeypatch):
+        cascade = census._cascade_1d
+
+        def unsound(A, B, aA, aB, aom, G):
+            codes, ns, s12, L = cascade(A, B, aA, aB, aom, G)
+            codes[(aom == 0.0) & is_resonant(codes) & (ns[0] % 2 == 0)] = NR_SIGNS
+            return codes, ns, s12, L
+
+        monkeypatch.setattr(census, "_cascade_1d", unsound)
+        code, guards, witness, resonant_zero = self.run(tmp_path, 1)
+        assert code == 2 and guards["violations"] > 0 and resonant_zero
+        k = np.array(eval(witness[0]), dtype=np.int64)
+        assert k.sum() == 0 and np.max(np.abs(k)) % 2 == 0
+        assert int(np.sum(k**2 * np.array([1, -1, 1, -1, 1, -1]))) == 0
+
+    def test_d2(self, tmp_path, monkeypatch):
+        classify = census.classify_batch_2d
+
+        def unsound(tup, N, thresholds):
+            codes, info = classify(tup, N, thresholds)
+            sq = np.sum(tup**2, axis=-1)
+            zero = sq[:, 0] - sq[:, 1] + sq[:, 2] - sq[:, 3] == 0
+            codes[zero & is_resonant(codes) & (tup[:, 0, 0] % 2 == 0)] = NR_2D
+            return codes, info
+
+        monkeypatch.setattr(census, "classify_batch_2d", unsound)
+        code, guards, witness, resonant_zero = self.run(tmp_path, 2)
+        assert code == 2 and guards["violations"] > 0 and resonant_zero
+        k = np.array(eval(witness[0]), dtype=float).reshape(4, 2)
+        assert np.all(k.sum(axis=0) == 0) and k[0, 0] % 2 == 0
+        assert np.sum(np.sum(k**2, axis=1) * np.array([1, -1, 1, -1])) == 0.0
 
 
 class TestVerify:

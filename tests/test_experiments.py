@@ -58,6 +58,17 @@ class TestConfig:
         assert main(["strichartz", "--threads", "0", "--out", str(tmp_path / "s")]) == 1
         assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
 
+    def test_strichartz_rejects_d_and_kind(self, tmp_path):
+        # the probe is the 1-D bilinear one; it reads neither key
+        for text in ("d = 2\n", "kind = bilinear\n"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                validate("strichartz", parse_config_text(text))
+            cfgfile = tmp_path / "s.cfg"
+            cfgfile.write_text(text)
+            assert main(["strichartz", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "s")]) == 1
+        assert not (tmp_path / "s").exists()
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             validate("census", {"bogus.key": 1})
