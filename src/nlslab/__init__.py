@@ -14,7 +14,7 @@ from .multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m6,
                           sigma_symbol, sohinger_tuple, x_substitute)
 from .classify import (ResonanceClassification, Thresholds, classify,
                        classify_batch_1d, classify_batch_2d)
-from .energies import (CorrectionTables, EnergyReport, correction_tables,
-                       energy, energy_identity_residual, lambda_eval, mass,
-                       modified_energy)
+from .energies import (CorrectionTables, EnergyReport, correction_sums,
+                       correction_tables, energy, energy_identity_residual,
+                       lambda_eval, mass, modified_energy)
 from .dynamics import EvolutionConfig, evolve, galerkin_rhs, rk4_step, strang_step

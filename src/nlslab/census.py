@@ -229,16 +229,17 @@ def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
         s4 = sq[idx]
         om = np.abs(s4[:, 0] - s4[:, 1] + s4[:, 2] - s4[:, 3]).astype(np.float64)
         # |k|^2 of the largest slot, and of the second and third largest
-        # clipped below at 1
+        # clipped below at 1; the claimed bound takes the integer |k|^2 of
+        # the second largest, since sqrt(|k|^2)^2 can round above it
         ranked = np.sort(s4, axis=1)
         r1, r2, r3 = ranked[:, 3], np.maximum(ranked[:, 2], 1), np.maximum(ranked[:, 1], 1)
-        n1, lo, n3 = root[r1], root[r2], root[r3]
+        n1, n3 = root[r1], root[r3]
         weight = np.ones(len(pos), dtype=np.int64)
         for N, rep in reports.items():
             b = bare[N][idx]
             M = np.abs(b[:, 0] - b[:, 1] + b[:, 2] - b[:, 3])
             _accumulate(rep, np.where(n1 <= N, BELOW, base), weight, om, M, pos,
-                        lambda code, i: 2.0 * (1 - 1 / G**2) * lo[i] ** 2,
+                        lambda code, i: 2.0 * (1 - 1 / G**2) * r2[i],
                         lambda i, m=mtab[N]: m[r1[i]] * n1[i] * m[r3[i]] * n3[i],
                         lambda i: tuple(float(x) for x in lat.modes[idx[i]].ravel()))
         done += len(pos)

@@ -196,12 +196,12 @@ def _cascade_1d(A, B, aA, aB, aom, G):
     return codes, ns, s12, L
 
 
-def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
-    """Vectorized six-slot classifier.
+def _classify_1d(k, N: float, G: float):
+    """Canonicalize six-slot tuples, run the rule cascade and cut below N.
 
-    Returns (codes, info) with info carrying the canonicalized slot values
-    used by the rules: odd/even slots sorted by magnitude (after the parity
-    flip that makes the largest slot unconjugated) and the merged magnitudes.
+    Returns (codes, parts): ``parts`` holds the canonical odd and even
+    triples, the merged magnitudes, s12, L and |Omega| for callers that
+    report them.
     """
     arr = as_tuple_array(k, 1)
     if arr.shape[-1] != 6:
@@ -219,21 +219,30 @@ def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
 
     codes, ns, s12, L = _cascade_1d(
         (o0, o1, o2), (e0, e1, e2), (np.abs(o0), np.abs(o1), np.abs(o2)),
-        (np.abs(e0), np.abs(e1), np.abs(e2)), aom, thresholds.gap)
+        (np.abs(e0), np.abs(e1), np.abs(e2)), aom, G)
     codes[ns[0] <= N] = BELOW
+    return codes, ((o0, o1, o2), (e0, e1, e2), ns, s12, L, aom)
 
-    info = {"odd": np.stack([o0, o1, o2], axis=-1),
-            "even": np.stack([e0, e1, e2], axis=-1),
+
+def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
+    """Vectorized six-slot classifier.
+
+    Returns (codes, info) with info carrying the canonicalized slot values
+    used by the rules: odd/even slots sorted by magnitude (after the parity
+    flip that makes the largest slot unconjugated) and the merged magnitudes.
+    """
+    codes, (odd, even, ns, s12, L, aom) = _classify_1d(k, N, thresholds.gap)
+    info = {"odd": np.stack(odd, axis=-1), "even": np.stack(even, axis=-1),
             "mags": np.stack(ns, axis=-1), "s12": s12, "L": L, "abs_omega": aom}
     return codes, info
 
 
-def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
-    """Vectorized four-slot classifier with 2-vector frequencies."""
+def _classify_2d(k, N: float, G: float):
+    """Four-slot verdicts; returns (codes, slot magnitudes, per-parity
+    (dominant, lo) pairs)."""
     arr = as_tuple_array(k, 2)
     if arr.shape[-2] != 4:
         raise ValueError("2d classifier expects four slots")
-    G = thresholds.gap
     sq = arr**2
     m = np.sqrt(sq[..., 0] + sq[..., 1])  # (..., 4)
     n1 = np.maximum(np.maximum(m[..., 0], m[..., 1]), np.maximum(m[..., 2], m[..., 3]))
@@ -242,18 +251,30 @@ def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
     below = n1 <= N
     codes[below] = BELOW
 
-    pair_lo = {}
-    for name, (a, b) in (("odd", (0, 2)), ("even", (1, 3))):
-        other = {"odd": (1, 3), "even": (0, 2)}[name]
+    pairs = {}
+    for name, (a, b), other in (("odd", (0, 2), (1, 3)), ("even", (1, 3), (0, 2))):
         lo = np.minimum(m[..., a], m[..., b])
         hi = np.maximum(m[..., a], m[..., b])
         rest = np.maximum(m[..., other[0]], m[..., other[1]])
         dominant = (lo >= G * rest) & (lo > 0) & (hi <= G * lo)
-        pair_lo[name] = (dominant, lo)
+        pairs[name] = (dominant, lo)
         codes[~below & dominant] = NR_2D
+    return codes, m, pairs
 
-    info = {"mags": m, "odd_pair": pair_lo["odd"], "even_pair": pair_lo["even"]}
+
+def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
+    """Vectorized four-slot classifier with 2-vector frequencies."""
+    codes, m, pairs = _classify_2d(k, N, thresholds.gap)
+    info = {"mags": m, "odd_pair": pairs["odd"], "even_pair": pairs["even"]}
     return codes, info
+
+
+def verdict_codes(k, N: float, thresholds: Thresholds = Thresholds(), d: int = 1):
+    """The codes of ``classify_batch_1d`` (d = 1) or ``classify_batch_2d``
+    (d = 2), elementwise equal, without assembling their info dicts."""
+    if d == 1:
+        return _classify_1d(k, N, thresholds.gap)[0]
+    return _classify_2d(k, N, thresholds.gap)[0]
 
 
 def classify(entries, N: float, thresholds: Thresholds = Thresholds(),

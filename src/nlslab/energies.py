@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Thresholds, classify_batch_1d, classify_batch_2d, is_nonresonant, is_resonant
+from .classify import Thresholds, is_nonresonant, is_resonant, verdict_codes
 from .geometry import SpectralField, from_physical, integrate_grid, mass, to_physical
 from .multipliers import sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
@@ -54,8 +54,9 @@ DEFAULT_TUPLE_BUDGET = 2 ** 27
 # block sizes of the Gamma_n enumerations: a lattice sum cuts each
 # equal-sigma row group into blocks of at most _GROUP_ROWS rows, which fixes
 # its summation order (hence the last bits of every Lambda value) and bounds
-# a block's working set; a table build (and the 2-D census) classifies about
-# _TABLE_TUPLES on-lattice tuples at a time, which bounds its temporaries
+# a block's working set; symbol values (and the 2-D census) are evaluated on
+# runs of blocks holding about _TABLE_TUPLES on-lattice tuples, which bounds
+# the classifier's temporaries
 _GROUP_ROWS = 1 << 12
 _TABLE_TUPLES = 1 << 14
 
@@ -169,26 +170,107 @@ class _Lattice:
         tup = np.take(self.freqs, idx, axis=0)
         return tup[..., 0] if self.d == 1 else tup
 
+    def batches(self, max_rows: int, max_tuples: int):
+        """Runs of consecutive ``groups(max_rows)`` blocks holding at most
+        ``max_tuples`` tuples together (a larger block forms a run alone).
+
+        Yields (blocks, pos, idx): the run's blocks, the flat table positions
+        row * Q + column of their tuples and the composite slot indices
+        (T, n), block after block and row-major within a block.  Slot n
+        comes from ``groups``, so every tuple is on the lattice and tuples
+        with slot n off it are never visited.
+        """
+        run, count = [], 0
+        for block in self.groups(max_rows):
+            size = len(block[0]) * len(block[2])
+            if run and count + size > max_tuples:
+                yield self._gather(run)
+                run, count = [], 0
+            run.append(block)
+            count += size
+        if run:
+            yield self._gather(run)
+
+    def _gather(self, run):
+        pos = np.concatenate([(rows[:, None] * self.Q + cols).reshape(-1)
+                              for rows, _, cols, _ in run])
+        idx = np.concatenate([self.slots(outer, cols, last).reshape(-1, self.n)
+                              for _, outer, cols, last in run])
+        return run, pos, idx
+
     def on_lattice(self, max_tuples: int):
         """The on-lattice tuples, each once, in blocks of at most
-        max(``max_tuples``, Q) tuples.
+        max(``max_tuples``, Q) tuples: (pos, idx) of ``batches``."""
+        for _, pos, idx in self.batches(max(1, max_tuples // self.Q), max_tuples):
+            yield pos, idx
 
-        Gathers the blocks of ``groups`` and yields (pos, idx): the flat
-        table positions row * Q + column and the composite slot indices
-        (T, n).  Slot n comes from ``groups``, so every tuple is on the
-        lattice and tuples with slot n off it are never visited.
-        """
-        pos, idx, count = [], [], 0
-        for rows, outer, cols, last in self.groups(max(1, max_tuples // self.Q)):
-            size = len(rows) * len(cols)
-            if count and count + size > max_tuples:
-                yield np.concatenate(pos), np.concatenate(idx)
-                pos, idx, count = [], [], 0
-            pos.append((rows[:, None] * self.Q + cols).reshape(-1))
-            idx.append(self.slots(outer, cols, last).reshape(-1, self.n))
-            count += size
-        if pos:
-            yield np.concatenate(pos), np.concatenate(idx)
+    def check_budget(self, budget: int):
+        if self.Q ** (self.n - 1) > budget:
+            raise ValueError(f"tuple count {self.Q ** (self.n - 1)} exceeds budget {budget}")
+
+
+def _walk(lat: _Lattice, evaluate, passes) -> list:
+    """Gamma_n sums of several symbols against several families of field
+    sets, in one walk over the lattice's sigma groups.
+
+    ``evaluate(pos, idx)`` returns the symbol values on a run of on-lattice
+    tuples from ``_Lattice.batches``, one flat array per symbol; each run is
+    contracted and dropped before the next is evaluated.  ``passes`` lists
+    (vecs, symbols): per slot the (sets, Q) arrays of ``slot_vectors`` and
+    the indices of the symbols summed against them.  Returns per pass an
+    array (len(symbols), sets) of plain sums.
+
+    Rows with equal mode sum sigma of slots 1..n-2 share slot n in every
+    column, so per pass each block of them costs one outer slot product O
+    (sets x rows), shared by the pass's symbols, and per symbol one matrix
+    product with the symbol block T (rows x cols), [Re O; Im O] @ T, which
+    is then contracted against v_(n-1)[c] v_n[-(sigma + c)].
+    """
+    n = lat.n
+    sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
+            for vecs, symbols in passes]
+    for blocks, pos, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
+        if len(pos) > _TABLE_TUPLES:
+            # one block past _TABLE_TUPLES: evaluated in slices, so the
+            # classifier's temporaries stay as small as in any other run
+            parts = [evaluate(pos[i:i + _TABLE_TUPLES], idx[i:i + _TABLE_TUPLES])
+                     for i in range(0, len(pos), _TABLE_TUPLES)]
+            values = [np.concatenate(v) for v in zip(*parts)]
+        else:
+            values = evaluate(pos, idx)
+        start = 0
+        for rows, outer, cols, last in blocks:
+            shape = (len(rows), len(cols))
+            stop = start + shape[0] * shape[1]
+            for (vecs, symbols), acc in zip(passes, sums):
+                S = len(vecs[0])
+                O = np.ones((S, len(rows)), dtype=np.complex128)
+                for v, o in zip(vecs, outer):
+                    O *= v[:, o]
+                stacked = None
+                for k, sym in enumerate(symbols):
+                    T = values[sym][start:stop].reshape(shape)
+                    if np.iscomplexobj(T):
+                        G = O @ T
+                    else:
+                        if stacked is None:
+                            stacked = np.concatenate([O.real, O.imag])
+                        G = stacked @ T
+                        G = G[:S] + 1j * G[S:]
+                    acc[k] += np.sum(G * vecs[n - 2][:, cols] * vecs[n - 1][:, last], axis=1)
+            start = stop
+    return sums
+
+
+def _slot_stack(field_sets) -> list[np.ndarray]:
+    """Per slot, the (sets, Q) stack of the sets' ``slot_vectors``."""
+    return [np.stack(v) for v in zip(*map(slot_vectors, field_sets))]
+
+
+def _table_values(lat: _Lattice, *tables):
+    """Evaluator for ``_walk`` that gathers from tables over slots 1..n-1."""
+    flat = [np.asarray(t).reshape(lat.rows * lat.Q) for t in tables]
+    return lambda pos, idx: [t[pos] for t in flat]
 
 
 def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
@@ -199,35 +281,16 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     or a table of shape (Q,)*(n-1) over slots 1..n-1 (slot n is fixed by the
     constraint; entries at tuples whose slot n is off the lattice are
     ignored).  Returns the plain sums; the caller applies the measure weight
-    w^(n-1).
-
-    Rows with equal mode sum sigma of slots 1..n-2 share slot n in every
-    column, so each block of them costs one matrix product of the outer slot
-    products O (sets x rows) with the table block, [Re O; Im O] @ T, which
-    is then contracted against v_(n-1)[c] v_n[-(sigma + c)].
+    w^(n-1).  This is the one-symbol case of ``_walk``.
     """
     field_sets = [list(fs) for fs in field_sets]
-    n = len(field_sets[0])
-    lat = _Lattice(field_sets[0][0], n)
-    if lat.Q ** (n - 1) > budget:
-        raise ValueError(f"tuple count {lat.Q ** (n - 1)} exceeds budget {budget}")
-    vecs = [np.stack(v) for v in zip(*map(slot_vectors, field_sets))]  # per slot (sets, Q)
-    table = None if callable(symbol) else np.asarray(symbol).reshape(lat.rows, lat.Q)
-    S = len(field_sets)
-    out = np.zeros(S, dtype=np.complex128)
-    for rows, outer, cols, last in lat.groups(_GROUP_ROWS):
-        T = (symbol(lat.physical(lat.slots(outer, cols, last))) if table is None
-             else table[rows[:, None], cols])
-        O = np.ones((S, len(rows)), dtype=np.complex128)
-        for v, idx in zip(vecs, outer):
-            O *= v[:, idx]
-        if np.iscomplexobj(T):
-            G = O @ T
-        else:
-            G = np.concatenate([O.real, O.imag]) @ T
-            G = G[:S] + 1j * G[S:]
-        out += np.sum(G * vecs[n - 2][:, cols] * vecs[n - 1][:, last], axis=1)
-    return out
+    lat = _Lattice(field_sets[0][0], len(field_sets[0]))
+    lat.check_budget(budget)
+    if callable(symbol):
+        evaluate = lambda pos, idx: [symbol(lat.physical(idx))]
+    else:
+        evaluate = _table_values(lat, symbol)
+    return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))])[0][0]
 
 
 def gamma_sum_1d(fields, symbol_values,
@@ -277,6 +340,9 @@ def lambda_eval(symbol_values, fields, strategy: str = "direct",
 # -- symbol tables on the lattice ---------------------------------------------
 
 
+CORRECTION_SYMBOLS = ("sigma_tilde", "mbar", "combined")
+
+
 @dataclass
 class CorrectionTables:
     """Precomputed symbol tables over Gamma_deg on a fixed lattice.
@@ -318,10 +384,7 @@ def _correction_values(idx, tup, d, deg, slots, thresholds, N):
             bare = bare + msq_sq[col]
         sig = sig * m[col]
     sig = sig / deg
-    if d == 1:
-        codes, _ = classify_batch_1d(tup, N, thresholds)
-    else:
-        codes, _ = classify_batch_2d(tup, N, thresholds)
+    codes = verdict_codes(tup, N, thresholds, d)
     nr = is_nonresonant(codes)
     res = is_resonant(codes)
     if np.any(nr & (om == 0.0)):
@@ -349,6 +412,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _correction_evaluator(lat: _Lattice, N: float, s: float, thresholds: Thresholds,
+                          dtype=np.float64):
+    """Evaluator for ``_walk`` of sigma~, R and sigma+sigma~ (in that
+    order) on the lattice ``lat`` of Gamma_deg, rounded to ``dtype``."""
+    sq = np.sum(lat.freqs ** 2, axis=-1)
+    m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
+    slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
+
+    def evaluate(pos, idx):
+        values = _correction_values(idx, lat.physical(idx), lat.d, lat.n, slots,
+                                    thresholds, N)
+        return [np.asarray(v, dtype=dtype) for v in values]
+    return evaluate
+
+
 def correction_tables(template: SpectralField, N: float, s: float,
                       thresholds: Thresholds = Thresholds(),
                       dtype=np.float64, budget: int = DEFAULT_TUPLE_BUDGET,
@@ -356,34 +434,57 @@ def correction_tables(template: SpectralField, N: float, s: float,
     """Build sigma~/Mbar/combined tables for the lattice of ``template``.
 
     ``which`` selects the tables to materialize (large lattices may only
-    afford the correction table).  Only on-lattice tuples are classified;
-    the other entries stay zero.  Raises ValueError, before allocating,
-    when the tables would take more than half of physical memory.
+    afford the correction table).  The evaluator that ``correction_sums``
+    streams is scattered onto the on-lattice entries; the others stay zero.
+    Raises ValueError, before allocating, when the tables would take more
+    than half of physical memory.
     """
     g = template.geometry
     deg = g.nonlinearity_degree + 1
     lat = _Lattice(template, deg)
-    if lat.Q ** (deg - 1) > budget:
-        raise ValueError(f"table size {lat.Q ** (deg - 1)} exceeds budget {budget}")
-    names = ("sigma_tilde", "mbar", "combined")
-    nbytes = sum(name in which for name in names) * lat.Q ** (deg - 1) * np.dtype(dtype).itemsize
+    lat.check_budget(budget)
+    nbytes = sum(name in which for name in CORRECTION_SYMBOLS) \
+        * lat.Q ** (deg - 1) * np.dtype(dtype).itemsize
     if nbytes > _physical_memory() // 2:
         raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
                          f"({_physical_memory()} bytes)")
-    sq = np.sum(lat.freqs ** 2, axis=-1)
-    m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
-    slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
+    evaluate = _correction_evaluator(lat, N, s, thresholds, dtype)
     tables = [np.zeros(lat.rows * lat.Q, dtype=dtype) if name in which else None
-              for name in names]
+              for name in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
-        values = _correction_values(idx, lat.physical(idx), g.dimension, deg, slots,
-                                    thresholds, N)
-        for table, vals in zip(tables, values):
+        for table, vals in zip(tables, evaluate(pos, idx)):
             if table is not None:
                 table[pos] = vals
     st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) if t is not None else None
                   for t in tables)
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
+
+
+def correction_sums(template: SpectralField, N: float, s: float, passes,
+                    thresholds: Thresholds = Thresholds(),
+                    tables: CorrectionTables | None = None, dtype=np.float64,
+                    budget: int = DEFAULT_TUPLE_BUDGET) -> list:
+    """Gamma_deg sums of sigma~, R (Mbar = iR) and sigma+sigma~ in one walk
+    over the lattice of ``template``, with no stored table.
+
+    ``passes`` lists (field_sets, names), the names drawn from
+    ``CORRECTION_SYMBOLS``.  Each run of on-lattice tuples is classified
+    once, evaluated by ``_correction_values`` (rounded to ``dtype``, as a
+    table of that dtype would store it), contracted against every pass and
+    dropped.  With ``tables`` the values are gathered from them instead.
+    Returns per pass an array (len(names), sets) of plain sums; the caller
+    applies the measure weight w^(deg-1).
+    """
+    lat = _Lattice(template, template.geometry.nonlinearity_degree + 1)
+    lat.check_budget(budget)
+    if tables is None:
+        evaluate = _correction_evaluator(lat, N, s, thresholds, dtype)
+    else:
+        evaluate = _table_values(lat, tables.sigma_tilde, tables.mbar_imag,
+                                 tables.combined)
+    return _walk(lat, evaluate, [(_slot_stack([list(fs) for fs in sets]),
+                                  tuple(CORRECTION_SYMBOLS.index(nm) for nm in names))
+                                 for sets, names in passes])
 
 
 # -- modified energies ---------------------------------------------------------
@@ -504,8 +605,9 @@ def energy_identity_residual(samples, times, N: float, s: float,
     the per-sample pieces, the residual r(t) and ``imag_leak``, the largest
     |Im| of Lambda(Mbar_deg) and Lambda(Mbar_(deg+4)) (both are real in exact
     arithmetic); exactness of the discrete identity makes r vanish at the
-    integrator/quadrature order under dt refinement.  Each Lambda term is one
-    ``gamma_sums`` call over all samples.
+    integrator/quadrature order under dt refinement.  Every Lambda term
+    comes from one ``correction_sums`` walk over the lattice (or over
+    ``tables``, when given).
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -516,22 +618,26 @@ def energy_identity_residual(samples, times, N: float, s: float,
     kappa = _kappa(sign)
     f0 = samples[0]
     deg = f0.geometry.nonlinearity_degree + 1
-    if tables is None:
-        tables = correction_tables(f0, N, s, thresholds, budget=budget)
     w = f0.geometry.measure_weight ** (deg - 1)
 
     e1 = np.array([e_i1(f, N, s, sign, check=None) for f in samples])
     plain = [[f] * deg for f in samples]
-    corr = kappa * np.real(w * gamma_sums(tables.sigma_tilde, plain, budget))
-    lam_mbar = 1j * w * gamma_sums(tables.mbar_imag, plain, budget)
-    # Lambda_(deg+4)(Mbar_(deg+4)): the equation substituted into slot j of
-    # sigma + sigma~, the collapsed group being a lattice mode
+    # Lambda_(deg+4)(Mbar_(deg+4)) = i kappa sum_j (-1)^j Lambda(nl in slot j)
+    # of sigma + sigma~, the equation substituted into slot j (the collapsed
+    # group is a lattice mode).  sigma + sigma~ is symmetric within each slot
+    # parity, so every odd j gives the same sum and so does every even j:
+    # the sum over j is (deg/2) [Lambda(nl in slot 2) - Lambda(nl in slot 1)]
     substituted = []
     for f in samples:
         nl = nonlinear_coefficient_field(f)
-        substituted += [[nl if i == j else f for i in range(deg)] for j in range(deg)]
-    sub = w * gamma_sums(tables.combined, substituted, budget).reshape(len(samples), deg)
-    lam_big = 1j * kappa * (sub @ (-1.0) ** np.arange(1, deg + 1))
+        substituted += [[nl] + [f] * (deg - 1), [f, nl] + [f] * (deg - 2)]
+    (st, mb), (cm,) = correction_sums(
+        f0, N, s, [(plain, ("sigma_tilde", "mbar")), (substituted, ("combined",))],
+        thresholds, tables=tables, budget=budget)
+    corr = kappa * np.real(w * st)
+    lam_mbar = 1j * w * mb
+    sub = w * cm.reshape(len(samples), 2)
+    lam_big = 1j * kappa * (deg // 2) * (sub[:, 1] - sub[:, 0])
     mbar = kappa * np.real(lam_mbar)
     mbar_big = np.real(lam_big)
     integral = cumulative_simpson(mbar + mbar_big, float(dts[0]))

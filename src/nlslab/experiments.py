@@ -21,8 +21,7 @@ from .census import (VERIFY_CASES, BudgetError, resonance_census_1d,
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
-from .energies import (SIGN, correction_tables, e_i1, energy_identity_residual,
-                       gamma_sums)
+from .energies import SIGN, correction_sums, e_i1, energy_identity_residual
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
 from .smoothing import SmoothingSymbol, apply_I, gwp_budget, total_exponent
@@ -467,13 +466,11 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     weight = SIGN[cfg["sign"]] * g.measure_weight ** (deg - 1)
     rows = []
     for N in cfg["n_grid"]:
-        tabs = correction_tables(traj.samples[0], N, cfg["s"], th,
-                                 dtype=np.float32, which=("sigma_tilde",),
-                                 budget=cfg["budget"])
         e1 = np.array([e_i1(f, N, cfg["s"], cfg["sign"], check=None)
                        for f in traj.samples])
-        corr = np.real(weight * gamma_sums(tabs.sigma_tilde, plain, cfg["budget"]))
-        del tabs
+        sums, = correction_sums(traj.samples[0], N, cfg["s"], [(plain, ("sigma_tilde",))],
+                                th, dtype=np.float32, budget=cfg["budget"])
+        corr = np.real(weight * sums[0])
         e2 = e1 + corr
         sym = SmoothingSymbol(N, 1 - cfg["s"])
         h1_six = norm(apply_I(traj.samples[0], sym), "hs", s=1.0) ** deg

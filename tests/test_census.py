@@ -132,7 +132,9 @@ def reference_census_2d(N_values, kmax, s, th):
             if code != BELOW:
                 row["min_abs_omega"] = float(om[sel].min())
                 if is_nonresonant(code):
-                    claimed = 2.0 * (1 - 1 / th.gap**2) * np.maximum(mags[sel, 1], 1.0) ** 2
+                    # from the integer |k|^2 of the second largest slot
+                    lo_sq = np.maximum(np.sort(sqs[sel], axis=-1)[:, 2], 1.0)
+                    claimed = 2.0 * (1 - 1 / th.gap**2) * lo_sq
                     row["min_omega_ratio"] = float((om[sel] / claimed).min())
                     ratios = M[sel] / om[sel]
                 else:
@@ -166,6 +168,15 @@ def test_2d_census_matches_reference_enumeration(kmax, gap, block, monkeypatch):
             got = rep.classes[code].row(None)
             del got["class"]
             assert got == row, (N, code)
+
+
+def test_2d_attained_claimed_bound_reads_exactly_one():
+    # at kmax 4, gap 4 the claimed bound 2(1 - 1/G^2)|k|^2 of NonResonant
+    # (2d-Atilde) is attained with equality; formed from sqrt(|k|^2)^2 it
+    # rounded above the integer |k|^2 and read as 0.9999999999999998
+    rep = resonance_census_2d([1.0], 4, thresholds=Thresholds(gap=4.0))[1.0]
+    assert rep.classes[NR_2D].min_omega_ratio == 1.0
+    assert rep.violations == 0
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")

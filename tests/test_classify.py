@@ -6,7 +6,7 @@ import pytest
 from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, RES_I, RES_III,
                              ResonanceClassification, Thresholds, classify,
                              classify_batch_1d, classify_batch_2d,
-                             is_nonresonant, is_resonant)
+                             is_nonresonant, is_resonant, verdict_codes)
 from nlslab.multipliers import omega, sohinger_tuple
 
 RNG = np.random.default_rng(5)
@@ -91,6 +91,40 @@ def test_verdict_invariance_under_slot_symmetries():
     # rescaling of the tuples and N is exact in float
     codes_r, _ = classify_batch_1d(tups / 8.0, N=8.0 / 8.0)
     assert np.array_equal(codes, codes_r)
+
+
+def gamma4(count):
+    """Zero-sum 2-D four-slot tuples on an anisotropic lattice: half of them
+    random, half with slots 1, 3 large and nearly opposite (the pair that
+    can dominate), slots 2, 4 small."""
+    free = RNG.integers(-16, 17, size=(count, 3, 2)).astype(float)
+    big = RNG.integers(-24, 25, size=(count, 2)).astype(float)
+    small = RNG.integers(-3, 4, size=(count, 2, 2)).astype(float)
+    paired = np.stack([big, small[:, 0], -(big + small[:, 0] + small[:, 1]),
+                       small[:, 1]], axis=1)
+    tups = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+    return np.concatenate([tups, paired]) / np.array([1.0, 0.75])
+
+
+def test_2d_verdict_invariance_under_slot_symmetries():
+    # the premise of collapsing the substituted Lambda sums: swapping slots
+    # (1 3) or (2 4) never changes a verdict
+    tups = gamma4(3000)
+    codes, _ = classify_batch_2d(tups, N=4.0)
+    assert {BELOW, NR_2D} <= set(np.unique(codes)) and np.any(is_resonant(codes))
+    for perm in ([2, 1, 0, 3], [0, 3, 2, 1], [2, 3, 0, 1]):
+        swapped, _ = classify_batch_2d(tups[:, perm], N=4.0)
+        assert np.array_equal(codes, swapped), perm
+
+
+def test_verdict_codes_equal_batch_codes():
+    th = Thresholds(gap=3.0)
+    for d, tups, batch in ((1, gamma6(5000), classify_batch_1d),
+                           (2, gamma4(3000), classify_batch_2d)):
+        for N in (0.0, 4.0, 16.0):
+            codes, _ = batch(tups, N, th)
+            got = verdict_codes(tups, N, th, d)
+            assert got.dtype == codes.dtype and np.array_equal(got, codes)
 
 
 def test_nonresonant_never_sees_zero_resonance_small_sweep():

@@ -9,10 +9,11 @@ import pytest
 from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant
 from nlslab.dynamics import EvolutionConfig, evolve
 from nlslab import energies
-from nlslab.energies import (_TABLE_TUPLES, ConsistencyError, _Lattice,
-                             correction_tables, cumulative_simpson, e_i1,
-                             energy, energy_identity_residual, gamma_sums,
-                             lambda_eval, mass, modified_energy)
+from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, ConsistencyError,
+                             _Lattice, correction_sums, correction_tables,
+                             cumulative_simpson, e_i1, energy,
+                             energy_identity_residual, gamma_sums, lambda_eval,
+                             mass, modified_energy, nonlinear_coefficient_field)
 from nlslab.geometry import build_geometry, field_from_modes, free_evolve, random_field, zero_field
 from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
@@ -323,6 +324,84 @@ class TestOnLatticeEnumeration:
         for t in (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined):
             flat = t.reshape(-1)
             assert np.all(flat[~on] == 0.0) and np.any(flat[on] != 0.0)
+
+
+WALK_LATTICES = [(1, (), 4, 2.0), (2, (0.75,), (3, 2), 1.5)]
+
+
+class TestCorrectionWalk:
+    @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
+    def test_collapsed_substitution_equals_full_sum(self, d, gamma, cutoff, N):
+        # sigma + sigma~ is symmetric within each slot parity, so the
+        # alternating sum over all deg substituted slots is (deg/2) times
+        # the slot-2 term minus the slot-1 term
+        f = random_field(build_geometry(d, gamma, 1.0), cutoff, RNG)
+        nl = nonlinear_coefficient_field(f)
+        deg = f.geometry.nonlinearity_degree + 1
+        sets = [[nl if i == j else f for i in range(deg)] for j in range(deg)]
+        (full,), = correction_sums(f, N, 0.5, [(sets, ("combined",))])
+        scale = np.max(np.abs(full))
+        assert scale > 0
+        alternating = np.sum(full * (-1.0) ** np.arange(1, deg + 1))
+        assert abs(alternating - (deg // 2) * (full[1] - full[0])) <= 1e-12 * scale
+        assert np.max(np.abs(full[0::2] - full[0])) <= 1e-12 * scale
+        assert np.max(np.abs(full[1::2] - full[1])) <= 1e-12 * scale
+
+    # two rows and five tuples per block cut every sigma group apart and
+    # slice every run; 2^30 holds the whole lattice in one block
+    @pytest.mark.parametrize("rows, tuples", [(2, 5), (1 << 30, 1 << 30)])
+    @pytest.mark.parametrize("d, gamma, cutoff, N", [(1, (), 3, 1.0),
+                                                     (2, (0.75,), (3, 2), 1.5)])
+    def test_streamed_sums_equal_table_path(self, d, gamma, cutoff, N, rows, tuples,
+                                            monkeypatch):
+        g = build_geometry(d, gamma, 1.0)
+        deg = g.nonlinearity_degree + 1
+        fs = [random_field(g, cutoff, RNG) for _ in range(3)]
+        plain = [[f] * deg for f in fs]
+        mixed = [[fs[(i + j) % 3] for i in range(deg)] for j in range(3)]
+        tabs = correction_tables(fs[0], N, 0.5)
+        table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
+        monkeypatch.setattr(energies, "_GROUP_ROWS", rows)
+        monkeypatch.setattr(energies, "_TABLE_TUPLES", tuples)
+        passes = [(plain, ("sigma_tilde", "mbar")), (mixed, ("combined", "sigma_tilde"))]
+        got = correction_sums(fs[0], N, 0.5, passes)
+        monkeypatch.undo()
+        for (sets, names), sums in zip(passes, got):
+            assert sums.shape == (len(names), len(sets))
+            for name, row in zip(names, sums):
+                ref = gamma_sums(table[name], sets)
+                assert np.max(np.abs(ref)) > 0
+                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
+    def test_streamed_values_are_the_table_values(self, d, gamma, cutoff, N, dtype):
+        # same blocks, same values, same products: bit for bit
+        g = build_geometry(d, gamma, 1.0)
+        deg = g.nonlinearity_degree + 1
+        fs = [random_field(g, cutoff, RNG) for _ in range(2)]
+        passes = [([[f] * deg for f in fs], CORRECTION_SYMBOLS)]
+        tabs = correction_tables(fs[0], N, 0.5, dtype=dtype)
+        streamed, = correction_sums(fs[0], N, 0.5, passes, dtype=dtype)
+        gathered, = correction_sums(fs[0], N, 0.5, passes, tables=tabs)
+        assert np.array_equal(streamed, gathered)
+
+    def test_residual_stores_no_table(self, monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("table built")
+
+        g = build_geometry(1)
+        u0 = field_from_modes(g, 4, {-3: 0.5, 1: 0.4j, 2: 0.3})
+        traj = evolve(EvolutionConfig(g, 4, integrator="rk4-galerkin", dt=0.005,
+                                      t_end=0.04, sample_stride=2), u0)
+        ref = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5,
+                                       tables=correction_tables(u0, 2.0, 0.5))
+        monkeypatch.setattr(energies, "correction_tables", no_tables)
+        out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
+        for key in ("correction", "lambda_mbar"):
+            assert np.array_equal(out[key], ref[key])
+        scale = np.max(np.abs(ref["lambda_mbar_big"]))
+        assert np.max(np.abs(out["lambda_mbar_big"] - ref["lambda_mbar_big"])) <= 1e-13 * scale
 
 
 class TestMemoryGuard:

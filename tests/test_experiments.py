@@ -183,6 +183,35 @@ class TestRunners:
         guards = json.loads((tmp_path / "a" / "manifest.json").read_text())["guards"]
         assert code == (0 if guards["monotone"] and guards["corrected_below_raw"] else 2)
 
+    def test_almost_conservation_streamed_matches_table_path(self, tmp_path, monkeypatch):
+        import nlslab.experiments as experiments
+        from nlslab.energies import correction_tables, gamma_sums
+
+        # the former path: a stored float32 sigma~ table per N, then one sum
+        def table_path(template, N, s, passes, thresholds, dtype, budget):
+            (sets, names), = passes
+            tabs = correction_tables(template, N, s, thresholds, dtype=np.float32,
+                                     which=names, budget=budget)
+            return [gamma_sums(tabs.sigma_tilde, sets, budget)[None, :]]
+
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text("kcut = 6\nn_grid = 2,4\nsamples = 4\nt_end = 0.05\n")
+        codes, tables = [], []
+        for name in ("streamed", "table"):
+            if name == "table":
+                monkeypatch.setattr(experiments, "correction_sums", table_path)
+            codes.append(main(["almost-conservation", "--config", str(cfgfile),
+                               "--out", str(tmp_path / name)]))
+            lines = (tmp_path / name / "almost_conservation.csv").read_text().splitlines()
+            tables.append([r.split(",") for r in lines])
+        assert codes[0] == codes[1]
+        streamed, table = tables
+        assert streamed[0] == table[0] and len(streamed) == len(table) == 3
+        for a, b in zip(streamed[1:], table[1:]):
+            assert a[-1] == b[-1]
+            for x, y in zip(map(float, a[:-1]), map(float, b[:-1])):
+                assert abs(x - y) <= 1e-12 * abs(y)
+
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
         cfgfile.write_text("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 5\n")
