@@ -29,7 +29,7 @@ import numpy as np
 from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_TRIPLE, RES_I, RES_II,
                        Thresholds, _cascade_1d, _sort3_abs_desc, classify_batch_1d,
                        classify_batch_2d, code_label, is_nonresonant, is_resonant)
-from .energies import _TABLE_TUPLES, _Lattice
+from .energies import _TABLE_TUPLES, BudgetError, _Lattice
 from .geometry import build_geometry, zero_field
 from .multipliers import bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, m_value
@@ -39,10 +39,6 @@ from .smoothing import SmoothingSymbol, m_value
 _TRIPLE_CHUNK = 48
 # family tuples per classifier block in 1-D bound verification
 _VERIFY_ROWS = 1 << 16
-
-
-class BudgetError(RuntimeError):
-    """The enumeration would exceed the configured tuple budget."""
 
 
 def _m_table(kmax: int, N: float, s: float) -> np.ndarray:
@@ -215,8 +211,7 @@ def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
     of |k|^2 and m^2, summed in slot order.
     """
     lat = _Lattice(zero_field(build_geometry(2, (1.0,), 1.0), kmax), 4)
-    if lat.Q ** 3 > budget:
-        raise BudgetError(f"would enumerate {lat.Q ** 3} tuples > budget {budget}")
+    lat.check_budget(budget)
     G = thresholds.gap
     reports = {float(N): CensusReport(2, float(N), kmax, s, G) for N in N_values}
     sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode

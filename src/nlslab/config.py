@@ -196,9 +196,7 @@ def fmt(value) -> str:
 def write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(fmt(row.get(c)) if isinstance(row, dict)
-                              else fmt(v) for c, v in
-                              ((c, row.get(c)) for c in columns)))
+        lines.append(",".join(fmt(row.get(c)) for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Thresholds, is_nonresonant, is_resonant, verdict_codes
-from .geometry import SpectralField, from_physical, integrate_grid, mass, to_physical
+from .geometry import (SpectralField, from_physical, integrate_grid, mass,
+                       pointwise_product, to_physical)
 from .multipliers import sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
@@ -63,6 +64,10 @@ _TABLE_TUPLES = 1 << 14
 
 class ConsistencyError(RuntimeError):
     """Two independently computed values of the same quantity disagree."""
+
+
+class BudgetError(ValueError):
+    """The enumeration would exceed the configured tuple budget."""
 
 
 def _kappa(sign: str) -> float:
@@ -206,7 +211,7 @@ class _Lattice:
 
     def check_budget(self, budget: int):
         if self.Q ** (self.n - 1) > budget:
-            raise ValueError(f"tuple count {self.Q ** (self.n - 1)} exceeds budget {budget}")
+            raise BudgetError(f"tuple count {self.Q ** (self.n - 1)} exceeds budget {budget}")
 
 
 def _walk(lat: _Lattice, evaluate, passes) -> list:
@@ -267,12 +272,6 @@ def _slot_stack(field_sets) -> list[np.ndarray]:
     return [np.stack(v) for v in zip(*map(slot_vectors, field_sets))]
 
 
-def _table_values(lat: _Lattice, *tables):
-    """Evaluator for ``_walk`` that gathers from tables over slots 1..n-1."""
-    flat = [np.asarray(t).reshape(lat.rows * lat.Q) for t in tables]
-    return lambda pos, idx: [t[pos] for t in flat]
-
-
 def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.ndarray:
     """Constrained Gamma_n sums of symbol * slot values, one per field set.
 
@@ -289,7 +288,8 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     if callable(symbol):
         evaluate = lambda pos, idx: [symbol(lat.physical(idx))]
     else:
-        evaluate = _table_values(lat, symbol)
+        flat = np.asarray(symbol).reshape(lat.rows * lat.Q)
+        evaluate = lambda pos, idx: [flat[pos]]
     return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))])[0][0]
 
 
@@ -324,15 +324,12 @@ def lambda_eval(symbol_values, fields, strategy: str = "direct",
     if strategy == "physical":
         if slot_factors is None:
             raise ValueError("physical strategy needs per-slot factors g_i(k_i)")
-        vals = None
-        oversample = (n + 2) // 2
-        for j, (f, factor) in enumerate(zip(fields, slot_factors)):
+        weighted = []
+        for f, factor in zip(fields, slot_factors):
             grids = f.freq_grids()
             fk = factor(grids[0]) if g.dimension == 1 else factor(np.stack(grids, axis=-1))
-            weighted = f.with_coeffs(fk * f.coeffs)
-            v = to_physical(weighted, oversample)
-            v = np.conj(v) if (j + 1) % 2 == 0 else v
-            vals = v if vals is None else vals * v
+            weighted.append(f.with_coeffs(fk * f.coeffs))
+        vals = pointwise_product(weighted, [(j + 1) % 2 == 0 for j in range(n)])
         return integrate_grid(vals, g)
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -345,7 +342,8 @@ CORRECTION_SYMBOLS = ("sigma_tilde", "mbar", "combined")
 
 @dataclass
 class CorrectionTables:
-    """Precomputed symbol tables over Gamma_deg on a fixed lattice.
+    """Symbol tables over Gamma_deg on a fixed lattice, the reference
+    scatter of what ``correction_sums`` streams.
 
     Tables have shape (points,)*(deg-1) over slots 1..deg-1; entries at
     tuples whose determined last slot falls off the lattice are zero (they
@@ -357,9 +355,9 @@ class CorrectionTables:
     N: float
     s: float
     thresholds: Thresholds
-    sigma_tilde: np.ndarray | None
-    mbar_imag: np.ndarray | None  # Mbar_deg = i * mbar_imag (real table)
-    combined: np.ndarray | None   # sigma_deg + sigma_tilde (real table)
+    sigma_tilde: np.ndarray
+    mbar_imag: np.ndarray  # Mbar_deg = i * mbar_imag (real table)
+    combined: np.ndarray   # sigma_deg + sigma_tilde (real table)
 
 
 def _correction_values(idx, tup, d, deg, slots, thresholds, N):
@@ -412,76 +410,58 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _correction_evaluator(lat: _Lattice, N: float, s: float, thresholds: Thresholds,
-                          dtype=np.float64):
+def _correction_evaluator(lat: _Lattice, N: float, s: float, thresholds: Thresholds):
     """Evaluator for ``_walk`` of sigma~, R and sigma+sigma~ (in that
-    order) on the lattice ``lat`` of Gamma_deg, rounded to ``dtype``."""
+    order) on the lattice ``lat`` of Gamma_deg."""
     sq = np.sum(lat.freqs ** 2, axis=-1)
     m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
     slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
-
-    def evaluate(pos, idx):
-        values = _correction_values(idx, lat.physical(idx), lat.d, lat.n, slots,
-                                    thresholds, N)
-        return [np.asarray(v, dtype=dtype) for v in values]
-    return evaluate
+    return lambda pos, idx: _correction_values(idx, lat.physical(idx), lat.d, lat.n,
+                                               slots, thresholds, N)
 
 
 def correction_tables(template: SpectralField, N: float, s: float,
                       thresholds: Thresholds = Thresholds(),
-                      dtype=np.float64, budget: int = DEFAULT_TUPLE_BUDGET,
-                      which: tuple = ("sigma_tilde", "mbar", "combined")) -> CorrectionTables:
-    """Build sigma~/Mbar/combined tables for the lattice of ``template``.
+                      budget: int = DEFAULT_TUPLE_BUDGET) -> CorrectionTables:
+    """Build the sigma~/Mbar/combined tables for the lattice of ``template``.
 
-    ``which`` selects the tables to materialize (large lattices may only
-    afford the correction table).  The evaluator that ``correction_sums``
-    streams is scattered onto the on-lattice entries; the others stay zero.
-    Raises ValueError, before allocating, when the tables would take more
-    than half of physical memory.
+    A reference for tests: the evaluator that ``correction_sums`` streams is
+    scattered onto the on-lattice entries; the others stay zero.  Raises
+    ValueError, before allocating, when the three float64 tables would take
+    more than half of physical memory.
     """
     g = template.geometry
     deg = g.nonlinearity_degree + 1
     lat = _Lattice(template, deg)
     lat.check_budget(budget)
-    nbytes = sum(name in which for name in CORRECTION_SYMBOLS) \
-        * lat.Q ** (deg - 1) * np.dtype(dtype).itemsize
+    nbytes = len(CORRECTION_SYMBOLS) * lat.Q ** (deg - 1) * np.dtype(np.float64).itemsize
     if nbytes > _physical_memory() // 2:
         raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
                          f"({_physical_memory()} bytes)")
-    evaluate = _correction_evaluator(lat, N, s, thresholds, dtype)
-    tables = [np.zeros(lat.rows * lat.Q, dtype=dtype) if name in which else None
-              for name in CORRECTION_SYMBOLS]
+    evaluate = _correction_evaluator(lat, N, s, thresholds)
+    tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
         for table, vals in zip(tables, evaluate(pos, idx)):
-            if table is not None:
-                table[pos] = vals
-    st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) if t is not None else None
-                  for t in tables)
+            table[pos] = vals
+    st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) for t in tables)
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
 
 
 def correction_sums(template: SpectralField, N: float, s: float, passes,
                     thresholds: Thresholds = Thresholds(),
-                    tables: CorrectionTables | None = None, dtype=np.float64,
                     budget: int = DEFAULT_TUPLE_BUDGET) -> list:
     """Gamma_deg sums of sigma~, R (Mbar = iR) and sigma+sigma~ in one walk
     over the lattice of ``template``, with no stored table.
 
     ``passes`` lists (field_sets, names), the names drawn from
     ``CORRECTION_SYMBOLS``.  Each run of on-lattice tuples is classified
-    once, evaluated by ``_correction_values`` (rounded to ``dtype``, as a
-    table of that dtype would store it), contracted against every pass and
-    dropped.  With ``tables`` the values are gathered from them instead.
-    Returns per pass an array (len(names), sets) of plain sums; the caller
-    applies the measure weight w^(deg-1).
+    once, evaluated by ``_correction_values``, contracted against every
+    pass and dropped.  Returns per pass an array (len(names), sets) of plain
+    sums; the caller applies the measure weight w^(deg-1).
     """
     lat = _Lattice(template, template.geometry.nonlinearity_degree + 1)
     lat.check_budget(budget)
-    if tables is None:
-        evaluate = _correction_evaluator(lat, N, s, thresholds, dtype)
-    else:
-        evaluate = _table_values(lat, tables.sigma_tilde, tables.mbar_imag,
-                                 tables.combined)
+    evaluate = _correction_evaluator(lat, N, s, thresholds)
     return _walk(lat, evaluate, [(_slot_stack([list(fs) for fs in sets]),
                                   tuple(CORRECTION_SYMBOLS.index(nm) for nm in names))
                                  for sets, names in passes])
@@ -530,11 +510,12 @@ def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
 
 
 def modified_energy(f: SpectralField, level: int, N: float, s: float,
-                    sign: str = "defocusing", tables: CorrectionTables | None = None,
+                    sign: str = "defocusing",
                     thresholds: Thresholds = Thresholds(), t: float = 0.0,
                     check: str | None = "direct",
                     budget: int = DEFAULT_TUPLE_BUDGET) -> EnergyReport:
-    """EnergyReport at levels 1 (E(Iu)) or 2 (with the resonant correction)."""
+    """EnergyReport at levels 1 (E(Iu)) or 2 (with the resonant correction,
+    one ``correction_sums`` walk)."""
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
     kappa = _kappa(sign)
@@ -542,11 +523,9 @@ def modified_energy(f: SpectralField, level: int, N: float, s: float,
     correction = 0.0
     if level == 2:
         deg = f.geometry.nonlinearity_degree + 1
-        if tables is None:
-            tables = correction_tables(f, N, s, thresholds, budget=budget,
-                                       which=("sigma_tilde",))
-        val = lambda_eval(tables.sigma_tilde, [f] * deg, "direct", budget=budget)
-        correction = kappa * float(np.real(val))
+        (st,), = correction_sums(f, N, s, [([[f] * deg], ("sigma_tilde",))], thresholds,
+                                 budget=budget)
+        correction = kappa * float(np.real(f.geometry.measure_weight ** (deg - 1) * st[0]))
     return EnergyReport(t=t, mass=mass(f), energy=energy(f, sign), e_i1=base,
                         correction=correction, e_i2=base + correction, sign=sign)
 
@@ -597,7 +576,6 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 def energy_identity_residual(samples, times, N: float, s: float,
                              sign: str = "defocusing",
                              thresholds: Thresholds = Thresholds(),
-                             tables: CorrectionTables | None = None,
                              budget: int = DEFAULT_TUPLE_BUDGET) -> dict:
     """Residual series of the modified-energy identity along a trajectory.
 
@@ -606,8 +584,7 @@ def energy_identity_residual(samples, times, N: float, s: float,
     |Im| of Lambda(Mbar_deg) and Lambda(Mbar_(deg+4)) (both are real in exact
     arithmetic); exactness of the discrete identity makes r vanish at the
     integrator/quadrature order under dt refinement.  Every Lambda term
-    comes from one ``correction_sums`` walk over the lattice (or over
-    ``tables``, when given).
+    comes from one ``correction_sums`` walk over the lattice.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -633,7 +610,7 @@ def energy_identity_residual(samples, times, N: float, s: float,
         substituted += [[nl] + [f] * (deg - 1), [f, nl] + [f] * (deg - 2)]
     (st, mb), (cm,) = correction_sums(
         f0, N, s, [(plain, ("sigma_tilde", "mbar")), (substituted, ("combined",))],
-        thresholds, tables=tables, budget=budget)
+        thresholds, budget=budget)
     corr = kappa * np.real(w * st)
     lam_mbar = 1j * w * mb
     sub = w * cm.reshape(len(samples), 2)

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .census import (VERIFY_CASES, BudgetError, resonance_census_1d,
-                     resonance_census_2d, sohinger_presence,
-                     verify_multiplier_bounds)
+from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
+                     sohinger_presence, verify_multiplier_bounds)
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
@@ -316,21 +315,10 @@ def run_census(cfg: dict, out_dir: Path) -> int:
     rows = []
     violations = 0
     witness = None
+    census = resonance_census_1d if cfg["d"] == 1 else resonance_census_2d
     for th in th_grid:
-        try:
-            if cfg["d"] == 1:
-                reports = resonance_census_1d(cfg["n_grid"], cfg["kmax"],
-                                              s=cfg["s"], thresholds=th,
-                                              budget=cfg["budget"])
-            else:
-                reports = resonance_census_2d(cfg["n_grid"], cfg["kmax"],
-                                              s=cfg["s"], thresholds=th,
-                                              budget=cfg["budget"])
-        except BudgetError as err:
-            _summary(out_dir, [f"budget exceeded: {err}"])
-            write_manifest(out_dir, "census", cfg, {"seed": cfg["seed"]},
-                           {"budget_exceeded": str(err)})
-            return 2
+        reports = census(cfg["n_grid"], cfg["kmax"], s=cfg["s"], thresholds=th,
+                         budget=cfg["budget"])
         for N, rep in sorted(reports.items()):
             fams = rep.counts_by_family()
             for row in rep.rows():
@@ -469,7 +457,7 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
         e1 = np.array([e_i1(f, N, cfg["s"], cfg["sign"], check=None)
                        for f in traj.samples])
         sums, = correction_sums(traj.samples[0], N, cfg["s"], [(plain, ("sigma_tilde",))],
-                                th, dtype=np.float32, budget=cfg["budget"])
+                                th, budget=cfg["budget"])
         corr = np.real(weight * sums[0])
         e2 = e1 + corr
         sym = SmoothingSymbol(N, 1 - cfg["s"])

@@ -1,7 +1,10 @@
-"""The benchmark's span hooks name functions that exist in ``nlslab``.
+"""The benchmark's span hooks name functions that exist in ``nlslab``, and
+its counters read the results those functions return.
 
 ``nlsbench/spans.py`` looks every hooked (module, function) up with
-``getattr`` when a traced run starts, so a renamed or deleted function breaks
+``getattr`` when a traced run starts, and its counters read attributes and
+return shapes of the hooked calls, so a renamed function, a renamed
+``CorrectionTables`` attribute or a changed return shape breaks
 ``nlsbench/run.py --trace 1``.  This test only reads ``nlsbench/``.
 """
 
@@ -10,15 +13,28 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from nlslab import census, energies
+from nlslab.geometry import build_geometry, random_field
+
+# the package exports the function ``classify`` under the module's name
+classify = importlib.import_module("nlslab.classify")
 SPANS = Path(__file__).resolve().parents[1] / "nlsbench" / "spans.py"
 
 
-def test_every_hooked_function_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("_nlsbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hooked_function_resolves(spans):
     hooks = spans.hooks(spans.Tracer())
     assert hooks
     missing = [(module, name) for module, name, _, _ in hooks
@@ -26,3 +42,49 @@ def test_every_hooked_function_resolves(monkeypatch):
     assert missing == []
     boxes = importlib.import_module("nlslab.boxes")
     assert callable(boxes.BoxExpansion.reconstruct)
+
+
+def _on_lattice(field, n):
+    return sum(len(pos) for pos, _ in energies._Lattice(field, n).on_lattice(1 << 14))
+
+
+def test_counters_read_real_results(spans):
+    # each counter runs on the result of a real call at a tiny size, through
+    # the wrappers that a traced benchmark run installs
+    rng = np.random.default_rng(3)
+    f1 = random_field(build_geometry(1), 2, rng)
+    f2 = random_field(build_geometry(2, (0.75,), 1.0), (2, 1), rng)
+    ones = lambda tup: np.ones(len(tup))
+    tracer = spans.Tracer()
+    patched = spans.install(tracer)
+    try:
+        tabs = energies.correction_tables(f1, 1.0, 0.5)
+        energies.gamma_sum_1d([f1] * 6, ones)
+        energies.gamma_sum_2d([f2] * 4, ones)
+        classify.classify_batch_1d(np.array([[5, -3, 6, -2, 1, -7]] * 3, dtype=float), 2.0)
+        total_1d = census.resonance_census_1d([2.0], kmax=2)[2.0].total
+        total_2d = census.resonance_census_2d([1.0], kmax=1)[1.0].total
+    finally:
+        spans.uninstall(patched)
+    assert not hasattr(energies.correction_tables, "__wrapped__")
+
+    named = lambda name: [s for s in tracer.spans if s.name == name]
+    (tables,) = named("correction_tables")
+    assert tables.attrs == {"tuples": 5 ** 5, "valid": _on_lattice(f1, 6),
+                            "bytes": 3 * tabs.sigma_tilde.nbytes}
+    (g1,), (g2,) = named("gamma_sum_1d"), named("gamma_sum_2d")
+    assert g1.attrs == {"tuples": 5 ** 5, "valid": _on_lattice(f1, 6)}
+    assert g2.attrs == {"tuples": 15 ** 3, "valid": _on_lattice(f2, 4)}
+    assert [s.attrs for s in named("classify_batch_1d")] == [{"tuples": 3}]
+    # the 2-D census classifies each of its tuples once
+    assert sum(s.attrs["tuples"] for s in named("classify_batch_2d")) == total_2d
+    assert [s.attrs for s in named("resonance_census_1d") + named("resonance_census_2d")] \
+        == [{"tuples": total_1d}, {"tuples": total_2d}]
+
+    metrics = spans.pass_metrics(tracer.spans, wall_s=1.0)
+    assert metrics["energies.table_builds"] == 1
+    assert metrics["energies.table_bytes"] == 3 * 5 ** 5 * 8
+    assert metrics["energies.lambda_passes"] == 2
+    assert metrics["energies.lambda_tuples"] == 5 ** 5 + 15 ** 3
+    assert metrics["classify.tuples"] == 3 + total_2d
+    assert metrics["census.tuples"] == total_1d + total_2d > 0

@@ -373,18 +373,35 @@ class TestCorrectionWalk:
                 assert np.max(np.abs(ref)) > 0
                 assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
-    def test_streamed_values_are_the_table_values(self, d, gamma, cutoff, N, dtype):
+    def test_streamed_values_are_the_table_values(self, d, gamma, cutoff, N):
         # same blocks, same values, same products: bit for bit
         g = build_geometry(d, gamma, 1.0)
         deg = g.nonlinearity_degree + 1
         fs = [random_field(g, cutoff, RNG) for _ in range(2)]
-        passes = [([[f] * deg for f in fs], CORRECTION_SYMBOLS)]
-        tabs = correction_tables(fs[0], N, 0.5, dtype=dtype)
-        streamed, = correction_sums(fs[0], N, 0.5, passes, dtype=dtype)
-        gathered, = correction_sums(fs[0], N, 0.5, passes, tables=tabs)
-        assert np.array_equal(streamed, gathered)
+        sets = [[f] * deg for f in fs]
+        tabs = correction_tables(fs[0], N, 0.5)
+        streamed, = correction_sums(fs[0], N, 0.5, [(sets, CORRECTION_SYMBOLS)])
+        for name, table, row in zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag,
+                                                         tabs.combined), streamed):
+            assert np.array_equal(row, gamma_sums(table, sets)), name
+
+    @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
+    def test_modified_energy_is_one_walk(self, d, gamma, cutoff, N, monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("table built")
+
+        f = random_field(build_geometry(d, gamma, 1.0), cutoff, RNG)
+        deg = f.geometry.nonlinearity_degree + 1
+        sigma_tilde = correction_tables(f, N, 0.5).sigma_tilde
+        lam = np.real(f.geometry.measure_weight ** (deg - 1)
+                      * gamma_sums(sigma_tilde, [[f] * deg])[0])
+        assert lam != 0.0
+        monkeypatch.setattr(energies, "correction_tables", no_tables)
+        for sign, kappa in (("defocusing", 1.0), ("focusing", -1.0)):
+            rep = modified_energy(f, level=2, N=N, s=0.5, sign=sign, check=None)
+            assert abs(rep.correction - kappa * lam) <= 1e-13 * abs(lam)
+            assert rep.e_i2 == rep.e_i1 + rep.correction
 
     def test_residual_stores_no_table(self, monkeypatch):
         def no_tables(*args, **kwargs):
@@ -394,8 +411,17 @@ class TestCorrectionWalk:
         u0 = field_from_modes(g, 4, {-3: 0.5, 1: 0.4j, 2: 0.3})
         traj = evolve(EvolutionConfig(g, 4, integrator="rk4-galerkin", dt=0.005,
                                       t_end=0.04, sample_stride=2), u0)
-        ref = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5,
-                                       tables=correction_tables(u0, 2.0, 0.5))
+        # reference: the same Lambda terms gathered from the stored tables
+        # (defocusing, kappa = 1)
+        tabs = correction_tables(u0, 2.0, 0.5)
+        w = g.measure_weight ** 5
+        plain = [[f] * 6 for f in traj.samples]
+        slot1, slot2 = ([[nonlinear_coefficient_field(f) if i == j else f for i in range(6)]
+                         for f in traj.samples] for j in (0, 1))
+        ref = {"correction": np.real(w * gamma_sums(tabs.sigma_tilde, plain)),
+               "lambda_mbar": np.real(1j * w * gamma_sums(tabs.mbar_imag, plain)),
+               "lambda_mbar_big": np.real(3j * (w * gamma_sums(tabs.combined, slot2)
+                                                - w * gamma_sums(tabs.combined, slot1)))}
         monkeypatch.setattr(energies, "correction_tables", no_tables)
         out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
         for key in ("correction", "lambda_mbar"):
@@ -407,16 +433,12 @@ class TestCorrectionWalk:
 class TestMemoryGuard:
     def test_tables_past_half_of_memory_refused(self, monkeypatch):
         field = zero_field(build_geometry(1), 3)
-        one_table = 7 ** 5 * np.dtype(np.float32).itemsize
-        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * one_table)
-        correction_tables(field, 1.0, 0.5, dtype=np.float32, which=("sigma_tilde",))
+        tables = 3 * 7 ** 5 * np.dtype(np.float64).itemsize
+        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * tables)
+        correction_tables(field, 1.0, 0.5)
+        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * tables - 1)
         with pytest.raises(ValueError, match="physical memory"):
-            correction_tables(field, 1.0, 0.5, dtype=np.float32)
-        with pytest.raises(ValueError, match="physical memory"):
-            correction_tables(field, 1.0, 0.5, which=("sigma_tilde",))
-        monkeypatch.setattr(energies, "_physical_memory", lambda: 2 * one_table - 1)
-        with pytest.raises(ValueError, match="physical memory"):
-            correction_tables(field, 1.0, 0.5, dtype=np.float32, which=("sigma_tilde",))
+            correction_tables(field, 1.0, 0.5)
 
     def test_refused_before_enumerating(self, monkeypatch):
         def no_enumeration(self, max_tuples):
@@ -466,14 +488,12 @@ class TestResidual:
         modes = {int(n): 0.5 * (rng.standard_normal() + 1j * rng.standard_normal())
                  for n in (-4, -2, 0, 1, 3)}
         u0 = field_from_modes(g, K, modes)
-        tabs = correction_tables(u0, N=2.0, s=0.5)
         prev = None
         for n_steps in (20, 40, 80):
             cfg = EvolutionConfig(g, K, integrator="rk4-galerkin",
                                   dt=0.08 / n_steps, t_end=0.08, sample_stride=4)
             traj = evolve(cfg, u0)
-            out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5,
-                                           tables=tabs)
+            out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
             r = abs(out["residual"][-1])
             if prev is not None:
                 assert prev / max(r, 1e-300) >= 3.5

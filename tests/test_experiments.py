@@ -187,11 +187,10 @@ class TestRunners:
         import nlslab.experiments as experiments
         from nlslab.energies import correction_tables, gamma_sums
 
-        # the former path: a stored float32 sigma~ table per N, then one sum
-        def table_path(template, N, s, passes, thresholds, dtype, budget):
-            (sets, names), = passes
-            tabs = correction_tables(template, N, s, thresholds, dtype=np.float32,
-                                     which=names, budget=budget)
+        # reference: a stored float64 sigma~ table per N, then one sum
+        def table_path(template, N, s, passes, thresholds, budget):
+            (sets, _), = passes
+            tabs = correction_tables(template, N, s, thresholds, budget=budget)
             return [gamma_sums(tabs.sigma_tilde, sets, budget)[None, :]]
 
         cfgfile = tmp_path / "a.cfg"
@@ -248,6 +247,20 @@ class TestRunners:
         assert code == 0
         assert (tmp_path / "env_dir" / "budget.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("census", "kmax = 8\n"),
+        ("census", "d = 2\nkmax = 3\n"),
+        ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                         "energy.n_cut = 2\ndata.modes = 4\n"),
+    ], ids=["census-1d", "census-2d", "energy-track"])
+    def test_budget_refusal_exits_one(self, command, text, tmp_path):
+        # a lattice over the tuple budget is refused alike everywhere: exit 1,
+        # no run directory
+        cfgfile = tmp_path / "b.cfg"
+        cfgfile.write_text(text + "budget = 1000\n")
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
 
     def test_bad_config_exit_one(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
