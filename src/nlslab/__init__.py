@@ -10,7 +10,7 @@ from .smoothing import (ScalingPlan, SmoothingSymbol, apply_I, gwp_budget,
                         gwp_threshold, m_value, rescale, symbol_self_check,
                         total_exponent)
 from .multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m6,
-                          m_multiplier_symbol, omega, omega_symbol, sigma_product,
+                          m_multiplier_symbol, omega, sigma_product,
                           sigma_symbol, sohinger_tuple, x_substitute)
 from .classify import (ResonanceClassification, Thresholds, classify,
                        classify_batch_1d, classify_batch_2d)

@@ -13,11 +13,12 @@ cascade (so the census and ``classify_batch_1d`` cannot drift apart); 2-D
 tuples come from the Gamma_n lattice enumerator of ``energies``.  Both
 dimensions fold their blocks into the same class accumulator.
 
-Bound verification enumerates structured families tailored to each kept
-region (near-collision pairs, paired quadruples, comparable shells) plus a
-strided background sweep, and reports the supremum of |multiplier| / bound
-with its witness; `<n>` denotes max(n, 1) so degenerate zero slots use the
-unit shell.
+Bound verification enumerates structured 1-D families tailored to each
+kept region (near-collision pairs, paired quadruples, comparable shells)
+plus a random background, or draws random zero-sum tuples (the sigma and
+2-D cases), classifies them in blocks and reports the supremum of
+|multiplier| / bound with its witness; `<n>` denotes max(n, 1) so
+degenerate zero slots use the unit shell.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .smoothing import SmoothingSymbol, m_value
 
 # odd triples per 1-D census block
 _TRIPLE_CHUNK = 48
-# family tuples per classifier block in 1-D bound verification
+# tuples per classifier block in bound verification
 _VERIFY_ROWS = 1 << 16
 
 
@@ -126,8 +127,8 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
         raise BudgetError(f"would enumerate {total_raw} tuples > budget {budget}")
     reports = {float(N): CensusReport(1, float(N), kmax, s, thresholds.gap)
                for N in N_values}
-    msq = {N: _m_table(kmax, N, s) ** 2 for N in reports}
-    mtab = {N: _m_table(6 * kmax + 1, N, s) for N in reports}
+    mtab = {N: _m_table(kmax, N, s) for N in reports}
+    msq = {N: m ** 2 for N, m in mtab.items()}
 
     odd, weight = _odd_triples(kmax)
     o_sum = odd.sum(axis=1)
@@ -319,15 +320,19 @@ class BoundReport:
     witness: tuple = ()
     empty: bool = False
 
-    def row(self):
-        return {
-            "class": f"case-{self.case}",
-            "count": self.count,
-            "min_abs_omega": None,
-            "min_omega_ratio": None,
-            "max_ratio": self.sup_ratio,
-            "witness_tuple": list(self.witness),
-        }
+
+# drawn cases: (draws, slots n, dimension d)
+_DRAWS = {"sigma6": (20000, 6, 1), "sigma4": (20000, 4, 2),
+          "2d-resonant": (400000, 4, 2), "2d-nonresonant": (400000, 4, 2)}
+
+
+def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
+    """``count`` uniform draws of slots 1..n-1 in [-kmax, kmax]^d, closed to
+    zero-sum n-tuples by slot n; draws whose slot n leaves the box are
+    dropped.  Integer rows of shape (n,) in 1-D and (n, d) otherwise."""
+    free = rng.integers(-kmax, kmax + 1, size=(count, n - 1) + ((d,) if d > 1 else ()))
+    tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+    return tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax]
 
 
 def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.ndarray:
@@ -367,10 +372,7 @@ def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.nda
                 tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
                 out.append(tup[np.max(np.abs(tup), axis=1) <= kmax])
     # background: random zero-sum tuples over the box (deterministic seed)
-    free = rng.integers(-kmax, kmax + 1, size=(200000, 5))
-    last = -free.sum(axis=1, keepdims=True)
-    tup = np.concatenate([free, last], axis=1)
-    out.append(tup[np.abs(tup[:, 5]) <= kmax])
+    out.append(_zero_sum_draws(rng, kmax, 200000, 6, 1))
     return _unique_rows(out, kmax)
 
 
@@ -417,78 +419,59 @@ def _unique_rows(blocks: list, kmax: int) -> np.ndarray:
 def verify_multiplier_bounds(case: str, N: float, kmax: int, s: float = 0.5,
                              thresholds: Thresholds = Thresholds(),
                              seed: int = 0) -> BoundReport:
-    """Supremum of |multiplier| / claimed bound over the enumerated region."""
+    """Supremum of |multiplier| / claimed bound over the case's tuples.
+
+    Cases i-iv and nonresonant enumerate their 1-D families; sigma6, sigma4
+    and the 2-D cases draw zero-sum tuples (``_DRAWS``).  Either set is
+    classified in blocks of ``_VERIFY_ROWS`` rows, which bounds the
+    classifier's temporaries; count, supremum and the first maximizing
+    witness carry across blocks exactly as in one pass over all rows.
+    Witnesses are ints for the families, floats for the drawn tuples.
+    """
     if case not in VERIFY_CASES:
         raise ValueError(f"case {case!r} not one of {VERIFY_CASES}")
-    gap = thresholds.gap
-    rep = BoundReport(case, N, kmax, s, gap)
+    rep = BoundReport(case, N, kmax, s, thresholds.gap)
     rng = np.random.default_rng(seed)
     sym = SmoothingSymbol(N, 1.0 - s)
-
-    if case in ("sigma6", "sigma4"):
-        n = 6 if case == "sigma6" else 4
-        d = 1 if case == "sigma6" else 2
-        if d == 1:
-            free = rng.integers(-kmax, kmax + 1, size=(20000, n - 1))
-            tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-            tup = tup[np.abs(tup[:, -1]) <= kmax].astype(float)
-        else:
-            free = rng.integers(-kmax, kmax + 1, size=(20000, n - 1, 2))
-            tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-            tup = tup[np.max(np.abs(tup[:, -1]), axis=-1) <= kmax].astype(float)
-        vals = sigma_product(tup, sym, d)
-        rep.count = len(tup)
-        rep.sup_ratio = float(np.max(vals))
-        rep.witness = tuple(tup[int(np.argmax(vals))].ravel())
-        return rep
-
-    if case.startswith("2d"):
-        free = rng.integers(-kmax, kmax + 1, size=(400000, 3, 2))
-        tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        tup = tup[np.max(np.abs(tup[:, -1]), axis=-1) <= kmax].astype(float)
-        codes, info = classify_batch_2d(tup, N, thresholds)
-        M = np.abs(bare_m6(tup, sym, 2))
-        om = np.abs(omega(tup, 2))
-        mags = np.sort(info["mags"], axis=-1)[..., ::-1]
-        if case == "2d-resonant":
-            sel = is_resonant(codes)
-            n1 = mags[sel][..., 0]
-            n3 = np.maximum(mags[sel][..., 2], 1.0)
-            bound = m_value(n1, sym) * n1 * m_value(n3, sym) * n3
-            ratios = M[sel] / bound
-        else:
-            sel = is_nonresonant(codes)
-            ratios = M[sel] / om[sel]
-        rep.count = int(sel.sum())
-        rep.empty = rep.count == 0
-        if rep.count:
-            rep.sup_ratio = float(ratios.max())
-            rep.witness = tuple(tup[sel][int(ratios.argmax())].ravel())
-        return rep
-
-    # classified in blocks of _VERIFY_ROWS family tuples, which bounds the
-    # classifier's temporaries; count, supremum and the first maximizing
-    # witness carry across blocks exactly as in one pass over all rows
-    tup = _family_tuples_1d(case, N, kmax, gap, rng)
+    if case in _DRAWS:
+        count, n, d = _DRAWS[case]
+        tup, kind = _zero_sum_draws(rng, kmax, count, n, d).astype(float), float
+    else:
+        tup, d, kind = _family_tuples_1d(case, N, kmax, thresholds.gap, rng), 1, int
     for start in range(0, len(tup), _VERIFY_ROWS):
         block = tup[start:start + _VERIFY_ROWS]
-        sel, ratios = _kept_ratios_1d(case, block, N, gap, sym, thresholds)
+        sel, ratios = _kept_ratios(case, block, d, sym, thresholds)
         if not len(ratios):
             continue
         i = int(np.argmax(ratios))
         if rep.count == 0 or ratios[i] > rep.sup_ratio:
             rep.sup_ratio = float(ratios[i])
-            rep.witness = tuple(int(x) for x in block[sel][i])
+            rep.witness = tuple(kind(x) for x in block[sel][i].ravel())
         rep.count += len(ratios)
     rep.empty = rep.count == 0
     return rep
 
 
-def _kept_ratios_1d(case: str, tup: np.ndarray, N: float, gap: float,
-                    sym: SmoothingSymbol, thresholds: Thresholds):
+def _kept_ratios(case: str, tup: np.ndarray, d: int, sym: SmoothingSymbol,
+                 thresholds: Thresholds):
     """Rows of ``tup`` in the case's kept region, and |multiplier| / bound on
-    those rows."""
-    codes, info = classify_batch_1d(tup, N, thresholds)
+    those rows.  The sigma cases keep every row and bound the product by 1."""
+    if case.startswith("sigma"):
+        return np.ones(len(tup), dtype=bool), sigma_product(tup, sym, d)
+    if d == 2:
+        codes, info = classify_batch_2d(tup, sym.N, thresholds)
+        M = np.abs(bare_m6(tup, sym, 2))
+        if case == "2d-nonresonant":
+            sel = is_nonresonant(codes)
+            return sel, M[sel] / np.abs(omega(tup[sel], 2))
+        sel = is_resonant(codes)
+        mags = np.sort(info["mags"][sel], axis=-1)[..., ::-1]
+        n1 = mags[..., 0]
+        n3 = np.maximum(mags[..., 2], 1.0)
+        return sel, M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)
+
+    gap = thresholds.gap
+    codes, info = classify_batch_1d(tup, sym.N, thresholds)
     mags = info["mags"]
     om = info["abs_omega"]
     M = np.abs(bare_m6(tup, sym))

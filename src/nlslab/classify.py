@@ -314,6 +314,8 @@ def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
             "gap": thresholds.gap,
         }
         if code == NR_2D:
-            lo = max(info["odd_pair"][1][0], info["even_pair"][1][0])
-            witness["omega_lower_bound"] = float(2 * (1 - 1 / thresholds.gap**2) * lo**2)
+            # |k|^2 of the second largest slot, taken directly: the square of
+            # its rounded magnitude can land above an attained bound
+            lo_sq = np.sort(np.sum(arr**2, axis=-1))[-2]
+            witness["omega_lower_bound"] = float(2 * (1 - 1 / thresholds.gap**2) * lo_sq)
     return ResonanceClassification(code, code_label(code), witness)

@@ -14,6 +14,8 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 
@@ -98,9 +100,9 @@ GLOBAL_FIELDS = {
     "seed": Field(int, 0, "base RNG seed"),
     "threads": Field(int, 1, "worker threads for independent grid points "
                      "(strichartz only; 1 elsewhere)"),
-    "gap_factor": Field(float, 4.0, "comparator gap G"),
-    "budget": Field(int, 10 ** 9, "tuple enumeration guard"),
 }
+GAP_FACTOR = Field(float, 4.0, "comparator gap G")
+BUDGET = Field(int, 10 ** 9, "tuple enumeration guard")
 
 SCHEMAS = {
     "simulate": {
@@ -119,6 +121,7 @@ SCHEMAS = {
         "data.kind": Field(str, "hs_random"), "data.s": Field(float, 0.5),
         "data.mass": Field(float, 0.01), "data.modes": Field(int, 6),
         "energy.n_cut": Field(float, 4.0), "energy.s": Field(float, 0.5),
+        "gap_factor": GAP_FACTOR, "budget": BUDGET,
     },
     "strichartz": {
         "n_freq": Field(float, 256.0), "lambda": Field(float, 64.0),
@@ -126,8 +129,10 @@ SCHEMAS = {
     },
     "census": {
         "d": Field(int, 1), "n_grid": Field("float-list", [4.0, 8.0]),
-        "kmax": Field(int, 8), "s": Field(float, 0.5),
-        "gap_grid": Field("float-list", [4.0]),
+        "kmax": Field(int, 8),
+        "s": Field(float, 0.0, "smoothing order; 0 takes the dimension's "
+                   "default, 0.5 in 1-D and 0.6 in 2-D"),
+        "gap_grid": Field("float-list", [4.0]), "budget": BUDGET,
     },
     "verify": {
         "cases": Field(str, "i,ii,iii,iv,nonresonant,sigma6"),
@@ -147,6 +152,7 @@ SCHEMAS = {
         "s": Field(float, 0.5), "sign": Field(str, "defocusing"),
         "mass": Field(float, 0.25), "dt": Field(float, 0.0),
         "t_end": Field(float, 0.5), "samples": Field(int, 20),
+        "gap_factor": GAP_FACTOR, "budget": BUDGET,
     },
 }
 
@@ -181,7 +187,10 @@ def resolve_out_dir(flag_value) -> Path:
 
 
 def fmt(value) -> str:
-    """Deterministic CSV cell formatting (shortest round-trip float form)."""
+    """Deterministic CSV cell formatting (shortest round-trip float form);
+    a numpy scalar formats as the Python scalar it holds."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -10,6 +10,7 @@ rows they affect.
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
-from .energies import SIGN, correction_sums, e_i1, energy_identity_residual
+from .energies import (SIGN, _Lattice, correction_sums, e_i1,
+                       energy_identity_residual)
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
 from .smoothing import SmoothingSymbol, apply_I, gwp_budget, total_exponent
@@ -117,6 +119,8 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     else:
         u0 = initial_data(g, cfg["kcut"], kind=cfg["data.kind"], rng=rng,
                           s=cfg["data.s"], mass_target=cfg["data.mass"])
+    # refuse an over-budget Gamma_deg lattice before integrating
+    _Lattice(u0, g.nonlinearity_degree + 1).check_budget(cfg["budget"])
     dt = cfg["dt"] or None
     evo = EvolutionConfig(g, cfg["kcut"], sign=cfg["sign"],
                           integrator=cfg["integrator"], dt=dt,
@@ -316,6 +320,8 @@ def run_census(cfg: dict, out_dir: Path) -> int:
     violations = 0
     witness = None
     census = resonance_census_1d if cfg["d"] == 1 else resonance_census_2d
+    if not cfg["s"]:  # 0: the census's own default for the dimension
+        cfg = dict(cfg, s=inspect.signature(census).parameters["s"].default)
     for th in th_grid:
         reports = census(cfg["n_grid"], cfg["kmax"], s=cfg["s"], thresholds=th,
                          budget=cfg["budget"])
@@ -440,6 +446,8 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     u0 = initial_data(g, cfg["kcut"], kind="hs_random", rng=rng,
                       s=cfg["s"], mass_target=cfg["mass"])
+    # refuse an over-budget Gamma_deg lattice before integrating
+    _Lattice(u0, g.nonlinearity_degree + 1).check_budget(cfg["budget"])
     from .dynamics import default_dt
     dt = cfg["dt"] or default_dt(u0)
     steps = max(1, int(round(cfg["t_end"] / dt)))

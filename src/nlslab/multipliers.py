@@ -160,14 +160,6 @@ def slot_sq(k, d: int) -> np.ndarray:
     return arr**2 if d == 1 else np.sum(arr**2, axis=-1)
 
 
-def omega_symbol(n: int, d: int = 1) -> SymbolSpec:
-    signs = _alt_signs(n)
-    terms = tuple(
-        (lambda s: (lambda k: s * slot_sq(k, d)))(signs[i]) for i in range(n)
-    )
-    return SymbolSpec(f"Omega{n}", n, d, lambda k: omega(k, d), "sum", terms)
-
-
 def m_multiplier_symbol(n: int, sym: SmoothingSymbol, d: int = 1) -> SymbolSpec:
     signs = _alt_signs(n)
 

@@ -274,16 +274,18 @@ class TestVerify:
         assert res.count > 0 and non.count > 0
         assert non.sup_ratio <= 1.5
 
-    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv", "nonresonant"])
+    @pytest.mark.parametrize("case", census.VERIFY_CASES)
     def test_chunked_equals_one_shot(self, case, monkeypatch):
-        family = census._family_tuples_1d
+        # 3000 of the case's tuples, so that 7-row blocks stay fast
+        name = "_zero_sum_draws" if case in census._DRAWS else "_family_tuples_1d"
+        tuples = getattr(census, name)
 
         def subset(*args):
-            rows = family(*args)
+            rows = tuples(*args)
             keep = np.random.default_rng(2).choice(len(rows), 3000, replace=False)
             return rows[np.sort(keep)]
 
-        monkeypatch.setattr(census, "_family_tuples_1d", subset)
+        monkeypatch.setattr(census, name, subset)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 1 << 30)
         whole = verify_multiplier_bounds(case, N=4.0, kmax=10, s=0.5)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 7)

@@ -151,6 +151,15 @@ class Test2d:
         om = abs(omega(np.array(t), d=2))
         assert om >= v.witness["omega_lower_bound"] > 0
 
+    def test_attained_bound_reads_exactly(self):
+        # |Omega| = 60 = 2(1 - 1/16)|k2|^2 with |k2|^2 = 32: the bound is
+        # attained, so it must not read above |Omega|
+        t = ((-4, -4), (-1, -1), (4, 4), (1, 1))
+        v = classify(t, 1.0, Thresholds(4.0), d=2)
+        assert v.code == NR_2D
+        assert abs(omega(np.array(t, dtype=float), d=2)) == 60.0
+        assert v.witness["omega_lower_bound"] == 60.0
+
     def test_mixed_pair_is_resonant(self):
         t = ((16.0, 0.0), (-16.0, -1.0), (1.0, 1.0), (-1.0, 0.0))
         v = classify(t, N=4.0, d=2)

@@ -1,6 +1,7 @@
 """Config parsing, run directories, determinism, and the CLI surface."""
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -78,7 +79,19 @@ class TestConfig:
         assert cfg["n_grid"] == [4.0, 8.0]
         assert cfg["kmax"] == 6
         assert cfg["seed"] == 0
-        assert cfg["gap_factor"] == 4.0
+        assert "gap_factor" not in cfg
+        assert validate("energy-track", {})["gap_factor"] == 4.0
+
+    def test_every_key_is_read_by_its_runner(self):
+        # a key that no runner reads would be accepted and silently ignored
+        from nlslab import config, experiments
+        from nlslab.cli import RUNNERS
+
+        shared = inspect.getsource(experiments._geometry)
+        for command, schema in config.SCHEMAS.items():
+            source = inspect.getsource(RUNNERS[command]) + shared
+            for key in set(schema) | set(config.GLOBAL_FIELDS) - {"seed", "threads"}:
+                assert f'cfg["{key}"]' in source, (command, key)
 
     def test_hash_stable(self):
         cfg = validate("budget", {"d": 1})
@@ -89,6 +102,11 @@ class TestConfig:
         assert float(fmt(1.0 / 3.0)) == 1.0 / 3.0
         assert fmt(None) == ""
         assert fmt([1, 2.5]) == "(1 2.5)"
+        # numpy scalars format as the Python scalars they hold
+        assert fmt(np.float64(0.1)) == "0.1"
+        assert fmt(np.True_) == "true"
+        assert fmt(np.int64(3)) == "3"
+        assert fmt((np.float64(3.0), np.float64(-1.0))) == "(3.0 -1.0)"
 
 
 class TestRunners:
@@ -97,8 +115,14 @@ class TestRunners:
         assert code == 0
         man = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert abs(man["guards"]["zero_crossing"] - 1.0 / 3.0) < 1e-12
-        assert (tmp_path / "b" / "budget.csv").exists()
         assert (tmp_path / "b" / "summary.txt").exists()
+        # the default s grid holds numpy floats; the cells are plain numbers
+        rows = [r.split(",") for r in
+                (tmp_path / "b" / "budget.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        for r in rows:
+            np.array(r[:-1], dtype=float)  # raises on a cell like np.float64(0.2)
+            assert r[-1] in ("true", "false")
 
     def test_census_run_and_exit_code(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
@@ -116,6 +140,32 @@ class TestRunners:
         body = (tmp_path / "v" / "verify.csv").read_bytes()
         assert hashlib.sha256(body).hexdigest() == (
             "aa71fffaf0961349a1055309af9a329c34bd6588a80aa63f7840270798f9e000")
+
+    def test_verify_all_cases_pinned(self, tmp_path):
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text("cases = i,ii,iii,iv,nonresonant,sigma6,2d-resonant,"
+                           "2d-nonresonant,sigma4\nn_grid = 4\ngap_grid = 4\n"
+                           "kmax_per_n = 2\n")
+        code = main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")])
+        assert code == 0
+        body = (tmp_path / "v" / "verify.csv").read_bytes()
+        rows = [r.split(",") for r in body.decode().splitlines()[1:]]
+        assert len(rows) == 9 and all(all(r[:7]) for r in rows)  # only flags empty
+        assert hashlib.sha256(body).hexdigest() == (
+            "92f185ee78416233422d323d92ef9d633615355ecff741839c6b8771a337109c")
+
+    def test_census_2d_default_s(self, tmp_path):
+        # an unset s is the dimension's own default: 0.6 in 2-D
+        digests = []
+        for name, text in (("default", ""), ("explicit", "s = 0.6\n")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text("d = 2\nkmax = 3\nn_grid = 2\n" + text)
+            out = tmp_path / name
+            assert main(["census", "--config", str(cfgfile), "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            assert man["config"]["s"] == 0.6
+            digests.append(hashlib.sha256((out / "census.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_simulate_checkpoint(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
@@ -253,10 +303,17 @@ class TestRunners:
         ("census", "d = 2\nkmax = 3\n"),
         ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
                          "energy.n_cut = 2\ndata.modes = 4\n"),
-    ], ids=["census-1d", "census-2d", "energy-track"])
-    def test_budget_refusal_exits_one(self, command, text, tmp_path):
+        ("almost-conservation", "kcut = 5\nn_grid = 2,4\nsamples = 4\nt_end = 0.02\n"),
+    ], ids=["census-1d", "census-2d", "energy-track", "almost-conservation"])
+    def test_budget_refusal_exits_one(self, command, text, tmp_path, monkeypatch):
         # a lattice over the tuple budget is refused alike everywhere: exit 1,
-        # no run directory
+        # no run directory, and no trajectory integrated first
+        from nlslab import experiments
+
+        def evolve(*args, **kwargs):
+            raise AssertionError("integrated an over-budget run")
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
         cfgfile = tmp_path / "b.cfg"
         cfgfile.write_text(text + "budget = 1000\n")
         assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
