@@ -16,8 +16,10 @@ and a constant symbol expands to that single coefficient exactly.
 
 Only symbols that factor across slots are supported (sums like the smoothed
 resonance multipliers, products like sigma_n); the expansion is then a sum
-or product of per-slot tables and reconstruction is exact up to the
-truncated tails.  Coefficients here follow the unit-box convention
+or product of per-slot coefficient tensors and reconstruction is exact up to
+the truncated tails.  A slot of d variables is expanded as a tensor product:
+one linear map per axis, applied in turn, so d = 1 is the one-axis case.
+Coefficients here follow the unit-box convention
 c_xi = integral_0^1 g(u) exp(-2 pi i xi u) du; multiply by prod L_i for the
 box-measure normalization.
 """
@@ -104,31 +106,6 @@ def _tail_frequencies(trunc: int, order: int) -> np.ndarray:
     return np.concatenate([pos, -pos])
 
 
-@dataclass(frozen=True)
-class AxisTable:
-    """Seam-corrected expansion of one scalar factor on one interval."""
-
-    center: float
-    length: float
-    order: int
-    trunc: int
-    poly: np.ndarray  # scaled seam jumps d_q, q < order
-    four: np.ndarray  # c_xi for xi in [-trunc, trunc], unit-box convention
-
-    def xi_range(self) -> np.ndarray:
-        return np.arange(-self.trunc, self.trunc + 1)
-
-    def evaluate(self, x) -> np.ndarray:
-        u = (np.asarray(x, dtype=float) - (self.center - self.length / 2)) / self.length
-        val = np.zeros(np.shape(u), dtype=complex)
-        for q in range(self.order):
-            if self.poly[q] != 0.0:
-                val = val + self.poly[q] * bernoulli_phi(q + 1, u)
-        phases = np.exp(2j * np.pi * np.multiply.outer(u, self.xi_range()))
-        val = val + phases @ self.four
-        return val
-
-
 @lru_cache(maxsize=32)
 def _unit_gauss_legendre(nodes: int) -> tuple:
     """Gauss-Legendre nodes mapped to [0, 1] and halved weights (read-only)."""
@@ -138,9 +115,24 @@ def _unit_gauss_legendre(nodes: int) -> tuple:
     return u, half_w
 
 
-def _axis_expand(g, center: float, length: float, trunc: int, order: int,
-                 rtol: float = 1e-6) -> AxisTable:
-    """One-axis expansion: raw coefficients by Gauss-Legendre quadrature,
+def _node_count(trunc: int, order: int) -> int:
+    """Six nodes per unit of the highest tail frequency, at least 160."""
+    return max(160, 6 * (trunc + 2 * order + 6))
+
+
+def _axis_samples(center: float, length: float, nodes: int) -> np.ndarray:
+    """Sample points of one axis: ``nodes`` and ``nodes + 32`` Gauss-Legendre
+    nodes, then the right and the left end of the interval."""
+    a = center - length / 2
+    return np.concatenate([a + length * _unit_gauss_legendre(nodes)[0],
+                           a + length * _unit_gauss_legendre(nodes + 32)[0],
+                           [center + length / 2, a]])
+
+
+def _axis_map(samples: np.ndarray, interval, trunc: int, order: int,
+              rtol: float) -> np.ndarray:
+    """One-axis expansion of each column of real ``samples`` (rows at the
+    ``_axis_samples`` points): raw coefficients by Gauss-Legendre quadrature,
     seam jumps d_q from the exact tail asymptotics
 
         c_raw(xi) = - sum_q d_q / (2 pi i xi)^(q+1) + O(xi^-(order+1)),
@@ -148,81 +140,73 @@ def _axis_expand(g, center: float, length: float, trunc: int, order: int,
     with d_0 taken from exact endpoint values and d_1.. fitted on frequencies
     just above the truncation.  Corrected coefficients then follow from the
     closed-form Bernoulli spectra, so no derivative estimation is needed.
+    Returns (order + 2 trunc + 1, columns): the jumps d_q, then c_xi for xi
+    in [-trunc, trunc].  The two node counts must agree to ``rtol`` of the
+    largest raw coefficient of the whole batch.
     """
-    a = center - length / 2
-    b = center + length / 2
+    center, length = interval
     tail = _tail_frequencies(trunc, order)
     xi_lo = np.arange(-trunc, trunc + 1)
     xi_all = np.concatenate([xi_lo, tail])
-
-    def raw_coefficients(nodes):
-        u, half_w = _unit_gauss_legendre(nodes)
-        vals = np.real(np.asarray(g(a + length * u))) * half_w
+    nodes = _node_count(trunc, order)
+    raw, start = [], 0
+    for count in (nodes, nodes + 32):
+        u, half_w = _unit_gauss_legendre(count)
         phases = np.exp(-2j * np.pi * np.outer(xi_all, u))
-        return phases @ vals
-
-    nodes = max(160, 6 * int(np.max(np.abs(xi_all))))
-    c1 = raw_coefficients(nodes)
-    c2 = raw_coefficients(nodes + 32)
+        raw.append(phases @ (samples[start:start + count] * half_w[:, None]))
+        start += count
+    c1, c2 = raw
     scale = max(float(np.max(np.abs(c2))), 1e-300)
-    if np.max(np.abs(c1 - c2)) > rtol * scale:
+    gap = float(np.max(np.abs(c1 - c2)))
+    if gap > rtol * scale:
         raise QuadratureError(
-            f"axis quadrature disagreement {np.max(np.abs(c1 - c2)):.2e} "
-            f"exceeds {rtol:.0e} relative on [{a}, {b}]")
+            f"axis quadrature disagreement {gap:.2e} exceeds {rtol:.0e} relative "
+            f"on [{center - length / 2}, {center + length / 2}]")
     raw_lo = c2[: len(xi_lo)]
     raw_tail = c2[len(xi_lo):]
 
-    jumps = np.zeros(order)
-    jumps[0] = float(np.real(g(np.array([b]))[0] - g(np.array([a]))[0]))
+    jumps = np.zeros((order, samples.shape[1]))
+    jumps[0] = samples[-2] - samples[-1]
     zt = 1.0 / (2j * np.pi * tail)
-    rhs = raw_tail + jumps[0] * zt
-    if order > 1 and float(np.max(np.abs(rhs))) > 1e-13 * scale:
+    rhs = raw_tail + jumps[0] * zt[:, None]
+    fit = np.max(np.abs(rhs), axis=0) > 1e-13 * scale
+    if order > 1 and fit.any():
         # row weights equalize magnitudes, column scaling conditions the fit
         row_w = 1.0 / np.abs(zt)
         cols = np.stack([zt ** (q + 1) for q in range(1, order)], axis=1)
         cols = cols * row_w[:, None]
         col_scale = np.max(np.abs(cols), axis=0)
-        sol, *_ = np.linalg.lstsq(cols / col_scale, -rhs * row_w, rcond=None)
-        jumps[1:] = np.real(sol / col_scale)
+        sol, *_ = np.linalg.lstsq(cols / col_scale, -rhs[:, fit] * row_w[:, None],
+                                  rcond=None)
+        jumps[1:, fit] = np.real(sol / col_scale[:, None])
 
-    four = np.array(raw_lo, dtype=complex)
+    four = raw_lo.copy()
     nz = xi_lo != 0
-    z = np.zeros_like(four)
-    z[nz] = 1.0 / (2j * np.pi * xi_lo[nz])
+    z = 1.0 / (2j * np.pi * xi_lo[nz])
     for q in range(order):
-        four[nz] += jumps[q] * z[nz] ** (q + 1)
-    return AxisTable(center, length, order, trunc, jumps, four)
+        four[nz] += jumps[q] * z[:, None] ** (q + 1)
+    return np.concatenate([jumps, four])
 
 
-@dataclass(frozen=True)
-class SlotTable:
-    """Expansion of a one-variable slot factor."""
-
-    axes: tuple  # a single AxisTable
-
-    def evaluate(self, k) -> np.ndarray:
-        return self.axes[0].evaluate(k)
-
-    def dc_unit(self) -> complex:
-        ax = self.axes[0]
-        return complex(ax.four[ax.trunc])
-
-    def fourier_l1(self) -> float:
-        return float(np.sum(np.abs(self.axes[0].four)))
-
-    def max_offdc(self) -> float:
-        ax = self.axes[0]
-        mags = np.abs(ax.four).copy()
-        mags[ax.trunc] = 0.0
-        return float(np.max(mags))
+def _axis_basis(x, interval, trunc: int, order: int) -> np.ndarray:
+    """The per-axis basis at ``x``: B_{q+1}(u)/(q+1)! for q < order, then
+    exp(2 pi i xi u) for xi in [-trunc, trunc]; shape (..., order + 2T+1)."""
+    center, length = interval
+    u = (np.asarray(x, dtype=float) - (center - length / 2)) / length
+    poly = np.stack([bernoulli_phi(q + 1, u) for q in range(order)], axis=-1)
+    phases = np.exp(2j * np.pi * np.multiply.outer(u, np.arange(-trunc, trunc + 1)))
+    return np.concatenate([poly, phases], axis=-1)
 
 
 @dataclass(frozen=True)
 class BoxExpansion:
+    """Per-slot coefficient tensors of shape (order + 2T+1,) * d: along each
+    axis the seam jumps d_q, then the Fourier coefficients c_xi."""
+
     symbol_name: str
     structure: str  # 'sum' | 'product'
     box: MultiplierBox
-    slots: tuple  # per-slot SlotTable (1d) or TensorSlot (2d)
+    slots: tuple  # per-slot coefficient tensor
     trunc: int
     order: int
 
@@ -230,8 +214,15 @@ class BoxExpansion:
 
     def reconstruct(self, k) -> np.ndarray:
         arr = np.asarray(k, dtype=float)
-        vals = [self.slots[i].evaluate(arr[..., i] if self.box.d == 1 else arr[..., i, :])
-                for i in range(self.box.n)]
+        if self.box.d == 1:
+            arr = arr[..., None]  # one axis per slot
+        letters = "abcdefgh"[: self.box.d]
+        spec = letters + "," + ",".join("..." + c for c in letters) + "->..."
+        vals = []
+        for i, coef in enumerate(self.slots):
+            bases = [_axis_basis(arr[..., i, a], interval, self.trunc, self.order)
+                     for a, interval in enumerate(self.box.slot_axes(i))]
+            vals.append(np.einsum(spec, coef, *bases))
         out = vals[0]
         for v in vals[1:]:
             out = out + v if self.structure == "sum" else out * v
@@ -239,14 +230,16 @@ class BoxExpansion:
 
     # -- reports -------------------------------------------------------------
 
-    def axis_tables(self):
-        for slot in self.slots:
-            for ax in slot.axes:
-                yield ax
+    def _fourier(self, coef) -> np.ndarray:
+        """The Fourier block of a slot tensor, (2T+1,) * d."""
+        return coef[(slice(self.order, None),) * coef.ndim]
+
+    def _slot_dc(self, coef) -> complex:
+        return complex(coef[(self.order + self.trunc,) * coef.ndim])
 
     def dc_unit(self) -> complex:
         """Tensor zero coefficient in the unit-box convention."""
-        parts = [slot.dc_unit() for slot in self.slots]
+        parts = [self._slot_dc(coef) for coef in self.slots]
         if self.structure == "sum":
             return sum(parts)
         out = 1.0 + 0.0j
@@ -260,32 +253,36 @@ class BoxExpansion:
 
     def max_offdc(self) -> float:
         """Largest non-zero-frequency coefficient magnitude (unit convention)."""
-        return max(slot.max_offdc() for slot in self.slots)
+        out = 0.0
+        for coef in self.slots:
+            mags = np.abs(self._fourier(coef))
+            mags[(self.trunc,) * coef.ndim] = 0.0
+            out = max(out, float(np.max(mags)))
+        return out
 
     def coefficient_l1_unit(self) -> float:
         """sum over the full tensor of |coefficient| (Fourier part)."""
+        l1 = [float(np.sum(np.abs(self._fourier(coef)))) for coef in self.slots]
         if self.structure == "sum":
-            total = abs(self.dc_unit())
-            for slot in self.slots:
-                total += slot.fourier_l1() - abs(slot.dc_unit())
-            return total
-        out = 1.0
-        for slot in self.slots:
-            out *= slot.fourier_l1()
-        return out
+            return abs(self.dc_unit()) + sum(
+                s - abs(self._slot_dc(coef)) for s, coef in zip(l1, self.slots))
+        return float(np.prod(l1))
 
     def decay_report(self) -> dict:
-        """Fit |c_xi| ~ <xi>^-p per axis, pooled over axes."""
+        """Fit |c_xi| ~ <xi>^-p per axis, pooled over axes; the magnitude on
+        an axis is the max over every other axis's full basis."""
         xs, ys = [], []
         floor_scale = max(abs(self.dc_unit()), self.max_offdc(), 1e-300)
-        for ax in self.axis_tables():
-            xi = ax.xi_range()
-            mags = np.abs(ax.four)
-            for x in range(1, ax.trunc + 1):
-                m = max(mags[ax.trunc + x], mags[ax.trunc - x])
-                if m > 1e-14 * floor_scale:
-                    xs.append(np.log(x))
-                    ys.append(np.log(m))
+        T = self.trunc
+        for coef in self.slots:
+            for a in range(coef.ndim):
+                along = np.moveaxis(np.abs(coef), a, 0)[self.order:]
+                mags = np.max(along.reshape(2 * T + 1, -1), axis=1)
+                for x in range(1, T + 1):
+                    m = max(mags[T + x], mags[T - x])
+                    if m > 1e-14 * floor_scale:
+                        xs.append(np.log(x))
+                        ys.append(np.log(m))
         if len(xs) < 3:
             return {"slope": float("inf"), "points": len(xs)}
         slope, _ = np.polyfit(xs, ys, 1)
@@ -298,7 +295,11 @@ def fourier_expand(sym: SymbolSpec, box: MultiplierBox, trunc: int,
 
     The symbol must carry per-slot terms ('sum' or 'product' structure); the
     classifier gates which multipliers are smooth enough on which boxes, and
-    only those reach this routine in the verification flows.
+    only those reach this routine in the verification flows.  Each slot term
+    is sampled once on the tensor grid of its axes' sample points, and
+    ``_axis_map`` is applied along axis 0, then along axis 1: the first axis
+    sees the real samples, later axes the real and imaginary parts of the
+    previous stage stacked as columns of one batch.
     """
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
@@ -310,119 +311,21 @@ def fourier_expand(sym: SymbolSpec, box: MultiplierBox, trunc: int,
         raise ValueError("slot count mismatch between symbol and box")
     if box.d != sym.d:
         raise ValueError("dimension mismatch between symbol and box")
+    nodes = _node_count(trunc, order)
     slots = []
-    for i in range(box.n):
+    for i, term in enumerate(sym.slot_terms):
         axes = box.slot_axes(i)
-        if box.d == 1:
-            (c, L), = axes
-            table = _axis_expand(sym.slot_terms[i], c, L, trunc, order, rtol)
-            slots.append(SlotTable(axes=(table,)))
-        else:
-            slots.append(_expand_2d_slot(sym.slot_terms[i], axes, trunc, order, rtol))
+        mesh = np.meshgrid(*(_axis_samples(c, L, nodes) for c, L in axes), indexing="ij")
+        coef = np.real(term(np.stack(mesh, axis=-1) if box.d > 1 else mesh[0]))
+        for a, interval in enumerate(axes):
+            batch = np.moveaxis(coef, a, 0)
+            cols = batch.reshape(len(batch), -1)
+            if a == 0:
+                out = _axis_map(cols, interval, trunc, order, rtol)
+            else:
+                parts = _axis_map(np.concatenate([cols.real, cols.imag], axis=1),
+                                  interval, trunc, order, rtol)
+                out = parts[:, : cols.shape[1]] + 1j * parts[:, cols.shape[1]:]
+            coef = np.moveaxis(out.reshape((len(out),) + batch.shape[1:]), 0, a)
+        slots.append(coef)
     return BoxExpansion(sym.name, sym.structure, box, tuple(slots), trunc, order)
-
-
-# -- two-dimensional slot factors ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorSlot:
-    """Expansion of a slot factor of two variables on a rectangle.
-
-    Blocks of the mixed representation: poly x poly, poly x Fourier,
-    Fourier x poly, Fourier x Fourier, produced by applying the 1d seam
-    correction in x (with y-dependent jump functions) and then in y.
-    """
-
-    rect: tuple  # ((cx, Lx), (cy, Ly))
-    order: int
-    trunc: int
-    pp: np.ndarray  # (order, order)
-    pf: np.ndarray  # (order, 2T+1)
-    fp: np.ndarray  # (2T+1, order)
-    ff: np.ndarray  # (2T+1, 2T+1)
-
-    @property
-    def axes(self):
-        # per-axis marginal Fourier magnitudes; used for decay pooling only
-        (cx, Lx), (cy, Ly) = self.rect
-        margin_x = np.max(np.abs(np.concatenate([self.ff, self.fp], axis=1)), axis=1)
-        margin_y = np.max(np.abs(np.concatenate([self.ff.T, self.pf.T], axis=1)), axis=1)
-        return (
-            AxisTable(cx, Lx, self.order, self.trunc, np.zeros(self.order), margin_x),
-            AxisTable(cy, Ly, self.order, self.trunc, np.zeros(self.order), margin_y),
-        )
-
-    def dc_unit(self) -> complex:
-        return complex(self.ff[self.trunc, self.trunc])
-
-    def fourier_l1(self) -> float:
-        return float(np.sum(np.abs(self.ff)))
-
-    def max_offdc(self) -> float:
-        mags = np.abs(self.ff).copy()
-        mags[self.trunc, self.trunc] = 0.0
-        return float(np.max(mags))
-
-    def evaluate(self, k) -> np.ndarray:
-        (cx, Lx), (cy, Ly) = self.rect
-        kx = np.asarray(k, dtype=float)[..., 0]
-        ky = np.asarray(k, dtype=float)[..., 1]
-        ux = (kx - (cx - Lx / 2)) / Lx
-        uy = (ky - (cy - Ly / 2)) / Ly
-        xi = np.arange(-self.trunc, self.trunc + 1)
-        ex = np.exp(2j * np.pi * np.multiply.outer(ux, xi))
-        ey = np.exp(2j * np.pi * np.multiply.outer(uy, xi))
-        bx = np.stack([bernoulli_phi(q + 1, ux) for q in range(self.order)], axis=-1)
-        by = np.stack([bernoulli_phi(q + 1, uy) for q in range(self.order)], axis=-1)
-        out = np.einsum("...i,ij,...j->...", bx, self.pp, by)
-        out = out + np.einsum("...i,ij,...j->...", bx, self.pf, ey)
-        out = out + np.einsum("...i,ij,...j->...", ex, self.fp, by)
-        out = out + np.einsum("...i,ij,...j->...", ex, self.ff, ey)
-        return out
-
-
-def _expand_2d_slot(term, axes, trunc: int, order: int, rtol: float) -> TensorSlot:
-    (cx, Lx), (cy, Ly) = axes
-
-    def g_of_y(y_scalar):
-        return lambda xs: np.real(term(np.stack(
-            [np.asarray(xs, float), np.full(np.shape(xs), y_scalar)], axis=-1)))
-
-    # the x-transform is queried repeatedly at the same y nodes by the
-    # y-stage expansions; memoize it
-    cache: dict = {}
-
-    def x_transform_at(y_scalar: float):
-        key = float(y_scalar)
-        if key not in cache:
-            t = _axis_expand(g_of_y(key), cx, Lx, trunc, order, rtol)
-            cache[key] = (t.poly, t.four)
-        return cache[key]
-
-    def expand_y(samples_fn):
-        return _axis_expand(samples_fn, cy, Ly, trunc, order, rtol)
-
-    def vectorized(extract):
-        def fn(yv):
-            flat = np.atleast_1d(np.asarray(yv, dtype=float)).ravel()
-            out = np.array([extract(*x_transform_at(y)) for y in flat])
-            return out.reshape(np.shape(yv))
-        return fn
-
-    pp = np.zeros((order, order))
-    pf = np.zeros((order, 2 * trunc + 1), dtype=complex)
-    for q in range(order):
-        t = expand_y(vectorized(lambda p, f, q=q: p[q]))
-        pp[q] = t.poly
-        pf[q] = t.four
-
-    fp = np.zeros((2 * trunc + 1, order), dtype=complex)
-    ff = np.zeros((2 * trunc + 1, 2 * trunc + 1), dtype=complex)
-    for j in range(2 * trunc + 1):
-        for part, unit in ((np.real, 1.0), (np.imag, 1j)):
-            t = expand_y(vectorized(lambda p, f, j=j, part=part: part(f[j])))
-            fp[j] = fp[j] + unit * t.poly
-            ff[j] = ff[j] + unit * t.four
-    return TensorSlot(rect=tuple(axes), order=order, trunc=trunc,
-                      pp=pp, pf=pf, fp=fp, ff=ff)

@@ -282,11 +282,10 @@ def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
             st.witness = witness(at)
 
 
-def sohinger_presence(report_or_kmax, thresholds: Thresholds = Thresholds(),
+def sohinger_presence(kmax: int, thresholds: Thresholds = Thresholds(),
                       N: float = 8.0):
     """All multiples of the vanishing-resonance family up to the cutoff must
     be classified resonant with exactly zero resonance function."""
-    kmax = report_or_kmax if isinstance(report_or_kmax, int) else report_or_kmax.kmax
     base = np.array([5, -3, 6, -2, 1, -7], dtype=np.int64)
     out = []
     K = 1

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energies import SIGN, energy, mass, nonlinear_coefficient_field
-from .geometry import (SpectralField, TorusGeometry, field_from_modes,
-                       free_evolve, from_physical, random_field, to_physical,
-                       zero_field)
+from .geometry import (SpectralField, TorusGeometry, free_evolve, from_physical,
+                       random_field, to_physical, zero_field)
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,8 @@ class Trajectory:
 
 
 def initial_data(cfg_geometry: TorusGeometry, cutoff, kind: str = "hs_random",
-                 rng=None, s: float = 0.5, mass_target: float = 0.01,
-                 modes: dict | None = None) -> SpectralField:
-    """Initial-data presets: explicit mode lists or seeded random H^s profile."""
-    if kind == "modes":
-        if not modes:
-            raise ValueError("mode data requires a nonempty mode table")
-        return field_from_modes(cfg_geometry, cutoff, modes)
+                 rng=None, s: float = 0.5, mass_target: float = 0.01) -> SpectralField:
+    """Initial-data presets: seeded random H^s profile or the zero field."""
     if kind == "hs_random":
         if rng is None:
             rng = np.random.default_rng(0)

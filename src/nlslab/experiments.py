@@ -315,6 +315,8 @@ def run_strichartz(cfg: dict, out_dir: Path) -> int:
 
 
 def run_census(cfg: dict, out_dir: Path) -> int:
+    if cfg["d"] not in (1, 2):
+        raise ValueError(f"d={cfg['d']} must be 1 or 2")
     th_grid = [Thresholds(gap=g) for g in cfg["gap_grid"]]
     rows = []
     violations = 0

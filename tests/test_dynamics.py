@@ -155,5 +155,6 @@ class TestEvolve:
         u = initial_data(G1, 8, kind="hs_random", rng=RNG, s=0.5, mass_target=0.01)
         assert mass(u) == pytest.approx(0.01, rel=1e-12)
         assert default_dt(u) == pytest.approx(0.1 / 64.0)
-        with pytest.raises(ValueError, match="initial data"):
-            initial_data(G1, 4, kind="nope")
+        for kind in ("nope", "modes"):
+            with pytest.raises(ValueError, match="initial data"):
+                initial_data(G1, 4, kind=kind)

@@ -167,6 +167,12 @@ class TestRunners:
             digests.append(hashlib.sha256((out / "census.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    def test_census_rejects_d_outside_one_two(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("d = 3\nkmax = 3\nn_grid = 2\n")
+        assert main(["census", "--config", str(cfgfile), "--out", str(tmp_path / "c")]) == 1
+        assert not (tmp_path / "c").exists()
+
     def test_simulate_checkpoint(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text("kcut = 4\nt_end = 0.05\ndt = 0.005\nstride = 2\n")
