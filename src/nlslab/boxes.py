@@ -303,6 +303,8 @@ def fourier_expand(sym: SymbolSpec, box: MultiplierBox, trunc: int,
     """
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
+    if order < 1:
+        raise ValueError(f"order={order} must be >= 1")
     if sym.structure not in ("sum", "product") or not sym.slot_terms:
         raise ValueError(
             f"symbol {sym.name!r} does not expose per-slot factors; "

@@ -196,17 +196,16 @@ def _cascade_1d(A, B, aA, aB, aom, G):
     return codes, ns, s12, L
 
 
-def _classify_1d(k, N: float, G: float):
-    """Canonicalize six-slot tuples, run the rule cascade and cut below N.
+def _verdicts_1d(arr, G: float):
+    """Canonicalize six-slot tuples (float or integer, (..., 6)) and run the
+    rule cascade; the below-threshold cut is the caller's.
 
     Returns (codes, parts): ``parts`` holds the canonical odd and even
     triples, the merged magnitudes, s12, L and |Omega| for callers that
-    report them.
+    report them.  Every rule compares products of magnitudes of equal
+    degree, so integer modes give the verdicts of the physical tuples they
+    scale to, exactly.
     """
-    arr = as_tuple_array(k, 1)
-    if arr.shape[-1] != 6:
-        raise ValueError("1d classifier expects six slots")
-
     o0, o1, o2 = _sort3_abs_desc(arr[..., 0], arr[..., 2], arr[..., 4])
     e0, e1, e2 = _sort3_abs_desc(arr[..., 1], arr[..., 3], arr[..., 5])
     flip = np.abs(e0) > np.abs(o0)
@@ -220,8 +219,17 @@ def _classify_1d(k, N: float, G: float):
     codes, ns, s12, L = _cascade_1d(
         (o0, o1, o2), (e0, e1, e2), (np.abs(o0), np.abs(o1), np.abs(o2)),
         (np.abs(e0), np.abs(e1), np.abs(e2)), aom, G)
-    codes[ns[0] <= N] = BELOW
     return codes, ((o0, o1, o2), (e0, e1, e2), ns, s12, L, aom)
+
+
+def _classify_1d(k, N: float, G: float):
+    """Verdicts of physical six-slot tuples, cut below N (``_verdicts_1d``)."""
+    arr = as_tuple_array(k, 1)
+    if arr.shape[-1] != 6:
+        raise ValueError("1d classifier expects six slots")
+    codes, parts = _verdicts_1d(arr, G)
+    codes[parts[2][0] <= N] = BELOW
+    return codes, parts
 
 
 def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
@@ -237,6 +245,22 @@ def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
     return codes, info
 
 
+def _verdicts_2d(m, G: float):
+    """Four-slot verdicts from the slot magnitudes |k_i| (..., 4); the
+    below-threshold cut is the caller's.  Returns (codes, per-parity
+    (dominant, lo) pairs)."""
+    codes = np.full(m.shape[:-1], RES_2D, dtype=np.int8)
+    pairs = {}
+    for name, (a, b), other in (("odd", (0, 2), (1, 3)), ("even", (1, 3), (0, 2))):
+        lo = np.minimum(m[..., a], m[..., b])
+        hi = np.maximum(m[..., a], m[..., b])
+        rest = np.maximum(m[..., other[0]], m[..., other[1]])
+        dominant = (lo >= G * rest) & (lo > 0) & (hi <= G * lo)
+        pairs[name] = (dominant, lo)
+        codes[dominant] = NR_2D
+    return codes, pairs
+
+
 def _classify_2d(k, N: float, G: float):
     """Four-slot verdicts; returns (codes, slot magnitudes, per-parity
     (dominant, lo) pairs)."""
@@ -245,20 +269,8 @@ def _classify_2d(k, N: float, G: float):
         raise ValueError("2d classifier expects four slots")
     sq = arr**2
     m = np.sqrt(sq[..., 0] + sq[..., 1])  # (..., 4)
-    n1 = np.maximum(np.maximum(m[..., 0], m[..., 1]), np.maximum(m[..., 2], m[..., 3]))
-
-    codes = np.full(m.shape[:-1], RES_2D, dtype=np.int8)
-    below = n1 <= N
-    codes[below] = BELOW
-
-    pairs = {}
-    for name, (a, b), other in (("odd", (0, 2), (1, 3)), ("even", (1, 3), (0, 2))):
-        lo = np.minimum(m[..., a], m[..., b])
-        hi = np.maximum(m[..., a], m[..., b])
-        rest = np.maximum(m[..., other[0]], m[..., other[1]])
-        dominant = (lo >= G * rest) & (lo > 0) & (hi <= G * lo)
-        pairs[name] = (dominant, lo)
-        codes[~below & dominant] = NR_2D
+    codes, pairs = _verdicts_2d(m, G)
+    codes[np.max(m, axis=-1) <= N] = BELOW
     return codes, m, pairs
 
 
@@ -267,14 +279,6 @@ def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
     codes, m, pairs = _classify_2d(k, N, thresholds.gap)
     info = {"mags": m, "odd_pair": pairs["odd"], "even_pair": pairs["even"]}
     return codes, info
-
-
-def verdict_codes(k, N: float, thresholds: Thresholds = Thresholds(), d: int = 1):
-    """The codes of ``classify_batch_1d`` (d = 1) or ``classify_batch_2d``
-    (d = 2), elementwise equal, without assembling their info dicts."""
-    if d == 1:
-        return _classify_1d(k, N, thresholds.gap)[0]
-    return _classify_2d(k, N, thresholds.gap)[0]
 
 
 def classify(entries, N: float, thresholds: Thresholds = Thresholds(),

@@ -38,11 +38,13 @@ is time-integration error, which must vanish at the integrator's order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Thresholds, is_nonresonant, is_resonant, verdict_codes
+from .classify import (BELOW, Thresholds, _verdicts_1d, _verdicts_2d, is_nonresonant,
+                       is_resonant)
 from .geometry import (SpectralField, from_physical, integrate_grid, mass,
                        pointwise_product, to_physical)
 from .multipliers import sigma_product
@@ -120,9 +122,13 @@ class _Lattice:
         self.shape = tuple(int(p) for p in 2 * self.K + 1)
         self.Q = int(np.prod(self.shape))
         self.rows = self.Q ** (n - 2)
-        # integer and physical modes of every composite index, (Q, d)
+        self.raw_tuples = self.Q ** (n - 1)  # what a tuple budget counts
+        # integer and physical modes of every composite index, (Q, d), and
+        # the physical |k| of each (the floats the classifiers compute)
         self.modes = np.stack(np.unravel_index(np.arange(self.Q), self.shape), axis=-1) - self.K
         self.freqs = self.modes / np.array(g.axis_scales)
+        self.kabs = (np.abs(self.freqs[:, 0]) if self.d == 1
+                     else np.sqrt(np.sum(self.freqs ** 2, axis=-1)))
         self.strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
 
     def index(self, m):
@@ -130,6 +136,10 @@ class _Lattice:
         lattice, and whether each mode lies on it."""
         valid = np.all(np.abs(m) <= self.K, axis=-1)
         return np.clip(m + self.K, 0, 2 * self.K) @ self.strides, valid
+
+    def position(self, idx):
+        """Flat table position row * Q + column of slot indices (T, n)."""
+        return idx[:, :-1] @ self.Q ** np.arange(self.n - 2, -1, -1, dtype=np.int64)
 
     def groups(self, max_rows: int):
         """Blocks of at most ``max_rows`` rows that share the mode sum sigma
@@ -161,14 +171,25 @@ class _Lattice:
                 yield (sel * self.Q + tail[sel], [p[sel] for p in prefix] + [tail[sel]],
                        cols, last[cols])
 
-    def slots(self, outer, cols, last):
+    def slots(self, block):
         """Composite slot indices (R, C, n) of one block from ``groups``."""
-        idx = np.empty((len(outer[0]) if outer else 1, len(cols), self.n), dtype=np.int64)
+        rows, outer, cols, last = block
+        idx = np.empty((len(rows), len(cols), self.n), dtype=np.int64)
         for j, o in enumerate(outer):
             idx[:, :, j] = o[:, None]
         idx[:, :, self.n - 2] = cols
         idx[:, :, self.n - 1] = last
         return idx
+
+    def weights(self, blocks, vecs):
+        """Per block of a run, the row and column weights (sets, R) and
+        (sets, C): the product of slots 1..n-2 per row, of slots n-1 and n
+        per column."""
+        for rows, outer, cols, last in blocks:
+            O = np.ones((len(vecs[0]), len(rows)), dtype=np.complex128)
+            for v, o in zip(vecs, outer):
+                O *= v[:, o]
+            yield O, vecs[self.n - 2][:, cols] * vecs[self.n - 1][:, last]
 
     def physical(self, idx):
         """Physical tuples of slot indices: (..., n) in 1d, (..., n, d) otherwise."""
@@ -179,79 +200,171 @@ class _Lattice:
         """Runs of consecutive ``groups(max_rows)`` blocks holding at most
         ``max_tuples`` tuples together (a larger block forms a run alone).
 
-        Yields (blocks, pos, idx): the run's blocks, the flat table positions
-        row * Q + column of their tuples and the composite slot indices
-        (T, n), block after block and row-major within a block.  Slot n
-        comes from ``groups``, so every tuple is on the lattice and tuples
-        with slot n off it are never visited.
+        Yields (blocks, idx): the run's (block, (rows, cols)) pairs and the
+        composite slot indices (T, n) of their tuples, block after block and
+        row-major within a block.  Slot n comes from ``groups``, so every
+        tuple is on the lattice and tuples with slot n off it are never
+        visited.
         """
         run, count = [], 0
         for block in self.groups(max_rows):
-            size = len(block[0]) * len(block[2])
+            idx = self.slots(block)
+            size = idx.shape[0] * idx.shape[1]
             if run and count + size > max_tuples:
                 yield self._gather(run)
                 run, count = [], 0
-            run.append(block)
+            run.append((block, idx))
             count += size
         if run:
             yield self._gather(run)
 
     def _gather(self, run):
-        pos = np.concatenate([(rows[:, None] * self.Q + cols).reshape(-1)
-                              for rows, _, cols, _ in run])
-        idx = np.concatenate([self.slots(outer, cols, last).reshape(-1, self.n)
-                              for _, outer, cols, last in run])
-        return run, pos, idx
+        return ([(block, idx.shape[:2]) for block, idx in run],
+                np.concatenate([idx.reshape(-1, self.n) for _, idx in run]))
 
     def on_lattice(self, max_tuples: int):
         """The on-lattice tuples, each once, in blocks of at most
-        max(``max_tuples``, Q) tuples: (pos, idx) of ``batches``."""
-        for _, pos, idx in self.batches(max(1, max_tuples // self.Q), max_tuples):
-            yield pos, idx
+        max(``max_tuples``, Q) tuples: (flat table positions, slot indices)."""
+        for _, idx in self.batches(max(1, max_tuples // self.Q), max_tuples):
+            yield self.position(idx), idx
 
     def check_budget(self, budget: int):
-        if self.Q ** (self.n - 1) > budget:
-            raise BudgetError(f"tuple count {self.Q ** (self.n - 1)} exceeds budget {budget}")
+        if self.raw_tuples > budget:
+            raise BudgetError(f"tuple count {self.raw_tuples} exceeds budget {budget}")
+
+
+def _multisets(Q: int, h: int) -> np.ndarray:
+    """Every sorted h-multiset of [0, Q), one per row, in lexicographic order."""
+    sets = np.arange(Q)[:, None]
+    for _ in range(h - 1):
+        reps = Q - sets[:, -1]
+        rows = np.repeat(np.arange(len(sets)), reps)
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        sets = np.column_stack([sets[rows], np.arange(len(rows)) - first + sets[rows, -1]])
+    return sets
+
+
+class _Orbits(_Lattice):
+    """One representative per slot-parity orbit of the on-lattice Gamma_n
+    tuples (n even, h = n/2 slots per parity).
+
+    A representative is a sorted h-multiset of odd-slot modes (slots 1, 3,
+    ...) and one of even-slot modes whose mode sums cancel.  Blocks pair the
+    multisets of one mode sum sigma (rows, at most ``max_rows`` at a time)
+    with every multiset of sum -sigma (columns); a representative's tuple
+    holds its odd multiset in slots 1, 3, ... and its even one in 2, 4, ...
+    For a symbol symmetric within each slot parity, a sum over every tuple
+    is the sum over representatives of the symbol times the row weight (the
+    ``_arrangements`` of the odd slot vectors) times the column weight (of
+    the even ones), exactly, for any field sets.  An over-budget lattice is
+    refused before the multisets are built; ``tuples`` counts the
+    representatives.
+    """
+
+    def __init__(self, field: SpectralField, n: int, budget: int = DEFAULT_TUPLE_BUDGET):
+        super().__init__(field, n)
+        self.check_budget(budget)
+        h = n // 2
+        sets = _multisets(self.Q, h)
+        reach = h * self.K
+        # mode sum of each multiset as a C-order index of the box |sigma_a| <=
+        # reach_a, in which -sigma has index (size - 1) - index(sigma)
+        key = np.ravel_multi_index(tuple((self.modes[sets].sum(axis=1) + reach).T),
+                                   tuple(2 * reach + 1))
+        order = np.argsort(key, kind="stable")
+        self.sets = sets[order]
+        self.bounds = np.searchsorted(key[order], np.arange(np.prod(2 * reach + 1) + 1))
+        count = np.diff(self.bounds)
+        self.tuples = int(np.sum(count * count[::-1]))
+        # a multiset's distinct arrangements are the permutations of its slots
+        # divided by its stabiliser, the permutations that leave it unchanged
+        self.perms = list(itertools.permutations(range(h)))
+        self.share = 1.0 / sum(np.all(self.sets[:, p] == self.sets, axis=1)
+                               for p in self.perms)
+
+    def groups(self, max_rows: int):
+        """Yields (odd, even): slices of ``sets`` holding multisets of sums
+        sigma (at most ``max_rows``) and -sigma."""
+        size = len(self.bounds) - 1
+        for g in range(size):
+            lo, hi = self.bounds[g], self.bounds[g + 1]
+            even = slice(self.bounds[size - 1 - g], self.bounds[size - g])
+            if even.start == even.stop:
+                continue
+            for start in range(lo, hi, max_rows):
+                yield slice(start, min(start + max_rows, hi)), even
+
+    def slots(self, block):
+        odd, even = self.sets[block[0]], self.sets[block[1]]
+        idx = np.empty((len(odd), len(even), self.n), dtype=np.int64)
+        idx[:, :, 0::2] = odd[:, None, :]
+        idx[:, :, 1::2] = even[None, :, :]
+        return idx
+
+    def _arrangements(self, vecs, rows) -> np.ndarray:
+        """Per field set, the sum over the distinct arrangements of each
+        multiset ``sets[rows]`` of the product of ``vecs[i]`` at the mode in
+        place i: the h x h permanent times ``share``."""
+        sets = self.sets[rows]
+        total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
+        for p in self.perms:
+            term = vecs[0][:, sets[:, p[0]]]
+            for v, j in zip(vecs[1:], p[1:]):
+                term *= v[:, sets[:, j]]
+            total += term
+        return total * self.share[rows]
+
+    def weights(self, blocks, vecs):
+        """Per block of a run, (A, B): the arrangement sums of the odd slot
+        vectors over its rows and of the even ones over its columns, built
+        once for the run."""
+        rows = [np.concatenate([np.arange(b[j].start, b[j].stop) for b in blocks])
+                for j in (0, 1)]
+        A = self._arrangements(vecs[0::2], rows[0])
+        B = self._arrangements(vecs[1::2], rows[1])
+        r = c = 0
+        for odd, even in blocks:
+            R, C = odd.stop - odd.start, even.stop - even.start
+            yield A[:, r:r + R], B[:, c:c + C]
+            r, c = r + R, c + C
 
 
 def _walk(lat: _Lattice, evaluate, passes) -> list:
     """Gamma_n sums of several symbols against several families of field
-    sets, in one walk over the lattice's sigma groups.
+    sets, in one walk over the blocks of ``lat`` (``_Lattice`` for every
+    tuple, ``_Orbits`` for one per slot-parity orbit).
 
-    ``evaluate(pos, idx)`` returns the symbol values on a run of on-lattice
-    tuples from ``_Lattice.batches``, one flat array per symbol; each run is
-    contracted and dropped before the next is evaluated.  ``passes`` lists
-    (vecs, symbols): per slot the (sets, Q) arrays of ``slot_vectors`` and
-    the indices of the symbols summed against them.  Returns per pass an
-    array (len(symbols), sets) of plain sums.
+    ``evaluate(idx)`` returns the symbol values on a run of tuples from
+    ``lat.batches``, one flat array per symbol; each run is contracted and
+    dropped before the next is evaluated.  ``passes`` lists (vecs,
+    symbols): per slot the (sets, Q) arrays of ``slot_vectors`` and the
+    indices of the symbols summed against them.  Returns per pass an array
+    (len(symbols), sets) of plain sums.
 
-    Rows with equal mode sum sigma of slots 1..n-2 share slot n in every
-    column, so per pass each block of them costs one outer slot product O
-    (sets x rows), shared by the pass's symbols, and per symbol one matrix
+    Per pass each block costs its row weights O (sets x rows) and column
+    weights C (sets x cols) from ``lat.weights`` (a generator over a run's
+    blocks), shared by the pass's symbols, and per symbol one matrix
     product with the symbol block T (rows x cols), [Re O; Im O] @ T, which
-    is then contracted against v_(n-1)[c] v_n[-(sigma + c)].
+    is then contracted against C.
     """
-    n = lat.n
     sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
             for vecs, symbols in passes]
-    for blocks, pos, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
-        if len(pos) > _TABLE_TUPLES:
+    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
+        if len(idx) > _TABLE_TUPLES:
             # one block past _TABLE_TUPLES: evaluated in slices, so the
             # classifier's temporaries stay as small as in any other run
-            parts = [evaluate(pos[i:i + _TABLE_TUPLES], idx[i:i + _TABLE_TUPLES])
-                     for i in range(0, len(pos), _TABLE_TUPLES)]
+            parts = [evaluate(idx[i:i + _TABLE_TUPLES])
+                     for i in range(0, len(idx), _TABLE_TUPLES)]
             values = [np.concatenate(v) for v in zip(*parts)]
         else:
-            values = evaluate(pos, idx)
+            values = evaluate(idx)
+        weights = [lat.weights([block for block, _ in blocks], vecs) for vecs, _ in passes]
         start = 0
-        for rows, outer, cols, last in blocks:
-            shape = (len(rows), len(cols))
+        for _, shape in blocks:
             stop = start + shape[0] * shape[1]
-            for (vecs, symbols), acc in zip(passes, sums):
-                S = len(vecs[0])
-                O = np.ones((S, len(rows)), dtype=np.complex128)
-                for v, o in zip(vecs, outer):
-                    O *= v[:, o]
+            for (vecs, symbols), acc, w in zip(passes, sums, weights):
+                O, C = next(w)
+                S = len(O)
                 stacked = None
                 for k, sym in enumerate(symbols):
                     T = values[sym][start:stop].reshape(shape)
@@ -262,7 +375,7 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
                             stacked = np.concatenate([O.real, O.imag])
                         G = stacked @ T
                         G = G[:S] + 1j * G[S:]
-                    acc[k] += np.sum(G * vecs[n - 2][:, cols] * vecs[n - 1][:, last], axis=1)
+                    acc[k] += np.sum(G * C, axis=1)
             start = stop
     return sums
 
@@ -286,10 +399,10 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     lat = _Lattice(field_sets[0][0], len(field_sets[0]))
     lat.check_budget(budget)
     if callable(symbol):
-        evaluate = lambda pos, idx: [symbol(lat.physical(idx))]
+        evaluate = lambda idx: [symbol(lat.physical(idx))]
     else:
         flat = np.asarray(symbol).reshape(lat.rows * lat.Q)
-        evaluate = lambda pos, idx: [flat[pos]]
+        evaluate = lambda idx: [flat[lat.position(idx)]]
     return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))])[0][0]
 
 
@@ -360,14 +473,30 @@ class CorrectionTables:
     combined: np.ndarray   # sigma_deg + sigma_tilde (real table)
 
 
-def _correction_values(idx, tup, d, deg, slots, thresholds, N):
+def _lattice_verdicts(lat: _Lattice, idx, N: float, G: float) -> np.ndarray:
+    """Verdict codes of on-lattice tuples (composite slot indices (T, n))
+    from per-mode lookups.
+
+    The 1-D rules run on the integer modes, where they are exact and hence
+    the same for every slot order within a parity (on the physical floats
+    n/lambda an exact tie can read differently in two slot orders); the
+    2-D rules run on the physical |k| of each slot.  The below-threshold
+    cut reads the physical |k|.
+    """
+    mags = lat.kabs[idx]
+    codes = _verdicts_1d(lat.modes[idx, 0], G)[0] if lat.d == 1 else _verdicts_2d(mags, G)[0]
+    codes[np.max(mags, axis=1) <= N] = BELOW
+    return codes
+
+
+def _correction_values(idx, codes, d, deg, slots):
     """sigma~, R (with Mbar = iR), and sigma+sigma~ on a block of on-lattice
     tuples.
 
-    ``idx`` holds the composite slot indices of the tuples (T, n), ``tup``
-    their physical values; ``slots`` are per-mode lookups of |k|^2, m^2|k|^2
-    and m, so every symbol value is a gather per slot, summed (or
-    multiplied) in slot order.
+    ``idx`` holds the composite slot indices of the tuples (T, n), ``codes``
+    their verdicts; ``slots`` are per-mode lookups of |k|^2, m^2|k|^2 and m,
+    so every symbol value is a gather per slot, summed (or multiplied) in
+    slot order.
     """
     sq, msq_sq, m = slots["sq"], slots["msq_sq"], slots["m"]
     first = idx[:, 0]
@@ -382,7 +511,6 @@ def _correction_values(idx, tup, d, deg, slots, thresholds, N):
             bare = bare + msq_sq[col]
         sig = sig * m[col]
     sig = sig / deg
-    codes = verdict_codes(tup, N, thresholds, d)
     nr = is_nonresonant(codes)
     res = is_resonant(codes)
     if np.any(nr & (om == 0.0)):
@@ -416,8 +544,8 @@ def _correction_evaluator(lat: _Lattice, N: float, s: float, thresholds: Thresho
     sq = np.sum(lat.freqs ** 2, axis=-1)
     m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
     slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
-    return lambda pos, idx: _correction_values(idx, lat.physical(idx), lat.d, lat.n,
-                                               slots, thresholds, N)
+    return lambda idx: _correction_values(idx, _lattice_verdicts(lat, idx, N, thresholds.gap),
+                                          lat.d, lat.n, slots)
 
 
 def correction_tables(template: SpectralField, N: float, s: float,
@@ -441,7 +569,7 @@ def correction_tables(template: SpectralField, N: float, s: float,
     evaluate = _correction_evaluator(lat, N, s, thresholds)
     tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
-        for table, vals in zip(tables, evaluate(pos, idx)):
+        for table, vals in zip(tables, evaluate(idx)):
             table[pos] = vals
     st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) for t in tables)
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
@@ -454,13 +582,15 @@ def correction_sums(template: SpectralField, N: float, s: float, passes,
     over the lattice of ``template``, with no stored table.
 
     ``passes`` lists (field_sets, names), the names drawn from
-    ``CORRECTION_SYMBOLS``.  Each run of on-lattice tuples is classified
-    once, evaluated by ``_correction_values``, contracted against every
-    pass and dropped.  Returns per pass an array (len(names), sets) of plain
-    sums; the caller applies the measure weight w^(deg-1).
+    ``CORRECTION_SYMBOLS``.  The three symbols are symmetric within each
+    slot parity, so the walk visits one representative per orbit
+    (``_Orbits``): each run of representatives is classified once,
+    evaluated by ``_correction_values``, contracted against every pass and
+    dropped.  This is exact for any field sets.  Returns per pass an array
+    (len(names), sets) of plain sums; the caller applies the measure weight
+    w^(deg-1).  The budget counts Q^(deg-1), as for every walk.
     """
-    lat = _Lattice(template, template.geometry.nonlinearity_degree + 1)
-    lat.check_budget(budget)
+    lat = _Orbits(template, template.geometry.nonlinearity_degree + 1, budget)
     evaluate = _correction_evaluator(lat, N, s, thresholds)
     return _walk(lat, evaluate, [(_slot_stack([list(fs) for fs in sets]),
                                   tuple(CORRECTION_SYMBOLS.index(nm) for nm in names))

@@ -21,7 +21,7 @@ from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, evolve, initial_data
-from .energies import (SIGN, _Lattice, correction_sums, e_i1,
+from .energies import (SIGN, _Orbits, correction_sums, e_i1,
                        energy_identity_residual)
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
@@ -42,6 +42,13 @@ def _geometry(cfg):
     d = cfg["d"]
     gamma = (cfg["gamma"],) if d == 2 else ()
     return build_geometry(d, gamma, cfg["lambda"])
+
+
+def _walk_cost(walk: _Orbits) -> dict:
+    """Manifest guards of a Lambda walk: the orbit representatives each walk
+    classifies, beside the raw Q^(n-1) tuple count that the budget checks
+    (it bounds time, not memory)."""
+    return {"walk_tuples": walk.tuples, "budget_tuples": walk.raw_tuples}
 
 
 def _summary(out_dir: Path, lines):
@@ -120,7 +127,7 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
         u0 = initial_data(g, cfg["kcut"], kind=cfg["data.kind"], rng=rng,
                           s=cfg["data.s"], mass_target=cfg["data.mass"])
     # refuse an over-budget Gamma_deg lattice before integrating
-    _Lattice(u0, g.nonlinearity_degree + 1).check_budget(cfg["budget"])
+    walk = _Orbits(u0, g.nonlinearity_degree + 1, cfg["budget"])
     dt = cfg["dt"] or None
     evo = EvolutionConfig(g, cfg["kcut"], sign=cfg["sign"],
                           integrator=cfg["integrator"], dt=dt,
@@ -152,7 +159,7 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     ok = rmax <= tol  # a NaN residual fails
     write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
                    {"aborted": traj.aborted, "imag_leak": out["imag_leak"],
-                    "residual_max": rmax, "residual_tol": tol})
+                    "residual_max": rmax, "residual_tol": tol, **_walk_cost(walk)})
     _summary(out_dir, [
         f"energy-track: N={N} s={s} residual max {rmax:.3e} (tolerance {tol:.3e})",
         f"E_I^2 increment: {float(np.max(np.abs(out['e_i2'] - out['e_i2'][0]))):.3e}",
@@ -449,7 +456,7 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     u0 = initial_data(g, cfg["kcut"], kind="hs_random", rng=rng,
                       s=cfg["s"], mass_target=cfg["mass"])
     # refuse an over-budget Gamma_deg lattice before integrating
-    _Lattice(u0, g.nonlinearity_degree + 1).check_budget(cfg["budget"])
+    walk = _Orbits(u0, g.nonlinearity_degree + 1, cfg["budget"])
     from .dynamics import default_dt
     dt = cfg["dt"] or default_dt(u0)
     steps = max(1, int(round(cfg["t_end"] / dt)))
@@ -489,7 +496,8 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
               ["N", "sup_increment_e_i2", "sup_increment_e_i1",
                "correction_magnitude", "boundary_ratio", "horizon", "flag"], rows)
     write_manifest(out_dir, "almost-conservation", cfg, {"seed": cfg["seed"]},
-                   {"monotone": monotone, "corrected_below_raw": final_better})
+                   {"monotone": monotone, "corrected_below_raw": final_better,
+                    **_walk_cost(walk)})
     _summary(out_dir, [
         f"almost-conservation d={cfg['d']} N grid {cfg['n_grid']}",
         f"E_I^2 increments: {incs}",

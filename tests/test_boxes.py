@@ -30,6 +30,14 @@ def test_box_validation():
         MultiplierBox(((4.0, 100.0),) * 6)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_order_below_one_rejected(order):
+    box = MultiplierBox(((6.0, 3.0), (-6.0, 3.0), (5.5, 2.5), (-5.5, 2.5),
+                         (1.0, 2.0), (0.0, 2.0)))
+    with pytest.raises(ValueError, match="order"):
+        fourier_expand(M6, box, trunc=4, order=order)
+
+
 def test_constant_symbol_is_a_delta():
     box = MultiplierBox(((24.0, 8.0), (-25.0, 8.0), (6.0, 4.0), (-6.0, 4.0),
                          (1.0, 2.0), (0.0, 2.0)))

@@ -6,7 +6,9 @@ import pytest
 from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, RES_I, RES_III,
                              ResonanceClassification, Thresholds, classify,
                              classify_batch_1d, classify_batch_2d,
-                             is_nonresonant, is_resonant, verdict_codes)
+                             is_nonresonant, is_resonant)
+from nlslab.energies import _Lattice, _lattice_verdicts
+from nlslab.geometry import build_geometry, zero_field
 from nlslab.multipliers import omega, sohinger_tuple
 
 RNG = np.random.default_rng(5)
@@ -117,13 +119,20 @@ def test_2d_verdict_invariance_under_slot_symmetries():
         assert np.array_equal(codes, swapped), perm
 
 
-def test_verdict_codes_equal_batch_codes():
+def test_lattice_verdicts_equal_batch_codes():
+    # the Lambda walk classifies integer modes (1-D) or per-mode |k| (2-D);
+    # at lambda = 1 or a power of two, and on any 2-D lattice, that gives the
+    # batch classifier's codes on the physical tuples, bit for bit
     th = Thresholds(gap=3.0)
-    for d, tups, batch in ((1, gamma6(5000), classify_batch_1d),
-                           (2, gamma4(3000), classify_batch_2d)):
-        for N in (0.0, 4.0, 16.0):
-            codes, _ = batch(tups, N, th)
-            got = verdict_codes(tups, N, th, d)
+    for d, gamma, lam, cutoff in ((1, (), 1.0, 5), (1, (), 2.0, 6), (2, (0.75,), 1.0, (3, 2)),
+                                  (2, (1 / np.sqrt(2),), 1.0, (3, 3))):
+        lat = _Lattice(zero_field(build_geometry(d, gamma, lam), cutoff), 6 if d == 1 else 4)
+        idx = np.concatenate([i for _, i in lat.on_lattice(1 << 14)])
+        batch = classify_batch_1d if d == 1 else classify_batch_2d
+        for N in (1.0, 1.5, 2.0):
+            codes, _ = batch(lat.physical(idx), N, th)
+            assert len(np.unique(codes)) > 2
+            got = _lattice_verdicts(lat, idx, N, th.gap)
             assert got.dtype == codes.dtype and np.array_equal(got, codes)
 
 

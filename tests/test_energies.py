@@ -6,11 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant
+from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant, is_resonant
 from nlslab.dynamics import EvolutionConfig, evolve
 from nlslab import energies
 from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, ConsistencyError,
-                             _Lattice, correction_sums, correction_tables,
+                             _Lattice, _Orbits, correction_sums, correction_tables,
                              cumulative_simpson, e_i1, energy,
                              energy_identity_residual, gamma_sums, lambda_eval,
                              mass, modified_energy, nonlinear_coefficient_field)
@@ -375,16 +375,24 @@ class TestCorrectionWalk:
 
     @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
     def test_streamed_values_are_the_table_values(self, d, gamma, cutoff, N):
-        # same blocks, same values, same products: bit for bit
+        # each representative's values are the table's entries at its tuple,
+        # bit for bit (same evaluator, same slot order); the orbit sums
+        # regroup the table sums, so they agree to rounding
         g = build_geometry(d, gamma, 1.0)
         deg = g.nonlinearity_degree + 1
         fs = [random_field(g, cutoff, RNG) for _ in range(2)]
         sets = [[f] * deg for f in fs]
         tabs = correction_tables(fs[0], N, 0.5)
+        tables = (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)
+        orbits = _Orbits(fs[0], deg)
+        evaluate = energies._correction_evaluator(orbits, N, 0.5, Thresholds())
+        for _, idx in orbits.batches(1 << 30, 1 << 30):
+            for table, vals in zip(tables, evaluate(idx)):
+                assert np.array_equal(vals, table.reshape(-1)[orbits.position(idx)])
         streamed, = correction_sums(fs[0], N, 0.5, [(sets, CORRECTION_SYMBOLS)])
-        for name, table, row in zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag,
-                                                         tabs.combined), streamed):
-            assert np.array_equal(row, gamma_sums(table, sets)), name
+        for name, table, row in zip(CORRECTION_SYMBOLS, tables, streamed):
+            ref = gamma_sums(table, sets)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
     @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
     def test_modified_energy_is_one_walk(self, d, gamma, cutoff, N, monkeypatch):
@@ -424,10 +432,100 @@ class TestCorrectionWalk:
                                                 - w * gamma_sums(tabs.combined, slot1)))}
         monkeypatch.setattr(energies, "correction_tables", no_tables)
         out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
-        for key in ("correction", "lambda_mbar"):
-            assert np.array_equal(out[key], ref[key])
-        scale = np.max(np.abs(ref["lambda_mbar_big"]))
-        assert np.max(np.abs(out["lambda_mbar_big"] - ref["lambda_mbar_big"])) <= 1e-13 * scale
+        for key in ("correction", "lambda_mbar", "lambda_mbar_big"):
+            scale = np.max(np.abs(ref[key]))
+            assert scale > 0 and np.max(np.abs(out[key] - ref[key])) <= 1e-13 * scale, key
+
+
+# lattices of the orbit walk's reference checks: (d, gamma, lambda, cutoff, N,
+# gap); lambda = 3 and gamma = 1/sqrt(2) put the physical frequencies off
+# every dyadic grid
+ORBIT_LATTICES = [(1, (), 1.0, 3, 1.0, 4.0), (1, (), 3.0, 6, 1.0, 2.0),
+                  (2, (0.75,), 1.0, (3, 2), 1.5, 4.0),
+                  (2, (1 / np.sqrt(2),), 1.0, (2, 2), 1.0, 2.0)]
+
+
+def within_parity_permutations(n):
+    """Every slot permutation that maps odd slots to odd and even to even."""
+    odd, even = range(0, n, 2), range(1, n, 2)
+    for po in itertools.permutations(odd):
+        for pe in itertools.permutations(even):
+            perm = np.empty(n, dtype=int)
+            perm[list(odd)], perm[list(even)] = po, pe
+            yield perm
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("d, gamma, lam, cutoff, N, gap", ORBIT_LATTICES)
+    def test_matches_sigma_group_reference(self, d, gamma, lam, cutoff, N, gap):
+        # plain, substituted and fully mixed sets (a different field in every
+        # slot) against the tables summed by the sigma-group walk
+        g = build_geometry(d, gamma, lam)
+        deg = g.nonlinearity_degree + 1
+        th = Thresholds(gap)
+        fs = [random_field(g, cutoff, RNG) for _ in range(deg)]
+        nl = nonlinear_coefficient_field(fs[0])
+        families = {
+            "plain": [[f] * deg for f in fs[:2]],
+            "substituted": [[nl if i == j else fs[0] for i in range(deg)] for j in range(deg)],
+            "mixed": [[fs[(i + j) % deg] for i in range(deg)] for j in range(2)],
+        }
+        tabs = correction_tables(fs[0], N, 0.5, th)
+        table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
+        passes = [(sets, CORRECTION_SYMBOLS) for sets in families.values()]
+        got = correction_sums(fs[0], N, 0.5, passes, th)
+        for family, (sets, names), sums in zip(families, passes, got):
+            for name, row in zip(names, sums):
+                ref = gamma_sums(table[name], sets)
+                assert np.max(np.abs(ref)) > 0
+                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (family, name)
+
+    @pytest.mark.parametrize("d, gamma, cutoff, expected", [(1, (), 7, 16004),
+                                                            (2, (0.75,), 5, 200361)])
+    def test_classifies_each_representative_once(self, d, gamma, cutoff, expected,
+                                                 monkeypatch):
+        g = build_geometry(d, gamma, 1.0)
+        deg = g.nonlinearity_degree + 1
+        fs = [random_field(g, cutoff, RNG) for _ in range(3)]
+        classified = []
+        verdicts = energies._lattice_verdicts
+
+        def counting(lat, idx, N, G):
+            classified.append(len(idx))
+            return verdicts(lat, idx, N, G)
+
+        monkeypatch.setattr(energies, "_lattice_verdicts", counting)
+        correction_sums(fs[0], 2.0, 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
+                                          ([fs[:1] * deg], ("combined",))])
+        assert sum(classified) == expected == _Orbits(fs[0], deg).tuples
+        assert expected < sum(len(p) for p, _ in _Lattice(fs[0], deg).on_lattice(1 << 14))
+
+    @pytest.mark.parametrize("d, gamma, lam, cutoff, N, gap", [
+        (1, (), 3.0, 4, 1.0, 2.0), (2, (1 / np.sqrt(2),), 1.0, (3, 2), 1.0, 2.0)])
+    def test_verdicts_invariant_within_parity(self, d, gamma, lam, cutoff, N, gap):
+        # every on-lattice tuple in every within-parity slot order; on the
+        # physical floats n/3, exact ties read differently in some orders
+        lat = _Lattice(zero_field(build_geometry(d, gamma, lam), cutoff), 6 if d == 1 else 4)
+        idx = np.concatenate([i for _, i in lat.on_lattice(1 << 14)])
+        codes = energies._lattice_verdicts(lat, idx, N, gap)
+        assert np.any(is_resonant(codes)) and np.any(is_nonresonant(codes))
+        for perm in within_parity_permutations(lat.n):
+            assert np.array_equal(energies._lattice_verdicts(lat, idx[:, perm], N, gap), codes)
+
+    def test_collapse_identity_off_the_dyadic_grid(self):
+        # (deg/2) [Lambda(nl in slot 2) - Lambda(nl in slot 1)] of sigma + sigma~
+        # equals the full alternating sum over every substituted slot, the
+        # latter summed over every tuple from the stored table
+        g = build_geometry(1, (), 3.0)
+        th = Thresholds(2.0)
+        f = random_field(g, 6, RNG)
+        nl = nonlinear_coefficient_field(f)
+        sets = [[nl if i == j else f for i in range(6)] for j in range(6)]
+        full = gamma_sums(correction_tables(f, 1.5, 0.5, th).combined, sets)
+        alternating = np.sum(full * (-1.0) ** np.arange(1, 7))
+        (collapsed,), = correction_sums(f, 1.5, 0.5, [(sets[:2], ("combined",))], th)
+        assert abs(3 * (collapsed[1] - collapsed[0]) - alternating) \
+            <= 1e-13 * np.max(np.abs(full))
 
 
 class TestMemoryGuard:

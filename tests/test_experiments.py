@@ -239,6 +239,29 @@ class TestRunners:
         guards = json.loads((tmp_path / "a" / "manifest.json").read_text())["guards"]
         assert code == (0 if guards["monotone"] and guards["corrected_below_raw"] else 2)
 
+    @pytest.mark.parametrize("command, text, walks", [
+        ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                         "energy.n_cut = 2\ndata.modes = 4\n", 1),
+        ("almost-conservation", "kcut = 4\nn_grid = 2,3\nsamples = 4\nt_end = 0.05\n", 2)])
+    def test_manifest_records_walk_cost(self, tmp_path, monkeypatch, command, text, walks):
+        import nlslab.energies as energies
+
+        classified = []
+        verdicts = energies._lattice_verdicts
+
+        def counting(lat, idx, N, G):
+            classified.append(len(idx))
+            return verdicts(lat, idx, N, G)
+
+        monkeypatch.setattr(energies, "_lattice_verdicts", counting)
+        cfgfile = tmp_path / "w.cfg"
+        cfgfile.write_text(text)
+        main([command, "--config", str(cfgfile), "--out", str(tmp_path / "w")])
+        guards = json.loads((tmp_path / "w" / "manifest.json").read_text())["guards"]
+        assert guards["budget_tuples"] == 9 ** 5
+        assert sum(classified) == walks * guards["walk_tuples"]
+        assert 0 < guards["walk_tuples"] < guards["budget_tuples"]
+
     def test_almost_conservation_streamed_matches_table_path(self, tmp_path, monkeypatch):
         import nlslab.experiments as experiments
         from nlslab.energies import correction_tables, gamma_sums
