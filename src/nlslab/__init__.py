@@ -4,11 +4,10 @@ __version__ = "0.1.0"
 
 from .geometry import (SpectralField, TorusGeometry, build_geometry,
                        field_from_modes, free_evolve, from_physical, load_field,
-                       lp_project, lp_spacetime_norm, norm, project_set,
-                       random_field, save_field, to_physical, zero_field)
+                       lp_project, lp_spacetime_norm, norm, random_field,
+                       save_field, to_physical, zero_field)
 from .smoothing import (ScalingPlan, SmoothingSymbol, apply_I, gwp_budget,
-                        gwp_threshold, m_value, rescale, symbol_self_check,
-                        total_exponent)
+                        m_value, rescale, symbol_self_check, total_exponent)
 from .multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m6,
                           m_multiplier_symbol, omega, sigma_product,
                           sigma_symbol, sohinger_tuple, x_substitute)

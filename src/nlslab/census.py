@@ -1,17 +1,15 @@
 """Exhaustive resonance censuses and multiplier-bound verification sweeps.
 
-The census enumerates every zero-sum tuple on the integer lattice up to a
-cutoff (in blocks, integer-exact resonance function), classifies it at each
-requested threshold, and accumulates per-class counts, the minimum
-|omega| per non-resonant rule against its claimed lower bound, the
-non-resonant supremum |M|/|omega|, the resonant supremum against the
-mean-value bound m(N1*)N1* m(N3*)N3*, and the worst witnesses.  The rules
-themselves are threshold-free apart from the below-threshold cut, so one
-pass serves every N.  1-D tuples come as orbit-reduced odd triples with
-multiplicities, brought to the canonical form of ``classify``'s rule
-cascade (so the census and ``classify_batch_1d`` cannot drift apart); 2-D
-tuples come from the Gamma_n lattice enumerator of ``energies``.  Both
-dimensions fold their blocks into the same class accumulator.
+The census walks every zero-sum tuple on the integer lattice up to a
+cutoff, one representative per slot-parity orbit (``energies._Orbits``)
+weighted by its orbit's size, classifies it at each requested threshold
+with ``classify``'s per-mode verdicts (the integer modes in 1-D, |k| in
+2-D), and accumulates per-class counts, the minimum |omega| per
+non-resonant rule against its claimed lower bound, the non-resonant
+supremum |M|/|omega|, the resonant supremum against the mean-value bound
+m(N1*)N1* m(N3*)N3*, and the worst witnesses.  The rules themselves are
+threshold-free apart from the below-threshold cut, so one pass serves
+every N.  One body serves both dimensions.
 
 Bound verification enumerates structured 1-D families tailored to each
 kept region (near-collision pairs, paired quadruples, comparable shells)
@@ -23,28 +21,22 @@ degenerate zero slots use the unit shell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_TRIPLE, RES_I, RES_II,
-                       Thresholds, _cascade_1d, _sort3_abs_desc, classify_batch_1d,
+                       Thresholds, _verdicts_1d, _verdicts_2d, classify_batch_1d,
                        classify_batch_2d, code_label, is_nonresonant, is_resonant)
-from .energies import _TABLE_TUPLES, BudgetError, _Lattice
+from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _Orbits
 from .geometry import build_geometry, zero_field
 from .multipliers import bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, m_value
 
 
-# odd triples per 1-D census block
-_TRIPLE_CHUNK = 48
 # tuples per classifier block in bound verification
 _VERIFY_ROWS = 1 << 16
-
-
-def _m_table(kmax: int, N: float, s: float) -> np.ndarray:
-    sym = SmoothingSymbol(N, 1.0 - s)
-    return m_value(np.arange(kmax + 1, dtype=float), sym)
 
 
 @dataclass
@@ -94,167 +86,136 @@ class CensusReport:
             yield self.classes[code].row(code_label(code))
 
 
-def _odd_triples(kmax: int):
-    """Value-sorted triples (v0 >= v1 >= v2) with permutation multiplicities,
-    abs-desc reordered columns, and slot-sum/square-sum invariants."""
-    from itertools import combinations_with_replacement
-
-    vals = np.arange(kmax, -kmax - 1, -1, dtype=np.int64)
-    idx = np.array(list(combinations_with_replacement(range(len(vals)), 3)))
-    v = vals[idx]  # (T, 3), nonincreasing values
-    weight = np.select([(v[:, 0] == v[:, 1]) & (v[:, 1] == v[:, 2]),
-                        (v[:, 0] == v[:, 1]) | (v[:, 1] == v[:, 2])],
-                       [1, 3], default=6)
-    order = np.argsort(-np.abs(v), axis=1, kind="stable")
-    sorted_abs_desc = np.take_along_axis(v, order, axis=1)
-    return sorted_abs_desc, weight.astype(np.int64)
-
-
 def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
                         thresholds: Thresholds = Thresholds(),
-                        budget: int = 10 ** 9, progress=None) -> dict:
-    """Exhaustive census over Gamma_6 on the integer lattice |k_i| <= kmax.
-
-    One pass serves every threshold N (the rules depend on N only through
-    the below-threshold cut).  Unconjugated slots are enumerated as sorted
-    triples with multiplicity weights (the classification is invariant under
-    slot permutations within a parity), cutting the raw (2K+1)^5 count by
-    about six; counts reported are for the full ordered lattice.
-    """
-    P = 2 * kmax + 1
-    total_raw = P ** 5
-    if total_raw > budget:
-        raise BudgetError(f"would enumerate {total_raw} tuples > budget {budget}")
-    reports = {float(N): CensusReport(1, float(N), kmax, s, thresholds.gap)
-               for N in N_values}
-    mtab = {N: _m_table(kmax, N, s) for N in reports}
-    msq = {N: m ** 2 for N, m in mtab.items()}
-
-    odd, weight = _odd_triples(kmax)
-    o_sum = odd.sum(axis=1)
-    o_sq = np.sum(odd.astype(np.int64) ** 2, axis=1)
-    o_msum = {N: (msq[N][np.abs(odd)] * odd.astype(np.float64) ** 2).sum(axis=1)
-              for N in reports}
-
-    modes = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    k2, k4 = (g.reshape(-1) for g in np.meshgrid(modes, modes, indexing="ij"))
-    done = 0
-    for start in range(0, len(odd), _TRIPLE_CHUNK):
-        tri = np.arange(start, min(start + _TRIPLE_CHUNK, len(odd)))
-        done += _census_chunk_1d(reports, tri, odd, weight, o_sum, o_sq, o_msum,
-                                 k2, k4, kmax, thresholds.gap, msq, mtab)
-        if progress is not None:
-            progress(done)
-    for rep in reports.values():
-        rep.total = done
-    return reports
-
-
-def _census_chunk_1d(reports, tri, odd, weight, o_sum, o_sq, o_msum,
-                     k2, k4, kmax, G, msq, mtab) -> int:
-    """Census of the tuples with odd slots ``odd[tri]`` and even slots k2, k4;
-    k6 is fixed by the constraint.  Returns the weighted tuple count."""
-    k6 = -(o_sum[tri, None] + k2 + k4)  # (triples, I)
-    rows, cols = np.nonzero(np.abs(k6) <= kmax)
-    t, k6 = tri[rows], k6[rows, cols]
-    k2, k4 = k2[cols], k4[cols]
-    pos = t * (2 * kmax + 1) ** 2 + cols  # enumeration order: triple, then (k2, k4)
-
-    # canonical form: each parity |.|-sorted (the triples already are), the
-    # parity holding the largest magnitude first
-    e = _sort3_abs_desc(k2, k4, k6)
-    o = (odd[t, 0], odd[t, 1], odd[t, 2])
-    flip = np.abs(e[0]) > np.abs(o[0])
-    A = tuple(np.where(flip, x, y) for x, y in zip(e, o))
-    B = tuple(np.where(flip, y, x) for x, y in zip(e, o))
-    om = np.abs(o_sq[t] - (k2 ** 2 + k4 ** 2 + k6 ** 2)).astype(np.float64)
-    codes, ns, s12, _ = _cascade_1d(A, B, tuple(map(np.abs, A)),
-                                    tuple(map(np.abs, B)), om, G)
-    n1, n3 = ns[0], ns[2]
-    n1f = n1.astype(np.float64)
-    n3c = np.maximum(n3, 1)
-    w = weight[t]
-
-    def claimed(code, i):
-        if code == NR_PAIR:
-            return (1 - 3 / G**2) * n1f[i] ** 2
-        if code == NR_TRIPLE:
-            return n1f[i] * n3[i] / G
-        if code == NR_BILINEAR:
-            return n1f[i] * np.abs(s12[i]) / G
-        return n1f[i] ** 2 / G
-
-    def witness(i):
-        r = t[i]
-        return (int(odd[r, 0]), int(k2[i]), int(odd[r, 1]), int(k4[i]),
-                int(odd[r, 2]), int(k6[i]))
-
-    for N, rep in reports.items():
-        me = msq[N][np.abs(k2)] * (k2.astype(np.float64) ** 2) \
-            + msq[N][np.abs(k4)] * (k4.astype(np.float64) ** 2) \
-            + msq[N][np.abs(k6)] * (k6.astype(np.float64) ** 2)
-        M = np.abs(o_msum[N][t] - me)
-        _accumulate(rep, np.where(n1 <= N, BELOW, codes), w, om, M, pos, claimed,
-                    lambda i, m=mtab[N]: m[n1[i]] * n1f[i] * m[n3c[i]] * n3c[i],
-                    witness)
-    return int(w.sum())
+                        budget: int = 10 ** 9) -> dict:
+    """Exhaustive census over Gamma_6 on the integer lattice |k_i| <= kmax
+    (``_census``)."""
+    return _census(1, N_values, kmax, s, thresholds, budget)
 
 
 def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
                         thresholds: Thresholds = Thresholds(),
                         budget: int = 10 ** 9) -> dict:
-    """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax.
+    """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax,
+    on the unit square torus (``_census``)."""
+    return _census(2, N_values, kmax, s, thresholds, budget)
 
-    Walks the on-lattice tuples of the unit square torus (physical
-    frequencies are the integer modes) in ``_Lattice.on_lattice`` blocks, so
-    memory stays bounded whatever kmax is.  Each block is classified once;
-    the below-threshold cut, |Omega| and M come per N from per-mode lookups
-    of |k|^2 and m^2, summed in slot order.
+
+# Per dimension, the slot orders of a representative over which M's float
+# sum can differ within its orbit, each the first of its tuples in
+# enumeration order.  In 1-D M sums the odd triple in one order and the even
+# slots as (k2 + k4) + k6, which depends only on which mode is k6: k6 runs
+# over the even multiset e1 <= e2 <= e3, with k2 <= k4 the other two.  In
+# 2-D M sums ((b1 - b2) + b3) - b4, over every tuple of the orbit.
+_ARRANGEMENTS = {1: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 5, 4, 3), (0, 3, 2, 5, 4, 1)],
+                 2: [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]}
+
+
+def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
+            budget: int) -> dict:
+    """The census of Gamma_n (n = 6 in 1-D, 4 in 2-D) on the integer modes
+    |k_i|_inf <= kmax, one report per threshold N.
+
+    Walks one representative per slot-parity orbit (``_Orbits``), weighted
+    by its orbit's size: the distinct arrangements of its odd multiset times
+    those of its even one.  Verdicts, |Omega| and the bounds are symmetric
+    within each slot parity, so they are read once per representative: the
+    verdicts from the integer modes in 1-D and the per-mode |k| in 2-D, the
+    rest per N from per-mode lookups by |k|^2.  M is summed in the order of
+    the enumeration the witnesses are documented in (1-D: odd triples by
+    descending values, then (k2, k4) ascending; 2-D: (k1, k2, k3) in C
+    order), over the ``_ARRANGEMENTS`` whose float sums can differ, each at
+    the position of its first tuple in that order; so the supremum and its
+    witness, the first maximizer, are those of a walk over every tuple.
     """
-    lat = _Lattice(zero_field(build_geometry(2, (1.0,), 1.0), kmax), 4)
-    lat.check_budget(budget)
+    n = 6 if d == 1 else 4
+    lat = _Orbits(zero_field(build_geometry(d, (1.0,) * (d - 1)), kmax), n, budget)
     G = thresholds.gap
-    reports = {float(N): CensusReport(2, float(N), kmax, s, G) for N in N_values}
+    reports = {float(N): CensusReport(d, float(N), kmax, s, G) for N in N_values}
     sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode
     root = np.sqrt(np.arange(sq.max() + 1, dtype=np.float64))  # |k| by |k|^2
     mtab = {N: m_value(root, SmoothingSymbol(N, 1.0 - s)) for N in reports}
-    bare = {N: mtab[N][sq] ** 2 * sq for N in reports}
+    bare = {N: m ** 2 * np.arange(len(m)) for N, m in mtab.items()}  # m^2 |k|^2 by |k|^2
+    orbit = np.rint(math.factorial(n // 2) * lat.share).astype(np.int64)
+    arrangements = _ARRANGEMENTS[d]
     done = 0
-    for pos, idx in lat.on_lattice(_TABLE_TUPLES):
-        base, _ = classify_batch_2d(lat.physical(idx), N=0.0, thresholds=thresholds)
-        s4 = sq[idx]
-        om = np.abs(s4[:, 0] - s4[:, 1] + s4[:, 2] - s4[:, 3]).astype(np.float64)
+    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
+        weight = np.concatenate([np.outer(orbit[odd], orbit[even]).ravel()
+                                 for (odd, even), _ in blocks])
+        ksq = sq[idx]
+        om = np.abs(ksq[:, 0::2].sum(axis=1) - ksq[:, 1::2].sum(axis=1)).astype(np.float64)
         # |k|^2 of the largest slot, and of the second and third largest
-        # clipped below at 1; the claimed bound takes the integer |k|^2 of
-        # the second largest, since sqrt(|k|^2)^2 can round above it
-        ranked = np.sort(s4, axis=1)
-        r1, r2, r3 = ranked[:, 3], np.maximum(ranked[:, 2], 1), np.maximum(ranked[:, 1], 1)
+        # clipped below at 1
+        ranked = np.sort(ksq, axis=1)
+        r1, r2, r3 = ranked[:, -1], np.maximum(ranked[:, -2], 1), np.maximum(ranked[:, -3], 1)
         n1, n3 = root[r1], root[r3]
-        weight = np.ones(len(pos), dtype=np.int64)
+        if d == 1:
+            codes, (_, _, _, s12, _, _) = _verdicts_1d(lat.modes[idx, 0], G)
+            # the representative's odd modes ascend: its triple's position
+            # orders them by descending values
+            P = lat.Q
+            odd = (P - 1 - idx[:, 4]) * P ** 2 + (P - 1 - idx[:, 2]) * P + P - 1 - idx[:, 0]
+            pos = np.stack([odd * P ** 2 + idx[:, a[1]] * P + idx[:, a[3]] for a in arrangements],
+                           axis=1)
+            odd_sq = np.sort(ksq[:, 0::2], axis=1)[:, ::-1]  # odd slots by descending |k|
+
+            def M(b):
+                o, t = b[odd_sq].sum(axis=1), b[ksq]
+                return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
+                                        for a in arrangements], axis=1))
+
+            def claimed(code, i):
+                if code == NR_PAIR:
+                    return (1 - 3 / G**2) * n1[i] ** 2
+                if code == NR_TRIPLE:
+                    return n1[i] * n3[i] / G
+                if code == NR_BILINEAR:
+                    return n1[i] * np.abs(s12[i]) / G
+                return n1[i] ** 2 / G
+
+            def witness(i, j):
+                k = lat.modes[idx[i, arrangements[j]], 0].tolist()
+                # odds by descending |k|, ties by descending value
+                o = sorted(k[4::-2], key=abs, reverse=True)
+                return (o[0], k[1], o[1], k[3], o[2], k[5])
+        else:
+            codes = _verdicts_2d(lat.kabs[idx], G)[0]
+            pos = np.stack([lat.position(idx[:, a]) for a in arrangements], axis=1)
+
+            def M(b):
+                t = b[ksq]
+                return np.abs(np.stack([t[:, a[0]] - t[:, a[1]] + t[:, a[2]] - t[:, a[3]]
+                                        for a in arrangements], axis=1))
+
+            # from the integer |k|^2 of the second largest slot, since
+            # sqrt(|k|^2)^2 can round above it
+            claimed = lambda code, i: 2.0 * (1 - 1 / G**2) * r2[i]
+            witness = lambda i, j: tuple(float(x) for x in
+                                         lat.modes[idx[i, arrangements[j]]].ravel())
         for N, rep in reports.items():
-            b = bare[N][idx]
-            M = np.abs(b[:, 0] - b[:, 1] + b[:, 2] - b[:, 3])
-            _accumulate(rep, np.where(n1 <= N, BELOW, base), weight, om, M, pos,
-                        lambda code, i: 2.0 * (1 - 1 / G**2) * r2[i],
-                        lambda i, m=mtab[N]: m[r1[i]] * n1[i] * m[r3[i]] * n3[i],
-                        lambda i: tuple(float(x) for x in lat.modes[idx[i]].ravel()))
-        done += len(pos)
+            _accumulate(rep, np.where(n1 <= N, BELOW, codes), weight, om, M(bare[N]), pos,
+                        claimed, lambda i, m=mtab[N]: m[r1[i]] * n1[i] * m[r3[i]] * n3[i],
+                        witness)
+        done += int(weight.sum())
     for rep in reports.values():
         rep.total = done
     return reports
 
 
 def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
-    """Fold a block of on-lattice tuples into ``rep``'s class statistics.
+    """Fold a block of orbit representatives into ``rep``'s class statistics.
 
-    Flat arrays over the block: verdict codes, tuple weights, |Omega|, M and
-    the tuples' enumeration positions.  ``claimed(code, i)`` is the lower
-    bound a non-resonant rule claims for |Omega| at block indices i,
-    ``bound(i)`` the resonant mean-value bound m(N1*)N1* m(N3*)N3* and
-    ``witness(i)`` the tuple at index i.  Per class: the count, min |Omega|,
-    min |Omega|/claimed, and the supremum of M/|Omega| (non-resonant; a zero
-    |Omega| there is a violation, ratio inf) or of M/bound (resonant) with
-    its witness, the earliest maximizer in enumeration order.
+    Per representative: verdict code, weight (its orbit's size) and |Omega|;
+    per representative and arrangement (T, A): M and the enumeration
+    position.  ``claimed(code, i)`` is the lower bound a non-resonant rule
+    claims for |Omega| at block indices i, ``bound(i)`` the resonant
+    mean-value bound m(N1*)N1* m(N3*)N3* and ``witness(i, j)`` the tuple of
+    representative i in arrangement j.  Per class: the weighted count, min
+    |Omega|, min |Omega|/claimed, and the supremum of M/|Omega| (non-resonant;
+    a zero |Omega| there is a violation for each tuple of the orbit, ratio
+    inf) or of M/bound (resonant) with its witness, the earliest maximizer in
+    enumeration order.
     """
     for code in np.flatnonzero(np.bincount(codes)):
         i = np.flatnonzero(codes == code)
@@ -266,20 +227,21 @@ def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
         st.min_abs_omega = min(st.min_abs_omega, float(om_i.min()))
         if is_nonresonant(code):
             zero = om_i == 0.0
-            rep.violations += int(zero.sum())
+            rep.violations += int(weight[i][zero].sum())
             st.min_omega_ratio = min(st.min_omega_ratio,
                                      float((om_i / claimed(code, i)).min()))
-            ratios = np.full(len(i), np.inf)
-            np.divide(M[i], om_i, out=ratios, where=~zero)
+            ratios = np.full(M[i].shape, np.inf)
+            np.divide(M[i], om_i[:, None], out=ratios, where=~zero[:, None])
         else:
-            ratios = M[i] / bound(i)
+            ratios = M[i] / bound(i)[:, None]
         mx = float(ratios.max())
-        top = i[ratios == mx]
-        at = top[np.argmin(pos[top])]
+        rows, arr = np.nonzero(ratios == mx)
+        first = np.argmin(pos[i[rows], arr])
+        at, j = i[rows[first]], arr[first]
         if mx > st.max_ratio or (st.witness and mx == st.max_ratio
-                                 and pos[at] < st.witness_pos):
-            st.max_ratio, st.witness_pos = mx, int(pos[at])
-            st.witness = witness(at)
+                                 and pos[at, j] < st.witness_pos):
+            st.max_ratio, st.witness_pos = mx, int(pos[at, j])
+            st.witness = witness(at, j)
 
 
 def sohinger_presence(kmax: int, thresholds: Thresholds = Thresholds(),

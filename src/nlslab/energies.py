@@ -219,8 +219,10 @@ class _Lattice:
             yield self._gather(run)
 
     def _gather(self, run):
+        """A run's blocks and their slot indices, a view of a one-block run's."""
+        flat = [idx.reshape(-1, self.n) for _, idx in run]
         return ([(block, idx.shape[:2]) for block, idx in run],
-                np.concatenate([idx.reshape(-1, self.n) for _, idx in run]))
+                flat[0] if len(flat) == 1 else np.concatenate(flat))
 
     def on_lattice(self, max_tuples: int):
         """The on-lattice tuples, each once, in blocks of at most
@@ -353,9 +355,8 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
         if len(idx) > _TABLE_TUPLES:
             # one block past _TABLE_TUPLES: evaluated in slices, so the
             # classifier's temporaries stay as small as in any other run
-            parts = [evaluate(idx[i:i + _TABLE_TUPLES])
-                     for i in range(0, len(idx), _TABLE_TUPLES)]
-            values = [np.concatenate(v) for v in zip(*parts)]
+            values = [np.concatenate(v) for v in zip(*(
+                evaluate(idx[i:i + _TABLE_TUPLES]) for i in range(0, len(idx), _TABLE_TUPLES)))]
         else:
             values = evaluate(idx)
         weights = [lat.weights([block for block, _ in blocks], vecs) for vecs, _ in passes]
@@ -377,6 +378,8 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
                         G = G[:S] + 1j * G[S:]
                     acc[k] += np.sum(G * C, axis=1)
             start = stop
+        # release this run (T views its values) before batches builds the next
+        idx = values = weights = T = None
     return sums
 
 

@@ -369,14 +369,6 @@ def lp_project(f: SpectralField, level: int, sharp: bool = True) -> SpectralFiel
     return f.with_coeffs(smooth_shell_weight(kabs, level) * f.coeffs)
 
 
-def project_set(f: SpectralField, mask: np.ndarray) -> SpectralField:
-    """Zero all coefficients outside an explicit boolean mode mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != f.coeffs.shape:
-        raise ValueError("mask shape does not match the coefficient lattice")
-    return f.with_coeffs(np.where(mask, f.coeffs, 0.0))
-
-
 # -- free evolution and space-time norms --------------------------------------
 
 

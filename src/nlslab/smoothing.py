@@ -228,12 +228,3 @@ def total_exponent(d: int, s: float) -> float:
     if d == 2:
         return 2.5 - 1.5 / s
     raise ValueError(f"d={d} must be 1 or 2")
-
-
-def gwp_threshold(d: int) -> float:
-    """Regularity where the existence exponent crosses zero: 1/3 and 3/5."""
-    if d == 1:
-        return 1.0 / 3.0
-    if d == 2:
-        return 3.0 / 5.0
-    raise ValueError(f"d={d} must be 1 or 2")

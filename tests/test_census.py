@@ -1,5 +1,7 @@
 """Census kernel: partition, exactness, cross-validation, bound sweeps."""
 
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,11 +16,15 @@ from nlslab import census
 from nlslab.census import (BudgetError, BoundReport, resonance_census_1d,
                            resonance_census_2d, sohinger_presence,
                            verify_multiplier_bounds)
-from nlslab.classify import (BELOW, NR_2D, NR_SIGNS, Thresholds, classify_batch_1d,
+from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
+                             Thresholds, classify_batch_1d,
                              classify_batch_2d, is_nonresonant, is_resonant)
 from nlslab.cli import main
 from nlslab.multipliers import omega
 from nlslab.smoothing import SmoothingSymbol, m_value
+
+# the package exports the function ``classify`` under the module's name
+classify = importlib.import_module("nlslab.classify")
 
 
 def reference_counts(N, kmax, s, th):
@@ -58,6 +64,68 @@ def test_kernel_matches_reference_enumeration(gap):
         if "min_om" in d:
             assert st.min_abs_omega == d["min_om"]
             assert st.max_ratio == pytest.approx(d["max_ratio"], rel=1e-12)
+
+
+def reference_census_1d(N, kmax, s, th):
+    """The 1-D census by direct enumeration in its documented order: odd
+    triples sorted by descending values, in lexicographic order, each with
+    its permutation count; then (k2, k4) in C order, k6 fixed by the
+    constraint.  M sums the odd slots by descending |k| (ties by descending
+    value), minus k2 + k4 + k6.  Per class the census row."""
+    vals = range(kmax, -kmax - 1, -1)
+    tri = list(itertools.combinations_with_replacement(vals, 3))
+    odd = np.array([sorted(t, key=abs, reverse=True) for t in tri])
+    mult = np.array([len(set(itertools.permutations(t))) for t in tri])
+    side = np.arange(-kmax, kmax + 1)
+    t, k2, k4 = (g.ravel() for g in np.meshgrid(np.arange(len(tri)), side, side,
+                                                 indexing="ij"))
+    k6 = -(odd[t].sum(axis=1) + k2 + k4)
+    keep = np.abs(k6) <= kmax
+    t, k2, k4, k6 = t[keep], k2[keep], k4[keep], k6[keep]
+    tup = np.stack([odd[t, 0], k2, odd[t, 1], k4, odd[t, 2], k6], axis=1)
+    codes, info = classify_batch_1d(tup.astype(float), N, th)
+    om = np.abs(omega(tup.astype(float)))
+    sym = SmoothingSymbol(N, 1 - s)
+    b = m_value(np.abs(tup), sym) ** 2 * tup.astype(float) ** 2
+    M = np.abs(b[:, 0::2].sum(axis=1) - (b[:, 1] + b[:, 3] + b[:, 5]))
+    n1, n3 = info["mags"][:, 0], info["mags"][:, 2]
+    n3c = np.maximum(n3, 1.0)
+    G = th.gap
+    claimed = {NR_PAIR: (1 - 3 / G**2) * n1**2, NR_TRIPLE: n1 * n3 / G,
+               NR_BILINEAR: n1 * np.abs(info["s12"]) / G, NR_SIGNS: n1**2 / G}
+    rows = {}
+    for code in np.unique(codes):
+        sel = codes == code
+        row = {"count": int(mult[t][sel].sum()), "min_abs_omega": None,
+               "min_omega_ratio": None, "max_ratio": 0.0, "witness_tuple": []}
+        if code != BELOW:
+            row["min_abs_omega"] = float(om[sel].min())
+            if is_nonresonant(code):
+                row["min_omega_ratio"] = float((om[sel] / claimed[code][sel]).min())
+                ratios = M[sel] / om[sel]
+            else:
+                ratios = M[sel] / (m_value(n1[sel], sym) * n1[sel]
+                                   * m_value(n3c[sel], sym) * n3c[sel])
+            row["max_ratio"] = float(ratios.max())
+            row["witness_tuple"] = [int(x) for x in tup[sel][int(ratios.argmax())]]
+        rows[int(code)] = row
+    return rows, int(mult[t].sum())
+
+
+# configs where M's float sum differs within an orbit and moves the first
+# maximizer off the orbit representative's own slot order
+@pytest.mark.parametrize("kmax, gap, s, N", [(5, 3.0, 0.3, 2.0), (7, 2.0, 0.7, 1.0),
+                                             (9, 4.0, 0.5, 1.0), (4, 4.0, 0.5, 4.0)])
+def test_1d_census_matches_reference_enumeration(kmax, gap, s, N):
+    th = Thresholds(gap=gap)
+    rows, total = reference_census_1d(N, kmax, s, th)
+    rep = resonance_census_1d([N], kmax, s, th)[N]
+    assert rep.total == total and rep.violations == 0
+    assert sorted(rep.classes) == sorted(rows)
+    for code, row in rows.items():
+        got = rep.classes[code].row(None)
+        del got["class"]
+        assert got == row, code
 
 
 def test_partition_property():
@@ -216,14 +284,14 @@ class TestSoundnessGate:
         return code, guards, witness, resonant_zero
 
     def test_d1(self, tmp_path, monkeypatch):
-        cascade = census._cascade_1d
+        cascade = classify._cascade_1d
 
         def unsound(A, B, aA, aB, aom, G):
             codes, ns, s12, L = cascade(A, B, aA, aB, aom, G)
             codes[(aom == 0.0) & is_resonant(codes) & (ns[0] % 2 == 0)] = NR_SIGNS
             return codes, ns, s12, L
 
-        monkeypatch.setattr(census, "_cascade_1d", unsound)
+        monkeypatch.setattr(classify, "_cascade_1d", unsound)
         code, guards, witness, resonant_zero = self.run(tmp_path, 1)
         assert code == 2 and guards["violations"] > 0 and resonant_zero
         k = np.array(eval(witness[0]), dtype=np.int64)
@@ -231,20 +299,20 @@ class TestSoundnessGate:
         assert int(np.sum(k**2 * np.array([1, -1, 1, -1, 1, -1]))) == 0
 
     def test_d2(self, tmp_path, monkeypatch):
-        classify = census.classify_batch_2d
+        verdicts = census._verdicts_2d
 
-        def unsound(tup, N, thresholds):
-            codes, info = classify(tup, N, thresholds)
-            sq = np.sum(tup**2, axis=-1)
+        def unsound(m, G):
+            codes, pairs = verdicts(m, G)
+            sq = np.rint(m**2)  # exact |k|^2 on the unit lattice
             zero = sq[:, 0] - sq[:, 1] + sq[:, 2] - sq[:, 3] == 0
-            codes[zero & is_resonant(codes) & (tup[:, 0, 0] % 2 == 0)] = NR_2D
-            return codes, info
+            codes[zero & is_resonant(codes) & (sq[:, 0] % 2 == 0)] = NR_2D
+            return codes, pairs
 
-        monkeypatch.setattr(census, "classify_batch_2d", unsound)
+        monkeypatch.setattr(census, "_verdicts_2d", unsound)
         code, guards, witness, resonant_zero = self.run(tmp_path, 2)
         assert code == 2 and guards["violations"] > 0 and resonant_zero
         k = np.array(eval(witness[0]), dtype=float).reshape(4, 2)
-        assert np.all(k.sum(axis=0) == 0) and k[0, 0] % 2 == 0
+        assert np.all(k.sum(axis=0) == 0) and np.sum(k[0] ** 2) % 2 == 0
         assert np.sum(np.sum(k**2, axis=1) * np.array([1, -1, 1, -1])) == 0.0
 
 

@@ -154,6 +154,28 @@ class TestRunners:
         assert hashlib.sha256(body).hexdigest() == (
             "92f185ee78416233422d323d92ef9d633615355ecff741839c6b8771a337109c")
 
+    # census.csv digests: 1-D at the defaults (kmax 8), two 1-D configs
+    # whose float sums would move with a changed summation order of M, and
+    # 2-D at two gaps
+    @pytest.mark.parametrize("text, digest", [
+        ("", "e5fb57618b7a13e593505bcdcdac30ba494545052e21f6156df9d1226e5aae0a"),
+        ("kmax = 10\ngap_grid = 3,4\n",
+         "549900efc5993cf340510b1121b9b0411776eceb2f28a036508ba3283f45dde5"),
+        ("kmax = 12\nn_grid = 2,5\ngap_grid = 6\ns = 0.3\n",
+         "36436b59898c9480cfd086eda10e1575bf9304e07ec27217d24bc10ab1e7a4e8"),
+        ("d = 2\nkmax = 3\ngap_grid = 2,4\n",
+         "bbfff85d542dbd1e34804ac01b0a8628187ae6cd9821cbede21042f749e2d14e"),
+    ], ids=["1d-defaults", "1d-k10-gaps3,4", "1d-k12-gap6-s0.3", "2d-k3-gaps2,4"])
+    def test_census_run_pinned(self, text, digest, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text)
+        code = main(["census", "--config", str(cfgfile), "--out", str(tmp_path / "c")])
+        assert code == 0
+        guards = json.loads((tmp_path / "c" / "manifest.json").read_text())["guards"]
+        assert guards["violations"] == 0
+        body = (tmp_path / "c" / "census.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == digest
+
     def test_census_2d_default_s(self, tmp_path):
         # an unset s is the dimension's own default: 0.6 in 2-D
         digests = []

@@ -6,7 +6,7 @@ import pytest
 from nlslab.geometry import (TorusGeometry, build_geometry, field_from_modes,
                              free_evolve, from_physical, grid_points, load_field,
                              lp_project, lp_spacetime_norm, norm,
-                             pointwise_product, project_set, random_field,
+                             pointwise_product, random_field,
                              save_field, sharp_shell_index, smooth_shell_weight,
                              to_physical, zero_field)
 
@@ -119,17 +119,6 @@ def test_smooth_shells_sum_to_one():
     total = sum(smooth_shell_weight(kabs, N) for N in (1, 2, 4, 8, 16, 32, 64))
     assert np.max(np.abs(total - 1.0)) < 1e-12
     assert np.all(sharp_shell_index([0.5, 1.5, 2.0, 3.9, 4.0]) == [1, 1, 2, 2, 4])
-
-
-def test_disjoint_projection_additivity():
-    g = build_geometry(2, (0.9,), 1.0)
-    u = random_field(g, 5, RNG)
-    mask_a = u.kabs() <= 2
-    mask_b = (u.kabs() > 2) & (u.kabs() <= 4)
-    pa, pb = project_set(u, mask_a), project_set(u, mask_b)
-    pab = project_set(u, mask_a | mask_b)
-    assert norm(pab, "l2") ** 2 == pytest.approx(
-        norm(pa, "l2") ** 2 + norm(pb, "l2") ** 2, rel=1e-13)
 
 
 def test_free_evolution_is_unitary_group():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nlslab.geometry import build_geometry, field_from_modes, norm, random_field
-from nlslab.smoothing import (SmoothingSymbol, apply_I, gwp_budget, gwp_threshold,
-                              m_value, rescale, symbol_self_check, total_exponent)
+from nlslab.smoothing import (SmoothingSymbol, apply_I, gwp_budget, m_value, rescale,
+                              symbol_self_check, total_exponent)
 
 RNG = np.random.default_rng(11)
 
@@ -107,8 +107,6 @@ class TestBudget:
     def test_thresholds_exact(self):
         assert total_exponent(1, 1.0 / 3.0) == pytest.approx(0.0, abs=1e-15)
         assert total_exponent(2, 3.0 / 5.0) == pytest.approx(0.0, abs=1e-15)
-        assert gwp_threshold(1) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert gwp_threshold(2) == pytest.approx(3.0 / 5.0, abs=1e-15)
 
     def test_2d_example_value(self):
         assert total_exponent(2, 2.0 / 3.0) == pytest.approx(0.25, abs=1e-12)
