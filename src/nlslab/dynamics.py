@@ -143,16 +143,12 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
     for i in range(1, n_steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                u_next = step(u)
-            finite = bool(np.all(np.isfinite(u_next.coeffs)))
-        except ValueError:
-            finite = False
-        if not finite:
+                u = step(u)
+        except ValueError:  # SpectralField refuses non-finite coefficients
             aborted = True
             diagnostics = {"failed_step": i, "t": i * dt,
                            "reason": "non-finite coefficients"}
             break
-        u = u_next
         if i % cfg.sample_stride == 0 or i == n_steps:
             t = i * dt
             times.append(t)

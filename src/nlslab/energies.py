@@ -55,13 +55,16 @@ SIGN = {"defocusing": 1.0, "focusing": -1.0}
 DEFAULT_TUPLE_BUDGET = 2 ** 27
 
 # block sizes of the Gamma_n enumerations: a lattice sum cuts each
-# equal-sigma row group into blocks of at most _GROUP_ROWS rows, which fixes
-# its summation order (hence the last bits of every Lambda value) and bounds
+# equal-sigma row group into blocks of at most _GROUP_ROWS rows, which bounds
 # a block's working set; symbol values (and the 2-D census) are evaluated on
 # runs of blocks holding about _TABLE_TUPLES on-lattice tuples, which bounds
-# the classifier's temporaries
+# the classifier's temporaries; a run's block products wait for their column
+# weights in a buffer of at most _CONTRACT_BYTES (or one block's product).
+# The three fix a sum's summation order, hence the last bits of every Lambda
+# value
 _GROUP_ROWS = 1 << 12
 _TABLE_TUPLES = 1 << 14
+_CONTRACT_BYTES = 1 << 20
 
 
 class ConsistencyError(RuntimeError):
@@ -181,15 +184,19 @@ class _Lattice:
         idx[:, :, self.n - 1] = last
         return idx
 
-    def weights(self, blocks, vecs):
-        """Per block of a run, the row and column weights (sets, R) and
-        (sets, C): the product of slots 1..n-2 per row, of slots n-1 and n
-        per column."""
-        for rows, outer, cols, last in blocks:
-            O = np.ones((len(vecs[0]), len(rows)), dtype=np.complex128)
+    def weights(self, blocks, families):
+        """Per family of slot vectors (sets, Q), lazily, a run's row and
+        column weights (sets, rows) and (sets, cols), its blocks side by
+        side: the product of slots 1..n-2 per row, of slots n-1 and n per
+        column.  The run's indices are concatenated once for all families."""
+        rows = sum(len(b[0]) for b in blocks)
+        outer = [np.concatenate(o) for o in zip(*(b[1] for b in blocks))]
+        cols, last = (np.concatenate([b[j] for b in blocks]) for j in (2, 3))
+        for vecs in families:
+            A = np.ones((len(vecs[0]), rows), dtype=np.complex128)
             for v, o in zip(vecs, outer):
-                O *= v[:, o]
-            yield O, vecs[self.n - 2][:, cols] * vecs[self.n - 1][:, last]
+                A *= v[:, o]
+            yield A, vecs[self.n - 2][:, cols] * vecs[self.n - 1][:, last]
 
     def physical(self, idx):
         """Physical tuples of slot indices: (..., n) in 1d, (..., n, d) otherwise."""
@@ -309,26 +316,26 @@ class _Orbits(_Lattice):
         place i: the h x h permanent times ``share``."""
         sets = self.sets[rows]
         total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
+        term, factor = np.empty_like(total), np.empty_like(total)
+        # the indices are in range; mode "clip" lets take write into out
+        # directly, where "raise" gathers into a temporary first
         for p in self.perms:
-            term = vecs[0][:, sets[:, p[0]]]
+            np.take(vecs[0], sets[:, p[0]], axis=1, out=term, mode="clip")
             for v, j in zip(vecs[1:], p[1:]):
-                term *= v[:, sets[:, j]]
+                term *= np.take(v, sets[:, j], axis=1, out=factor, mode="clip")
             total += term
-        return total * self.share[rows]
+        total *= self.share[rows]
+        return total
 
-    def weights(self, blocks, vecs):
-        """Per block of a run, (A, B): the arrangement sums of the odd slot
-        vectors over its rows and of the even ones over its columns, built
-        once for the run."""
+    def weights(self, blocks, families):
+        """Per family of slot vectors (sets, Q), lazily, a run's (A, B), its
+        blocks side by side: the arrangement sums of the odd slot vectors
+        over its rows and of the even ones over its columns.  The run's row
+        indices are concatenated once for all families."""
         rows = [np.concatenate([np.arange(b[j].start, b[j].stop) for b in blocks])
                 for j in (0, 1)]
-        A = self._arrangements(vecs[0::2], rows[0])
-        B = self._arrangements(vecs[1::2], rows[1])
-        r = c = 0
-        for odd, even in blocks:
-            R, C = odd.stop - odd.start, even.stop - even.start
-            yield A[:, r:r + R], B[:, c:c + C]
-            r, c = r + R, c + C
+        for vecs in families:
+            yield self._arrangements(vecs[0::2], rows[0]), self._arrangements(vecs[1::2], rows[1])
 
 
 def _walk(lat: _Lattice, evaluate, passes) -> list:
@@ -343,11 +350,10 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
     indices of the symbols summed against them.  Returns per pass an array
     (len(symbols), sets) of plain sums.
 
-    Per pass each block costs its row weights O (sets x rows) and column
-    weights C (sets x cols) from ``lat.weights`` (a generator over a run's
-    blocks), shared by the pass's symbols, and per symbol one matrix
-    product with the symbol block T (rows x cols), [Re O; Im O] @ T, which
-    is then contracted against C.
+    Per run and pass, ``lat.weights`` gives the row weights A (sets x rows)
+    and column weights B (sets x cols) of the pass's sets, the run's blocks
+    side by side, and ``_contract`` sums the pass's symbols against them;
+    each pass's weights are dropped before the next pass's are built.
     """
     sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
             for vecs, symbols in passes]
@@ -359,28 +365,48 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
                 evaluate(idx[i:i + _TABLE_TUPLES]) for i in range(0, len(idx), _TABLE_TUPLES)))]
         else:
             values = evaluate(idx)
-        weights = [lat.weights([block for block, _ in blocks], vecs) for vecs, _ in passes]
-        start = 0
-        for _, shape in blocks:
-            stop = start + shape[0] * shape[1]
-            for (vecs, symbols), acc, w in zip(passes, sums, weights):
-                O, C = next(w)
-                S = len(O)
-                stacked = None
-                for k, sym in enumerate(symbols):
-                    T = values[sym][start:stop].reshape(shape)
-                    if np.iscomplexobj(T):
-                        G = O @ T
-                    else:
-                        if stacked is None:
-                            stacked = np.concatenate([O.real, O.imag])
-                        G = stacked @ T
-                        G = G[:S] + 1j * G[S:]
-                    acc[k] += np.sum(G * C, axis=1)
-            start = stop
-        # release this run (T views its values) before batches builds the next
-        idx = values = weights = T = None
+        weights = lat.weights([block for block, _ in blocks], [vecs for vecs, _ in passes])
+        shapes = [shape for _, shape in blocks]
+        for (_, symbols), acc in zip(passes, sums):
+            _contract(acc, *next(weights), np.stack([values[k] for k in symbols]), shapes)
+        # release this run before batches builds the next
+        idx = values = None
     return sums
+
+
+def _contract(acc, A, B, V, shapes) -> None:
+    """Add to ``acc`` (symbols, sets) the sums over a run's blocks of
+    A[s, r] V[k, r, c] B[s, c]: A and B hold the run's row and column
+    weights, ``V`` (symbols, run tuples) its values, each block's (R, C)
+    of them block after block and row-major within a block.
+
+    Each block costs one matrix product for all symbols, [Re A; Im A] @ V
+    for real values and A @ V for complex ones, written into its columns of
+    a buffer.  The buffer is multiplied by its columns of B and summed over
+    them (pairwise, as ``np.sum`` adds) once it is full and at the end of
+    the run; it holds at most ``_CONTRACT_BYTES`` or one block's product.
+    """
+    S, k = len(A), len(V)
+    real = not np.iscomplexobj(V)
+    lhs = np.concatenate([A.real, A.imag]) if real else A
+    column = k * len(lhs) * lhs.itemsize  # buffer bytes per column
+    width = min(B.shape[1], max(max(C for _, C in shapes), _CONTRACT_BYTES // max(column, 1)))
+    buf = np.empty((k, len(lhs), width), dtype=lhs.dtype)
+
+    def fold(G, Bc):
+        if real:
+            return np.sum(G[:, :S] * Bc, axis=2) + 1j * np.sum(G[:, S:] * Bc, axis=2)
+        return np.sum(G * Bc, axis=2)
+
+    r = t = c = lo = 0  # offsets of the block's rows, tuples, columns; first buffered column
+    for R, C in shapes:
+        if c + C - lo > width:
+            acc += fold(buf[:, :, :c - lo], B[:, lo:c])
+            lo = c
+        np.matmul(lhs[:, r:r + R], V[:, t:t + R * C].reshape(k, R, C),
+                  out=buf[:, :, c - lo:c - lo + C])
+        r, t, c = r + R, t + R * C, c + C
+    acc += fold(buf[:, :, :c - lo], B[:, lo:c])
 
 
 def _slot_stack(field_sets) -> list[np.ndarray]:
@@ -486,9 +512,19 @@ def _lattice_verdicts(lat: _Lattice, idx, N: float, G: float) -> np.ndarray:
     2-D rules run on the physical |k| of each slot.  The below-threshold
     cut reads the physical |k|.
     """
-    mags = lat.kabs[idx]
-    codes = _verdicts_1d(lat.modes[idx, 0], G)[0] if lat.d == 1 else _verdicts_2d(mags, G)[0]
-    codes[np.max(mags, axis=1) <= N] = BELOW
+    if lat.d == 1:
+        codes = _verdicts_1d(lat.modes[idx, 0], G)[0]
+        slot = lambda j: lat.kabs[idx[:, j]]
+    else:
+        mags = lat.kabs[idx]
+        codes = _verdicts_2d(mags, G)[0]
+        slot = lambda j: mags[:, j]
+    # the largest |k| of each tuple, slot by slot: numpy's max over the
+    # short slot axis is several times slower
+    top = np.maximum(slot(0), slot(1))
+    for j in range(2, lat.n):
+        np.maximum(top, slot(j), out=top)
+    codes[top <= N] = BELOW
     return codes
 
 

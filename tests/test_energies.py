@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,6 +528,93 @@ class TestOrbitWalk:
         (collapsed,), = correction_sums(f, 1.5, 0.5, [(sets[:2], ("combined",))], th)
         assert abs(3 * (collapsed[1] - collapsed[0]) - alternating) \
             <= 1e-13 * np.max(np.abs(full))
+
+
+def representative_terms(f, N, th, sets):
+    """Per symbol, set and orbit representative, the term value x A x B of
+    an orbit walk's sums (symbols, sets, representatives), from
+    ``_correction_values`` and the arrangement sums of each block."""
+    deg = f.geometry.nonlinearity_degree + 1
+    lat = _Orbits(f, deg)
+    evaluate = energies._correction_evaluator(lat, N, 0.5, th)
+    vecs = energies._slot_stack(sets)
+    terms = []
+    for blocks, idx in lat.batches(1 << 30, 1 << 30):
+        values = np.stack(evaluate(idx))
+        t = 0
+        for (odd, even), (R, C) in blocks:
+            A = lat._arrangements(vecs[0::2], np.arange(odd.start, odd.stop))
+            B = lat._arrangements(vecs[1::2], np.arange(even.start, even.stop))
+            weight = (A[:, :, None] * B[:, None, :]).reshape(len(A), R * C)
+            terms.append(values[:, None, t:t + R * C] * weight[None])
+            t += R * C
+    return np.concatenate(terms, axis=2)
+
+
+# the orbit walk's accuracy lattices: (d, gamma, lambda, cutoff, N)
+ACCURACY_LATTICES = [(1, (), 1.0, 5, 1.0), (1, (), 3.0, 5, 1.0),
+                     (2, (0.75,), 1.0, (3, 2), 1.5), (2, (1 / np.sqrt(2),), 1.0, (3, 3), 1.0)]
+
+
+class TestOrbitWalkSums:
+    # the default buffer, and one so small that every block is contracted
+    # on its own
+    @pytest.mark.parametrize("contract_bytes", [energies._CONTRACT_BYTES, 1])
+    @pytest.mark.parametrize("d, gamma, lam, cutoff, N", ACCURACY_LATTICES)
+    def test_sums_within_ulps_of_exact_resummation(self, d, gamma, lam, cutoff, N,
+                                                   contract_bytes, monkeypatch):
+        # the walk groups its float sums by block, run and buffer; whatever
+        # the grouping, each sum is within a few ulps of sum |term| of the
+        # exactly rounded (math.fsum) sum of its per-representative terms
+        g = build_geometry(d, gamma, lam)
+        deg = g.nonlinearity_degree + 1
+        th = Thresholds(2.0)
+        fs = [random_field(g, cutoff, RNG) for _ in range(deg)]
+        nl = nonlinear_coefficient_field(fs[0])
+        families = {
+            "plain": [[f] * deg for f in fs[:2]],
+            "substituted": [[nl if i == j else fs[0] for i in range(deg)] for j in range(2)],
+            "mixed": [[fs[(i + j) % deg] for i in range(deg)] for j in range(2)],
+        }
+        monkeypatch.setattr(energies, "_CONTRACT_BYTES", contract_bytes)
+        got = correction_sums(fs[0], N, 0.5, [(sets, CORRECTION_SYMBOLS)
+                                              for sets in families.values()], th)
+        for (family, sets), sums in zip(families.items(), got):
+            terms = representative_terms(fs[0], N, th, sets)
+            exact = np.array([[complex(math.fsum(t.real), math.fsum(t.imag)) for t in row]
+                              for row in terms])
+            scale = np.sum(np.abs(terms), axis=2)
+            assert np.all(scale > 0)
+            assert np.all(np.abs(sums - exact) <= 4 * np.finfo(float).eps * scale), family
+
+    def test_contraction_memory_bounded(self, monkeypatch):
+        # 320 sets on a lattice walked as one run of over a hundred blocks.
+        # Above its inputs, a contraction holds [Re A; Im A] (A.nbytes) and
+        # two buffer-sized arrays, the buffer and its product with B, each
+        # at most max(_CONTRACT_BYTES, one block's product), and numpy's
+        # casting buffers (512 KiB of slack): nothing grows with the run's
+        # blocks x sets
+        f = random_field(build_geometry(2, (0.75,), 1.0), (3, 2), RNG)
+        contract, calls = energies._contract, []
+
+        def traced(acc, A, B, V, shapes):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            contract(acc, A, B, V, shapes)
+            column = len(V) * 2 * len(A) * 8  # buffer bytes per column
+            buffer = max(energies._CONTRACT_BYTES, column * max(C for _, C in shapes))
+            calls.append((tracemalloc.get_traced_memory()[1] - before,
+                          A.nbytes + 2 * buffer + (1 << 19), len(shapes), column * B.shape[1]))
+
+        monkeypatch.setattr(energies, "_contract", traced)
+        tracemalloc.start()
+        try:
+            correction_sums(f, 1.5, 0.5, [([[f] * 4] * 320, CORRECTION_SYMBOLS)])
+        finally:
+            tracemalloc.stop()
+        (peak, bound, blocks, products), = calls
+        assert blocks > 100 and products > bound  # an unbounded buffer would not fit
+        assert peak <= bound
 
 
 class TestMemoryGuard:
