@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (BELOW, NR_BILINEAR, NR_PAIR, NR_TRIPLE, RES_I, RES_II,
-                       Thresholds, _verdicts_1d, _verdicts_2d, classify_batch_1d,
-                       classify_batch_2d, code_label, is_nonresonant, is_resonant)
+from .classify import (BELOW, RES_I, RES_II, Thresholds, _verdicts_1d, _verdicts_2d,
+                       classify_batch_1d, classify_batch_2d, code_label, is_nonresonant,
+                       is_resonant, omega_lower_bound)
 from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _Orbits
 from .geometry import build_geometry, zero_field
 from .multipliers import bare_m6, omega, sigma_product
@@ -165,14 +165,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
                 return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
                                         for a in arrangements], axis=1))
 
-            def claimed(code, i):
-                if code == NR_PAIR:
-                    return (1 - 3 / G**2) * n1[i] ** 2
-                if code == NR_TRIPLE:
-                    return n1[i] * n3[i] / G
-                if code == NR_BILINEAR:
-                    return n1[i] * np.abs(s12[i]) / G
-                return n1[i] ** 2 / G
+            claimed = omega_lower_bound(codes, G, n1=n1, n3=n3, s12=s12)
 
             def witness(i, j):
                 k = lat.modes[idx[i, arrangements[j]], 0].tolist()
@@ -188,9 +181,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
                 return np.abs(np.stack([t[:, a[0]] - t[:, a[1]] + t[:, a[2]] - t[:, a[3]]
                                         for a in arrangements], axis=1))
 
-            # from the integer |k|^2 of the second largest slot, since
-            # sqrt(|k|^2)^2 can round above it
-            claimed = lambda code, i: 2.0 * (1 - 1 / G**2) * r2[i]
+            claimed = omega_lower_bound(codes, G, lo_sq=r2)
             witness = lambda i, j: tuple(float(x) for x in
                                          lat.modes[idx[i, arrangements[j]]].ravel())
         for N, rep in reports.items():
@@ -208,9 +199,9 @@ def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
 
     Per representative: verdict code, weight (its orbit's size) and |Omega|;
     per representative and arrangement (T, A): M and the enumeration
-    position.  ``claimed(code, i)`` is the lower bound a non-resonant rule
-    claims for |Omega| at block indices i, ``bound(i)`` the resonant
-    mean-value bound m(N1*)N1* m(N3*)N3* and ``witness(i, j)`` the tuple of
+    position.  ``claimed`` holds the lower bound on |Omega| that each
+    non-resonant verdict claims (``omega_lower_bound``), ``bound(i)`` the
+    resonant mean-value bound m(N1*)N1* m(N3*)N3* and ``witness(i, j)`` the tuple of
     representative i in arrangement j.  Per class: the weighted count, min
     |Omega|, min |Omega|/claimed, and the supremum of M/|Omega| (non-resonant;
     a zero |Omega| there is a violation for each tuple of the orbit, ratio
@@ -229,7 +220,7 @@ def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
             zero = om_i == 0.0
             rep.violations += int(weight[i][zero].sum())
             st.min_omega_ratio = min(st.min_omega_ratio,
-                                     float((om_i / claimed(code, i)).min()))
+                                     float((om_i / claimed[i]).min()))
             ratios = np.full(M[i].shape, np.inf)
             np.divide(M[i], om_i[:, None], out=ratios, where=~zero[:, None])
         else:

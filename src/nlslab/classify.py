@@ -281,6 +281,20 @@ def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
     return codes, info
 
 
+def omega_lower_bound(codes, G: float, n1=0.0, n3=0.0, s12=0.0, lo_sq=0.0) -> np.ndarray:
+    """The |Omega| lower bound that each non-resonant verdict claims, NaN
+    for other codes.  1-D, from the merged magnitudes N1* >= N3* and the top
+    cross-parity pair sum s12: NR_PAIR (1 - 3/G^2) N1*^2, NR_TRIPLE
+    N1* N3*/G, NR_BILINEAR N1* |s12|/G, NR_SIGNS N1*^2/G.  2-D: NR_2D
+    2(1 - 1/G^2) lo_sq, from the integer |k|^2 of the second largest slot
+    (the square of a rounded |k| can land above an attained bound)."""
+    codes = np.asarray(codes)
+    return np.select([codes == NR_PAIR, codes == NR_TRIPLE, codes == NR_BILINEAR,
+                      codes == NR_SIGNS, codes == NR_2D],
+                     [(1 - 3 / G**2) * n1 ** 2, n1 * n3 / G, n1 * np.abs(s12) / G,
+                      n1 ** 2 / G, 2 * (1 - 1 / G**2) * lo_sq], np.nan)
+
+
 def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
              d: int = 1) -> ResonanceClassification:
     """Classify one tuple and report the compared quantities as a witness."""
@@ -300,15 +314,8 @@ def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
         if code == RES_I or code == NR_BILINEAR:
             witness["pair_sum"] = float(abs(info["s12"][0]))
             witness["collision_scale"] = float(info["L"][0])
-        G = thresholds.gap
-        if code == NR_PAIR:
-            witness["omega_lower_bound"] = float((1 - 3 / G**2) * mags[0] ** 2)
-        if code == NR_TRIPLE:
-            witness["omega_lower_bound"] = float(mags[0] * mags[2] / G)
-        if code == NR_BILINEAR:
-            witness["omega_lower_bound"] = float(mags[0] * abs(info["s12"][0]) / G)
-        if code == NR_SIGNS:
-            witness["omega_lower_bound"] = float(mags[0] ** 2 / G)
+        bound = omega_lower_bound(codes, thresholds.gap, n1=mags[0], n3=mags[2],
+                                  s12=info["s12"])
     else:
         codes, info = classify_batch_2d(arr[None, ...], N, thresholds)
         code = int(codes[0])
@@ -317,9 +324,8 @@ def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
             "N": float(N),
             "gap": thresholds.gap,
         }
-        if code == NR_2D:
-            # |k|^2 of the second largest slot, taken directly: the square of
-            # its rounded magnitude can land above an attained bound
-            lo_sq = np.sort(np.sum(arr**2, axis=-1))[-2]
-            witness["omega_lower_bound"] = float(2 * (1 - 1 / thresholds.gap**2) * lo_sq)
+        bound = omega_lower_bound(codes, thresholds.gap,
+                                  lo_sq=np.sort(np.sum(arr**2, axis=-1))[-2])
+    if is_nonresonant(code):
+        witness["omega_lower_bound"] = float(bound[0])
     return ResonanceClassification(code, code_label(code), witness)

@@ -502,15 +502,15 @@ class CorrectionTables:
     combined: np.ndarray   # sigma_deg + sigma_tilde (real table)
 
 
-def _lattice_verdicts(lat: _Lattice, idx, N: float, G: float) -> np.ndarray:
+def _lattice_verdicts(lat: _Lattice, idx, G: float):
     """Verdict codes of on-lattice tuples (composite slot indices (T, n))
-    from per-mode lookups.
+    from per-mode lookups, uncut, and each tuple's largest physical |k|:
+    the below-threshold cut at N sets code BELOW where that is at most N.
 
     The 1-D rules run on the integer modes, where they are exact and hence
     the same for every slot order within a parity (on the physical floats
     n/lambda an exact tie can read differently in two slot orders); the
-    2-D rules run on the physical |k| of each slot.  The below-threshold
-    cut reads the physical |k|.
+    2-D rules run on the physical |k| of each slot.
     """
     if lat.d == 1:
         codes = _verdicts_1d(lat.modes[idx, 0], G)[0]
@@ -524,8 +524,7 @@ def _lattice_verdicts(lat: _Lattice, idx, N: float, G: float) -> np.ndarray:
     top = np.maximum(slot(0), slot(1))
     for j in range(2, lat.n):
         np.maximum(top, slot(j), out=top)
-    codes[top <= N] = BELOW
-    return codes
+    return codes, top
 
 
 def _correction_values(idx, codes, d, deg, slots):
@@ -577,14 +576,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _correction_evaluator(lat: _Lattice, N: float, s: float, thresholds: Thresholds):
-    """Evaluator for ``_walk`` of sigma~, R and sigma+sigma~ (in that
-    order) on the lattice ``lat`` of Gamma_deg."""
+def _correction_evaluator(lat: _Lattice, Ns, s: float, thresholds: Thresholds):
+    """Evaluator for ``_walk`` of sigma~, R and sigma+sigma~ on the lattice
+    ``lat`` of Gamma_deg at every N of ``Ns``, N-major: the three at Ns[0],
+    then at Ns[1], ...  Each run is classified once and cut below each N."""
     sq = np.sum(lat.freqs ** 2, axis=-1)
-    m = m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s))
-    slots = {"sq": sq, "m": m, "msq_sq": m**2 * sq}
-    return lambda idx: _correction_values(idx, _lattice_verdicts(lat, idx, N, thresholds.gap),
-                                          lat.d, lat.n, slots)
+    ms = [m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s)) for N in Ns]
+    slots = [{"sq": sq, "m": m, "msq_sq": m**2 * sq} for m in ms]
+
+    def evaluate(idx):
+        codes, top = _lattice_verdicts(lat, idx, thresholds.gap)
+        return [v for N, per_mode in zip(Ns, slots) for v in _correction_values(
+            idx, np.where(top <= N, BELOW, codes), lat.d, lat.n, per_mode)]
+    return evaluate
 
 
 def correction_tables(template: SpectralField, N: float, s: float,
@@ -605,7 +609,7 @@ def correction_tables(template: SpectralField, N: float, s: float,
     if nbytes > _physical_memory() // 2:
         raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
                          f"({_physical_memory()} bytes)")
-    evaluate = _correction_evaluator(lat, N, s, thresholds)
+    evaluate = _correction_evaluator(lat, [N], s, thresholds)
     tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
         for table, vals in zip(tables, evaluate(idx)):
@@ -614,26 +618,36 @@ def correction_tables(template: SpectralField, N: float, s: float,
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)
 
 
-def correction_sums(template: SpectralField, N: float, s: float, passes,
+def correction_sums(template: SpectralField, Ns, s: float, passes,
                     thresholds: Thresholds = Thresholds(),
                     budget: int = DEFAULT_TUPLE_BUDGET) -> list:
-    """Gamma_deg sums of sigma~, R (Mbar = iR) and sigma+sigma~ in one walk
-    over the lattice of ``template``, with no stored table.
+    """Gamma_deg sums of sigma~, R (Mbar = iR) and sigma+sigma~ at every N
+    of ``Ns`` in one walk over the lattice of ``template``, with no stored
+    table.
 
     ``passes`` lists (field_sets, names), the names drawn from
     ``CORRECTION_SYMBOLS``.  The three symbols are symmetric within each
     slot parity, so the walk visits one representative per orbit
-    (``_Orbits``): each run of representatives is classified once,
-    evaluated by ``_correction_values``, contracted against every pass and
-    dropped.  This is exact for any field sets.  Returns per pass an array
-    (len(names), sets) of plain sums; the caller applies the measure weight
-    w^(deg-1).  The budget counts Q^(deg-1), as for every walk.
+    (``_Orbits``): each run of representatives is classified once for
+    every N, evaluated by ``_correction_values`` at each N, contracted
+    against every pass and dropped.  This is exact for any field sets.
+    Returns per pass an array (len(Ns), len(names), sets) of plain sums;
+    the caller applies the measure weight w^(deg-1).  The budget counts
+    Q^(deg-1), as for every walk.
     """
     lat = _Orbits(template, template.geometry.nonlinearity_degree + 1, budget)
-    evaluate = _correction_evaluator(lat, N, s, thresholds)
-    return _walk(lat, evaluate, [(_slot_stack([list(fs) for fs in sets]),
-                                  tuple(CORRECTION_SYMBOLS.index(nm) for nm in names))
-                                 for sets, names in passes])
+    return _correction_walk(lat, Ns, s, passes, thresholds)
+
+
+def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds) -> list:
+    """``correction_sums`` on the orbit representatives ``lat``."""
+    k = len(CORRECTION_SYMBOLS)
+    sums = _walk(lat, _correction_evaluator(lat, Ns, s, thresholds),
+                 [(_slot_stack([list(fs) for fs in sets]),
+                   tuple(k * i + CORRECTION_SYMBOLS.index(nm)
+                         for i in range(len(Ns)) for nm in names))
+                  for sets, names in passes])
+    return [acc.reshape(len(Ns), -1, acc.shape[1]) for acc in sums]
 
 
 # -- modified energies ---------------------------------------------------------
@@ -692,9 +706,9 @@ def modified_energy(f: SpectralField, level: int, N: float, s: float,
     correction = 0.0
     if level == 2:
         deg = f.geometry.nonlinearity_degree + 1
-        (st,), = correction_sums(f, N, s, [([[f] * deg], ("sigma_tilde",))], thresholds,
-                                 budget=budget)
-        correction = kappa * float(np.real(f.geometry.measure_weight ** (deg - 1) * st[0]))
+        st, = correction_sums(f, [N], s, [([[f] * deg], ("sigma_tilde",))], thresholds,
+                              budget=budget)
+        correction = kappa * float(np.real(f.geometry.measure_weight ** (deg - 1) * st[0, 0, 0]))
     return EnergyReport(t=t, mass=mass(f), energy=energy(f, sign), e_i1=base,
                         correction=correction, e_i2=base + correction, sign=sign)
 
@@ -742,18 +756,22 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def energy_identity_residual(samples, times, N: float, s: float,
+def energy_identity_residual(samples, times, Ns, s: float,
                              sign: str = "defocusing",
                              thresholds: Thresholds = Thresholds(),
                              budget: int = DEFAULT_TUPLE_BUDGET) -> dict:
-    """Residual series of the modified-energy identity along a trajectory.
+    """Residual series of the modified-energy identity along a trajectory,
+    at every N of ``Ns``.
 
     ``samples`` are uniformly spaced fields, ``times`` their times.  Returns
-    the per-sample pieces, the residual r(t) and ``imag_leak``, the largest
-    |Im| of Lambda(Mbar_deg) and Lambda(Mbar_(deg+4)) (both are real in exact
+    the times ``t`` and, with a leading axis over ``Ns``, the per-sample
+    pieces, the residual r(t) and ``imag_leak``, the largest |Im| of
+    Lambda(Mbar_deg) and Lambda(Mbar_(deg+4)) (both are real in exact
     arithmetic); exactness of the discrete identity makes r vanish at the
-    integrator/quadrature order under dt refinement.  Every Lambda term
-    comes from one ``correction_sums`` walk over the lattice.
+    integrator/quadrature order under dt refinement.  Every Lambda term at
+    every N comes from one orbit walk (``correction_sums``);
+    ``walk_tuples`` counts its representatives and ``budget_tuples`` the
+    Q^(deg-1) tuples that the budget checks.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -766,7 +784,7 @@ def energy_identity_residual(samples, times, N: float, s: float,
     deg = f0.geometry.nonlinearity_degree + 1
     w = f0.geometry.measure_weight ** (deg - 1)
 
-    e1 = np.array([e_i1(f, N, s, sign, check=None) for f in samples])
+    e1 = np.array([[e_i1(f, N, s, sign, check=None) for f in samples] for N in Ns])
     plain = [[f] * deg for f in samples]
     # Lambda_(deg+4)(Mbar_(deg+4)) = i kappa sum_j (-1)^j Lambda(nl in slot j)
     # of sigma + sigma~, the equation substituted into slot j (the collapsed
@@ -777,26 +795,20 @@ def energy_identity_residual(samples, times, N: float, s: float,
     for f in samples:
         nl = nonlinear_coefficient_field(f)
         substituted += [[nl] + [f] * (deg - 1), [f, nl] + [f] * (deg - 2)]
-    (st, mb), (cm,) = correction_sums(
-        f0, N, s, [(plain, ("sigma_tilde", "mbar")), (substituted, ("combined",))],
-        thresholds, budget=budget)
-    corr = kappa * np.real(w * st)
-    lam_mbar = 1j * w * mb
-    sub = w * cm.reshape(len(samples), 2)
-    lam_big = 1j * kappa * (deg // 2) * (sub[:, 1] - sub[:, 0])
+    lat = _Orbits(f0, deg, budget)
+    sums, cm = _correction_walk(lat, Ns, s, [(plain, ("sigma_tilde", "mbar")),
+                                             (substituted, ("combined",))], thresholds)
+    corr = kappa * np.real(w * sums[:, 0])
+    lam_mbar = 1j * w * sums[:, 1]
+    sub = w * cm.reshape(len(Ns), len(samples), 2)
+    lam_big = 1j * kappa * (deg // 2) * (sub[..., 1] - sub[..., 0])
     mbar = kappa * np.real(lam_mbar)
     mbar_big = np.real(lam_big)
-    integral = cumulative_simpson(mbar + mbar_big, float(dts[0]))
-    predicted = e1[0] - (corr - corr[0]) + integral
+    integral = np.array([cumulative_simpson(y, float(dts[0])) for y in mbar + mbar_big])
+    predicted = e1[:, :1] - (corr - corr[:, :1]) + integral
     residual = e1 - predicted
-    return {
-        "t": times,
-        "e_i1": e1,
-        "correction": corr,
-        "e_i2": e1 + corr,
-        "lambda_mbar": mbar,
-        "lambda_mbar_big": mbar_big,
-        "residual": residual,
-        "imag_leak": float(max(np.max(np.abs(np.imag(lam_mbar))),
-                               np.max(np.abs(np.imag(lam_big))))),
-    }
+    return {"t": times, "e_i1": e1, "correction": corr, "e_i2": e1 + corr,
+            "lambda_mbar": mbar, "lambda_mbar_big": mbar_big, "residual": residual,
+            "imag_leak": np.maximum(np.max(np.abs(np.imag(lam_mbar)), axis=1),
+                                    np.max(np.abs(np.imag(lam_big)), axis=1)),
+            "walk_tuples": lat.tuples, "budget_tuples": lat.raw_tuples}

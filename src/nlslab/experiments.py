@@ -20,9 +20,8 @@ from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
                      sohinger_presence, verify_multiplier_bounds)
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
-from .dynamics import EvolutionConfig, evolve, initial_data
-from .energies import (SIGN, _Orbits, correction_sums, e_i1,
-                       energy_identity_residual)
+from .dynamics import EvolutionConfig, default_dt, evolve, initial_data
+from .energies import _Lattice, energy_identity_residual
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
 from .smoothing import SmoothingSymbol, apply_I, gwp_budget, total_exponent
@@ -33,8 +32,8 @@ TRACK_COLUMNS = ["t", "mass", "energy", "e_i1", "correction", "e_i2",
                  "lambda_mbar_n", "lambda_mbar_n4", "residual"]
 
 
-# energy-track fails when max|residual| exceeds this many times the residual's
-# a-posteriori error estimate (see identity_tolerance).
+# energy-track and almost-conservation fail when max|residual| at some N
+# exceeds this many times its a-posteriori error estimate (identity_tolerance).
 IDENTITY_SAFETY = 4.0
 
 
@@ -42,13 +41,6 @@ def _geometry(cfg):
     d = cfg["d"]
     gamma = (cfg["gamma"],) if d == 2 else ()
     return build_geometry(d, gamma, cfg["lambda"])
-
-
-def _walk_cost(walk: _Orbits) -> dict:
-    """Manifest guards of a Lambda walk: the orbit representatives each walk
-    classifies, beside the raw Q^(n-1) tuple count that the budget checks
-    (it bounds time, not memory)."""
-    return {"walk_tuples": walk.tuples, "budget_tuples": walk.raw_tuples}
 
 
 def _summary(out_dir: Path, lines):
@@ -111,6 +103,21 @@ def identity_tolerance(t, y, energy, e_i1) -> float:
     return float(IDENTITY_SAFETY * (quadrature + integrator + rounding))
 
 
+def _identity_run(u0, evo, Ns, s, sign, gap, budget):
+    """The trajectory of ``evo`` from ``u0``, refused before integrating on
+    an over-budget lattice, and ``energy_identity_residual`` along it at
+    every N of ``Ns``, with max|residual| and its ``identity_tolerance`` per
+    N (a NaN residual fails)."""
+    _Lattice(u0, u0.geometry.nonlinearity_degree + 1).check_budget(budget)
+    traj = evolve(evo, u0)
+    out = energy_identity_residual(traj.samples, traj.times, Ns, s, sign=sign,
+                                   thresholds=Thresholds(gap=gap), budget=budget)
+    energy = [r["energy"] for r in traj.reports]
+    tol = [identity_tolerance(out["t"], y, energy, e1)
+           for y, e1 in zip(out["lambda_mbar"] + out["lambda_mbar_big"], out["e_i1"])]
+    return traj, out, np.max(np.abs(out["residual"]), axis=1), np.array(tol)
+
+
 def run_energy_track(cfg: dict, out_dir: Path) -> int:
     g = _geometry(cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -126,44 +133,29 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     else:
         u0 = initial_data(g, cfg["kcut"], kind=cfg["data.kind"], rng=rng,
                           s=cfg["data.s"], mass_target=cfg["data.mass"])
-    # refuse an over-budget Gamma_deg lattice before integrating
-    walk = _Orbits(u0, g.nonlinearity_degree + 1, cfg["budget"])
     dt = cfg["dt"] or None
     evo = EvolutionConfig(g, cfg["kcut"], sign=cfg["sign"],
                           integrator=cfg["integrator"], dt=dt,
                           t_end=cfg["t_end"], sample_stride=cfg["stride"])
-    traj = evolve(evo, u0)
     N, s = cfg["energy.n_cut"], cfg["energy.s"]
-    th = Thresholds(gap=cfg["gap_factor"])
-    out = energy_identity_residual(traj.samples, traj.times, N, s,
-                                   sign=cfg["sign"], thresholds=th,
-                                   budget=cfg["budget"])
-    rows = []
-    for i, t in enumerate(out["t"]):
-        rows.append({
-            "t": float(t),
-            "mass": traj.reports[i]["mass"],
-            "energy": traj.reports[i]["energy"],
-            "e_i1": float(out["e_i1"][i]),
-            "correction": float(out["correction"][i]),
-            "e_i2": float(out["e_i2"][i]),
-            "lambda_mbar_n": float(out["lambda_mbar"][i]),
-            "lambda_mbar_n4": float(out["lambda_mbar_big"][i]),
-            "residual": float(out["residual"][i]),
-        })
+    traj, out, (rmax,), (tol,) = _identity_run(u0, evo, [N], s, cfg["sign"],
+                                               cfg["gap_factor"], cfg["budget"])
+    keys = ("e_i1", "correction", "e_i2", "lambda_mbar", "lambda_mbar_big", "residual")
+    rows = [{"t": float(t), "mass": rep["mass"], "energy": rep["energy"],
+             **{col: float(out[key][0, i]) for col, key in zip(TRACK_COLUMNS[3:], keys)}}
+            for i, (t, rep) in enumerate(zip(out["t"], traj.reports))]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "energy_track.csv", TRACK_COLUMNS, rows)
-    rmax = float(np.max(np.abs(out["residual"])))
-    tol = identity_tolerance(out["t"], out["lambda_mbar"] + out["lambda_mbar_big"],
-                             [r["energy"] for r in traj.reports], out["e_i1"])
-    ok = rmax <= tol  # a NaN residual fails
+    ok = rmax <= tol
     write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
-                   {"aborted": traj.aborted, "imag_leak": out["imag_leak"],
-                    "residual_max": rmax, "residual_tol": tol, **_walk_cost(walk)})
+                   {"aborted": traj.aborted, "imag_leak": float(out["imag_leak"][0]),
+                    "residual_max": rmax, "residual_tol": tol,
+                    "walk_tuples": out["walk_tuples"], "budget_tuples": out["budget_tuples"]})
+    e1, e2 = out["e_i1"][0], out["e_i2"][0]
     _summary(out_dir, [
         f"energy-track: N={N} s={s} residual max {rmax:.3e} (tolerance {tol:.3e})",
-        f"E_I^2 increment: {float(np.max(np.abs(out['e_i2'] - out['e_i2'][0]))):.3e}",
-        f"E_I^1 increment: {float(np.max(np.abs(out['e_i1'] - out['e_i1'][0]))):.3e}",
+        f"E_I^2 increment: {float(np.max(np.abs(e2 - e2[0]))):.3e}",
+        f"E_I^1 increment: {float(np.max(np.abs(e1 - e1[0]))):.3e}",
         "identity ok" if ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
     ])
     return 0 if ok else 2
@@ -455,28 +447,22 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     u0 = initial_data(g, cfg["kcut"], kind="hs_random", rng=rng,
                       s=cfg["s"], mass_target=cfg["mass"])
-    # refuse an over-budget Gamma_deg lattice before integrating
-    walk = _Orbits(u0, g.nonlinearity_degree + 1, cfg["budget"])
-    from .dynamics import default_dt
     dt = cfg["dt"] or default_dt(u0)
     steps = max(1, int(round(cfg["t_end"] / dt)))
+    stride = max(1, steps // cfg["samples"])
+    # whole strides only: evolve samples the final step too, and the
+    # identity needs uniformly spaced samples
+    steps -= steps % stride
     evo = EvolutionConfig(g, cfg["kcut"], sign=cfg["sign"],
                           integrator="rk4-galerkin", dt=dt, t_end=steps * dt,
-                          sample_stride=max(1, steps // cfg["samples"]))
-    traj = evolve(evo, u0)
-    th = Thresholds(gap=cfg["gap_factor"])
-    deg = g.nonlinearity_degree + 1
-    plain = [[f] * deg for f in traj.samples]
+                          sample_stride=stride)
     # E_I^2 = E_I^1 + kappa Lambda_deg(sigma~)
-    weight = SIGN[cfg["sign"]] * g.measure_weight ** (deg - 1)
+    traj, out, rmax, tol = _identity_run(u0, evo, cfg["n_grid"], cfg["s"], cfg["sign"],
+                                         cfg["gap_factor"], cfg["budget"])
+    deg = g.nonlinearity_degree + 1
     rows = []
-    for N in cfg["n_grid"]:
-        e1 = np.array([e_i1(f, N, cfg["s"], cfg["sign"], check=None)
-                       for f in traj.samples])
-        sums, = correction_sums(traj.samples[0], N, cfg["s"], [(plain, ("sigma_tilde",))],
-                                th, budget=cfg["budget"])
-        corr = np.real(weight * sums[0])
-        e2 = e1 + corr
+    for i, N in enumerate(cfg["n_grid"]):
+        e1, corr, e2 = out["e_i1"][i], out["correction"][i], out["e_i2"][i]
         sym = SmoothingSymbol(N, 1 - cfg["s"])
         h1_six = norm(apply_I(traj.samples[0], sym), "hs", s=1.0) ** deg
         rows.append({
@@ -485,23 +471,28 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
             "sup_increment_e_i1": float(np.max(np.abs(e1 - e1[0]))),
             "correction_magnitude": float(np.max(np.abs(corr))),
             "boundary_ratio": float(abs(corr[0]) / h1_six),
+            "residual_max": float(rmax[i]),
+            "residual_tol": float(tol[i]),
             "horizon": float(traj.times[-1]),
             "flag": "capped" if traj.aborted else "",
         })
     incs = [r["sup_increment_e_i2"] for r in rows]
     monotone = all(incs[i + 1] < incs[i] for i in range(len(incs) - 1))
     final_better = rows[-1]["sup_increment_e_i2"] < rows[-1]["sup_increment_e_i1"]
+    identity_ok = bool(np.all(rmax <= tol))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "almost_conservation.csv",
-              ["N", "sup_increment_e_i2", "sup_increment_e_i1",
-               "correction_magnitude", "boundary_ratio", "horizon", "flag"], rows)
+              ["N", "sup_increment_e_i2", "sup_increment_e_i1", "correction_magnitude",
+               "boundary_ratio", "residual_max", "residual_tol", "horizon", "flag"], rows)
     write_manifest(out_dir, "almost-conservation", cfg, {"seed": cfg["seed"]},
                    {"monotone": monotone, "corrected_below_raw": final_better,
-                    **_walk_cost(walk)})
+                    "identity_ok": identity_ok, "walk_tuples": out["walk_tuples"],
+                    "budget_tuples": out["budget_tuples"]})
     _summary(out_dir, [
         f"almost-conservation d={cfg['d']} N grid {cfg['n_grid']}",
         f"E_I^2 increments: {incs}",
         f"monotone decreasing in N: {monotone}",
         f"corrected below raw at N={cfg['n_grid'][-1]}: {final_better}",
+        "identity ok" if identity_ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
     ])
-    return 0 if (monotone and final_better) else 2
+    return 0 if (monotone and final_better and identity_ok) else 2

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, RES_I, RES_III,
-                             ResonanceClassification, Thresholds, classify,
-                             classify_batch_1d, classify_batch_2d,
-                             is_nonresonant, is_resonant)
+from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
+                             RES_I, RES_III, ResonanceClassification, Thresholds,
+                             classify, classify_batch_1d, classify_batch_2d,
+                             is_nonresonant, is_resonant, omega_lower_bound)
 from nlslab.energies import _Lattice, _lattice_verdicts
 from nlslab.geometry import build_geometry, zero_field
 from nlslab.multipliers import omega, sohinger_tuple
@@ -132,8 +132,20 @@ def test_lattice_verdicts_equal_batch_codes():
         for N in (1.0, 1.5, 2.0):
             codes, _ = batch(lat.physical(idx), N, th)
             assert len(np.unique(codes)) > 2
-            got = _lattice_verdicts(lat, idx, N, th.gap)
+            uncut, top = _lattice_verdicts(lat, idx, th.gap)
+            got = np.where(top <= N, BELOW, uncut)
             assert got.dtype == codes.dtype and np.array_equal(got, codes)
+
+
+def test_omega_lower_bound_per_rule():
+    # one claimed bound per non-resonant rule, NaN for every other verdict
+    G = 4.0
+    codes = np.array([NR_PAIR, NR_TRIPLE, NR_BILINEAR, NR_SIGNS, NR_2D, RES_I, BELOW])
+    n1, n3, s12, lo_sq = (np.arange(7.0) + c for c in (8.0, 2.0, -3.0, 5.0))
+    got = omega_lower_bound(codes, G, n1=n1, n3=n3, s12=s12, lo_sq=lo_sq)
+    assert np.array_equal(got[:5], [(1 - 3 / G**2) * 8.0**2, 9.0 * 3.0 / G, 10.0 * 1.0 / G,
+                                    11.0**2 / G, 2 * (1 - 1 / G**2) * 9.0])
+    assert np.all(np.isnan(got[5:]))
 
 
 def test_nonresonant_never_sees_zero_resonance_small_sweep():

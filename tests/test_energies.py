@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant, is_resonant
+from nlslab.classify import (BELOW, Thresholds, classify_batch_1d, is_nonresonant,
+                             is_resonant)
 from nlslab.dynamics import EvolutionConfig, evolve
 from nlslab import energies
 from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, ConsistencyError,
@@ -341,7 +342,7 @@ class TestCorrectionWalk:
         nl = nonlinear_coefficient_field(f)
         deg = f.geometry.nonlinearity_degree + 1
         sets = [[nl if i == j else f for i in range(deg)] for j in range(deg)]
-        (full,), = correction_sums(f, N, 0.5, [(sets, ("combined",))])
+        (full,), = correction_sums(f, [N], 0.5, [(sets, ("combined",))])[0]
         scale = np.max(np.abs(full))
         assert scale > 0
         alternating = np.sum(full * (-1.0) ** np.arange(1, deg + 1))
@@ -366,7 +367,7 @@ class TestCorrectionWalk:
         monkeypatch.setattr(energies, "_GROUP_ROWS", rows)
         monkeypatch.setattr(energies, "_TABLE_TUPLES", tuples)
         passes = [(plain, ("sigma_tilde", "mbar")), (mixed, ("combined", "sigma_tilde"))]
-        got = correction_sums(fs[0], N, 0.5, passes)
+        got = [sums[0] for sums in correction_sums(fs[0], [N], 0.5, passes)]
         monkeypatch.undo()
         for (sets, names), sums in zip(passes, got):
             assert sums.shape == (len(names), len(sets))
@@ -387,14 +388,55 @@ class TestCorrectionWalk:
         tabs = correction_tables(fs[0], N, 0.5)
         tables = (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)
         orbits = _Orbits(fs[0], deg)
-        evaluate = energies._correction_evaluator(orbits, N, 0.5, Thresholds())
+        evaluate = energies._correction_evaluator(orbits, [N], 0.5, Thresholds())
         for _, idx in orbits.batches(1 << 30, 1 << 30):
             for table, vals in zip(tables, evaluate(idx)):
                 assert np.array_equal(vals, table.reshape(-1)[orbits.position(idx)])
-        streamed, = correction_sums(fs[0], N, 0.5, [(sets, CORRECTION_SYMBOLS)])
-        for name, table, row in zip(CORRECTION_SYMBOLS, tables, streamed):
+        streamed, = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)])
+        for name, table, row in zip(CORRECTION_SYMBOLS, tables, streamed[0]):
             ref = gamma_sums(table, sets)
             assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
+    def test_n_grid_is_each_n_alone(self, d, gamma, cutoff, N):
+        # one walk over a grid of N: per run, each N's values are those of a
+        # walk at that N alone, bit for bit, and so are its sums up to the
+        # grouping of the contraction
+        g = build_geometry(d, gamma, 1.0)
+        deg = g.nonlinearity_degree + 1
+        fs = [random_field(g, cutoff, RNG) for _ in range(2)]
+        Ns = [N, 1.0, 1.5 * N]  # in no order
+        orbits = _Orbits(fs[0], deg)
+        grid = energies._correction_evaluator(orbits, Ns, 0.5, Thresholds())
+        alone = [energies._correction_evaluator(orbits, [n], 0.5, Thresholds()) for n in Ns]
+        for _, idx in orbits.batches(1 << 12, 1 << 12):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                grid(idx), [v for evaluate in alone for v in evaluate(idx)]))
+        passes = [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
+                  ([fs * (deg // 2)], ("combined",))]
+        got = correction_sums(fs[0], Ns, 0.5, passes)
+        for i, n in enumerate(Ns):
+            for sums, ref in zip(got, correction_sums(fs[0], [n], 0.5, passes)):
+                assert sums.shape[0] == len(Ns) and np.max(np.abs(ref)) > 0
+                assert np.max(np.abs(sums[i] - ref[0])) <= 1e-13 * np.max(np.abs(ref)), n
+
+    def test_residual_over_n_grid_is_each_n_alone(self):
+        g = build_geometry(1)
+        u0 = field_from_modes(g, 4, {-3: 0.5, 1: 0.4j, 2: 0.3, 4: 0.2})
+        traj = evolve(EvolutionConfig(g, 4, integrator="rk4-galerkin", dt=0.005,
+                                      t_end=0.04, sample_stride=2), u0)
+        Ns = [1.0, 2.0, 3.0]
+        out = energy_identity_residual(traj.samples, traj.times, Ns, 0.5)
+        assert np.array_equal(out["t"], traj.times)
+        for i, N in enumerate(Ns):
+            ref = energy_identity_residual(traj.samples, traj.times, [N], 0.5)
+            assert out["walk_tuples"] == ref["walk_tuples"]
+            for key in ("e_i1", "correction", "e_i2", "lambda_mbar", "lambda_mbar_big",
+                        "residual", "imag_leak"):
+                scale = np.max(np.abs(ref[key][0]))
+                assert out[key].shape[0] == len(Ns)
+                assert np.max(np.abs(out[key][i] - ref[key][0])) <= 1e-13 * scale, (N, key)
+            assert np.max(np.abs(ref["correction"][0])) > 0
 
     @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
     def test_modified_energy_is_one_walk(self, d, gamma, cutoff, N, monkeypatch):
@@ -433,10 +475,10 @@ class TestCorrectionWalk:
                "lambda_mbar_big": np.real(3j * (w * gamma_sums(tabs.combined, slot2)
                                                 - w * gamma_sums(tabs.combined, slot1)))}
         monkeypatch.setattr(energies, "correction_tables", no_tables)
-        out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
+        out = energy_identity_residual(traj.samples, traj.times, [2.0], 0.5)
         for key in ("correction", "lambda_mbar", "lambda_mbar_big"):
             scale = np.max(np.abs(ref[key]))
-            assert scale > 0 and np.max(np.abs(out[key] - ref[key])) <= 1e-13 * scale, key
+            assert scale > 0 and np.max(np.abs(out[key][0] - ref[key])) <= 1e-13 * scale, key
 
 
 # lattices of the orbit walk's reference checks: (d, gamma, lambda, cutoff, N,
@@ -445,6 +487,12 @@ class TestCorrectionWalk:
 ORBIT_LATTICES = [(1, (), 1.0, 3, 1.0, 4.0), (1, (), 3.0, 6, 1.0, 2.0),
                   (2, (0.75,), 1.0, (3, 2), 1.5, 4.0),
                   (2, (1 / np.sqrt(2),), 1.0, (2, 2), 1.0, 2.0)]
+
+
+def cut_verdicts(lat, idx, N, gap):
+    """The walk's verdicts of ``idx``, cut below N as at that N."""
+    codes, top = energies._lattice_verdicts(lat, idx, gap)
+    return np.where(top <= N, BELOW, codes)
 
 
 def within_parity_permutations(n):
@@ -475,9 +523,9 @@ class TestOrbitWalk:
         tabs = correction_tables(fs[0], N, 0.5, th)
         table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
         passes = [(sets, CORRECTION_SYMBOLS) for sets in families.values()]
-        got = correction_sums(fs[0], N, 0.5, passes, th)
+        got = correction_sums(fs[0], [N], 0.5, passes, th)
         for family, (sets, names), sums in zip(families, passes, got):
-            for name, row in zip(names, sums):
+            for name, row in zip(names, sums[0]):
                 ref = gamma_sums(table[name], sets)
                 assert np.max(np.abs(ref)) > 0
                 assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (family, name)
@@ -492,12 +540,12 @@ class TestOrbitWalk:
         classified = []
         verdicts = energies._lattice_verdicts
 
-        def counting(lat, idx, N, G):
+        def counting(lat, idx, G):
             classified.append(len(idx))
-            return verdicts(lat, idx, N, G)
+            return verdicts(lat, idx, G)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
-        correction_sums(fs[0], 2.0, 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
+        correction_sums(fs[0], [2.0], 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
                                           ([fs[:1] * deg], ("combined",))])
         assert sum(classified) == expected == _Orbits(fs[0], deg).tuples
         assert expected < sum(len(p) for p, _ in _Lattice(fs[0], deg).on_lattice(1 << 14))
@@ -509,10 +557,10 @@ class TestOrbitWalk:
         # physical floats n/3, exact ties read differently in some orders
         lat = _Lattice(zero_field(build_geometry(d, gamma, lam), cutoff), 6 if d == 1 else 4)
         idx = np.concatenate([i for _, i in lat.on_lattice(1 << 14)])
-        codes = energies._lattice_verdicts(lat, idx, N, gap)
+        codes = cut_verdicts(lat, idx, N, gap)
         assert np.any(is_resonant(codes)) and np.any(is_nonresonant(codes))
         for perm in within_parity_permutations(lat.n):
-            assert np.array_equal(energies._lattice_verdicts(lat, idx[:, perm], N, gap), codes)
+            assert np.array_equal(cut_verdicts(lat, idx[:, perm], N, gap), codes)
 
     def test_collapse_identity_off_the_dyadic_grid(self):
         # (deg/2) [Lambda(nl in slot 2) - Lambda(nl in slot 1)] of sigma + sigma~
@@ -525,7 +573,7 @@ class TestOrbitWalk:
         sets = [[nl if i == j else f for i in range(6)] for j in range(6)]
         full = gamma_sums(correction_tables(f, 1.5, 0.5, th).combined, sets)
         alternating = np.sum(full * (-1.0) ** np.arange(1, 7))
-        (collapsed,), = correction_sums(f, 1.5, 0.5, [(sets[:2], ("combined",))], th)
+        (collapsed,), = correction_sums(f, [1.5], 0.5, [(sets[:2], ("combined",))], th)[0]
         assert abs(3 * (collapsed[1] - collapsed[0]) - alternating) \
             <= 1e-13 * np.max(np.abs(full))
 
@@ -536,7 +584,7 @@ def representative_terms(f, N, th, sets):
     ``_correction_values`` and the arrangement sums of each block."""
     deg = f.geometry.nonlinearity_degree + 1
     lat = _Orbits(f, deg)
-    evaluate = energies._correction_evaluator(lat, N, 0.5, th)
+    evaluate = energies._correction_evaluator(lat, [N], 0.5, th)
     vecs = energies._slot_stack(sets)
     terms = []
     for blocks, idx in lat.batches(1 << 30, 1 << 30):
@@ -577,9 +625,9 @@ class TestOrbitWalkSums:
             "mixed": [[fs[(i + j) % deg] for i in range(deg)] for j in range(2)],
         }
         monkeypatch.setattr(energies, "_CONTRACT_BYTES", contract_bytes)
-        got = correction_sums(fs[0], N, 0.5, [(sets, CORRECTION_SYMBOLS)
-                                              for sets in families.values()], th)
-        for (family, sets), sums in zip(families.items(), got):
+        got = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)
+                                                for sets in families.values()], th)
+        for (family, sets), sums in zip(families.items(), (sums[0] for sums in got)):
             terms = representative_terms(fs[0], N, th, sets)
             exact = np.array([[complex(math.fsum(t.real), math.fsum(t.imag)) for t in row]
                               for row in terms])
@@ -609,7 +657,7 @@ class TestOrbitWalkSums:
         monkeypatch.setattr(energies, "_contract", traced)
         tracemalloc.start()
         try:
-            correction_sums(f, 1.5, 0.5, [([[f] * 4] * 320, CORRECTION_SYMBOLS)])
+            correction_sums(f, [1.5], 0.5, [([[f] * 4] * 320, CORRECTION_SYMBOLS)])
         finally:
             tracemalloc.stop()
         (peak, bound, blocks, products), = calls
@@ -652,9 +700,9 @@ class TestResidual:
     def test_zero_field(self):
         g = build_geometry(1)
         z = zero_field(g, 4)
-        out = energy_identity_residual([z] * 5, np.linspace(0, 0.1, 5), N=2.0, s=0.5)
-        assert np.max(np.abs(out["residual"])) == 0.0
-        assert out["imag_leak"] == 0.0
+        out = energy_identity_residual([z] * 5, np.linspace(0, 0.1, 5), [2.0], s=0.5)
+        assert np.max(np.abs(out["residual"][0])) == 0.0
+        assert out["imag_leak"][0] == 0.0
 
     def test_plane_wave_residual_negligible(self):
         g = build_geometry(1)
@@ -663,10 +711,10 @@ class TestResidual:
         cfg = EvolutionConfig(g, K, integrator="strang", dt=1e-3, t_end=0.05,
                               sample_stride=10)
         traj = evolve(cfg, u0)
-        out = energy_identity_residual(traj.samples, traj.times, N=2.0, s=0.5)
-        assert np.max(np.abs(out["residual"])) < 1e-10
-        assert np.max(np.abs(np.diff(out["e_i1"]))) < 1e-12
-        assert out["imag_leak"] < 1e-12
+        out = energy_identity_residual(traj.samples, traj.times, [2.0], s=0.5)
+        assert np.max(np.abs(out["residual"][0])) < 1e-10
+        assert np.max(np.abs(np.diff(out["e_i1"][0]))) < 1e-12
+        assert out["imag_leak"][0] < 1e-12
 
     def test_refinement_small_lattice(self):
         g = build_geometry(1)
@@ -680,8 +728,8 @@ class TestResidual:
             cfg = EvolutionConfig(g, K, integrator="rk4-galerkin",
                                   dt=0.08 / n_steps, t_end=0.08, sample_stride=4)
             traj = evolve(cfg, u0)
-            out = energy_identity_residual(traj.samples, traj.times, 2.0, 0.5)
-            r = abs(out["residual"][-1])
+            out = energy_identity_residual(traj.samples, traj.times, [2.0], 0.5)
+            r = abs(out["residual"][0][-1])
             if prev is not None:
                 assert prev / max(r, 1e-300) >= 3.5
             prev = r

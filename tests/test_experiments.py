@@ -109,6 +109,12 @@ class TestConfig:
         assert fmt((np.float64(3.0), np.float64(-1.0))) == "(3.0 -1.0)"
 
 
+# an almost-conservation config whose run passes every gate (G = 2 leaves
+# enough non-resonant tuples for the correction to show)
+ALMOST_CONSERVATION_PASSING = ("kcut = 6\nn_grid = 1,2\nsamples = 4\nt_end = 0.1\n"
+                               "gap_factor = 2\n")
+
+
 class TestRunners:
     def test_budget_run(self, tmp_path):
         code = main(["budget", "--out", str(tmp_path / "b")])
@@ -261,19 +267,22 @@ class TestRunners:
         guards = json.loads((tmp_path / "a" / "manifest.json").read_text())["guards"]
         assert code == (0 if guards["monotone"] and guards["corrected_below_raw"] else 2)
 
-    @pytest.mark.parametrize("command, text, walks", [
+    @pytest.mark.parametrize("command, text", [
         ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
-                         "energy.n_cut = 2\ndata.modes = 4\n", 1),
-        ("almost-conservation", "kcut = 4\nn_grid = 2,3\nsamples = 4\nt_end = 0.05\n", 2)])
-    def test_manifest_records_walk_cost(self, tmp_path, monkeypatch, command, text, walks):
+                         "energy.n_cut = 2\ndata.modes = 4\n"),
+        ("almost-conservation", "kcut = 4\nn_grid = 2\nsamples = 4\nt_end = 0.05\n"),
+        ("almost-conservation", "kcut = 4\nn_grid = 2,3\nsamples = 4\nt_end = 0.05\n"),
+        ("almost-conservation", "kcut = 4\nn_grid = 2,3,4\nsamples = 4\nt_end = 0.05\n")])
+    def test_manifest_records_walk_cost(self, tmp_path, monkeypatch, command, text):
+        # one classification pass per run, whatever the length of the N grid
         import nlslab.energies as energies
 
         classified = []
         verdicts = energies._lattice_verdicts
 
-        def counting(lat, idx, N, G):
+        def counting(lat, idx, G):
             classified.append(len(idx))
-            return verdicts(lat, idx, N, G)
+            return verdicts(lat, idx, G)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
         cfgfile = tmp_path / "w.cfg"
@@ -281,36 +290,117 @@ class TestRunners:
         main([command, "--config", str(cfgfile), "--out", str(tmp_path / "w")])
         guards = json.loads((tmp_path / "w" / "manifest.json").read_text())["guards"]
         assert guards["budget_tuples"] == 9 ** 5
-        assert sum(classified) == walks * guards["walk_tuples"]
+        assert sum(classified) == guards["walk_tuples"]
         assert 0 < guards["walk_tuples"] < guards["budget_tuples"]
 
+    @pytest.mark.parametrize("command, text", [
+        ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                         "energy.n_cut = 2\ndata.modes = 4\n"),
+        ("almost-conservation", "kcut = 4\nn_grid = 2,3\nsamples = 4\nt_end = 0.05\n")])
+    def test_one_orbit_build_per_run(self, tmp_path, monkeypatch, command, text):
+        import nlslab.energies as energies
+
+        builds = []
+        init = energies._Orbits.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(energies._Orbits, "__init__", counting)
+        cfgfile = tmp_path / "w.cfg"
+        cfgfile.write_text(text)
+        main([command, "--config", str(cfgfile), "--out", str(tmp_path / "w")])
+        assert len(builds) == 1
+
     def test_almost_conservation_streamed_matches_table_path(self, tmp_path, monkeypatch):
+        import csv
+
         import nlslab.experiments as experiments
-        from nlslab.energies import correction_tables, gamma_sums
+        from nlslab.energies import correction_tables, e_i1, gamma_sums
+        from nlslab.geometry import norm
+        from nlslab.smoothing import SmoothingSymbol, apply_I
 
-        # reference: a stored float64 sigma~ table per N, then one sum
-        def table_path(template, N, s, passes, thresholds, budget):
-            (sets, _), = passes
-            tabs = correction_tables(template, N, s, thresholds, budget=budget)
-            return [gamma_sums(tabs.sigma_tilde, sets, budget)[None, :]]
+        trajectories = []
+        evolve = experiments.evolve
 
+        def recording(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(experiments, "evolve", recording)
         cfgfile = tmp_path / "a.cfg"
         cfgfile.write_text("kcut = 6\nn_grid = 2,4\nsamples = 4\nt_end = 0.05\n")
-        codes, tables = [], []
-        for name in ("streamed", "table"):
-            if name == "table":
-                monkeypatch.setattr(experiments, "correction_sums", table_path)
-            codes.append(main(["almost-conservation", "--config", str(cfgfile),
-                               "--out", str(tmp_path / name)]))
-            lines = (tmp_path / name / "almost_conservation.csv").read_text().splitlines()
-            tables.append([r.split(",") for r in lines])
-        assert codes[0] == codes[1]
-        streamed, table = tables
-        assert streamed[0] == table[0] and len(streamed) == len(table) == 3
-        for a, b in zip(streamed[1:], table[1:]):
-            assert a[-1] == b[-1]
-            for x, y in zip(map(float, a[:-1]), map(float, b[:-1])):
-                assert abs(x - y) <= 1e-12 * abs(y)
+        main(["almost-conservation", "--config", str(cfgfile), "--out", str(tmp_path / "a")])
+        with open(tmp_path / "a" / "almost_conservation.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        (traj,) = trajectories
+        samples = traj.samples
+        w = samples[0].geometry.measure_weight ** 5
+        assert [float(r["N"]) for r in rows] == [2.0, 4.0]
+        for r in rows:
+            # reference per N: a stored float64 sigma~ table, one sum over the
+            # samples (defocusing, kappa = 1) and E_I^1 sample by sample
+            N = float(r["N"])
+            tabs = correction_tables(samples[0], N, 0.5)
+            corr = np.real(w * gamma_sums(tabs.sigma_tilde, [[f] * 6 for f in samples]))
+            e1 = np.array([e_i1(f, N, 0.5) for f in samples])
+            e2 = e1 + corr
+            h1_six = norm(apply_I(samples[0], SmoothingSymbol(N, 0.5)), "hs", s=1.0) ** 6
+            ref = {"sup_increment_e_i2": np.max(np.abs(e2 - e2[0])),
+                   "sup_increment_e_i1": np.max(np.abs(e1 - e1[0])),
+                   "correction_magnitude": np.max(np.abs(corr)),
+                   "boundary_ratio": abs(corr[0]) / h1_six}
+            for key, y in ref.items():
+                assert abs(float(r[key]) - y) <= 1e-12 * abs(y), key
+            assert float(r["horizon"]) == traj.times[-1] and r["flag"] == ""
+
+    def test_almost_conservation_samples_whole_strides(self, tmp_path):
+        # kcut 6 and t_end 0.05 are 18 steps of the default dt = 0.1/36; four
+        # samples give stride 4, so the run integrates 16 steps and samples
+        # every fourth
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text("kcut = 6\nn_grid = 2,4\nsamples = 4\nt_end = 0.05\n")
+        main(["almost-conservation", "--config", str(cfgfile), "--out", str(tmp_path / "a")])
+        rows = (tmp_path / "a" / "almost_conservation.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        horizons = {r.split(",")[header.index("horizon")] for r in rows[1:]}
+        assert horizons == {repr(16 * (0.1 / 36))}
+
+    def test_almost_conservation_needs_three_samples(self, tmp_path):
+        # one stride spans the horizon: two samples, which the identity refuses
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text("kcut = 4\nn_grid = 2\nsamples = 1\nt_end = 0.02\n")
+        assert main(["almost-conservation", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "a")]) == 1
+        assert not (tmp_path / "a").exists()
+
+    def test_almost_conservation_gate_can_fail(self, tmp_path, monkeypatch):
+        import csv
+
+        import nlslab.experiments as experiments
+
+        residual = experiments.energy_identity_residual
+
+        def inflated(*args, **kwargs):
+            out = residual(*args, **kwargs)
+            out["residual"] = out["residual"] * 1e6
+            return out
+
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text(ALMOST_CONSERVATION_PASSING)
+        for name in ("exact", "inflated"):
+            if name == "inflated":
+                monkeypatch.setattr(experiments, "energy_identity_residual", inflated)
+            code = main(["almost-conservation", "--config", str(cfgfile),
+                         "--out", str(tmp_path / name)])
+            with open(tmp_path / name / "almost_conservation.csv", newline="") as fh:
+                above = [float(r["residual_max"]) > float(r["residual_tol"]) > 0.0
+                         for r in csv.DictReader(fh)]
+            guards = json.loads((tmp_path / name / "manifest.json").read_text())["guards"]
+            assert guards["monotone"] and guards["corrected_below_raw"]
+            assert (code, guards["identity_ok"], any(above)) == (
+                (0, True, False) if name == "exact" else (2, False, True))
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
