@@ -134,7 +134,8 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     G = thresholds.gap
     reports = {float(N): CensusReport(d, float(N), kmax, s, G) for N in N_values}
     sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode
-    root = np.sqrt(np.arange(sq.max() + 1, dtype=np.float64))  # |k| by |k|^2
+    # |k| by |k|^2, up to at least 1, where r2 and r3 are clipped below
+    root = np.sqrt(np.arange(max(sq.max(), 1) + 1, dtype=np.float64))
     mtab = {N: m_value(root, SmoothingSymbol(N, 1.0 - s)) for N in reports}
     bare = {N: m ** 2 * np.arange(len(m)) for N, m in mtab.items()}  # m^2 |k|^2 by |k|^2
     orbit = np.rint(math.factorial(n // 2) * lat.share).astype(np.int64)

@@ -54,14 +54,14 @@ SIGN = {"defocusing": 1.0, "focusing": -1.0}
 
 DEFAULT_TUPLE_BUDGET = 2 ** 27
 
-# block sizes of the Gamma_n enumerations: a lattice sum cuts each
-# equal-sigma row group into blocks of at most _GROUP_ROWS rows, which bounds
-# a block's working set; symbol values (and the 2-D census) are evaluated on
-# runs of blocks holding about _TABLE_TUPLES on-lattice tuples, which bounds
-# the classifier's temporaries; a run's block products wait for their column
-# weights in a buffer of at most _CONTRACT_BYTES (or one block's product).
-# The three fix a sum's summation order, hence the last bits of every Lambda
-# value
+# block sizes of the Gamma_n walk: a lattice sum pairs the slot sets of
+# each mode sum, at most _GROUP_ROWS of them at a time (rows), with every
+# set of the opposite sum (columns), which bounds a block's working set;
+# symbol values (and the census) are evaluated on runs of blocks holding
+# about _TABLE_TUPLES on-lattice tuples, which bounds the classifier's
+# temporaries; a run's block products wait for their column weights in a
+# buffer of at most _CONTRACT_BYTES (or one block's product).  The three fix
+# a sum's summation order, hence the last bits of every Lambda value
 _GROUP_ROWS = 1 << 12
 _TABLE_TUPLES = 1 << 14
 _CONTRACT_BYTES = 1 << 20
@@ -108,100 +108,98 @@ def slot_vectors(fields) -> list[np.ndarray]:
 
 
 class _Lattice:
-    """Gamma_n tuples on the mode lattice of a field, addressed as (row, column).
+    """Every on-lattice Gamma_n tuple of a field once (n even, h = n/2 slots
+    per parity), as pairs of slot sets whose mode sums cancel.
 
     Each slot carries a composite mode index in [0, Q): C order over the
-    axes, Q = prod(2 K_a + 1), so d = 1 is the one-axis case.  A row is the
-    C-order index of slots 1..n-2, a column is slot n-1, and slot n is fixed
-    by the constraint to -(k_1 + ... + k_(n-1)); it lies on the lattice only
-    when every axis of it lies in [-K_a, K_a].  Tables over slots 1..n-1
-    are stored as (rows, Q).
+    axes, Q = prod(2 K_a + 1), so d = 1 is the one-axis case.  A tuple holds
+    a set of h odd-slot modes in slots 1, 3, ... and a set of h even-slot
+    modes in slots 2, 4, ...; the sets are sorted by mode sum sigma, and
+    blocks pair the sets of sum sigma (rows, at most ``max_rows`` at a time)
+    with every set of sum -sigma (columns).  Here the sets are the ordered
+    h-tuples, each its own one arrangement, so any symbol can be summed;
+    ``_Orbits`` walks fewer sets with more arrangements.  Tables over slots
+    1..n-1 are stored as (rows, Q) and addressed by ``position``.  An
+    over-budget lattice is refused before any set is built; ``tuples``
+    counts the tuples walked.
     """
 
-    def __init__(self, field: SpectralField, n: int):
+    def __init__(self, field: SpectralField, n: int, budget: int = DEFAULT_TUPLE_BUDGET):
+        if n % 2:
+            raise ValueError(f"n={n} is odd: a Gamma_n walk pairs n/2 odd with n/2 even slots")
         g = field.geometry
         self.n, self.d = n, g.dimension
+        self.raw_tuples = self.check_budget(field, n, budget)
         self.K = np.array(field.cutoff)
-        self.shape = tuple(int(p) for p in 2 * self.K + 1)
-        self.Q = int(np.prod(self.shape))
+        shape = tuple(int(p) for p in 2 * self.K + 1)
+        self.Q = int(np.prod(shape))
         self.rows = self.Q ** (n - 2)
-        self.raw_tuples = self.Q ** (n - 1)  # what a tuple budget counts
         # integer and physical modes of every composite index, (Q, d), and
         # the physical |k| of each (the floats the classifiers compute)
-        self.modes = np.stack(np.unravel_index(np.arange(self.Q), self.shape), axis=-1) - self.K
+        self.modes = np.stack(np.unravel_index(np.arange(self.Q), shape), axis=-1) - self.K
         self.freqs = self.modes / np.array(g.axis_scales)
         self.kabs = (np.abs(self.freqs[:, 0]) if self.d == 1
                      else np.sqrt(np.sum(self.freqs ** 2, axis=-1)))
-        self.strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]
+        h = n // 2
+        sets, self.perms = self._sets(h)
+        reach = h * self.K
+        # mode sum of each set as a C-order index of the box |sigma_a| <=
+        # reach_a, in which -sigma has index (size - 1) - index(sigma)
+        key = np.ravel_multi_index(tuple((self.modes[sets].sum(axis=1) + reach).T),
+                                   tuple(2 * reach + 1))
+        order = np.argsort(key, kind="stable")
+        self.sets = sets[order]
+        self.bounds = np.searchsorted(key[order], np.arange(np.prod(2 * reach + 1) + 1))
+        count = np.diff(self.bounds)
+        self.tuples = int(np.sum(count * count[::-1]))
+        # a set's distinct arrangements are the permutations of its slots
+        # divided by its stabiliser, the permutations that leave it unchanged
+        self.share = 1.0 / sum(np.all(self.sets[:, p] == self.sets, axis=1)
+                               for p in self.perms)
 
-    def index(self, m):
-        """Composite index of integer modes (..., d), clipped onto the
-        lattice, and whether each mode lies on it."""
-        valid = np.all(np.abs(m) <= self.K, axis=-1)
-        return np.clip(m + self.K, 0, 2 * self.K) @ self.strides, valid
+    @staticmethod
+    def check_budget(field: SpectralField, n: int, budget: int) -> int:
+        """The Q^(n-1) tuples of slots 1..n-1 that a tuple budget counts,
+        from the cutoff alone; raises BudgetError past ``budget``."""
+        raw = int(np.prod(2 * np.array(field.cutoff) + 1)) ** (n - 1)
+        if raw > budget:
+            raise BudgetError(f"tuple count {raw} exceeds budget {budget}")
+        return raw
+
+    def _sets(self, h: int):
+        """Every ordered h-tuple of [0, Q), one per row in lexicographic
+        order, and the slot permutations that arrange one: the identity."""
+        return (np.stack(np.unravel_index(np.arange(self.Q ** h), (self.Q,) * h), axis=-1),
+                [tuple(range(h))])
 
     def position(self, idx):
         """Flat table position row * Q + column of slot indices (T, n)."""
         return idx[:, :-1] @ self.Q ** np.arange(self.n - 2, -1, -1, dtype=np.int64)
 
-    def groups(self, max_rows: int):
-        """Blocks of at most ``max_rows`` rows that share the mode sum sigma
-        of slots 1..n-2, hence slot n = -(sigma + k_(n-1)) in every column.
-
-        Yields (rows, outer, cols, last): the row numbers, the composite
-        indices of their slots 1..n-2, the columns with slot n on the
-        lattice and slot n's index per column.  A sum with |sigma_a| > 2 K_a
-        on some axis leaves no column on the lattice and is skipped.
-        """
-        n_out = self.n - 2
-        if n_out == 0:
-            yield (np.zeros(1, dtype=np.int64), [], np.arange(self.Q),
-                   self.index(-self.modes)[0])
-            return
-        # rows = prefix (slots 1..n-3) x tail (slot n-2, fixed by sigma)
-        prefix = list(np.unravel_index(np.arange(self.Q ** (n_out - 1)),
-                                       (self.Q,) * (n_out - 1))) if n_out > 1 else []
-        psum = sum((self.modes[p] for p in prefix), np.zeros((1, self.d), dtype=np.int64))
-        reach = min(n_out, 2) * self.K
-        for offset in np.ndindex(*(2 * reach + 1)):
-            sigma = np.array(offset) - reach
-            last, ok = self.index(-(sigma + self.modes))
-            cols = np.flatnonzero(ok)
-            tail, ok = self.index(sigma - psum)
-            keep = np.flatnonzero(ok)
-            for start in range(0, len(keep), max_rows):
-                sel = keep[start:start + max_rows]
-                yield (sel * self.Q + tail[sel], [p[sel] for p in prefix] + [tail[sel]],
-                       cols, last[cols])
-
-    def slots(self, block):
-        """Composite slot indices (R, C, n) of one block from ``groups``."""
-        rows, outer, cols, last = block
-        idx = np.empty((len(rows), len(cols), self.n), dtype=np.int64)
-        for j, o in enumerate(outer):
-            idx[:, :, j] = o[:, None]
-        idx[:, :, self.n - 2] = cols
-        idx[:, :, self.n - 1] = last
-        return idx
-
-    def weights(self, blocks, families):
-        """Per family of slot vectors (sets, Q), lazily, a run's row and
-        column weights (sets, rows) and (sets, cols), its blocks side by
-        side: the product of slots 1..n-2 per row, of slots n-1 and n per
-        column.  The run's indices are concatenated once for all families."""
-        rows = sum(len(b[0]) for b in blocks)
-        outer = [np.concatenate(o) for o in zip(*(b[1] for b in blocks))]
-        cols, last = (np.concatenate([b[j] for b in blocks]) for j in (2, 3))
-        for vecs in families:
-            A = np.ones((len(vecs[0]), rows), dtype=np.complex128)
-            for v, o in zip(vecs, outer):
-                A *= v[:, o]
-            yield A, vecs[self.n - 2][:, cols] * vecs[self.n - 1][:, last]
-
     def physical(self, idx):
         """Physical tuples of slot indices: (..., n) in 1d, (..., n, d) otherwise."""
         tup = np.take(self.freqs, idx, axis=0)
         return tup[..., 0] if self.d == 1 else tup
+
+    def groups(self, max_rows: int):
+        """Yields (odd, even): slices of ``sets`` holding sets of sums
+        sigma (at most ``max_rows``) and -sigma."""
+        size = len(self.bounds) - 1
+        for g in range(size):
+            lo, hi = self.bounds[g], self.bounds[g + 1]
+            even = slice(self.bounds[size - 1 - g], self.bounds[size - g])
+            if even.start == even.stop:
+                continue
+            for start in range(lo, hi, max_rows):
+                yield slice(start, min(start + max_rows, hi)), even
+
+    def slots(self, block):
+        """Composite slot indices (R, C, n) of one block from ``groups``."""
+        odd, even = self.sets[block[0]], self.sets[block[1]]
+        idx = np.empty((len(odd), len(even), self.n), dtype=np.int64)
+        idx[:, :, 0::2] = odd[:, None, :]
+        idx[:, :, 1::2] = even[None, :, :]
+        return idx
 
     def batches(self, max_rows: int, max_tuples: int):
         """Runs of consecutive ``groups(max_rows)`` blocks holding at most
@@ -209,8 +207,8 @@ class _Lattice:
 
         Yields (blocks, idx): the run's (block, (rows, cols)) pairs and the
         composite slot indices (T, n) of their tuples, block after block and
-        row-major within a block.  Slot n comes from ``groups``, so every
-        tuple is on the lattice and tuples with slot n off it are never
+        row-major within a block.  The sets of a block cancel in their mode
+        sums, so every tuple is on the lattice and no tuple off it is ever
         visited.
         """
         run, count = [], 0
@@ -234,86 +232,16 @@ class _Lattice:
     def on_lattice(self, max_tuples: int):
         """The on-lattice tuples, each once, in blocks of at most
         max(``max_tuples``, Q) tuples: (flat table positions, slot indices)."""
-        for _, idx in self.batches(max(1, max_tuples // self.Q), max_tuples):
-            yield self.position(idx), idx
-
-    def check_budget(self, budget: int):
-        if self.raw_tuples > budget:
-            raise BudgetError(f"tuple count {self.raw_tuples} exceeds budget {budget}")
-
-
-def _multisets(Q: int, h: int) -> np.ndarray:
-    """Every sorted h-multiset of [0, Q), one per row, in lexicographic order."""
-    sets = np.arange(Q)[:, None]
-    for _ in range(h - 1):
-        reps = Q - sets[:, -1]
-        rows = np.repeat(np.arange(len(sets)), reps)
-        first = np.repeat(np.cumsum(reps) - reps, reps)
-        sets = np.column_stack([sets[rows], np.arange(len(rows)) - first + sets[rows, -1]])
-    return sets
-
-
-class _Orbits(_Lattice):
-    """One representative per slot-parity orbit of the on-lattice Gamma_n
-    tuples (n even, h = n/2 slots per parity).
-
-    A representative is a sorted h-multiset of odd-slot modes (slots 1, 3,
-    ...) and one of even-slot modes whose mode sums cancel.  Blocks pair the
-    multisets of one mode sum sigma (rows, at most ``max_rows`` at a time)
-    with every multiset of sum -sigma (columns); a representative's tuple
-    holds its odd multiset in slots 1, 3, ... and its even one in 2, 4, ...
-    For a symbol symmetric within each slot parity, a sum over every tuple
-    is the sum over representatives of the symbol times the row weight (the
-    ``_arrangements`` of the odd slot vectors) times the column weight (of
-    the even ones), exactly, for any field sets.  An over-budget lattice is
-    refused before the multisets are built; ``tuples`` counts the
-    representatives.
-    """
-
-    def __init__(self, field: SpectralField, n: int, budget: int = DEFAULT_TUPLE_BUDGET):
-        super().__init__(field, n)
-        self.check_budget(budget)
-        h = n // 2
-        sets = _multisets(self.Q, h)
-        reach = h * self.K
-        # mode sum of each multiset as a C-order index of the box |sigma_a| <=
-        # reach_a, in which -sigma has index (size - 1) - index(sigma)
-        key = np.ravel_multi_index(tuple((self.modes[sets].sum(axis=1) + reach).T),
-                                   tuple(2 * reach + 1))
-        order = np.argsort(key, kind="stable")
-        self.sets = sets[order]
-        self.bounds = np.searchsorted(key[order], np.arange(np.prod(2 * reach + 1) + 1))
-        count = np.diff(self.bounds)
-        self.tuples = int(np.sum(count * count[::-1]))
-        # a multiset's distinct arrangements are the permutations of its slots
-        # divided by its stabiliser, the permutations that leave it unchanged
-        self.perms = list(itertools.permutations(range(h)))
-        self.share = 1.0 / sum(np.all(self.sets[:, p] == self.sets, axis=1)
-                               for p in self.perms)
-
-    def groups(self, max_rows: int):
-        """Yields (odd, even): slices of ``sets`` holding multisets of sums
-        sigma (at most ``max_rows``) and -sigma."""
-        size = len(self.bounds) - 1
-        for g in range(size):
-            lo, hi = self.bounds[g], self.bounds[g + 1]
-            even = slice(self.bounds[size - 1 - g], self.bounds[size - g])
-            if even.start == even.stop:
-                continue
-            for start in range(lo, hi, max_rows):
-                yield slice(start, min(start + max_rows, hi)), even
-
-    def slots(self, block):
-        odd, even = self.sets[block[0]], self.sets[block[1]]
-        idx = np.empty((len(odd), len(even), self.n), dtype=np.int64)
-        idx[:, :, 0::2] = odd[:, None, :]
-        idx[:, :, 1::2] = even[None, :, :]
-        return idx
+        step = max(max_tuples, self.Q)
+        for _, run in self.batches(_GROUP_ROWS, max_tuples):
+            for start in range(0, len(run), step):
+                idx = run[start:start + step]
+                yield self.position(idx), idx
 
     def _arrangements(self, vecs, rows) -> np.ndarray:
-        """Per field set, the sum over the distinct arrangements of each
-        multiset ``sets[rows]`` of the product of ``vecs[i]`` at the mode in
-        place i: the h x h permanent times ``share``."""
+        """Per field set, the sum over the distinct arrangements of each set
+        ``sets[rows]`` of the product of ``vecs[i]`` at the mode in place i:
+        over ``perms``, each arrangement weighted by ``share``."""
         sets = self.sets[rows]
         total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
         term, factor = np.empty_like(total), np.empty_like(total)
@@ -336,6 +264,33 @@ class _Orbits(_Lattice):
                 for j in (0, 1)]
         for vecs in families:
             yield self._arrangements(vecs[0::2], rows[0]), self._arrangements(vecs[1::2], rows[1])
+
+
+def _multisets(Q: int, h: int) -> np.ndarray:
+    """Every sorted h-multiset of [0, Q), one per row, in lexicographic order."""
+    sets = np.arange(Q)[:, None]
+    for _ in range(h - 1):
+        reps = Q - sets[:, -1]
+        rows = np.repeat(np.arange(len(sets)), reps)
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        sets = np.column_stack([sets[rows], np.arange(len(rows)) - first + sets[rows, -1]])
+    return sets
+
+
+class _Orbits(_Lattice):
+    """One representative per slot-parity orbit of the on-lattice Gamma_n
+    tuples: the sets are the sorted h-multisets, and a multiset's
+    arrangements are its distinct permutations.
+
+    For a symbol symmetric within each slot parity, a sum over every tuple
+    is the sum over representatives of the symbol times the row weight (the
+    ``_arrangements`` of the odd slot vectors) times the column weight (of
+    the even ones), exactly, for any field sets; ``tuples`` counts the
+    representatives.
+    """
+
+    def _sets(self, h: int):
+        return _multisets(self.Q, h), list(itertools.permutations(range(h)))
 
 
 def _walk(lat: _Lattice, evaluate, passes) -> list:
@@ -425,8 +380,7 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     w^(n-1).  This is the one-symbol case of ``_walk``.
     """
     field_sets = [list(fs) for fs in field_sets]
-    lat = _Lattice(field_sets[0][0], len(field_sets[0]))
-    lat.check_budget(budget)
+    lat = _Lattice(field_sets[0][0], len(field_sets[0]), budget)
     if callable(symbol):
         evaluate = lambda idx: [symbol(lat.physical(idx))]
     else:
@@ -603,12 +557,12 @@ def correction_tables(template: SpectralField, N: float, s: float,
     """
     g = template.geometry
     deg = g.nonlinearity_degree + 1
-    lat = _Lattice(template, deg)
-    lat.check_budget(budget)
-    nbytes = len(CORRECTION_SYMBOLS) * lat.Q ** (deg - 1) * np.dtype(np.float64).itemsize
+    raw = _Lattice.check_budget(template, deg, budget)
+    nbytes = len(CORRECTION_SYMBOLS) * raw * np.dtype(np.float64).itemsize
     if nbytes > _physical_memory() // 2:
         raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
                          f"({_physical_memory()} bytes)")
+    lat = _Lattice(template, deg, budget)
     evaluate = _correction_evaluator(lat, [N], s, thresholds)
     tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):

@@ -108,7 +108,7 @@ def _identity_run(u0, evo, Ns, s, sign, gap, budget):
     an over-budget lattice, and ``energy_identity_residual`` along it at
     every N of ``Ns``, with max|residual| and its ``identity_tolerance`` per
     N (a NaN residual fails)."""
-    _Lattice(u0, u0.geometry.nonlinearity_degree + 1).check_budget(budget)
+    _Lattice.check_budget(u0, u0.geometry.nonlinearity_degree + 1, budget)
     traj = evolve(evo, u0)
     out = energy_identity_residual(traj.samples, traj.times, Ns, s, sign=sign,
                                    thresholds=Thresholds(gap=gap), budget=budget)
@@ -313,9 +313,15 @@ def run_strichartz(cfg: dict, out_dir: Path) -> int:
 # -- census / verify -------------------------------------------------------------
 
 
+def _need_n_grid(cfg: dict) -> None:
+    if not cfg["n_grid"]:
+        raise ValueError("n_grid is empty: it needs at least one N")
+
+
 def run_census(cfg: dict, out_dir: Path) -> int:
     if cfg["d"] not in (1, 2):
         raise ValueError(f"d={cfg['d']} must be 1 or 2")
+    _need_n_grid(cfg)
     th_grid = [Thresholds(gap=g) for g in cfg["gap_grid"]]
     rows = []
     violations = 0
@@ -443,6 +449,9 @@ def run_budget(cfg: dict, out_dir: Path) -> int:
 
 
 def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
+    _need_n_grid(cfg)
+    if cfg["samples"] < 1:
+        raise ValueError(f"samples={cfg['samples']} must be >= 1")
     g = _geometry(cfg)
     rng = np.random.default_rng(cfg["seed"])
     u0 = initial_data(g, cfg["kcut"], kind="hs_random", rng=rng,

@@ -159,6 +159,16 @@ def test_budget_guard():
         resonance_census_1d([4.0], kmax=32, budget=10 ** 6)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_kmax_zero_counts_the_zero_tuple(d, tmp_path):
+    # one tuple, all slots at mode 0, below every threshold
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"d = {d}\nkmax = 0\nn_grid = 2\n")
+    assert main(["census", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    rows = (tmp_path / "c" / "census.csv").read_text().splitlines()
+    assert [r.split(",")[3:5] for r in rows[1:]] == [["below-threshold", "1"]]
+
+
 def test_2d_census_partitions_and_sound():
     reports = resonance_census_2d([2.0, 4.0], kmax=3, s=0.6)
     for rep in reports.values():

@@ -12,7 +12,7 @@ from nlslab.classify import (BELOW, Thresholds, classify_batch_1d, is_nonresonan
                              is_resonant)
 from nlslab.dynamics import EvolutionConfig, evolve
 from nlslab import energies
-from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, ConsistencyError,
+from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, BudgetError, ConsistencyError,
                              _Lattice, _Orbits, correction_sums, correction_tables,
                              cumulative_simpson, e_i1, energy,
                              energy_identity_residual, gamma_sums, lambda_eval,
@@ -183,6 +183,25 @@ class TestGammaSums:
         gamma_sums(smooth_symbol(2), [fields], budget=15 ** 3)
         with pytest.raises(ValueError, match="budget"):
             gamma_sums(smooth_symbol(2), [fields], budget=15 ** 3 - 1)
+
+    def test_refused_before_building_sets(self, monkeypatch):
+        # both walks check the budget from the cutoff alone, before any slot
+        # set exists
+        def no_sets(self, h):
+            raise AssertionError("built the slot sets of an over-budget lattice")
+
+        monkeypatch.setattr(_Lattice, "_sets", no_sets)
+        monkeypatch.setattr(_Orbits, "_sets", no_sets)
+        f = zero_field(build_geometry(1), 3)  # 7^5 tuples
+        with pytest.raises(BudgetError):
+            gamma_sums(lambda tup: np.ones(tup.shape[:-1]), [[f] * 6], budget=7 ** 5 - 1)
+        with pytest.raises(BudgetError):
+            correction_sums(f, [1.0], 0.5, [([[f] * 6], ("sigma_tilde",))], budget=7 ** 5 - 1)
+
+    def test_odd_n_refused(self):
+        f = zero_field(build_geometry(1), 3)
+        with pytest.raises(ValueError, match="odd"):
+            gamma_sums(lambda tup: np.ones(tup.shape[:-1]), [[f] * 3])
 
 
 class TestTwoPathIdentity:

@@ -460,6 +460,36 @@ class TestRunners:
         assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
         assert not (tmp_path / "r").exists()
 
+    def test_budget_refused_before_building_sets(self, tmp_path, monkeypatch):
+        # the runner's check reads the budget from the cutoff alone: no slot
+        # set is built and no trajectory integrated before the refusal
+        from nlslab import energies, experiments
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or integrated past an over-budget lattice")
+
+        monkeypatch.setattr(energies._Lattice, "_sets", refuse)
+        monkeypatch.setattr(energies._Orbits, "_sets", refuse)
+        monkeypatch.setattr(experiments, "evolve", refuse)
+        cfgfile = tmp_path / "b.cfg"
+        cfgfile.write_text("kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                           "data.modes = 4\nbudget = 1000\n")
+        assert main(["energy-track", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("almost-conservation", "kcut = 4\nn_grid = 2\nt_end = 0.02\nsamples = 0\n", "samples"),
+        ("almost-conservation", "kcut = 4\nn_grid =\nt_end = 0.02\n", "n_grid"),
+        ("census", "kmax = 3\nn_grid =\n", "n_grid"),
+    ], ids=["samples-zero", "almost-conservation-empty-n-grid", "census-empty-n-grid"])
+    def test_bad_samples_or_n_grid_exit_one(self, command, text, key, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text)
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_config_exit_one(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("definitely_not_a_key = 1\n")
