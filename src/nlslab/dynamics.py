@@ -13,6 +13,15 @@ multilinear identities the energy module tracks.  Two integrators:
 * rk4-galerkin: classic Runge-Kutta on the coefficient vector with the
   dealiased right-hand side.  Order 4; conserves the truncated energy up to
   integrator drift only.
+
+The stages of a step run on bare coefficient arrays.  Each nonlinear stage
+goes through the one dealiased kernel, ``geometry.dealiased_map`` on the
+cached ``dealiasing_plan`` of the lattice: to the grid, a pointwise map of
+the values and |u|^(4/d) (the phase exp(-i kappa dt |u|^(4/d)), or
+|u|^(4/d) u), back to the lattice.  A step builds one ``SpectralField``, so
+finiteness is checked once per step, after its last stage.  ``strang_step``,
+``rk4_step`` and ``galerkin_rhs`` wrap the same array kernels that
+``evolve`` runs.
 """
 
 from __future__ import annotations
@@ -21,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energies import SIGN, energy, mass, nonlinear_coefficient_field
-from .geometry import (SpectralField, TorusGeometry, free_evolve, from_physical,
-                       random_field, to_physical, zero_field)
+from .energies import SIGN, energy, mass, nonlinear_coefficients
+from .geometry import (SpectralField, TorusGeometry, TransformPlan, _free_propagator,
+                       dealiased_map, dealiasing_plan, free_evolve, random_field,
+                       zero_field)
 
 
 @dataclass(frozen=True)
@@ -56,39 +66,51 @@ def default_dt(f: SpectralField) -> float:
     return 0.1 / max(kmax**2, 1.0)
 
 
-def _oversample(geometry: TorusGeometry) -> int:
-    return (geometry.nonlinearity_degree + 2) // 2
+def _strang(plan: TransformPlan, half: np.ndarray, c: np.ndarray, dt: float,
+            kappa: float) -> np.ndarray:
+    """One Strang step of the coefficient array ``c``; ``half`` is the free
+    propagator over dt/2."""
+    mid = dealiased_map(plan, half * c,
+                        lambda vals, potential: vals * np.exp(-1j * kappa * dt * potential))
+    return half * mid
+
+
+def _galerkin(plan: TransformPlan, c: np.ndarray, kappa: float,
+              nonlinear: bool) -> np.ndarray:
+    """The Galerkin right-hand side of the coefficient array ``c``."""
+    lin = plan.generator * c
+    if not nonlinear:
+        return lin
+    return lin - 1j * kappa * nonlinear_coefficients(plan, c)
+
+
+def _rk4(plan: TransformPlan, c: np.ndarray, dt: float, kappa: float,
+         nonlinear: bool) -> np.ndarray:
+    """One classic Runge-Kutta step of the coefficient array ``c``."""
+    k1 = _galerkin(plan, c, kappa, nonlinear)
+    k2 = _galerkin(plan, c + 0.5 * dt * k1, kappa, nonlinear)
+    k3 = _galerkin(plan, c + 0.5 * dt * k2, kappa, nonlinear)
+    k4 = _galerkin(plan, c + dt * k3, kappa, nonlinear)
+    return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def strang_step(f: SpectralField, dt: float, sign: str = "defocusing") -> SpectralField:
-    kappa = SIGN[sign]
-    p = f.geometry.nonlinearity_degree  # exponent 1 + 4/d
-    half = free_evolve(f, dt / 2.0)
-    vals = to_physical(half, _oversample(f.geometry))
-    mod2 = vals.real ** 2 + vals.imag ** 2
-    vals = vals * np.exp(-1j * kappa * dt * mod2 ** ((p - 1) // 2))
-    mid = from_physical(vals, f.geometry, f.cutoff)
-    return free_evolve(mid, dt / 2.0)
+    half = _free_propagator(f.geometry, f.cutoff, float(dt / 2.0))
+    return f.with_coeffs(_strang(dealiasing_plan(f.geometry, f.cutoff), half, f.coeffs,
+                                 dt, SIGN[sign]))
 
 
 def galerkin_rhs(f: SpectralField, sign: str = "defocusing",
                  nonlinear: bool = True) -> SpectralField:
     """du/dt = -i|k|^2 uhat -i kappa * (projected coefficients of |u|^(4/d) u)."""
-    kappa = SIGN[sign]
-    lin = -1j * f.kabs() ** 2 * f.coeffs
-    if not nonlinear:
-        return f.with_coeffs(lin)
-    nl = nonlinear_coefficient_field(f)
-    return f.with_coeffs(lin - 1j * kappa * nl.coeffs)
+    return f.with_coeffs(_galerkin(dealiasing_plan(f.geometry, f.cutoff), f.coeffs,
+                                   SIGN[sign], nonlinear))
 
 
 def rk4_step(f: SpectralField, dt: float, sign: str = "defocusing",
              nonlinear: bool = True) -> SpectralField:
-    k1 = galerkin_rhs(f, sign, nonlinear).coeffs
-    k2 = galerkin_rhs(f.with_coeffs(f.coeffs + 0.5 * dt * k1), sign, nonlinear).coeffs
-    k3 = galerkin_rhs(f.with_coeffs(f.coeffs + 0.5 * dt * k2), sign, nonlinear).coeffs
-    k4 = galerkin_rhs(f.with_coeffs(f.coeffs + dt * k3), sign, nonlinear).coeffs
-    return f.with_coeffs(f.coeffs + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return f.with_coeffs(_rk4(dealiasing_plan(f.geometry, f.cutoff), f.coeffs, dt,
+                              SIGN[sign], nonlinear))
 
 
 @dataclass

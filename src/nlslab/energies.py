@@ -45,8 +45,8 @@ import numpy as np
 
 from .classify import (BELOW, Thresholds, _verdicts_1d, _verdicts_2d, is_nonresonant,
                        is_resonant)
-from .geometry import (SpectralField, from_physical, integrate_grid, mass,
-                       pointwise_product, to_physical)
+from .geometry import (SpectralField, TransformPlan, dealiased_map, dealiasing_plan,
+                       integrate_grid, mass, pointwise_product, to_physical)
 from .multipliers import sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
@@ -670,14 +670,16 @@ def modified_energy(f: SpectralField, level: int, N: float, s: float,
 # -- the d/dt Lambda machinery and the end-to-end residual ---------------------
 
 
+def nonlinear_coefficients(plan: TransformPlan, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of |u|^(4/d) u for the coefficient array ``coeffs`` of
+    u, through the dealiased kernel on ``plan`` (a ``dealiasing_plan``)."""
+    return dealiased_map(plan, coeffs, lambda vals, potential: potential * vals)
+
+
 def nonlinear_coefficient_field(f: SpectralField) -> SpectralField:
     """Coefficients of |u|^(4/d) u on the lattice, dealiased (exact)."""
-    g = f.geometry
-    p = g.nonlinearity_degree  # 5 or 3
-    oversample = (p + 2) // 2
-    vals = to_physical(f, oversample)
-    mod2 = vals.real ** 2 + vals.imag ** 2
-    return from_physical(mod2 ** ((p - 1) // 2) * vals, g, f.cutoff)
+    return f.with_coeffs(nonlinear_coefficients(dealiasing_plan(f.geometry, f.cutoff),
+                                                f.coeffs))
 
 
 def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField,

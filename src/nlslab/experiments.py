@@ -313,15 +313,17 @@ def run_strichartz(cfg: dict, out_dir: Path) -> int:
 # -- census / verify -------------------------------------------------------------
 
 
-def _need_n_grid(cfg: dict) -> None:
-    if not cfg["n_grid"]:
-        raise ValueError("n_grid is empty: it needs at least one N")
+def _need(key: str, values, what: str) -> None:
+    """Refuse an empty list, with which a run would exit 0 having checked nothing."""
+    if not values:
+        raise ValueError(f"{key} is empty: it needs at least one {what}")
 
 
 def run_census(cfg: dict, out_dir: Path) -> int:
     if cfg["d"] not in (1, 2):
         raise ValueError(f"d={cfg['d']} must be 1 or 2")
-    _need_n_grid(cfg)
+    _need("n_grid", cfg["n_grid"], "N")
+    _need("gap_grid", cfg["gap_grid"], "gap")
     th_grid = [Thresholds(gap=g) for g in cfg["gap_grid"]]
     rows = []
     violations = 0
@@ -363,9 +365,12 @@ def run_census(cfg: dict, out_dir: Path) -> int:
 
 def run_verify(cfg: dict, out_dir: Path) -> int:
     cases = [c.strip() for c in cfg["cases"].split(",") if c.strip()]
+    _need("cases", cases, "case")
     for c in cases:
         if c not in VERIFY_CASES:
             raise ValueError(f"unknown verify case {c!r}")
+    _need("n_grid", cfg["n_grid"], "N")
+    _need("gap_grid", cfg["gap_grid"], "gap")
     rows = []
     for case in cases:
         for N in cfg["n_grid"]:
@@ -449,7 +454,7 @@ def run_budget(cfg: dict, out_dir: Path) -> int:
 
 
 def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
-    _need_n_grid(cfg)
+    _need("n_grid", cfg["n_grid"], "N")
     if cfg["samples"] < 1:
         raise ValueError(f"samples={cfg['samples']} must be >= 1")
     g = _geometry(cfg)

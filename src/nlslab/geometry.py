@@ -253,10 +253,73 @@ def grid_sizes(f: SpectralField, oversample: int = 1) -> tuple[int, ...]:
     return tuple((2 * k + 1) * oversample for k in f.cutoff)
 
 
+@dataclass(frozen=True, eq=False)
+class TransformPlan:
+    """What every transform between a mode lattice and a uniform grid reuses.
+
+    Cached per (geometry, cutoff, grid sizes) by ``transform_plan``; its
+    arrays are read-only.  ``index[j]`` holds the grid slots of the modes
+    -K_j..K_j on axis j (negative modes wrap), ``weight`` is w = 1/volume,
+    ``points`` is prod(sizes), and ``generator`` is -i|k|^2 on the lattice.
+    """
+
+    geometry: TorusGeometry
+    sizes: tuple[int, ...]
+    index: tuple[np.ndarray, ...]
+    weight: float
+    points: int
+    generator: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _grid_index(cutoff: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per axis, the grid slots of the modes -K..K (negative modes wrap)."""
-    return tuple(_read_only(np.arange(-k, k + 1) % m) for k, m in zip(cutoff, sizes))
+def transform_plan(geometry: TorusGeometry, cutoff: tuple[int, ...],
+                   sizes: tuple[int, ...]) -> TransformPlan:
+    """The plan of the grid ``sizes`` for the lattice of ``cutoff``."""
+    index = tuple(_read_only(np.arange(-k, k + 1) % m) for k, m in zip(cutoff, sizes))
+    return TransformPlan(geometry, sizes, index, geometry.measure_weight,
+                         int(np.prod(sizes)),
+                         _read_only(-1j * _kabs(geometry, cutoff) ** 2))
+
+
+def dealiasing_plan(geometry: TorusGeometry, cutoff: tuple[int, ...]) -> TransformPlan:
+    """The plan of the grid on which |u|^(4/d) u is alias-free: (2K+1) times
+    (p + 2) // 2 points per axis for the degree p = 1 + 4/d."""
+    oversample = (geometry.nonlinearity_degree + 2) // 2
+    return transform_plan(geometry, cutoff, tuple((2 * k + 1) * oversample for k in cutoff))
+
+
+def grid_values(plan: TransformPlan, coeffs: np.ndarray) -> np.ndarray:
+    """Grid samples of the coefficient array ``coeffs`` (see ``to_physical``)."""
+    sizes = plan.sizes
+    vals = plan.weight * coeffs
+    for axis in reversed(range(len(sizes))):
+        buf = np.zeros(vals.shape[:axis] + (sizes[axis],) + vals.shape[axis + 1:],
+                       dtype=np.complex128)
+        buf[(slice(None),) * axis + (plan.index[axis],)] = vals
+        vals = np.fft.ifft(buf, axis=axis)
+    return vals * plan.points
+
+
+def lattice_coeffs(plan: TransformPlan, values: np.ndarray) -> np.ndarray:
+    """Coefficient array of the grid samples ``values`` (see ``from_physical``)."""
+    spec = values
+    for axis in reversed(range(len(plan.sizes))):
+        spec = np.fft.fft(spec, axis=axis).take(plan.index[axis], axis=axis)
+    return spec / plan.points / plan.weight
+
+
+def dealiased_map(plan: TransformPlan, coeffs: np.ndarray, pointwise) -> np.ndarray:
+    """Coefficients of a pointwise map of a field and its |u|^(4/d).
+
+    The coefficient array goes to ``plan``'s grid, ``pointwise(values,
+    |values|^(4/d))`` maps the samples, and the result comes back to the
+    lattice.  On the ``dealiasing_plan`` grid this is exact for the
+    projected nonlinearity |u|^(4/d) u.
+    """
+    vals = grid_values(plan, coeffs)
+    mod2 = vals.real ** 2 + vals.imag ** 2
+    potential = mod2 ** ((plan.geometry.nonlinearity_degree - 1) // 2)
+    return lattice_coeffs(plan, pointwise(vals, potential))
 
 
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
@@ -269,15 +332,8 @@ def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """
     if oversample < 1:
         raise ValueError(f"oversample={oversample} must be >= 1")
-    sizes = grid_sizes(f, oversample)
-    index = _grid_index(f.cutoff, sizes)
-    vals = f.geometry.measure_weight * f.coeffs
-    for axis in reversed(range(len(sizes))):
-        buf = np.zeros(vals.shape[:axis] + (sizes[axis],) + vals.shape[axis + 1:],
-                       dtype=np.complex128)
-        buf[(slice(None),) * axis + (index[axis],)] = vals
-        vals = np.fft.ifft(buf, axis=axis)
-    return vals * np.prod(sizes)
+    return grid_values(transform_plan(f.geometry, f.cutoff, grid_sizes(f, oversample)),
+                       f.coeffs)
 
 
 def from_physical(values: np.ndarray, geometry: TorusGeometry, cutoff) -> SpectralField:
@@ -288,16 +344,13 @@ def from_physical(values: np.ndarray, geometry: TorusGeometry, cutoff) -> Spectr
     2K_1+1 kept columns, not all M_1.
     """
     cut = _cutoff_tuple(cutoff, geometry.dimension)
+    if values.ndim != len(cut):
+        raise ValueError(f"grid of shape {values.shape} for cutoff {cut}")
     for m, k in zip(values.shape, cut):
         if m < 2 * k + 1:
             raise ValueError(f"grid size {m} too small for cutoff {k}")
-    index = _grid_index(cut, values.shape)
-    spec = values
-    for axis in reversed(range(len(cut))):
-        spec = np.fft.fft(spec, axis=axis).take(index[axis], axis=axis)
-    w = 1.0 / geometry.volume
-    coeffs = spec / np.prod(values.shape) / w
-    return SpectralField(geometry, cut, coeffs)
+    plan = transform_plan(geometry, cut, values.shape)
+    return SpectralField(geometry, cut, lattice_coeffs(plan, values))
 
 
 def grid_points(f: SpectralField, oversample: int = 1) -> tuple[np.ndarray, ...]:

@@ -21,6 +21,27 @@ def perturbed_plane_wave(K=8, eps=0.05, seed=1):
     return field_from_modes(G1, K, modes)
 
 
+def _assert_aborts_at(g, integrator, amplitude, failed_step):
+    """Focusing flow from two modes of ``amplitude`` at dt 0.1 aborts at
+    ``failed_step``, keeping the state after the last finite step.
+    Finiteness is checked once per step, after its last stage."""
+    u0 = field_from_modes(g, 4, {0: amplitude, 1: amplitude})
+    cfg = EvolutionConfig(g, 4, sign="focusing", integrator=integrator,
+                          dt=0.1, t_end=10.0, sample_stride=1)
+    with np.errstate(over="ignore"):  # the energy report of a huge u0 overflows
+        traj = evolve(cfg, u0)
+    assert traj.aborted
+    assert traj.diagnostics == {"failed_step": failed_step, "t": failed_step * 0.1,
+                                "reason": "non-finite coefficients"}
+    assert np.all(np.isfinite(traj.final.coeffs))
+    assert len(traj.samples) == failed_step
+    step = rk4_step if integrator == "rk4-galerkin" else strang_step
+    last = u0
+    for _ in range(failed_step - 1):
+        last = step(last, 0.1, "focusing")
+    assert traj.final.coeffs.tobytes() == last.coeffs.tobytes()
+
+
 class TestStrang:
     def test_plane_wave_exact(self):
         # c e^{ikx} evolves to c e^{i(kx - (k^2 + |c|^4) t)} in the defocusing case
@@ -143,13 +164,32 @@ class TestEvolve:
 
     def test_abort_on_blowup(self):
         # focusing with huge amplitude and a crude step blows up fast
-        u0 = field_from_modes(G1, 4, {0: 1e4, 1: 1e4})
-        cfg = EvolutionConfig(G1, 4, sign="focusing", integrator="rk4-galerkin",
-                              dt=0.1, t_end=10.0, sample_stride=1)
+        _assert_aborts_at(G1, "rk4-galerkin", 1e4, failed_step=1)
+
+    @pytest.mark.parametrize("integrator, amplitude, failed_step", [
+        ("rk4-galerkin", 5.0, 4), ("strang", 1e78, 1),
+    ], ids=["rk4-fourth-step", "strang-phase-overflow"])
+    def test_abort_keeps_last_finite_step(self, integrator, amplitude, failed_step):
+        # a later blow-up, and the Strang phase |u|^4 overflowing at once
+        _assert_aborts_at(G1, integrator, amplitude, failed_step)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("integrator", ["strang", "rk4-galerkin"])
+    def test_evolve_samples_are_the_public_steps(self, d, integrator):
+        # one code path: evolve's samples are the public steps, iterated
+        g = G1 if d == 1 else build_geometry(2, (0.75,), 1.3)
+        u0 = random_field(g, 5, np.random.default_rng(d), profile_s=0.5, mass=0.05)
+        dt, stride = 2e-3, 3
+        cfg = EvolutionConfig(g, 5, sign="focusing", integrator=integrator, dt=dt,
+                              t_end=12 * dt, sample_stride=stride)
         traj = evolve(cfg, u0)
-        assert traj.aborted
-        assert "failed_step" in traj.diagnostics
-        assert np.all(np.isfinite(traj.final.coeffs))
+        step = rk4_step if integrator == "rk4-galerkin" else strang_step
+        u, expected = u0, [u0.coeffs.tobytes()]
+        for i in range(1, 13):
+            u = step(u, dt, "focusing")
+            if i % stride == 0:
+                expected.append(u.coeffs.tobytes())
+        assert [s.coeffs.tobytes() for s in traj.samples] == expected
 
     def test_default_dt_and_initial_data(self):
         u = initial_data(G1, 8, kind="hs_random", rng=RNG, s=0.5, mass_target=0.01)

@@ -482,7 +482,13 @@ class TestRunners:
         ("almost-conservation", "kcut = 4\nn_grid = 2\nt_end = 0.02\nsamples = 0\n", "samples"),
         ("almost-conservation", "kcut = 4\nn_grid =\nt_end = 0.02\n", "n_grid"),
         ("census", "kmax = 3\nn_grid =\n", "n_grid"),
-    ], ids=["samples-zero", "almost-conservation-empty-n-grid", "census-empty-n-grid"])
+        ("census", "kmax = 3\ngap_grid =\n", "gap_grid"),
+        ("verify", "cases =\n", "cases"),
+        ("verify", "cases = ii\nn_grid =\n", "n_grid"),
+        ("verify", "cases = ii\ngap_grid =\n", "gap_grid"),
+    ], ids=["samples-zero", "almost-conservation-empty-n-grid", "census-empty-n-grid",
+            "census-empty-gap-grid", "verify-empty-cases", "verify-empty-n-grid",
+            "verify-empty-gap-grid"])
     def test_bad_samples_or_n_grid_exit_one(self, command, text, key, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(text)

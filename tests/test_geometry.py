@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlslab.energies import nonlinear_coefficient_field
 from nlslab.geometry import (TorusGeometry, build_geometry, field_from_modes,
                              free_evolve, from_physical, grid_points, load_field,
                              lp_project, lp_spacetime_norm, norm,
@@ -231,6 +232,18 @@ def test_free_evolve_bit_identical_to_phase_product(d, gamma, cutoff):
         assert free_evolve(u, t).coeffs.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d, gamma, cutoff", TRANSFORM_CASES)
+def test_nonlinear_coefficients_bit_identical_to_numpy_nd(d, gamma, cutoff):
+    # |u|^(4/d) u through the dealiased kernel against the n-D references
+    g = build_geometry(d, gamma, 1.7)
+    u = random_field(g, cutoff, np.random.default_rng(13))
+    p = g.nonlinearity_degree
+    vals = _ifftn_reference(u, (p + 2) // 2)
+    mod2 = vals.real ** 2 + vals.imag ** 2
+    expected = _fftn_reference(mod2 ** ((p - 1) // 2) * vals, g, u.cutoff)
+    assert nonlinear_coefficient_field(u).coeffs.tobytes() == expected.tobytes()
+
+
 def test_cached_lattice_arrays_are_read_only():
     import nlslab.geometry as geometry
 
@@ -238,8 +251,13 @@ def test_cached_lattice_arrays_are_read_only():
     u = random_field(g, (4, 3), RNG)
     free_evolve(u, 0.1)
     assert u.kabs() is u.kabs()
+    plan = geometry.transform_plan(g, u.cutoff, (18, 14))
+    assert geometry.transform_plan(g, u.cutoff, (18, 14)) is plan
+    assert geometry.dealiasing_plan(g, u.cutoff) is geometry.dealiasing_plan(g, u.cutoff)
+    with pytest.raises(AttributeError):
+        plan.weight = 1.0
     cached = [u.kabs(), geometry._free_propagator(g, u.cutoff, 0.1),
-              *geometry._grid_index(u.cutoff, (18, 14))]
+              *plan.index, plan.generator]
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
