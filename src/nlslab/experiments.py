@@ -184,6 +184,12 @@ def _smooth5_length(n: int) -> int:
     return best
 
 
+# Bytes of complex128 per block of time rows that a packet draw transforms at
+# once: numpy's FFT runs complex64 input in double precision, with complex128
+# copies of the whole input and output, so the rows run in blocks of this size.
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
 def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
                           rng, coherent: bool = True,
                           dtype=np.complex64) -> np.ndarray:
@@ -195,8 +201,11 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
     two packets, of length len1+len2-1; zero-padded to a 5-smooth length
     ``pad`` >= that, its squared l2 norm is sum|fa.fb|^2 / pad by Parseval,
     where fa, fb are the padded packets' DFTs, so a draw costs two batched
-    FFTs and no inverse.  Coherent draws are amplitude-jittered co-located
-    wave packets (the extremizing class); incoherent draws are random-phase.
+    FFTs and no inverse.  Every step is row by row, so the phases and each
+    draw run in blocks of time rows whose complex128 temporaries take about
+    ``_DRAW_CHUNK_BYTES``, with the same arithmetic as on all rows at once.
+    Coherent draws are amplitude-jittered co-located wave packets (the
+    extremizing class); incoherent draws are random-phase.
     """
     T = lam / n_freq
     k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
@@ -205,8 +214,14 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
     n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
     t = np.linspace(0.0, T, n_t)
     pad = _smooth5_length(len(k1) + len(k2) - 1)
-    phase1 = np.exp(-1j * np.outer(t, k1**2)).astype(dtype)
-    phase2 = np.exp(-1j * np.outer(t, k2**2)).astype(dtype)
+    rows = max(1, _DRAW_CHUNK_BYTES // (pad * 16))
+    chunks = [slice(lo, lo + rows) for lo in range(0, n_t, rows)]
+    phase1 = np.empty((n_t, len(k1)), dtype=dtype)
+    phase2 = np.empty((n_t, len(k2)), dtype=dtype)
+    for c in chunks:
+        phase1[c] = np.exp(-1j * np.outer(t[c], k1**2))
+        phase2[c] = np.exp(-1j * np.outer(t[c], k2**2))
+    sq = np.empty(n_t)
     out = np.empty(draws)
     for i in range(draws):
         if coherent:
@@ -217,11 +232,12 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
             b = np.exp(2j * np.pi * rng.random(len(k2)))
         a = (a / np.sqrt(L * np.sum(np.abs(a) ** 2))).astype(dtype)
         b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
-        fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1)
-        fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1)
-        prod = fa * fb
-        prod = prod.view(prod.real.dtype)  # (re, im) pairs: sum of squares = |.|^2
-        sq = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
+        for c in chunks:
+            fa = np.fft.fft(a[None, :] * phase1[c], n=pad, axis=1)
+            fb = np.fft.fft(b[None, :] * phase2[c], n=pad, axis=1)
+            prod = fa * fb
+            prod = prod.view(prod.real.dtype)  # (re, im) pairs: sum of squares = |.|^2
+            sq[c] = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
         out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
     return out
 
@@ -261,6 +277,14 @@ def linear_l6_plane_wave_check(n_freq: float, lam: float) -> dict:
 
 def run_strichartz(cfg: dict, out_dir: Path) -> int:
     lam, n_freq = cfg["lambda"], cfg["n_freq"]
+    for key in ("lambda", "n_freq"):
+        if not cfg[key] > 0:
+            raise ValueError(f"{key}={cfg[key]} must be > 0")
+    if cfg["samples"] < 1:
+        raise ValueError(f"samples={cfg['samples']} must be >= 1")
+    _need("m_grid", cfg["m_grid"], "M")
+    if min(cfg["m_grid"]) < 1:
+        raise ValueError(f"m_grid={cfg['m_grid']} needs every M >= 1")
     rows = []
     cal = bilinear_plane_wave_check(n_freq, lam)
     rows.append({"kind": "calibration-bilinear", "M": 0, "N": n_freq,

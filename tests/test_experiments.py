@@ -5,6 +5,7 @@ import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from nlslab.cli import main
 from nlslab.config import (ConfigError, config_hash, fmt, parse_config_text,
                            validate)
+from nlslab import experiments
 from nlslab.experiments import (_interval_modes, _smooth5_length,
                                 bilinear_packet_norms, identity_tolerance,
                                 linear_l6_plane_wave_check)
@@ -486,9 +488,17 @@ class TestRunners:
         ("verify", "cases =\n", "cases"),
         ("verify", "cases = ii\nn_grid =\n", "n_grid"),
         ("verify", "cases = ii\ngap_grid =\n", "gap_grid"),
+        ("strichartz", "m_grid =\n", "m_grid"),
+        ("strichartz", "m_grid = 0,4\nsamples = 2\n", "m_grid"),
+        ("strichartz", "m_grid = 2\nsamples = 0\n", "samples"),
+        ("strichartz", "m_grid = 2\nn_freq = 0\n", "n_freq"),
+        ("strichartz", "m_grid = 2\nn_freq = -5\n", "n_freq"),
+        ("strichartz", "m_grid = 2\nlambda = 0\n", "lambda"),
     ], ids=["samples-zero", "almost-conservation-empty-n-grid", "census-empty-n-grid",
             "census-empty-gap-grid", "verify-empty-cases", "verify-empty-n-grid",
-            "verify-empty-gap-grid"])
+            "verify-empty-gap-grid", "strichartz-empty-m-grid", "strichartz-m-zero",
+            "strichartz-samples-zero", "strichartz-n-freq-zero",
+            "strichartz-n-freq-negative", "strichartz-lambda-zero"])
     def test_bad_samples_or_n_grid_exit_one(self, command, text, key, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(text)
@@ -598,6 +608,76 @@ def _convolution_draws(M, n_freq, lam, draws, rng, coherent, dtype=np.complex64)
         sq = L * np.sum(np.abs(conv).astype(np.float64) ** 2, axis=1)
         out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
     return out
+
+
+def _whole_array_draws(M, n_freq, lam, draws, rng, coherent, dtype=np.complex64):
+    """The Parseval packet draw on all time rows at once: the same
+    arithmetic as ``bilinear_packet_norms`` without its row blocks."""
+    T = lam / n_freq
+    k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
+    k2 = _interval_modes(0.5 * M, 1.5 * M, lam)
+    L = 2 * np.pi * lam
+    n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
+    t = np.linspace(0.0, T, n_t)
+    pad = _smooth5_length(len(k1) + len(k2) - 1)
+    phase1 = np.exp(-1j * np.outer(t, k1**2)).astype(dtype)
+    phase2 = np.exp(-1j * np.outer(t, k2**2)).astype(dtype)
+    out = np.empty(draws)
+    for i in range(draws):
+        if coherent:
+            a = 1 + 0.2 * (rng.standard_normal(len(k1)) + 1j * rng.standard_normal(len(k1)))
+            b = 1 + 0.2 * (rng.standard_normal(len(k2)) + 1j * rng.standard_normal(len(k2)))
+        else:
+            a = np.exp(2j * np.pi * rng.random(len(k1)))
+            b = np.exp(2j * np.pi * rng.random(len(k2)))
+        a = (a / np.sqrt(L * np.sum(np.abs(a) ** 2))).astype(dtype)
+        b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
+        fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1)
+        fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1)
+        prod = fa * fb
+        prod = prod.view(prod.real.dtype)
+        sq = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
+        out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
+    return out
+
+
+# (M, n_freq, lambda, _DRAW_CHUNK_BYTES or None for the module's): the first
+# runs 30-row blocks over n_t = 320 rows (pad 2160), the others 96 rows in
+# blocks of 7 (pad 9, 1 KiB) and of 1
+CHUNKED_DRAWS = [(16, 256.0, 64.0, None), (3, 32.0, 4.0, 1 << 10), (3, 32.0, 4.0, 1)]
+
+
+@pytest.mark.parametrize("M, n_freq, lam, chunk", CHUNKED_DRAWS,
+                         ids=["bench-m16", "seven-rows", "one-row"])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("coherent", [True, False])
+def test_row_blocks_bit_identical_to_whole_array(M, n_freq, lam, chunk, dtype, coherent,
+                                                 monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK_BYTES", chunk)
+    args = (M, n_freq, lam, 3)
+    got = bilinear_packet_norms(*args, np.random.default_rng(5), coherent, dtype=dtype)
+    ref = _whole_array_draws(*args, np.random.default_rng(5), coherent, dtype=dtype)
+    assert np.array_equal(got, ref)
+
+
+def test_draw_memory_is_phases_plus_row_blocks():
+    # one M = 16 draw at the bench's n_freq and lambda holds the two phase
+    # arrays and a few complex128 row blocks, however many draws it makes
+    # (the whole-array kernel traced 36-47 MB here)
+    M, n_freq, lam = 16, 256.0, 64.0
+    n_t = int(np.ceil(5 * M * M * lam / n_freq))
+    modes = len(_interval_modes(-1.5 * M, -0.5 * M, lam)) + len(_interval_modes(
+        0.5 * M, 1.5 * M, lam))
+    bound = n_t * modes * np.dtype(np.complex64).itemsize + 6 * experiments._DRAW_CHUNK_BYTES
+    for draws in (1, 4):
+        tracemalloc.start()
+        try:
+            bilinear_packet_norms(M, n_freq, lam, draws, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (draws, peak, bound)
 
 
 @pytest.mark.parametrize("M", [2, 4, 8])
