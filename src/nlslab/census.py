@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (BELOW, RES_I, RES_II, Thresholds, _verdicts_1d, _verdicts_2d,
-                       classify_batch_1d, classify_batch_2d, code_label, is_nonresonant,
-                       is_resonant, omega_lower_bound)
+from .classify import (BELOW, RES_I, RES_II, Thresholds, _classify_1d, _verdicts_1d,
+                       _verdicts_2d, classify_batch_1d, classify_batch_2d, code_label,
+                       is_nonresonant, is_resonant, omega_lower_bound)
 from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _Orbits
 from .geometry import build_geometry, zero_field
-from .multipliers import bare_m6, omega, sigma_product
+from .multipliers import _alt_signs, bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, m_value
 
 
@@ -278,6 +278,14 @@ class BoundReport:
 _DRAWS = {"sigma6": (20000, 6, 1), "sigma4": (20000, 4, 2),
           "2d-resonant": (400000, 4, 2), "2d-nonresonant": (400000, 4, 2)}
 
+# Origin bits of the 1-D family tuples: the random background, the
+# near-collision family and the two-high-pair family.  Each family case's
+# set is the union of the sources it names; every case holds the background.
+_BACKGROUND, _COLLISION, _TWO_PAIRS = 1, 2, 4
+_SOURCES = {"i": _BACKGROUND, "ii": _BACKGROUND | _COLLISION,
+            "iii": _BACKGROUND | _TWO_PAIRS, "iv": _BACKGROUND | _TWO_PAIRS,
+            "nonresonant": _BACKGROUND | _COLLISION | _TWO_PAIRS}
+
 
 def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     """``count`` uniform draws of slots 1..n-1 in [-kmax, kmax]^d, closed to
@@ -288,12 +296,22 @@ def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     return tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax]
 
 
-def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.ndarray:
-    """Structured worst-case families for each kept region, plus background."""
-    out = []
+def _family_tuples_1d(cases, N: float, kmax: int, gap: float, rng):
+    """The union of the family cases' sets, as ``_unique_rows`` (sorted rows
+    and their origin bits) of ``_family_blocks``."""
+    need = 0
+    for case in cases:
+        need |= _SOURCES[case]
+    return _unique_rows(_family_blocks(need, N, kmax, gap, rng), kmax)
+
+
+def _family_blocks(need: int, N: float, kmax: int, gap: float, rng):
+    """(origin bit, integer rows) blocks: the structured worst-case families
+    of the kept regions whose bits are in ``need``, then the random
+    background, which every family case holds."""
     tops = np.arange(max(2, int(N)), kmax + 1)
     q = 8
-    if case in ("ii", "nonresonant"):
+    if need & _COLLISION:
         # near-collision pair with a small opposite pair
         for t in tops:
             c = max(1, int(np.ceil(gap * min(t, q) ** 2 / t)) + 2)
@@ -308,8 +326,8 @@ def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.nda
             k5 = np.zeros_like(J)
             k6 = -(k1 + k2 + k3 + k4 + k5)
             tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
-            out.append(tup[np.max(np.abs(tup), axis=1) <= kmax])
-    if case in ("iii", "iv", "nonresonant"):
+            yield _COLLISION, tup[np.max(np.abs(tup), axis=1) <= kmax]
+    if need & _TWO_PAIRS:
         # two high pairs with small coupling offsets
         for t in tops:
             bs = np.unique(np.maximum(1, np.linspace(t / gap, t, 6).astype(int)))
@@ -323,137 +341,195 @@ def _family_tuples_1d(case: str, N: float, kmax: int, gap: float, rng) -> np.nda
                 k5 = R
                 k6 = -(k1 + k2 + k3 + k4 + k5)
                 tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
-                out.append(tup[np.max(np.abs(tup), axis=1) <= kmax])
+                yield _TWO_PAIRS, tup[np.max(np.abs(tup), axis=1) <= kmax]
     # background: random zero-sum tuples over the box (deterministic seed)
-    out.append(_zero_sum_draws(rng, kmax, 200000, 6, 1))
-    return _unique_rows(out, kmax)
+    yield _BACKGROUND, _zero_sum_draws(rng, kmax, 200000, 6, 1)
 
 
-def _unique_rows(blocks: list, kmax: int) -> np.ndarray:
-    """``np.unique(np.concatenate(blocks), axis=0)`` as float64, for integer
-    rows with entries in [-kmax, kmax]; empties ``blocks``.
+def _unique_rows(blocks, kmax: int):
+    """The distinct rows of an iterable of ``(bit, rows)`` blocks of n-slot
+    integer rows with entries in [-kmax, kmax], and each one's origin bits,
+    the OR of the bits of the blocks that hold it: ``np.unique`` of the
+    concatenated rows, in the smallest signed integer dtype that holds
+    +-kmax, and a uint8 mask per row.
 
     Each row packs into one int64 key with digits k_i + kmax in base
     2 kmax + 1; key order is the rows' lexicographic order, so sorting the
     keys and unpacking them gives the same rows in the same order, without
-    concatenating the rows or sorting over a structured dtype.  The blocks
-    are released once packed, before the sort, which keeps the peak memory
-    at that of the keys.
+    concatenating the rows or sorting over a structured dtype.  Each block
+    is packed as it arrives and then released, so the blocks are never all
+    held at once.  Rows too wide for an int64 key are gathered whole and
+    sorted by ``np.unique``.
     """
     base = 2 * int(kmax) + 1
-    width = blocks[0].shape[1]
-    if base ** width > np.iinfo(np.int64).max:
-        tup = np.concatenate(blocks)
-        blocks.clear()
-        return np.unique(tup, axis=0).astype(np.float64)
-    keys = np.zeros(sum(len(b) for b in blocks), dtype=np.int64)
-    start = 0
-    for b in blocks:
-        part = keys[start:start + len(b)]
-        for col in b.T:
-            part *= base
-            part += col
-            part += kmax
-        start += len(b)
-    blocks.clear()
-    keys.sort()
+    dtype = np.min_scalar_type(-int(kmax) - 1)
+    keys, tags = [], []
+    for bit, b in blocks:
+        width = b.shape[1]
+        if base ** width > np.iinfo(np.int64).max:
+            keys.append(b)  # too wide for a key: kept whole for np.unique
+        else:
+            key = np.zeros(len(b), dtype=np.int64)
+            for col in b.T:
+                key *= base
+                key += col
+                key += kmax
+            keys.append(key)
+        tags.append(np.full(len(b), bit, dtype=np.uint8))
+    keys, tags = np.concatenate(keys), np.concatenate(tags)
+    if keys.ndim == 2:
+        rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+        bits = np.zeros(len(rows), dtype=np.uint8)
+        np.bitwise_or.at(bits, inverse.reshape(-1), tags)
+        return rows.astype(dtype), bits
+    order = np.argsort(keys)
+    keys, tags = keys[order], tags[order]
+    del order
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    bits = np.bitwise_or.reduceat(tags, np.flatnonzero(first))
     keys = keys[first]
-    rows = np.empty((len(keys), width), dtype=np.float64)
+    rows = np.empty((len(keys), width), dtype=dtype)
     digit = np.empty_like(keys)
     for j in range(width - 1, -1, -1):
         np.divmod(keys, base, out=(keys, digit))
         np.subtract(digit, kmax, out=rows[:, j])
-    return rows
+    return rows, bits
 
 
-def verify_multiplier_bounds(case: str, N: float, kmax: int, s: float = 0.5,
-                             thresholds: Thresholds = Thresholds(),
-                             seed: int = 0) -> BoundReport:
-    """Supremum of |multiplier| / claimed bound over the case's tuples.
+def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
+                             thresholds: Thresholds = Thresholds(), seed: int = 0):
+    """Supremum of |multiplier| / claimed bound over each case's tuples.
 
-    Cases i-iv and nonresonant enumerate their 1-D families; sigma6, sigma4
-    and the 2-D cases draw zero-sum tuples (``_DRAWS``).  Either set is
-    classified in blocks of ``_VERIFY_ROWS`` rows, which bounds the
+    ``case`` is one case name, whose ``BoundReport`` is returned, or a tuple
+    of names evaluated in one pass, whose reports are returned in its order.
+    The family cases (i-iv and nonresonant) share one set: the union of
+    their 1-D families and the background (``_family_tuples_1d``), built and
+    classified once.  A case reads the rows whose origin bits meet its
+    sources; those are its own set, in its own sorted order.  sigma6, sigma4
+    and the 2-D cases draw their own zero-sum tuples (``_DRAWS``).  Every set
+    is classified in blocks of ``_VERIFY_ROWS`` rows, which bounds the
     classifier's temporaries; count, supremum and the first maximizing
-    witness carry across blocks exactly as in one pass over all rows.
+    witness carry across blocks exactly as in one pass over all rows.  The
+    integer 1-D modes read m from one per-mode table, m_value(0..kmax),
+    indexed by |k|: m_value is elementwise, so the values are bit-equal.
     Witnesses are ints for the families, floats for the drawn tuples.
     """
-    if case not in VERIFY_CASES:
-        raise ValueError(f"case {case!r} not one of {VERIFY_CASES}")
-    rep = BoundReport(case, N, kmax, s, thresholds.gap)
-    rng = np.random.default_rng(seed)
+    if isinstance(case, str):
+        return verify_multiplier_bounds((case,), N, kmax, s, thresholds, seed)[0]
+    for c in case:
+        if c not in VERIFY_CASES:
+            raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
+    reports = {c: BoundReport(c, N, kmax, s, thresholds.gap) for c in case}
     sym = SmoothingSymbol(N, 1.0 - s)
-    if case in _DRAWS:
-        count, n, d = _DRAWS[case]
-        tup, kind = _zero_sum_draws(rng, kmax, count, n, d).astype(float), float
-    else:
-        tup, d, kind = _family_tuples_1d(case, N, kmax, thresholds.gap, rng), 1, int
-    for start in range(0, len(tup), _VERIFY_ROWS):
-        block = tup[start:start + _VERIFY_ROWS]
-        sel, ratios = _kept_ratios(case, block, d, sym, thresholds)
+    m = m_value(np.arange(kmax + 1, dtype=np.float64), sym)  # m(|k|) by |k|
+    family = [c for c in reports if c in _SOURCES]
+    if family:
+        tup, bits = _family_tuples_1d(family, N, kmax, thresholds.gap,
+                                      np.random.default_rng(seed))
+        for rows in _blocks(len(tup)):
+            block = tup[rows].astype(np.float64)
+            _fold(reports, block, int,
+                  _family_ratios(family, block, bits[rows], m, N, thresholds.gap))
+    for c in reports:
+        if c in _DRAWS:
+            count, n, d = _DRAWS[c]
+            tup = _zero_sum_draws(np.random.default_rng(seed), kmax, count, n, d).astype(float)
+            for rows in _blocks(len(tup)):
+                _fold(reports, tup[rows], float,
+                      {c: _drawn_ratios(c, tup[rows], sym, m, thresholds)})
+    for rep in reports.values():
+        rep.empty = rep.count == 0
+    return tuple(reports[c] for c in case)
+
+
+def _blocks(n: int):
+    """Row slices of ``_VERIFY_ROWS`` rows covering n rows."""
+    return [slice(a, a + _VERIFY_ROWS) for a in range(0, n, _VERIFY_ROWS)]
+
+
+def _fold(reports: dict, block: np.ndarray, kind, kept: dict) -> None:
+    """Fold a block's kept rows, per case (sel, ratios), into that case's
+    count, supremum and first maximizing witness."""
+    for case, (sel, ratios) in kept.items():
         if not len(ratios):
             continue
+        rep = reports[case]
         i = int(np.argmax(ratios))
         if rep.count == 0 or ratios[i] > rep.sup_ratio:
             rep.sup_ratio = float(ratios[i])
-            rep.witness = tuple(kind(x) for x in block[sel][i].ravel())
+            rep.witness = tuple(kind(x) for x in block[np.flatnonzero(sel)[i]].ravel())
         rep.count += len(ratios)
-    rep.empty = rep.count == 0
-    return rep
 
 
-def _kept_ratios(case: str, tup: np.ndarray, d: int, sym: SmoothingSymbol,
-                 thresholds: Thresholds):
-    """Rows of ``tup`` in the case's kept region, and |multiplier| / bound on
-    those rows.  The sigma cases keep every row and bound the product by 1."""
-    if case.startswith("sigma"):
-        return np.ones(len(tup), dtype=bool), sigma_product(tup, sym, d)
-    if d == 2:
-        codes, info = classify_batch_2d(tup, sym.N, thresholds)
-        M = np.abs(bare_m6(tup, sym, 2))
-        if case == "2d-nonresonant":
-            sel = is_nonresonant(codes)
-            return sel, M[sel] / np.abs(omega(tup[sel], 2))
-        sel = is_resonant(codes)
-        mags = np.sort(info["mags"][sel], axis=-1)[..., ::-1]
-        n1 = mags[..., 0]
-        n3 = np.maximum(mags[..., 2], 1.0)
-        return sel, M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)
+def _lookup(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """m(|k|) of integer-valued modes k from the per-mode table m."""
+    return m[np.abs(k).astype(np.intp)]
 
-    gap = thresholds.gap
-    codes, info = classify_batch_1d(tup, sym.N, thresholds)
-    mags = info["mags"]
-    om = info["abs_omega"]
-    M = np.abs(bare_m6(tup, sym))
+
+def _table_m6(tup: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``bare_m6`` of integer-valued 1-D tuples, its m from the per-mode
+    table m, in ``bare_m6``'s order of operations."""
+    return np.sum(_lookup(m, tup) ** 2 * tup ** 2 * _alt_signs(tup.shape[-1]), axis=-1)
+
+
+def _family_ratios(cases, tup: np.ndarray, bits: np.ndarray, m: np.ndarray,
+                   N: float, gap: float) -> dict:
+    """Per family case, the rows of ``tup`` in its set (origin ``bits`` meet
+    its sources) and its kept region, and |M| / bound on those rows."""
+    codes, ((o0, o1, _), (e0, e1, _), ns, _, _, om) = _classify_1d(tup, N, gap)
+    M = np.abs(_table_m6(tup, m))
     # cross-parity pair sums in canonical order: these are the separations
     # the mean-value telescoping of the kept region controls
-    o, e = info["odd"], info["even"]
-    pair12 = np.abs(o[:, 0] + e[:, 0])
-    pair34 = np.abs(o[:, 1] + e[:, 1])
+    pair12 = np.abs(o0 + e0)
+    pair34 = np.abs(o1 + e1)
+    n1 = ns[0]
+    n3 = np.maximum(ns[2], 1.0)
+    n5 = np.maximum(ns[4], 1.0)
+    out = {}
+    for case in cases:
+        held = (bits & _SOURCES[case]) != 0
+        if case == "i":
+            sel = held & is_resonant(codes) & (ns[2] * gap >= n1)
+            x1, x3 = n1[sel], n3[sel]
+            bound = _lookup(m, x1) * x1 * _lookup(m, x3) * x3
+        elif case == "ii":
+            sel = held & (codes == RES_I)
+            bound = n3[sel] ** 2
+        elif case == "iii":
+            sel = held & (codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5)
+            x1 = n1[sel]
+            bound = _lookup(m, x1) * x1 * n5[sel]
+        elif case == "iv":
+            n12 = np.maximum(pair12, 1.0)
+            sel = (held & (codes == RES_II) & (pair12 > gap * n5)
+                   & (pair34 <= gap * n12) & (pair34 * gap >= n12))
+            x1 = n1[sel]
+            bound = _lookup(m, x1) * x1 * n12[sel]
+        else:
+            sel = held & is_nonresonant(codes)
+            bound = np.where(om[sel] > 0, om[sel], np.inf)
+        out[case] = sel, M[sel] / bound
+    return out
+
+
+def _drawn_ratios(case: str, tup: np.ndarray, sym: SmoothingSymbol, m: np.ndarray,
+                  thresholds: Thresholds):
+    """Rows of drawn ``tup`` in the case's kept region, and |multiplier| /
+    bound on those rows.  The sigma cases keep every row and bound the
+    product by 1; sigma6's integer modes read m from the per-mode table m."""
+    if case == "sigma6":
+        return np.ones(len(tup), dtype=bool), np.prod(_lookup(m, tup), axis=-1)
+    if case == "sigma4":
+        return np.ones(len(tup), dtype=bool), sigma_product(tup, sym, 2)
+    codes, info = classify_batch_2d(tup, sym.N, thresholds)
+    M = np.abs(bare_m6(tup, sym, 2))
+    if case == "2d-nonresonant":
+        sel = is_nonresonant(codes)
+        return sel, M[sel] / np.abs(omega(tup[sel], 2))
+    sel = is_resonant(codes)
+    mags = np.sort(info["mags"][sel], axis=-1)[..., ::-1]
     n1 = mags[..., 0]
     n3 = np.maximum(mags[..., 2], 1.0)
-    n5 = np.maximum(mags[..., 4], 1.0)
-
-    if case == "i":
-        sel = is_resonant(codes) & (mags[..., 2] * gap >= n1)
-        bound = m_value(n1, sym) * n1 * m_value(n3, sym) * n3
-    elif case == "ii":
-        sel = codes == RES_I
-        bound = n3**2
-    elif case == "iii":
-        sel = (codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5)
-        bound = m_value(n1, sym) * n1 * n5
-    elif case == "iv":
-        n12 = np.maximum(pair12, 1.0)
-        sel = ((codes == RES_II) & (pair12 > gap * n5)
-               & (pair34 <= gap * n12) & (pair34 * gap >= n12))
-        bound = m_value(n1, sym) * n1 * n12
-    elif case == "nonresonant":
-        sel = is_nonresonant(codes)
-        bound = np.where(om > 0, om, np.inf)
-    else:  # pragma: no cover
-        raise AssertionError(case)
-    return sel, (M / bound)[sel]
+    return sel, M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)

@@ -395,16 +395,28 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
             raise ValueError(f"unknown verify case {c!r}")
     _need("n_grid", cfg["n_grid"], "N")
     _need("gap_grid", cfg["gap_grid"], "gap")
+    if cfg["kmax_per_n"] < 1:
+        raise ValueError(f"kmax_per_n={cfg['kmax_per_n']} must be at least 1")
+    # one pass per (N, gap) and cutoff: the family cases share their tuples
+    reports = {}
+    for N in cfg["n_grid"]:
+        for gap in cfg["gap_grid"]:
+            by_kmax = {}
+            for case in cases:
+                kmax = (int(cfg["kmax_per_n"] * N) if not case.startswith("2d")
+                        else max(8, int(N)))
+                by_kmax.setdefault(kmax, {})[case] = None
+            for kmax, group in by_kmax.items():
+                for rep in verify_multiplier_bounds(tuple(group), N, kmax, s=cfg["s"],
+                                                    thresholds=Thresholds(gap=gap),
+                                                    seed=cfg["seed"]):
+                    reports[rep.case, N, gap] = rep
     rows = []
     for case in cases:
         for N in cfg["n_grid"]:
             for gap in cfg["gap_grid"]:
-                kmax = (int(cfg["kmax_per_n"] * N) if not case.startswith("2d")
-                        else max(8, int(N)))
-                rep = verify_multiplier_bounds(case, N, kmax, s=cfg["s"],
-                                               thresholds=Thresholds(gap=gap),
-                                               seed=cfg["seed"])
-                rows.append({"case": case, "N": N, "gap": gap, "kmax": kmax,
+                rep = reports[case, N, gap]
+                rows.append({"case": case, "N": N, "gap": gap, "kmax": rep.kmax,
                              "count": rep.count, "sup_ratio": rep.sup_ratio,
                              "witness_tuple": rep.witness,
                              "flag": "empty-region" if rep.empty else ""})

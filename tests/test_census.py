@@ -17,10 +17,10 @@ from nlslab.census import (BudgetError, BoundReport, resonance_census_1d,
                            resonance_census_2d, sohinger_presence,
                            verify_multiplier_bounds)
 from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
-                             Thresholds, classify_batch_1d,
+                             RES_I, RES_II, Thresholds, classify_batch_1d,
                              classify_batch_2d, is_nonresonant, is_resonant)
 from nlslab.cli import main
-from nlslab.multipliers import omega
+from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
 
 # the package exports the function ``classify`` under the module's name
@@ -326,6 +326,39 @@ class TestSoundnessGate:
         assert np.sum(np.sum(k**2, axis=1) * np.array([1, -1, 1, -1])) == 0.0
 
 
+def _reference_bound(case, tup, N, th):
+    """(count, sup_ratio, witness) of a family case over its own set ``tup``:
+    the kept region and bound of each case, classified in one block, with m
+    from m_value."""
+    sym = SmoothingSymbol(N, 0.5)
+    gap = th.gap
+    codes, info = classify_batch_1d(tup, N, th)
+    mags, om = info["mags"], info["abs_omega"]
+    M = np.abs(bare_m6(tup, sym))
+    o, e = info["odd"], info["even"]
+    pair12 = np.abs(o[:, 0] + e[:, 0])
+    pair34 = np.abs(o[:, 1] + e[:, 1])
+    n1 = mags[..., 0]
+    n3 = np.maximum(mags[..., 2], 1.0)
+    n5 = np.maximum(mags[..., 4], 1.0)
+    n12 = np.maximum(pair12, 1.0)
+    sel, bound = {
+        "i": (is_resonant(codes) & (mags[..., 2] * gap >= n1),
+              m_value(n1, sym) * n1 * m_value(n3, sym) * n3),
+        "ii": (codes == RES_I, n3**2),
+        "iii": ((codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5),
+                m_value(n1, sym) * n1 * n5),
+        "iv": ((codes == RES_II) & (pair12 > gap * n5) & (pair34 <= gap * n12)
+               & (pair34 * gap >= n12), m_value(n1, sym) * n1 * n12),
+        "nonresonant": (is_nonresonant(codes), np.where(om > 0, om, np.inf)),
+    }[case]
+    ratios = (M / bound)[sel]
+    if not len(ratios):
+        return 0, 0.0, ()
+    i = int(np.argmax(ratios))
+    return len(ratios), float(ratios[i]), tuple(int(x) for x in tup[sel][i])
+
+
 class TestVerify:
     def test_sigma_bounds_exact(self):
         r6 = verify_multiplier_bounds("sigma6", N=4.0, kmax=16, s=0.5)
@@ -354,22 +387,60 @@ class TestVerify:
 
     @pytest.mark.parametrize("case", census.VERIFY_CASES)
     def test_chunked_equals_one_shot(self, case, monkeypatch):
-        # 3000 of the case's tuples, so that 7-row blocks stay fast
-        name = "_zero_sum_draws" if case in census._DRAWS else "_family_tuples_1d"
-        tuples = getattr(census, name)
+        # 3000 of the case's tuples, so that 7-row blocks stay fast; a family
+        # case is read from the pass over every family case
+        if case in census._DRAWS:
+            def subset(*args):
+                rows = draws(*args)
+                return rows[np.sort(np.random.default_rng(2).choice(len(rows), 3000,
+                                                                    replace=False))]
 
-        def subset(*args):
-            rows = tuples(*args)
-            keep = np.random.default_rng(2).choice(len(rows), 3000, replace=False)
-            return rows[np.sort(keep)]
+            draws = census._zero_sum_draws
+            monkeypatch.setattr(census, "_zero_sum_draws", subset)
+            cases = case
+        else:
+            def subset(*args):
+                rows, bits = family(*args)
+                keep = np.sort(np.random.default_rng(2).choice(len(rows), 3000,
+                                                               replace=False))
+                return rows[keep], bits[keep]
 
-        monkeypatch.setattr(census, name, subset)
+            family = census._family_tuples_1d
+            monkeypatch.setattr(census, "_family_tuples_1d", subset)
+            cases = tuple(census._SOURCES)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 1 << 30)
-        whole = verify_multiplier_bounds(case, N=4.0, kmax=10, s=0.5)
+        whole = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 7)
-        chunked = verify_multiplier_bounds(case, N=4.0, kmax=10, s=0.5)
-        assert whole.count > 0, case
+        chunked = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
+        if case in census._DRAWS:
+            assert whole.count > 0, case
+        else:
+            assert all(rep.count > 0 for rep in whole), case
         assert chunked == whole
+
+    @pytest.mark.parametrize("N, gap", [(4.0, 4.0), (5.0, 3.0)])
+    def test_shared_pass_equals_per_case_sets(self, N, gap, monkeypatch):
+        # each family case of the shared pass against its own definition:
+        # np.unique of that case's family blocks plus the background,
+        # classified alone, with m from m_value
+        kmax = 2 * int(N)
+        th = Thresholds(gap=gap)
+        shared = verify_multiplier_bounds(tuple(census._SOURCES), N, kmax, s=0.5,
+                                          thresholds=th)
+        seen = []
+        unique_rows = census._unique_rows
+
+        def capture(blocks, kmax):
+            seen.append(list(blocks))
+            return unique_rows(seen[-1], kmax)
+
+        monkeypatch.setattr(census, "_unique_rows", capture)
+        for rep in shared:
+            census._family_tuples_1d((rep.case,), N, kmax, gap, np.random.default_rng(0))
+            tup = np.unique(np.concatenate([b for _, b in seen.pop()]), axis=0).astype(float)
+            count, sup, witness = _reference_bound(rep.case, tup, N, th)
+            assert count > 0, rep.case
+            assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="case"):
@@ -383,22 +454,54 @@ class TestFamilyTuples:
         unique_rows = census._unique_rows
 
         def capture(blocks, kmax):
-            seen.append([b.copy() for b in blocks])
-            return unique_rows(blocks, kmax)
+            seen.append(list(blocks))
+            return unique_rows(seen[-1], kmax)
 
         monkeypatch.setattr(census, "_unique_rows", capture)
-        got = census._family_tuples_1d(case, 6.0, 12, 4.0, np.random.default_rng(0))
-        ref = np.unique(np.concatenate(seen[0]), axis=0).astype(np.float64)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        got, bits = census._family_tuples_1d((case,), 6.0, 12, 4.0, np.random.default_rng(0))
+        ref = np.unique(np.concatenate([b for _, b in seen[0]]), axis=0)
+        assert got.dtype == np.int8 and np.array_equal(got, ref)
+        # every row's bits name exactly the sources that hold it
+        for bit in {bit for bit, _ in seen[0]}:
+            held = np.unique(np.concatenate([b for t, b in seen[0] if t == bit]), axis=0)
+            assert np.array_equal(got[(bits & bit) != 0], held)
 
     def test_unique_rows_at_the_int64_key_limit(self):
         # (2*723+1)^6 fits an int64 key, (2*724+1)^6 does not: the packed
-        # keys and the row sort on either side of the limit
+        # keys and the row sort on either side of the limit, and a row held
+        # by several blocks carries the OR of their origin bits
         rng = np.random.default_rng(3)
         tup = rng.integers(-723, 724, size=(500, 6))
-        blocks = [tup, tup[:50], np.full((2, 6), 723), np.full((1, 6), -723)]
-        ref = np.unique(np.concatenate(blocks), axis=0).astype(np.float64)
+        blocks = [(1, tup), (2, tup[:50]), (4, np.full((2, 6), 723)), (2, np.full((1, 6), -723)),
+                  (4, tup[40:60])]
+        ref = np.unique(np.concatenate([b for _, b in blocks]), axis=0)
+        ref_bits = np.array([np.bitwise_or.reduce([bit for bit, b in blocks
+                                                   if (b == row).all(axis=1).any()])
+                             for row in ref], dtype=np.uint8)
+        assert set(ref_bits) == {1, 2, 3, 4, 5, 7}
         for kmax in (723, 724):
-            consumed = list(blocks)
-            assert np.array_equal(census._unique_rows(consumed, kmax), ref)
-            assert consumed == []
+            stream = iter(blocks)
+            rows, bits = census._unique_rows(stream, kmax)
+            assert rows.dtype == np.int16 and np.array_equal(rows, ref)
+            assert bits.dtype == np.uint8 and np.array_equal(bits, ref_bits)
+            assert next(stream, None) is None
+
+    def test_mode_table_equals_m_value(self):
+        # integer tuples over |k| <= N, the transition annulus N < |k| < 2N
+        # and |k| >= 2N: M and the mean-value bounds from the per-mode table
+        # equal the m_value ones bit for bit
+        N, kmax = 8.0, 40
+        sym = SmoothingSymbol(N, 0.5)
+        m = m_value(np.arange(kmax + 1, dtype=float), sym)
+        tup = census._zero_sum_draws(np.random.default_rng(5), kmax, 20000, 6, 1).astype(float)
+        mags = np.abs(tup).ravel()
+        assert mags.min() == 0 and mags.max() == kmax
+        assert np.any((mags > N) & (mags < 2 * N))
+        assert np.array_equal(census._table_m6(tup, m), bare_m6(tup, sym))
+        assert np.array_equal(census._lookup(m, tup), m_value(np.abs(tup), sym))
+        ranked = np.sort(np.abs(tup), axis=1)
+        n1, n3 = ranked[:, -1], np.maximum(ranked[:, -3], 1.0)
+        assert np.array_equal(
+            census._lookup(m, n1) * n1 * census._lookup(m, n3) * n3,
+            m_value(n1, sym) * n1 * m_value(n3, sym) * n3)
+        assert np.array_equal(np.prod(census._lookup(m, tup), axis=-1), sigma_product(tup, sym))
