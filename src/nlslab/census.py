@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import (BELOW, RES_I, RES_II, Thresholds, _classify_1d, _verdicts_1d,
-                       _verdicts_2d, classify_batch_1d, classify_batch_2d, code_label,
-                       is_nonresonant, is_resonant, omega_lower_bound)
-from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _Orbits
+from .classify import (BELOW, RES_I, RES_II, Thresholds, classify_batch_1d,
+                       classify_batch_2d, code_label, is_nonresonant, is_resonant,
+                       omega_lower_bound)
+from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits
 from .geometry import build_geometry, zero_field
 from .multipliers import _alt_signs, bare_m6, omega, sigma_product
 from .smoothing import SmoothingSymbol, m_value
@@ -121,13 +121,14 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     by its orbit's size: the distinct arrangements of its odd multiset times
     those of its even one.  Verdicts, |Omega| and the bounds are symmetric
     within each slot parity, so they are read once per representative: the
-    verdicts from the integer modes in 1-D and the per-mode |k| in 2-D, the
-    rest per N from per-mode lookups by |k|^2.  M is summed in the order of
-    the enumeration the witnesses are documented in (1-D: odd triples by
-    descending values, then (k2, k4) ascending; 2-D: (k1, k2, k3) in C
-    order), over the ``_ARRANGEMENTS`` whose float sums can differ, each at
-    the position of its first tuple in that order; so the supremum and its
-    witness, the first maximizer, are those of a walk over every tuple.
+    verdicts as the Lambda walk reads them (``energies._lattice_verdicts``:
+    the integer modes in 1-D, the per-mode |k| in 2-D), the rest per N from
+    per-mode lookups by |k|^2.  M is summed in the order of the enumeration
+    the witnesses are documented in (1-D: odd triples by descending values,
+    then (k2, k4) ascending; 2-D: (k1, k2, k3) in C order), over the
+    ``_ARRANGEMENTS`` whose float sums can differ, each at the position of
+    its first tuple in that order; so the supremum and its witness, the
+    first maximizer, are those of a walk over every tuple.
     """
     n = 6 if d == 1 else 4
     lat = _Orbits(zero_field(build_geometry(d, (1.0,) * (d - 1)), kmax), n, budget)
@@ -150,9 +151,10 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
         # clipped below at 1
         ranked = np.sort(ksq, axis=1)
         r1, r2, r3 = ranked[:, -1], np.maximum(ranked[:, -2], 1), np.maximum(ranked[:, -3], 1)
-        n1, n3 = root[r1], root[r3]
+        # n1, the largest |k|, is root[r1]: each |k| is the sqrt of an integer
+        codes, n1, parts = _lattice_verdicts(lat, idx, G)
+        n3 = root[r3]
         if d == 1:
-            codes, (_, _, _, s12, _, _) = _verdicts_1d(lat.modes[idx, 0], G)
             # the representative's odd modes ascend: its triple's position
             # orders them by descending values
             P = lat.Q
@@ -166,7 +168,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
                 return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
                                         for a in arrangements], axis=1))
 
-            claimed = omega_lower_bound(codes, G, n1=n1, n3=n3, s12=s12)
+            claimed = omega_lower_bound(codes, G, n1=n1, n3=n3, s12=parts.s12)
 
             def witness(i, j):
                 k = lat.modes[idx[i, arrangements[j]], 0].tolist()
@@ -174,7 +176,6 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
                 o = sorted(k[4::-2], key=abs, reverse=True)
                 return (o[0], k[1], o[1], k[3], o[2], k[5])
         else:
-            codes = _verdicts_2d(lat.kabs[idx], G)[0]
             pos = np.stack([lat.position(idx[:, a]) for a in arrangements], axis=1)
 
             def M(b):
@@ -431,7 +432,7 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
         for rows in _blocks(len(tup)):
             block = tup[rows].astype(np.float64)
             _fold(reports, block, int,
-                  _family_ratios(family, block, bits[rows], m, N, thresholds.gap))
+                  _family_ratios(family, block, bits[rows], m, N, thresholds))
     for c in reports:
         if c in _DRAWS:
             count, n, d = _DRAWS[c]
@@ -475,15 +476,16 @@ def _table_m6(tup: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _family_ratios(cases, tup: np.ndarray, bits: np.ndarray, m: np.ndarray,
-                   N: float, gap: float) -> dict:
+                   N: float, thresholds: Thresholds) -> dict:
     """Per family case, the rows of ``tup`` in its set (origin ``bits`` meet
     its sources) and its kept region, and |M| / bound on those rows."""
-    codes, ((o0, o1, _), (e0, e1, _), ns, _, _, om) = _classify_1d(tup, N, gap)
+    codes, parts = classify_batch_1d(tup, N, thresholds)
+    ns, om, gap = parts.mags, parts.abs_omega, thresholds.gap
     M = np.abs(_table_m6(tup, m))
     # cross-parity pair sums in canonical order: these are the separations
     # the mean-value telescoping of the kept region controls
-    pair12 = np.abs(o0 + e0)
-    pair34 = np.abs(o1 + e1)
+    pair12 = np.abs(parts.odd[0] + parts.even[0])
+    pair34 = np.abs(parts.odd[1] + parts.even[1])
     n1 = ns[0]
     n3 = np.maximum(ns[2], 1.0)
     n5 = np.maximum(ns[4], 1.0)
@@ -523,13 +525,13 @@ def _drawn_ratios(case: str, tup: np.ndarray, sym: SmoothingSymbol, m: np.ndarra
         return np.ones(len(tup), dtype=bool), np.prod(_lookup(m, tup), axis=-1)
     if case == "sigma4":
         return np.ones(len(tup), dtype=bool), sigma_product(tup, sym, 2)
-    codes, info = classify_batch_2d(tup, sym.N, thresholds)
+    codes, parts = classify_batch_2d(tup, sym.N, thresholds)
     M = np.abs(bare_m6(tup, sym, 2))
     if case == "2d-nonresonant":
         sel = is_nonresonant(codes)
         return sel, M[sel] / np.abs(omega(tup[sel], 2))
     sel = is_resonant(codes)
-    mags = np.sort(info["mags"][sel], axis=-1)[..., ::-1]
+    mags = np.sort(parts.mags[sel], axis=-1)[..., ::-1]
     n1 = mags[..., 0]
     n3 = np.maximum(mags[..., 2], 1.0)
     return sel, M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)

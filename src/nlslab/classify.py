@@ -41,6 +41,7 @@ from the definition alone); otherwise resonant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,15 +197,34 @@ def _cascade_1d(A, B, aA, aB, aom, G):
     return codes, ns, s12, L
 
 
+class Parts1D(NamedTuple):
+    """The per-slot arrays the 1-D rules compare.  ``odd``, ``even``: the
+    canonical triples, signed and by descending |.|, after the parity flip
+    that puts the largest slot among the odd ones."""
+
+    odd: tuple
+    even: tuple
+    mags: tuple  # the six merged magnitudes N1* >= ... >= N6*
+    s12: np.ndarray  # top cross-parity pair sum
+    L: np.ndarray  # near-collision scale N3*^2/N1*
+    abs_omega: np.ndarray
+
+
+class Parts2D(NamedTuple):
+    """The per-slot arrays the 2-D rules compare."""
+
+    mags: np.ndarray  # |k_i|, (..., 4)
+    odd_pair: tuple  # (dominant, lo) of slots 1, 3: dominates the other pair; smaller |k|
+    even_pair: tuple  # (dominant, lo) of slots 2, 4
+
+
 def _verdicts_1d(arr, G: float):
     """Canonicalize six-slot tuples (float or integer, (..., 6)) and run the
     rule cascade; the below-threshold cut is the caller's.
 
-    Returns (codes, parts): ``parts`` holds the canonical odd and even
-    triples, the merged magnitudes, s12, L and |Omega| for callers that
-    report them.  Every rule compares products of magnitudes of equal
-    degree, so integer modes give the verdicts of the physical tuples they
-    scale to, exactly.
+    Returns (codes, ``Parts1D``).  Every rule compares products of
+    magnitudes of equal degree, so integer modes give the verdicts of the
+    physical tuples they scale to, exactly.
     """
     o0, o1, o2 = _sort3_abs_desc(arr[..., 0], arr[..., 2], arr[..., 4])
     e0, e1, e2 = _sort3_abs_desc(arr[..., 1], arr[..., 3], arr[..., 5])
@@ -219,66 +239,46 @@ def _verdicts_1d(arr, G: float):
     codes, ns, s12, L = _cascade_1d(
         (o0, o1, o2), (e0, e1, e2), (np.abs(o0), np.abs(o1), np.abs(o2)),
         (np.abs(e0), np.abs(e1), np.abs(e2)), aom, G)
-    return codes, ((o0, o1, o2), (e0, e1, e2), ns, s12, L, aom)
-
-
-def _classify_1d(k, N: float, G: float):
-    """Verdicts of physical six-slot tuples, cut below N (``_verdicts_1d``)."""
-    arr = as_tuple_array(k, 1)
-    if arr.shape[-1] != 6:
-        raise ValueError("1d classifier expects six slots")
-    codes, parts = _verdicts_1d(arr, G)
-    codes[parts[2][0] <= N] = BELOW
-    return codes, parts
+    return codes, Parts1D((o0, o1, o2), (e0, e1, e2), ns, s12, L, aom)
 
 
 def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
-    """Vectorized six-slot classifier.
-
-    Returns (codes, info) with info carrying the canonicalized slot values
-    used by the rules: odd/even slots sorted by magnitude (after the parity
-    flip that makes the largest slot unconjugated) and the merged magnitudes.
-    """
-    codes, (odd, even, ns, s12, L, aom) = _classify_1d(k, N, thresholds.gap)
-    info = {"odd": np.stack(odd, axis=-1), "even": np.stack(even, axis=-1),
-            "mags": np.stack(ns, axis=-1), "s12": s12, "L": L, "abs_omega": aom}
-    return codes, info
+    """Vectorized six-slot classifier: the verdicts of physical tuples
+    (..., 6), cut below N.  Returns (codes, ``Parts1D``)."""
+    arr = as_tuple_array(k, 1)
+    if arr.shape[-1] != 6:
+        raise ValueError("1d classifier expects six slots")
+    codes, parts = _verdicts_1d(arr, thresholds.gap)
+    codes[parts.mags[0] <= N] = BELOW
+    return codes, parts
 
 
 def _verdicts_2d(m, G: float):
     """Four-slot verdicts from the slot magnitudes |k_i| (..., 4); the
-    below-threshold cut is the caller's.  Returns (codes, per-parity
-    (dominant, lo) pairs)."""
+    below-threshold cut is the caller's.  Returns (codes, ``Parts2D``)."""
     codes = np.full(m.shape[:-1], RES_2D, dtype=np.int8)
-    pairs = {}
-    for name, (a, b), other in (("odd", (0, 2), (1, 3)), ("even", (1, 3), (0, 2))):
+    pairs = []
+    for (a, b), other in (((0, 2), (1, 3)), ((1, 3), (0, 2))):
         lo = np.minimum(m[..., a], m[..., b])
         hi = np.maximum(m[..., a], m[..., b])
         rest = np.maximum(m[..., other[0]], m[..., other[1]])
         dominant = (lo >= G * rest) & (lo > 0) & (hi <= G * lo)
-        pairs[name] = (dominant, lo)
+        pairs.append((dominant, lo))
         codes[dominant] = NR_2D
-    return codes, pairs
+    return codes, Parts2D(m, *pairs)
 
 
-def _classify_2d(k, N: float, G: float):
-    """Four-slot verdicts; returns (codes, slot magnitudes, per-parity
-    (dominant, lo) pairs)."""
+def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
+    """Vectorized four-slot classifier with 2-vector frequencies: the
+    verdicts of physical tuples (..., 4, 2), cut below N.  Returns (codes,
+    ``Parts2D``)."""
     arr = as_tuple_array(k, 2)
     if arr.shape[-2] != 4:
         raise ValueError("2d classifier expects four slots")
     sq = arr**2
-    m = np.sqrt(sq[..., 0] + sq[..., 1])  # (..., 4)
-    codes, pairs = _verdicts_2d(m, G)
-    codes[np.max(m, axis=-1) <= N] = BELOW
-    return codes, m, pairs
-
-
-def classify_batch_2d(k, N: float, thresholds: Thresholds = Thresholds()):
-    """Vectorized four-slot classifier with 2-vector frequencies."""
-    codes, m, pairs = _classify_2d(k, N, thresholds.gap)
-    info = {"mags": m, "odd_pair": pairs["odd"], "even_pair": pairs["even"]}
-    return codes, info
+    codes, parts = _verdicts_2d(np.sqrt(sq[..., 0] + sq[..., 1]), thresholds.gap)
+    codes[np.max(parts.mags, axis=-1) <= N] = BELOW
+    return codes, parts
 
 
 def omega_lower_bound(codes, G: float, n1=0.0, n3=0.0, s12=0.0, lo_sq=0.0) -> np.ndarray:
@@ -302,30 +302,21 @@ def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
     n_slots = arr.shape[0]
     if (d, n_slots) not in ((1, 6), (2, 4)):
         raise ValueError(f"classification defined for 6 slots (1d) / 4 slots (2d), got {n_slots}")
+    G = thresholds.gap
     if d == 1:
-        codes, info = classify_batch_1d(arr[None, :], N, thresholds)
-        code = int(codes[0])
-        mags = info["mags"][0]
-        witness = {
-            "sorted_mags": [float(x) for x in mags],
-            "N": float(N),
-            "gap": thresholds.gap,
-        }
-        if code == RES_I or code == NR_BILINEAR:
-            witness["pair_sum"] = float(abs(info["s12"][0]))
-            witness["collision_scale"] = float(info["L"][0])
-        bound = omega_lower_bound(codes, thresholds.gap, n1=mags[0], n3=mags[2],
-                                  s12=info["s12"])
+        codes, parts = classify_batch_1d(arr[None, :], N, thresholds)
+        mags = [float(x[0]) for x in parts.mags]
+        bound = omega_lower_bound(codes, G, n1=parts.mags[0], n3=parts.mags[2],
+                                  s12=parts.s12)
     else:
-        codes, info = classify_batch_2d(arr[None, ...], N, thresholds)
-        code = int(codes[0])
-        witness = {
-            "sorted_mags": [float(x) for x in np.sort(info["mags"][0])[::-1]],
-            "N": float(N),
-            "gap": thresholds.gap,
-        }
-        bound = omega_lower_bound(codes, thresholds.gap,
-                                  lo_sq=np.sort(np.sum(arr**2, axis=-1))[-2])
+        codes, parts = classify_batch_2d(arr[None, ...], N, thresholds)
+        mags = [float(x) for x in np.sort(parts.mags[0])[::-1]]
+        bound = omega_lower_bound(codes, G, lo_sq=np.sort(np.sum(arr**2, axis=-1))[-2])
+    code = int(codes[0])
+    witness = {"sorted_mags": mags, "N": float(N), "gap": G}
+    if code == RES_I or code == NR_BILINEAR:  # 1-D only
+        witness["pair_sum"] = float(abs(parts.s12[0]))
+        witness["collision_scale"] = float(parts.L[0])
     if is_nonresonant(code):
         witness["omega_lower_bound"] = float(bound[0])
     return ResonanceClassification(code, code_label(code), witness)

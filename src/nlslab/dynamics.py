@@ -138,16 +138,22 @@ def initial_data(cfg_geometry: TorusGeometry, cutoff, kind: str = "hs_random",
     raise ValueError(f"unknown initial data kind {kind!r}")
 
 
+def step_grid(cfg: EvolutionConfig, u0: SpectralField) -> tuple[float, int]:
+    """(dt, step count) of ``cfg`` from ``u0``, t_end a whole number of steps."""
+    dt = cfg.dt if cfg.dt is not None else default_dt(u0)
+    n_steps = int(round(cfg.t_end / dt))
+    if abs(n_steps * dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+        raise ValueError(f"t_end={cfg.t_end} is not an integer number of steps of dt={dt}")
+    return dt, n_steps
+
+
 def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
     """Integrate to t_end, sampling every ``sample_stride`` steps.
 
     ``monitor(t, field) -> dict`` rows are attached per sample; coefficients
     going non-finite abort the run with the last good state kept.
     """
-    dt = cfg.dt if cfg.dt is not None else default_dt(u0)
-    n_steps = int(round(cfg.t_end / dt))
-    if abs(n_steps * dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ValueError(f"t_end={cfg.t_end} is not an integer number of steps of dt={dt}")
+    dt, n_steps = step_grid(cfg, u0)
 
     def step(u):
         if not cfg.nonlinear:

@@ -458,8 +458,9 @@ class CorrectionTables:
 
 def _lattice_verdicts(lat: _Lattice, idx, G: float):
     """Verdict codes of on-lattice tuples (composite slot indices (T, n))
-    from per-mode lookups, uncut, and each tuple's largest physical |k|:
-    the below-threshold cut at N sets code BELOW where that is at most N.
+    from per-mode lookups, uncut; each tuple's largest physical |k|, where
+    the below-threshold cut at N sets code BELOW if it is at most N; and the
+    rules' parts (``Parts1D`` of the integer modes, ``Parts2D``).
 
     The 1-D rules run on the integer modes, where they are exact and hence
     the same for every slot order within a parity (on the physical floats
@@ -467,18 +468,17 @@ def _lattice_verdicts(lat: _Lattice, idx, G: float):
     2-D rules run on the physical |k| of each slot.
     """
     if lat.d == 1:
-        codes = _verdicts_1d(lat.modes[idx, 0], G)[0]
+        codes, parts = _verdicts_1d(lat.modes[idx, 0], G)
         slot = lambda j: lat.kabs[idx[:, j]]
     else:
-        mags = lat.kabs[idx]
-        codes = _verdicts_2d(mags, G)[0]
-        slot = lambda j: mags[:, j]
+        codes, parts = _verdicts_2d(lat.kabs[idx], G)
+        slot = lambda j: parts.mags[:, j]
     # the largest |k| of each tuple, slot by slot: numpy's max over the
     # short slot axis is several times slower
     top = np.maximum(slot(0), slot(1))
     for j in range(2, lat.n):
         np.maximum(top, slot(j), out=top)
-    return codes, top
+    return codes, top, parts
 
 
 def _correction_values(idx, codes, d, deg, slots):
@@ -539,7 +539,7 @@ def _correction_evaluator(lat: _Lattice, Ns, s: float, thresholds: Thresholds):
     slots = [{"sq": sq, "m": m, "msq_sq": m**2 * sq} for m in ms]
 
     def evaluate(idx):
-        codes, top = _lattice_verdicts(lat, idx, thresholds.gap)
+        codes, top, _ = _lattice_verdicts(lat, idx, thresholds.gap)
         return [v for N, per_mode in zip(Ns, slots) for v in _correction_values(
             idx, np.where(top <= N, BELOW, codes), lat.d, lat.n, per_mode)]
     return evaluate

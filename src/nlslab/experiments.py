@@ -20,7 +20,7 @@ from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
                      sohinger_presence, verify_multiplier_bounds)
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
-from .dynamics import EvolutionConfig, default_dt, evolve, initial_data
+from .dynamics import EvolutionConfig, default_dt, evolve, initial_data, step_grid
 from .energies import _Lattice, energy_identity_residual
 from .geometry import (build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
@@ -105,10 +105,17 @@ def identity_tolerance(t, y, energy, e_i1) -> float:
 
 def _identity_run(u0, evo, Ns, s, sign, gap, budget):
     """The trajectory of ``evo`` from ``u0``, refused before integrating on
-    an over-budget lattice, and ``energy_identity_residual`` along it at
-    every N of ``Ns``, with max|residual| and its ``identity_tolerance`` per
-    N (a NaN residual fails)."""
+    an over-budget lattice or on samples the identity cannot use, and
+    ``energy_identity_residual`` along it at every N of ``Ns``, with
+    max|residual| and its ``identity_tolerance`` per N (a NaN residual
+    fails)."""
     _Lattice.check_budget(u0, u0.geometry.nonlinearity_degree + 1, budget)
+    dt, steps = step_grid(evo, u0)
+    stride = evo.sample_stride
+    if steps % stride or steps < 2 * stride:
+        raise ValueError(f"sample stride {stride} over {steps} steps (t_end={evo.t_end}, dt={dt})"
+                         ": it must divide them (uniform samples) and leave at least three "
+                         "samples; choose stride/samples to fit")
     traj = evolve(evo, u0)
     out = energy_identity_residual(traj.samples, traj.times, Ns, s, sign=sign,
                                    thresholds=Thresholds(gap=gap), budget=budget)

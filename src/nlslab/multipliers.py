@@ -222,7 +222,7 @@ def x_substitute(base: SymbolSpec, j: int) -> SymbolSpec:
     return SymbolSpec(f"X{j}[{base.name}]", n_big, d, ev, "general")
 
 
-def symmetrize(spec: SymbolSpec, k, rng=None, exhaustive: bool = True) -> np.ndarray:
+def symmetrize(spec: SymbolSpec, k) -> np.ndarray:
     """Average the symbol over permutations of odd slots and of even slots.
 
     The multilinear pairing only sees this symmetrization, so identities

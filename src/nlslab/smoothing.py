@@ -165,14 +165,6 @@ class ScalingPlan:
     total_existence_exponent: float
     globally_iterable: bool
 
-    @property
-    def step_count(self) -> float:
-        return self.N ** self.step_count_exponent
-
-    @property
-    def total_time_unit_torus(self) -> float:
-        return self.N ** self.total_existence_exponent
-
 
 def gwp_budget(d: int, s: float, N: float, epsilon: float = 0.01,
                delta: float = 0.1, slack: float = 0.0) -> ScalingPlan:

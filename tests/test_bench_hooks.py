@@ -31,6 +31,9 @@ def spans(monkeypatch):
     # its dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
+    # ``install`` wraps functions of the nlslab modules already imported
+    for name, *_ in module.hooks(module.Tracer()):
+        importlib.import_module(name)
     return module
 
 
@@ -89,3 +92,21 @@ def test_counters_read_real_results(spans):
     assert metrics["energies.lambda_tuples"] == 5 ** 5 + 15 ** 3
     assert metrics["classify.tuples"] == 3 + 2
     assert metrics["census.tuples"] == total_1d + total_2d > 0
+
+
+def test_verify_family_pass_is_counted(spans):
+    # the shared family pass classifies its union through the hooked
+    # classify_batch_1d, one span per block, so the classifier counters see
+    # every row of it
+    N, kmax, th = 4.0, 8, classify.Thresholds()
+    cases = ("ii", "nonresonant")
+    rows, _ = census._family_tuples_1d(cases, N, kmax, th.gap, np.random.default_rng(0))
+    tracer = spans.Tracer()
+    patched = spans.install(tracer)
+    try:
+        census.verify_multiplier_bounds(cases, N, kmax, thresholds=th, seed=0)
+    finally:
+        spans.uninstall(patched)
+    counted = [s.attrs["tuples"] for s in tracer.spans if s.name == "classify_batch_1d"]
+    assert sum(counted) == len(rows)
+    assert len(counted) == -(-len(rows) // census._VERIFY_ROWS) > 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nlslab
-from nlslab import census
+from nlslab import census, energies
 from nlslab.census import (BudgetError, BoundReport, resonance_census_1d,
                            resonance_census_2d, sohinger_presence,
                            verify_multiplier_bounds)
@@ -83,16 +83,16 @@ def reference_census_1d(N, kmax, s, th):
     keep = np.abs(k6) <= kmax
     t, k2, k4, k6 = t[keep], k2[keep], k4[keep], k6[keep]
     tup = np.stack([odd[t, 0], k2, odd[t, 1], k4, odd[t, 2], k6], axis=1)
-    codes, info = classify_batch_1d(tup.astype(float), N, th)
+    codes, parts = classify_batch_1d(tup.astype(float), N, th)
     om = np.abs(omega(tup.astype(float)))
     sym = SmoothingSymbol(N, 1 - s)
     b = m_value(np.abs(tup), sym) ** 2 * tup.astype(float) ** 2
     M = np.abs(b[:, 0::2].sum(axis=1) - (b[:, 1] + b[:, 3] + b[:, 5]))
-    n1, n3 = info["mags"][:, 0], info["mags"][:, 2]
+    n1, n3 = parts.mags[0], parts.mags[2]
     n3c = np.maximum(n3, 1.0)
     G = th.gap
     claimed = {NR_PAIR: (1 - 3 / G**2) * n1**2, NR_TRIPLE: n1 * n3 / G,
-               NR_BILINEAR: n1 * np.abs(info["s12"]) / G, NR_SIGNS: n1**2 / G}
+               NR_BILINEAR: n1 * np.abs(parts.s12) / G, NR_SIGNS: n1**2 / G}
     rows = {}
     for code in np.unique(codes):
         sel = codes == code
@@ -193,8 +193,8 @@ def reference_census_2d(N_values, kmax, s, th):
     tup = np.stack([pts[i1], pts[i2], pts[i3], k4], axis=1)[valid].astype(float)
     sqs = np.sum(tup**2, axis=-1)
     om = np.abs(sqs[:, 0] - sqs[:, 1] + sqs[:, 2] - sqs[:, 3])
-    base, info = classify_batch_2d(tup, N=0.0, thresholds=th)
-    mags = np.sort(info["mags"], axis=-1)[..., ::-1]
+    base, parts = classify_batch_2d(tup, N=0.0, thresholds=th)
+    mags = np.sort(parts.mags, axis=-1)[..., ::-1]
     n1, n3 = mags[:, 0], np.maximum(mags[:, 2], 1.0)
     out = {}
     for N in N_values:
@@ -309,7 +309,7 @@ class TestSoundnessGate:
         assert int(np.sum(k**2 * np.array([1, -1, 1, -1, 1, -1]))) == 0
 
     def test_d2(self, tmp_path, monkeypatch):
-        verdicts = census._verdicts_2d
+        verdicts = energies._verdicts_2d
 
         def unsound(m, G):
             codes, pairs = verdicts(m, G)
@@ -318,7 +318,7 @@ class TestSoundnessGate:
             codes[zero & is_resonant(codes) & (sq[:, 0] % 2 == 0)] = NR_2D
             return codes, pairs
 
-        monkeypatch.setattr(census, "_verdicts_2d", unsound)
+        monkeypatch.setattr(energies, "_verdicts_2d", unsound)
         code, guards, witness, resonant_zero = self.run(tmp_path, 2)
         assert code == 2 and guards["violations"] > 0 and resonant_zero
         k = np.array(eval(witness[0]), dtype=float).reshape(4, 2)
@@ -332,18 +332,18 @@ def _reference_bound(case, tup, N, th):
     from m_value."""
     sym = SmoothingSymbol(N, 0.5)
     gap = th.gap
-    codes, info = classify_batch_1d(tup, N, th)
-    mags, om = info["mags"], info["abs_omega"]
+    codes, parts = classify_batch_1d(tup, N, th)
+    mags, om = parts.mags, parts.abs_omega
     M = np.abs(bare_m6(tup, sym))
-    o, e = info["odd"], info["even"]
-    pair12 = np.abs(o[:, 0] + e[:, 0])
-    pair34 = np.abs(o[:, 1] + e[:, 1])
-    n1 = mags[..., 0]
-    n3 = np.maximum(mags[..., 2], 1.0)
-    n5 = np.maximum(mags[..., 4], 1.0)
+    o, e = parts.odd, parts.even
+    pair12 = np.abs(o[0] + e[0])
+    pair34 = np.abs(o[1] + e[1])
+    n1 = mags[0]
+    n3 = np.maximum(mags[2], 1.0)
+    n5 = np.maximum(mags[4], 1.0)
     n12 = np.maximum(pair12, 1.0)
     sel, bound = {
-        "i": (is_resonant(codes) & (mags[..., 2] * gap >= n1),
+        "i": (is_resonant(codes) & (mags[2] * gap >= n1),
               m_value(n1, sym) * n1 * m_value(n3, sym) * n3),
         "ii": (codes == RES_I, n3**2),
         "iii": ((codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5),

@@ -1,8 +1,13 @@
 """Resonance classifier: verdicts, witnesses, totality, and symmetry."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
                              RES_I, RES_III, ResonanceClassification, Thresholds,
                              classify, classify_batch_1d, classify_batch_2d,
@@ -132,7 +137,7 @@ def test_lattice_verdicts_equal_batch_codes():
         for N in (1.0, 1.5, 2.0):
             codes, _ = batch(lat.physical(idx), N, th)
             assert len(np.unique(codes)) > 2
-            uncut, top = _lattice_verdicts(lat, idx, th.gap)
+            uncut, top, _ = _lattice_verdicts(lat, idx, th.gap)
             got = np.where(top <= N, BELOW, uncut)
             assert got.dtype == codes.dtype and np.array_equal(got, codes)
 
@@ -204,3 +209,23 @@ class Test2d:
 def test_wrong_slot_count_rejected():
     with pytest.raises(ValueError, match="slots"):
         classify((1.0, -1.0, 2.0, -2.0), N=2.0, d=1)
+
+
+def test_rules_reached_only_through_public_entries():
+    # physical tuples go through classify_batch_1d/_2d and lattice tuples
+    # through energies._lattice_verdicts: no other package module names the
+    # private rule functions
+    private = re.compile(r"_(verdicts|classify)_")
+    found = []
+    for path in sorted(Path(nlslab.__file__).parent.glob("*.py")):
+        if path.name in ("classify.py", "energies.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names if private.match(name)]
+    assert found == []

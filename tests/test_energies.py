@@ -510,7 +510,7 @@ ORBIT_LATTICES = [(1, (), 1.0, 3, 1.0, 4.0), (1, (), 3.0, 6, 1.0, 2.0),
 
 def cut_verdicts(lat, idx, N, gap):
     """The walk's verdicts of ``idx``, cut below N as at that N."""
-    codes, top = energies._lattice_verdicts(lat, idx, gap)
+    codes, top, _ = energies._lattice_verdicts(lat, idx, gap)
     return np.where(top <= N, BELOW, codes)
 
 

@@ -481,6 +481,30 @@ class TestRunners:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command, text, key", [
+        # 36 steps at the defaults (dt = 0.1 / 6^2, t_end 0.1): stride 5
+        # leaves a short last interval
+        ("energy-track", "stride = 5\n", "stride"),
+        # one sample per run: t = 0 and the final step, two samples
+        ("almost-conservation", "samples = 1\n", "samples"),
+    ], ids=["energy-track-stride", "almost-conservation-one-sample"])
+    def test_bad_sample_grid_refused_before_integrating(self, command, text, key, tmp_path,
+                                                        monkeypatch, capsys):
+        # the identity needs three or more uniform samples: a grid that
+        # cannot give them is refused with exit 1, before any step is taken
+        from nlslab import experiments
+
+        def evolve(*args, **kwargs):
+            raise AssertionError("integrated a run whose sample grid is refused")
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(text)
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "t_end=" in err and "dt=" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
         ("almost-conservation", "kcut = 4\nn_grid = 2\nt_end = 0.02\nsamples = 0\n", "samples"),
         ("almost-conservation", "kcut = 4\nn_grid =\nt_end = 0.02\n", "n_grid"),
         ("census", "kmax = 3\nn_grid =\n", "n_grid"),
