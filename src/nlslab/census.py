@@ -16,13 +16,15 @@ kept region (near-collision pairs, paired quadruples, comparable shells)
 plus a random background, or draws random zero-sum tuples (the sigma and
 2-D cases), classifies them in blocks and reports the supremum of
 |multiplier| / bound with its witness; `<n>` denotes max(n, 1) so
-degenerate zero slots use the unit shell.
+degenerate zero slots use the unit shell.  Both read m, m^2|k|^2 and |k|
+from one per-mode table indexed by the integer |k|^2 (``_mode_table``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .classify import (BELOW, RES_I, RES_II, Thresholds, classify_batch_1d,
                        omega_lower_bound)
 from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits
 from .geometry import build_geometry, zero_field
-from .multipliers import _alt_signs, bare_m6, omega, sigma_product
+from .multipliers import _alt_signs
 from .smoothing import SmoothingSymbol, m_value
 
 
@@ -123,7 +125,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     within each slot parity, so they are read once per representative: the
     verdicts as the Lambda walk reads them (``energies._lattice_verdicts``:
     the integer modes in 1-D, the per-mode |k| in 2-D), the rest per N from
-    per-mode lookups by |k|^2.  M is summed in the order of the enumeration
+    one ``_mode_table`` by |k|^2.  M is summed in the order of the enumeration
     the witnesses are documented in (1-D: odd triples by descending values,
     then (k2, k4) ascending; 2-D: (k1, k2, k3) in C order), over the
     ``_ARRANGEMENTS`` whose float sums can differ, each at the position of
@@ -135,10 +137,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     G = thresholds.gap
     reports = {float(N): CensusReport(d, float(N), kmax, s, G) for N in N_values}
     sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode
-    # |k| by |k|^2, up to at least 1, where r2 and r3 are clipped below
-    root = np.sqrt(np.arange(max(sq.max(), 1) + 1, dtype=np.float64))
-    mtab = {N: m_value(root, SmoothingSymbol(N, 1.0 - s)) for N in reports}
-    bare = {N: m ** 2 * np.arange(len(m)) for N, m in mtab.items()}  # m^2 |k|^2 by |k|^2
+    tabs = {N: _mode_table(int(sq.max()), N, s) for N in reports}
     orbit = np.rint(math.factorial(n // 2) * lat.share).astype(np.int64)
     arrangements = _ARRANGEMENTS[d]
     done = 0
@@ -151,9 +150,9 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
         # clipped below at 1
         ranked = np.sort(ksq, axis=1)
         r1, r2, r3 = ranked[:, -1], np.maximum(ranked[:, -2], 1), np.maximum(ranked[:, -3], 1)
-        # n1, the largest |k|, is root[r1]: each |k| is the sqrt of an integer
+        # n1, the largest |k|, is the tables' root[r1]: each |k| is the sqrt
+        # of an integer, so r1 and r3 give the mean-value bound
         codes, n1, parts = _lattice_verdicts(lat, idx, G)
-        n3 = root[r3]
         if d == 1:
             # the representative's odd modes ascend: its triple's position
             # orders them by descending values
@@ -168,7 +167,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
                 return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
                                         for a in arrangements], axis=1))
 
-            claimed = omega_lower_bound(codes, G, n1=n1, n3=n3, s12=parts.s12)
+            claimed = omega_lower_bound(codes, G, n1=n1, n3=np.sqrt(r3), s12=parts.s12)
 
             def witness(i, j):
                 k = lat.modes[idx[i, arrangements[j]], 0].tolist()
@@ -187,9 +186,8 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
             witness = lambda i, j: tuple(float(x) for x in
                                          lat.modes[idx[i, arrangements[j]]].ravel())
         for N, rep in reports.items():
-            _accumulate(rep, np.where(n1 <= N, BELOW, codes), weight, om, M(bare[N]), pos,
-                        claimed, lambda i, m=mtab[N]: m[r1[i]] * n1[i] * m[r3[i]] * n3[i],
-                        witness)
+            _accumulate(rep, np.where(n1 <= N, BELOW, codes), weight, om, M(tabs[N].bare), pos,
+                        claimed, lambda i, t=tabs[N]: _mean_value(t, r1[i], r3[i]), witness)
         done += int(weight.sum())
     for rep in reports.values():
         rep.total = done
@@ -275,7 +273,7 @@ class BoundReport:
     empty: bool = False
 
 
-# drawn cases: (draws, slots n, dimension d)
+# drawn cases: (draws, slots n, dimension d); cases of one spec share a draw
 _DRAWS = {"sigma6": (20000, 6, 1), "sigma4": (20000, 4, 2),
           "2d-resonant": (400000, 4, 2), "2d-nonresonant": (400000, 4, 2)}
 
@@ -405,17 +403,14 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
 
     ``case`` is one case name, whose ``BoundReport`` is returned, or a tuple
     of names evaluated in one pass, whose reports are returned in its order.
-    The family cases (i-iv and nonresonant) share one set: the union of
-    their 1-D families and the background (``_family_tuples_1d``), built and
-    classified once.  A case reads the rows whose origin bits meet its
-    sources; those are its own set, in its own sorted order.  sigma6, sigma4
-    and the 2-D cases draw their own zero-sum tuples (``_DRAWS``).  Every set
-    is classified in blocks of ``_VERIFY_ROWS`` rows, which bounds the
-    classifier's temporaries; count, supremum and the first maximizing
-    witness carry across blocks exactly as in one pass over all rows.  The
-    integer 1-D modes read m from one per-mode table, m_value(0..kmax),
-    indexed by |k|: m_value is elementwise, so the values are bit-equal.
-    Witnesses are ints for the families, floats for the drawn tuples.
+    The cases share sets (``_verify_sets``), each built and classified once;
+    a family case reads the union's rows whose origin bits meet its sources,
+    its own set in its own sorted order.  One loop runs every set in blocks
+    of ``_VERIFY_ROWS`` rows, which bounds the classifier's temporaries, and
+    folds each block into its cases' count, supremum and first maximizing
+    witness exactly as one pass over all rows would.  Every multiplier and
+    bound reads one ``_mode_table``.  Witnesses are ints for the families,
+    floats for the drawn tuples.
     """
     if isinstance(case, str):
         return verify_multiplier_bounds((case,), N, kmax, s, thresholds, seed)[0]
@@ -423,31 +418,28 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
         if c not in VERIFY_CASES:
             raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
     reports = {c: BoundReport(c, N, kmax, s, thresholds.gap) for c in case}
-    sym = SmoothingSymbol(N, 1.0 - s)
-    m = m_value(np.arange(kmax + 1, dtype=np.float64), sym)  # m(|k|) by |k|
-    family = [c for c in reports if c in _SOURCES]
-    if family:
-        tup, bits = _family_tuples_1d(family, N, kmax, thresholds.gap,
-                                      np.random.default_rng(seed))
-        for rows in _blocks(len(tup)):
-            block = tup[rows].astype(np.float64)
-            _fold(reports, block, int,
-                  _family_ratios(family, block, bits[rows], m, N, thresholds))
-    for c in reports:
-        if c in _DRAWS:
-            count, n, d = _DRAWS[c]
-            tup = _zero_sum_draws(np.random.default_rng(seed), kmax, count, n, d).astype(float)
-            for rows in _blocks(len(tup)):
-                _fold(reports, tup[rows], float,
-                      {c: _drawn_ratios(c, tup[rows], sym, m, thresholds)})
+    d = max(_DRAWS[c][2] if c in _DRAWS else 1 for c in reports)
+    tab = _mode_table(d * kmax ** 2, N, s)
+    for cases, tup, bits, kind in _verify_sets(list(reports), N, kmax, thresholds.gap, seed):
+        for at in range(0, len(tup), _VERIFY_ROWS):
+            rows = slice(at, at + _VERIFY_ROWS)
+            _fold(reports, tup[rows], kind, _block_ratios(
+                cases, tup[rows], None if bits is None else bits[rows], tab, N, thresholds))
     for rep in reports.values():
         rep.empty = rep.count == 0
     return tuple(reports[c] for c in case)
 
 
-def _blocks(n: int):
-    """Row slices of ``_VERIFY_ROWS`` rows covering n rows."""
-    return [slice(a, a + _VERIFY_ROWS) for a in range(0, n, _VERIFY_ROWS)]
+def _verify_sets(cases, N: float, kmax: int, gap: float, seed: int):
+    """(cases, integer rows, origin bits or None, witness type) per shared
+    set, built as the loop reaches it: the family cases' union
+    (``_family_tuples_1d``), then one draw per distinct ``_DRAWS`` spec."""
+    family = [c for c in cases if c in _SOURCES]
+    if family:
+        yield family, *_family_tuples_1d(family, N, kmax, gap, np.random.default_rng(seed)), int
+    for spec in dict.fromkeys(_DRAWS[c] for c in cases if c in _DRAWS):
+        yield ([c for c in cases if _DRAWS.get(c) == spec],
+               _zero_sum_draws(np.random.default_rng(seed), kmax, *spec), None, float)
 
 
 def _fold(reports: dict, block: np.ndarray, kind, kept: dict) -> None:
@@ -464,74 +456,75 @@ def _fold(reports: dict, block: np.ndarray, kind, kept: dict) -> None:
         rep.count += len(ratios)
 
 
-def _lookup(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """m(|k|) of integer-valued modes k from the per-mode table m."""
-    return m[np.abs(k).astype(np.intp)]
+class _ModeTable(NamedTuple):
+    """|k|, m(|k|) and m^2 |k|^2, indexed by the integer |k|^2."""
+    root: np.ndarray
+    m: np.ndarray
+    bare: np.ndarray
 
 
-def _table_m6(tup: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``bare_m6`` of integer-valued 1-D tuples, its m from the per-mode
-    table m, in ``bare_m6``'s order of operations."""
-    return np.sum(_lookup(m, tup) ** 2 * tup ** 2 * _alt_signs(tup.shape[-1]), axis=-1)
+def _mode_table(top: int, N: float, s: float) -> _ModeTable:
+    """The ``_ModeTable`` for |k|^2 = 0..max(top, 1) at threshold N, from one
+    m_value call.  m_value is elementwise and sqrt is exact on squares, so a
+    lookup is bit-equal to m_value on the float |k| of an integer mode."""
+    root = np.sqrt(np.arange(max(top, 1) + 1, dtype=np.float64))
+    m = m_value(root, SmoothingSymbol(N, 1.0 - s))
+    return _ModeTable(root, m, m ** 2 * np.arange(len(m)))
 
 
-def _family_ratios(cases, tup: np.ndarray, bits: np.ndarray, m: np.ndarray,
-                   N: float, thresholds: Thresholds) -> dict:
-    """Per family case, the rows of ``tup`` in its set (origin ``bits`` meet
-    its sources) and its kept region, and |M| / bound on those rows."""
-    codes, parts = classify_batch_1d(tup, N, thresholds)
-    ns, om, gap = parts.mags, parts.abs_omega, thresholds.gap
-    M = np.abs(_table_m6(tup, m))
-    # cross-parity pair sums in canonical order: these are the separations
-    # the mean-value telescoping of the kept region controls
-    pair12 = np.abs(parts.odd[0] + parts.even[0])
-    pair34 = np.abs(parts.odd[1] + parts.even[1])
-    n1 = ns[0]
-    n3 = np.maximum(ns[2], 1.0)
-    n5 = np.maximum(ns[4], 1.0)
+def _mean_value(tab: _ModeTable, r1, r3):
+    """The resonant bound m(N1*)N1* m(N3*)N3* from N1*^2 and N3*^2."""
+    return tab.m[r1] * tab.root[r1] * tab.m[r3] * tab.root[r3]
+
+
+def _block_ratios(cases, tup: np.ndarray, bits, tab: _ModeTable, N: float,
+                  thresholds: Thresholds) -> dict:
+    """Per case of a set, the rows of the integer block ``tup`` in its set
+    (origin ``bits`` meet its sources; a draw's ``bits`` are None) and kept
+    region, and |multiplier| / bound on them: M, sigma and m(N1*)N1* from
+    ``tab`` by each slot's |k|^2, |Omega| and N3*^2 exact, each in the
+    per-tuple functions' order of operations.  Only the sigma cases, bounded
+    by 1, skip the classifier."""
+    sigma_only = all(c.startswith("sigma") for c in cases)
+    if not sigma_only:
+        classify = classify_batch_1d if tup.ndim == 2 else classify_batch_2d
+        codes, parts = classify(tup.astype(np.float64), N, thresholds)
+    sq = np.square(tup, dtype=np.intp)  # widened: int8 squares overflow
+    ksq = sq if tup.ndim == 2 else sq[..., 0] + sq[..., 1]
+    if sigma_only:
+        sigma = np.prod(tab.m[ksq], axis=-1)
+        return {c: (np.ones(len(tup), dtype=bool), sigma) for c in cases}
+    signs, gap = _alt_signs(ksq.shape[1]), thresholds.gap
+    if tup.ndim == 2:
+        # cross-parity pair sums in canonical order: these are the
+        # separations the mean-value telescoping of the kept region controls
+        pair12 = np.abs(parts.odd[0] + parts.even[0])
+        pair34 = np.abs(parts.odd[1] + parts.even[1])
+        n5, n12 = np.maximum(parts.mags[4], 1.0), np.maximum(pair12, 1.0)
     out = {}
     for case in cases:
-        held = (bits & _SOURCES[case]) != 0
-        if case == "i":
-            sel = held & is_resonant(codes) & (ns[2] * gap >= n1)
-            x1, x3 = n1[sel], n3[sel]
-            bound = _lookup(m, x1) * x1 * _lookup(m, x3) * x3
+        held = True if bits is None else (bits & _SOURCES[case]) != 0
+        if case.endswith("nonresonant"):
+            sel = held & is_nonresonant(codes)
+            om = np.abs(np.sum(ksq[sel] * signs, axis=1))
+            bound = np.where(om > 0, om, np.inf)
+        elif case in ("i", "2d-resonant"):
+            sel = held & is_resonant(codes)
+            if case == "i":
+                sel &= parts.mags[2] * gap >= parts.mags[0]
+            r = np.sort(ksq[sel], axis=1)  # N1*^2 last
+            bound = _mean_value(tab, r[:, -1], np.maximum(r[:, -3], 1))
         elif case == "ii":
             sel = held & (codes == RES_I)
-            bound = n3[sel] ** 2
+            bound = np.maximum(np.sort(ksq[sel], axis=1)[:, -3], 1)  # <N3*>^2
         elif case == "iii":
             sel = held & (codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5)
-            x1 = n1[sel]
-            bound = _lookup(m, x1) * x1 * n5[sel]
-        elif case == "iv":
-            n12 = np.maximum(pair12, 1.0)
+            r1 = ksq[sel].max(axis=1)
+            bound = tab.m[r1] * tab.root[r1] * n5[sel]
+        else:
             sel = (held & (codes == RES_II) & (pair12 > gap * n5)
                    & (pair34 <= gap * n12) & (pair34 * gap >= n12))
-            x1 = n1[sel]
-            bound = _lookup(m, x1) * x1 * n12[sel]
-        else:
-            sel = held & is_nonresonant(codes)
-            bound = np.where(om[sel] > 0, om[sel], np.inf)
-        out[case] = sel, M[sel] / bound
+            r1 = ksq[sel].max(axis=1)
+            bound = tab.m[r1] * tab.root[r1] * n12[sel]
+        out[case] = sel, np.abs(np.sum(tab.bare[ksq[sel]] * signs, axis=1)) / bound
     return out
-
-
-def _drawn_ratios(case: str, tup: np.ndarray, sym: SmoothingSymbol, m: np.ndarray,
-                  thresholds: Thresholds):
-    """Rows of drawn ``tup`` in the case's kept region, and |multiplier| /
-    bound on those rows.  The sigma cases keep every row and bound the
-    product by 1; sigma6's integer modes read m from the per-mode table m."""
-    if case == "sigma6":
-        return np.ones(len(tup), dtype=bool), np.prod(_lookup(m, tup), axis=-1)
-    if case == "sigma4":
-        return np.ones(len(tup), dtype=bool), sigma_product(tup, sym, 2)
-    codes, parts = classify_batch_2d(tup, sym.N, thresholds)
-    M = np.abs(bare_m6(tup, sym, 2))
-    if case == "2d-nonresonant":
-        sel = is_nonresonant(codes)
-        return sel, M[sel] / np.abs(omega(tup[sel], 2))
-    sel = is_resonant(codes)
-    mags = np.sort(parts.mags[sel], axis=-1)[..., ::-1]
-    n1 = mags[..., 0]
-    n3 = np.maximum(mags[..., 2], 1.0)
-    return sel, M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)

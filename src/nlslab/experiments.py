@@ -132,8 +132,11 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
         # sparse random data: a few excited modes, drawn as composite indices
         K = cfg["kcut"]
         shape = (2 * K + 1,) * g.dimension
+        count = int(np.prod(shape))
+        if cfg["data.modes"] > count:
+            raise ValueError(f"data.modes={cfg['data.modes']} exceeds the {count} modes at kcut={K}")
         modes = {}
-        for q in rng.choice(int(np.prod(shape)), size=cfg["data.modes"], replace=False):
+        for q in rng.choice(count, size=cfg["data.modes"], replace=False):
             mode = tuple(int(i) - K for i in np.unravel_index(q, shape))
             modes[mode] = 0.6 * (rng.standard_normal() + 1j * rng.standard_normal())
         u0 = field_from_modes(g, K, modes)
@@ -498,6 +501,8 @@ def run_budget(cfg: dict, out_dir: Path) -> int:
 
 def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     _need("n_grid", cfg["n_grid"], "N")
+    if any(b <= a for a, b in zip(cfg["n_grid"], cfg["n_grid"][1:])):  # gates read it in N order
+        raise ValueError(f"n_grid={cfg['n_grid']} must be strictly increasing")
     if cfg["samples"] < 1:
         raise ValueError(f"samples={cfg['samples']} must be >= 1")
     g = _geometry(cfg)

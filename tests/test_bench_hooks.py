@@ -110,3 +110,21 @@ def test_verify_family_pass_is_counted(spans):
     counted = [s.attrs["tuples"] for s in tracer.spans if s.name == "classify_batch_1d"]
     assert sum(counted) == len(rows)
     assert len(counted) == -(-len(rows) // census._VERIFY_ROWS) > 1
+    assert len([s for s in tracer.spans if s.name == "m_value"]) == 1
+
+
+def test_verify_2d_cases_share_one_draw(spans):
+    # 2d-resonant and 2d-nonresonant share one draw, classified once through
+    # the hooked classify_batch_2d, and m is evaluated once, into the
+    # per-mode table, for the whole call
+    N, kmax = 4.0, 8
+    rows = census._zero_sum_draws(np.random.default_rng(0), kmax, *census._DRAWS["2d-resonant"])
+    tracer = spans.Tracer()
+    patched = spans.install(tracer)
+    try:
+        census.verify_multiplier_bounds(("2d-resonant", "2d-nonresonant"), N, kmax, seed=0)
+    finally:
+        spans.uninstall(patched)
+    named = lambda name: [s for s in tracer.spans if s.name == name]
+    assert sum(s.attrs["tuples"] for s in named("classify_batch_2d")) == len(rows)
+    assert len(named("m_value")) == 1

@@ -327,36 +327,51 @@ class TestSoundnessGate:
 
 
 def _reference_bound(case, tup, N, th):
-    """(count, sup_ratio, witness) of a family case over its own set ``tup``:
-    the kept region and bound of each case, classified in one block, with m
-    from m_value."""
+    """(count, sup_ratio, witness) of a case over its own set ``tup`` (float
+    rows): the kept region and bound of each case, classified in one block,
+    with M, sigma, m and Omega from the per-tuple functions."""
     sym = SmoothingSymbol(N, 0.5)
     gap = th.gap
-    codes, parts = classify_batch_1d(tup, N, th)
-    mags, om = parts.mags, parts.abs_omega
-    M = np.abs(bare_m6(tup, sym))
-    o, e = parts.odd, parts.even
-    pair12 = np.abs(o[0] + e[0])
-    pair34 = np.abs(o[1] + e[1])
-    n1 = mags[0]
-    n3 = np.maximum(mags[2], 1.0)
-    n5 = np.maximum(mags[4], 1.0)
-    n12 = np.maximum(pair12, 1.0)
-    sel, bound = {
-        "i": (is_resonant(codes) & (mags[2] * gap >= n1),
-              m_value(n1, sym) * n1 * m_value(n3, sym) * n3),
-        "ii": (codes == RES_I, n3**2),
-        "iii": ((codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5),
-                m_value(n1, sym) * n1 * n5),
-        "iv": ((codes == RES_II) & (pair12 > gap * n5) & (pair34 <= gap * n12)
-               & (pair34 * gap >= n12), m_value(n1, sym) * n1 * n12),
-        "nonresonant": (is_nonresonant(codes), np.where(om > 0, om, np.inf)),
-    }[case]
-    ratios = (M / bound)[sel]
+    if case == "sigma4":
+        sel, ratios = np.ones(len(tup), dtype=bool), sigma_product(tup, sym, 2)
+    elif case.startswith("2d"):
+        codes, parts = classify_batch_2d(tup, N, th)
+        M = np.abs(bare_m6(tup, sym, 2))
+        if case == "2d-nonresonant":
+            sel = is_nonresonant(codes)
+            ratios = M[sel] / np.abs(omega(tup[sel], 2))
+        else:
+            sel = is_resonant(codes)
+            mags = np.sort(parts.mags[sel], axis=-1)[:, ::-1]
+            n1, n3 = mags[:, 0], np.maximum(mags[:, 2], 1.0)
+            ratios = M[sel] / (m_value(n1, sym) * n1 * m_value(n3, sym) * n3)
+    else:
+        codes, parts = classify_batch_1d(tup, N, th)
+        mags, om = parts.mags, parts.abs_omega
+        M = np.abs(bare_m6(tup, sym))
+        o, e = parts.odd, parts.even
+        pair12 = np.abs(o[0] + e[0])
+        pair34 = np.abs(o[1] + e[1])
+        n1 = mags[0]
+        n3 = np.maximum(mags[2], 1.0)
+        n5 = np.maximum(mags[4], 1.0)
+        n12 = np.maximum(pair12, 1.0)
+        sel, bound = {
+            "i": (is_resonant(codes) & (mags[2] * gap >= n1),
+                  m_value(n1, sym) * n1 * m_value(n3, sym) * n3),
+            "ii": (codes == RES_I, n3**2),
+            "iii": ((codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5),
+                    m_value(n1, sym) * n1 * n5),
+            "iv": ((codes == RES_II) & (pair12 > gap * n5) & (pair34 <= gap * n12)
+                   & (pair34 * gap >= n12), m_value(n1, sym) * n1 * n12),
+            "nonresonant": (is_nonresonant(codes), np.where(om > 0, om, np.inf)),
+        }[case]
+        ratios = (M / bound)[sel]
     if not len(ratios):
         return 0, 0.0, ()
     i = int(np.argmax(ratios))
-    return len(ratios), float(ratios[i]), tuple(int(x) for x in tup[sel][i])
+    kind = float if case in census._DRAWS else int
+    return len(ratios), float(ratios[i]), tuple(kind(x) for x in tup[sel][i].ravel())
 
 
 class TestVerify:
@@ -418,11 +433,12 @@ class TestVerify:
             assert all(rep.count > 0 for rep in whole), case
         assert chunked == whole
 
-    @pytest.mark.parametrize("N, gap", [(4.0, 4.0), (5.0, 3.0)])
+    @pytest.mark.parametrize("N, gap", [(4.0, 4.0), (5.0, 3.0), (6.5, 4.0)])
     def test_shared_pass_equals_per_case_sets(self, N, gap, monkeypatch):
         # each family case of the shared pass against its own definition:
         # np.unique of that case's family blocks plus the background,
-        # classified alone, with m from m_value
+        # classified alone, with m from m_value.  At N 6.5 (kmax 12) the
+        # int8 rows' squares pass 127
         kmax = 2 * int(N)
         th = Thresholds(gap=gap)
         shared = verify_multiplier_bounds(tuple(census._SOURCES), N, kmax, s=0.5,
@@ -439,6 +455,20 @@ class TestVerify:
             census._family_tuples_1d((rep.case,), N, kmax, gap, np.random.default_rng(0))
             tup = np.unique(np.concatenate([b for _, b in seen.pop()]), axis=0).astype(float)
             count, sup, witness = _reference_bound(rep.case, tup, N, th)
+            assert count > 0, rep.case
+            assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
+
+    def test_drawn_cases_equal_per_tuple_functions(self):
+        # sigma4 and the 2-D cases, the latter two sharing one draw, against
+        # their own draws classified alone with bare_m6, sigma_product,
+        # m_value and omega, at a non-integer N whose transition annulus
+        # (5.5, 11) and beyond the draws reach (|k| <= 9 sqrt 2)
+        N, kmax, th = 5.5, 9, Thresholds()
+        cases = ("sigma4", "2d-resonant", "2d-nonresonant")
+        for rep in verify_multiplier_bounds(cases, N, kmax, s=0.5, thresholds=th):
+            draws = census._zero_sum_draws(np.random.default_rng(0), kmax,
+                                           *census._DRAWS[rep.case]).astype(float)
+            count, sup, witness = _reference_bound(rep.case, draws, N, th)
             assert count > 0, rep.case
             assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
 
@@ -488,20 +518,26 @@ class TestFamilyTuples:
 
     def test_mode_table_equals_m_value(self):
         # integer tuples over |k| <= N, the transition annulus N < |k| < 2N
-        # and |k| >= 2N: M and the mean-value bounds from the per-mode table
-        # equal the m_value ones bit for bit
+        # and |k| >= 2N, in 1-D and 2-D: |k|, M, sigma and the mean-value
+        # bounds read from the table by |k|^2 equal the per-tuple functions
+        # bit for bit
         N, kmax = 8.0, 40
         sym = SmoothingSymbol(N, 0.5)
-        m = m_value(np.arange(kmax + 1, dtype=float), sym)
-        tup = census._zero_sum_draws(np.random.default_rng(5), kmax, 20000, 6, 1).astype(float)
-        mags = np.abs(tup).ravel()
-        assert mags.min() == 0 and mags.max() == kmax
-        assert np.any((mags > N) & (mags < 2 * N))
-        assert np.array_equal(census._table_m6(tup, m), bare_m6(tup, sym))
-        assert np.array_equal(census._lookup(m, tup), m_value(np.abs(tup), sym))
-        ranked = np.sort(np.abs(tup), axis=1)
-        n1, n3 = ranked[:, -1], np.maximum(ranked[:, -3], 1.0)
-        assert np.array_equal(
-            census._lookup(m, n1) * n1 * census._lookup(m, n3) * n3,
-            m_value(n1, sym) * n1 * m_value(n3, sym) * n3)
-        assert np.array_equal(np.prod(census._lookup(m, tup), axis=-1), sigma_product(tup, sym))
+        for d, n in ((1, 6), (2, 4)):
+            tab = census._mode_table(d * kmax ** 2, N, 0.5)
+            rows = census._zero_sum_draws(np.random.default_rng(5), kmax, 20000, n, d)
+            ksq = np.sum(rows.reshape(len(rows), n, -1) ** 2, axis=-1)
+            tup = rows.astype(float)
+            mags = tab.root[ksq]
+            assert mags.min() == 0 and mags.max() >= kmax
+            assert np.any((mags > N) & (mags < 2 * N))
+            assert np.array_equal(mags, np.sqrt(np.sum(tup.reshape(len(tup), n, -1) ** 2,
+                                                       axis=-1)))
+            assert np.array_equal(np.sum(tab.bare[ksq] * np.array([1.0, -1.0] * (n // 2)),
+                                         axis=-1), bare_m6(tup, sym, d))
+            assert np.array_equal(np.prod(tab.m[ksq], axis=-1), sigma_product(tup, sym, d))
+            ranked = np.sort(ksq, axis=1)
+            r1, r3 = ranked[:, -1], np.maximum(ranked[:, -3], 1)
+            n1, n3 = np.sqrt(r1), np.sqrt(r3)
+            assert np.array_equal(census._mean_value(tab, r1, r3),
+                                  m_value(n1, sym) * n1 * m_value(n3, sym) * n3)

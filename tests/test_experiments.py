@@ -504,6 +504,35 @@ class TestRunners:
         assert key in err and "t_end=" in err and "dt=" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("grid", ["8,4", "4,4"])
+    def test_almost_conservation_n_grid_must_increase(self, grid, tmp_path, monkeypatch,
+                                                       capsys):
+        # the gates read the grid in order (monotone in N, corrected below
+        # raw at the last N): a grid that does not increase strictly is
+        # refused with exit 1, before any step is taken
+        from nlslab import experiments
+
+        def evolve(*args, **kwargs):
+            raise AssertionError("integrated a run whose n_grid is refused")
+
+        monkeypatch.setattr(experiments, "evolve", evolve)
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text(f"kcut = 10\nn_grid = {grid}\nt_end = 0.05\nsamples = 10\n")
+        assert main(["almost-conservation", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "n_grid" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_energy_track_more_modes_than_lattice_refused(self, tmp_path, capsys):
+        # 1-D kcut 2 has 5 modes, fewer than the default data.modes = 6
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("kcut = 2\n")
+        assert main(["energy-track", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert "data.modes=6" in err and "kcut=2" in err and " 5 " in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command, text, key", [
         ("almost-conservation", "kcut = 4\nn_grid = 2\nt_end = 0.02\nsamples = 0\n", "samples"),
         ("almost-conservation", "kcut = 4\nn_grid =\nt_end = 0.02\n", "n_grid"),
