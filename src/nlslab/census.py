@@ -37,8 +37,9 @@ from .multipliers import _alt_signs
 from .smoothing import SmoothingSymbol, m_value
 
 
-# tuples per classifier block in bound verification
-_VERIFY_ROWS = 1 << 16
+# tuples per classifier block in bound verification: the census's and the
+# Lambda walk's run size
+_VERIFY_ROWS = _TABLE_TUPLES
 
 
 @dataclass
@@ -289,10 +290,19 @@ _SOURCES = {"i": _BACKGROUND, "ii": _BACKGROUND | _COLLISION,
 def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     """``count`` uniform draws of slots 1..n-1 in [-kmax, kmax]^d, closed to
     zero-sum n-tuples by slot n; draws whose slot n leaves the box are
-    dropped.  Integer rows of shape (n,) in 1-D and (n, d) otherwise."""
-    free = rng.integers(-kmax, kmax + 1, size=(count, n - 1) + ((d,) if d > 1 else ()))
-    tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-    return tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax]
+    dropped.  Integer rows of shape (n,) in 1-D and (n, d) otherwise.
+
+    The draws are made in blocks of ``_TABLE_TUPLES`` rows, each closed and
+    filtered before the next, so only the kept rows outlive their block.
+    The generator's stream carries across ``integers`` calls, so the rows
+    and their order are those of one draw of all ``count`` at once."""
+    tail = (d,) if d > 1 else ()
+    kept = []
+    for at in range(0, count, _TABLE_TUPLES):
+        free = rng.integers(-kmax, kmax + 1, size=(min(_TABLE_TUPLES, count - at), n - 1) + tail)
+        tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        kept.append(tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax])
+    return np.concatenate(kept) if kept else np.empty((0, n) + tail, dtype=np.int64)
 
 
 def _family_tuples_1d(cases, N: float, kmax: int, gap: float, rng):
@@ -406,11 +416,13 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
     The cases share sets (``_verify_sets``), each built and classified once;
     a family case reads the union's rows whose origin bits meet its sources,
     its own set in its own sorted order.  One loop runs every set in blocks
-    of ``_VERIFY_ROWS`` rows, which bounds the classifier's temporaries, and
-    folds each block into its cases' count, supremum and first maximizing
-    witness exactly as one pass over all rows would.  Every multiplier and
-    bound reads one ``_mode_table``.  Witnesses are ints for the families,
-    floats for the drawn tuples.
+    of ``_VERIFY_ROWS`` rows (the Lambda walk's run size), which bounds the
+    classifier's temporaries, and folds each block into its cases' count,
+    supremum and first maximizing witness exactly as one pass over all rows
+    would.  The random sets are drawn in blocks of that size too
+    (``_zero_sum_draws``), so no draw's temporaries outgrow one block.
+    Every multiplier and bound reads one ``_mode_table``.  Witnesses are
+    ints for the families, floats for the drawn tuples.
     """
     if isinstance(case, str):
         return verify_multiplier_bounds((case,), N, kmax, s, thresholds, seed)[0]
