@@ -115,6 +115,17 @@ def _unit_gauss_legendre(nodes: int) -> tuple:
     return u, half_w
 
 
+@lru_cache(maxsize=32)
+def _unit_phases(trunc: int, order: int, nodes: int) -> np.ndarray:
+    """exp(-2 pi i xi u) at the ``nodes`` unit Gauss-Legendre nodes u, one
+    row per xi in -trunc..trunc and then the ``_tail_frequencies``
+    (read-only)."""
+    xi = np.concatenate([np.arange(-trunc, trunc + 1), _tail_frequencies(trunc, order)])
+    phases = np.exp(-2j * np.pi * np.outer(xi, _unit_gauss_legendre(nodes)[0]))
+    phases.flags.writeable = False
+    return phases
+
+
 def _node_count(trunc: int, order: int) -> int:
     """Six nodes per unit of the highest tail frequency, at least 160."""
     return max(160, 6 * (trunc + 2 * order + 6))
@@ -147,13 +158,12 @@ def _axis_map(samples: np.ndarray, interval, trunc: int, order: int,
     center, length = interval
     tail = _tail_frequencies(trunc, order)
     xi_lo = np.arange(-trunc, trunc + 1)
-    xi_all = np.concatenate([xi_lo, tail])
     nodes = _node_count(trunc, order)
     raw, start = [], 0
     for count in (nodes, nodes + 32):
-        u, half_w = _unit_gauss_legendre(count)
-        phases = np.exp(-2j * np.pi * np.outer(xi_all, u))
-        raw.append(phases @ (samples[start:start + count] * half_w[:, None]))
+        half_w = _unit_gauss_legendre(count)[1]
+        raw.append(_unit_phases(trunc, order, count)
+                   @ (samples[start:start + count] * half_w[:, None]))
         start += count
     c1, c2 = raw
     scale = max(float(np.max(np.abs(c2))), 1e-300)

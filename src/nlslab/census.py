@@ -1,13 +1,16 @@
 """Exhaustive resonance censuses and multiplier-bound verification sweeps.
 
 The census walks every zero-sum tuple on the integer lattice up to a
-cutoff, one representative per slot-parity orbit (``energies._Orbits``)
-weighted by its orbit's size, classifies it at each requested threshold
+cutoff, one representative per slot-parity orbit (``energies._Orbits``) in
+one sigma-block per class of the lattice's symmetry group (k -> +-k in 1-D,
+the eight signed axis permutations of the unit square in 2-D), weighted by
+the tuples it stands for.  It classifies each at every requested threshold
 with ``classify``'s per-mode verdicts (the integer modes in 1-D, |k| in
-2-D), and accumulates per-class counts, the minimum |omega| per
+2-D) and accumulates per-class counts, the minimum |omega| per
 non-resonant rule against its claimed lower bound, the non-resonant
 supremum |M|/|omega|, the resonant supremum against the mean-value bound
-m(N1*)N1* m(N3*)N3*, and the worst witnesses.  The rules themselves are
+m(N1*)N1* m(N3*)N3*, and the worst witnesses, the first maximizers, read
+from the images of the skipped blocks too.  The rules themselves are
 threshold-free apart from the below-threshold cut, so one pass serves
 every N.  One body serves both dimensions.
 
@@ -22,6 +25,8 @@ from one per-mode table indexed by the integer |k|^2 (``_mode_table``).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -70,6 +75,7 @@ class CensusReport:
     s: float
     gap: float
     total: int = 0
+    representatives: int = 0  # orbit representatives classified
     classes: dict = field(default_factory=dict)
     violations: int = 0
 
@@ -115,23 +121,65 @@ _ARRANGEMENTS = {1: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 5, 4, 3), (0, 3, 2, 5, 4, 1)]
                  2: [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]}
 
 
+def _symmetries(lat: _Orbits):
+    """The lattice's symmetry group and its classes of mode sums.
+
+    The group is every signed axis permutation k -> A k that maps the box
+    of modes onto itself and keeps each mode's physical |k| exactly: k ->
+    +-k in 1-D, and the eight of the square on the census's equal-cutoff
+    unit square.  Applied slot by slot, it maps the tuples of sum sigma
+    (the odd slots' mode sum) one to one onto those of sum A sigma and keeps
+    every slot's |k|^2 (and in 1-D the signed modes up to one sign), so a
+    tuple and its image share their verdicts, |Omega|, bounds and set of M
+    values over ``_ARRANGEMENTS``.
+
+    Returns (maps, walked, size): per element, the identity first, the
+    image of each composite mode index (Q,); the ascending sum indices that
+    are the smallest of their class; and per sum index its class's size if
+    walked, else 0.
+    """
+    d, reach = lat.d, lat.n // 2 * lat.K
+    box = tuple(int(b) for b in 2 * reach + 1)
+    sums = np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=-1) - reach
+    maps, images = [], []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            A = np.zeros((d, d), dtype=np.int64)
+            A[np.arange(d), perm] = signs
+            img = lat.modes @ A.T
+            if np.any(np.abs(img) > lat.K):
+                continue
+            to = np.ravel_multi_index(tuple((img + lat.K).T), tuple(2 * lat.K + 1))
+            if np.array_equal(lat.kabs[to], lat.kabs):
+                maps.append(to)
+                images.append(np.ravel_multi_index(tuple((sums @ A.T + reach).T), box))
+    images = np.stack(images)
+    walked = images.min(axis=0) == np.arange(images.shape[1])
+    distinct = np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0) + 1
+    return maps, np.flatnonzero(walked), np.where(walked, distinct, 0)
+
+
 def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
             budget: int) -> dict:
     """The census of Gamma_n (n = 6 in 1-D, 4 in 2-D) on the integer modes
     |k_i|_inf <= kmax, one report per threshold N.
 
-    Walks one representative per slot-parity orbit (``_Orbits``), weighted
-    by its orbit's size: the distinct arrangements of its odd multiset times
-    those of its even one.  Verdicts, |Omega| and the bounds are symmetric
-    within each slot parity, so they are read once per representative: the
-    verdicts as the Lambda walk reads them (``energies._lattice_verdicts``:
-    the integer modes in 1-D, the per-mode |k| in 2-D), the rest per N from
-    one ``_mode_table`` by |k|^2.  M is summed in the order of the enumeration
-    the witnesses are documented in (1-D: odd triples by descending values,
-    then (k2, k4) ascending; 2-D: (k1, k2, k3) in C order), over the
-    ``_ARRANGEMENTS`` whose float sums can differ, each at the position of
-    its first tuple in that order; so the supremum and its witness, the
-    first maximizer, are those of a walk over every tuple.
+    Walks one representative per slot-parity orbit (``_Orbits``) in one
+    sigma-block per class of the lattice's symmetry group (``_symmetries``),
+    weighted by its orbit's size, the distinct arrangements of its odd
+    multiset times those of its even one, times its class's size.  Every
+    statistic is invariant under the group and within each slot parity, so
+    it is read once per walked representative: the verdicts as the Lambda
+    walk reads them (``energies._lattice_verdicts``: the integer modes in
+    1-D, the per-mode |k| in 2-D), the rest per N from one ``_mode_table``
+    by |k|^2.  M is summed in the order of the enumeration the witnesses are
+    documented in (1-D: odd triples by descending values, then (k2, k4)
+    ascending; 2-D: (k1, k2, k3) in C order), over the ``_ARRANGEMENTS``
+    whose float sums can differ, each at the position of its first tuple in
+    that order.  The rows that tie a class's running supremum are also read
+    in their images under the group, each canonicalized to the sorted
+    multisets of its own representative, so the supremum and its witness,
+    the first maximizer, are those of a walk over every tuple.
     """
     n = 6 if d == 1 else 4
     lat = _Orbits(zero_field(build_geometry(d, (1.0,) * (d - 1)), kmax), n, budget)
@@ -139,75 +187,123 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     reports = {float(N): CensusReport(d, float(N), kmax, s, G) for N in N_values}
     sq = np.sum(lat.modes ** 2, axis=1)  # |k|^2 per mode
     tabs = {N: _mode_table(int(sq.max()), N, s) for N in reports}
+    maps, walked, size = _symmetries(lat)
     orbit = np.rint(math.factorial(n // 2) * lat.share).astype(np.int64)
-    arrangements = _ARRANGEMENTS[d]
-    done = 0
-    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
-        weight = np.concatenate([np.outer(orbit[odd], orbit[even]).ravel()
+    odd_weight = orbit * np.repeat(size, np.diff(lat.bounds))
+    arrangements = np.array(_ARRANGEMENTS[d])
+    if d == 1:
+        P = lat.Q
+
+        def place(t):
+            # the odd modes ascend: the triple's position orders them by
+            # descending values
+            odd = (P - 1 - t[:, 4]) * P ** 2 + (P - 1 - t[:, 2]) * P + P - 1 - t[:, 0]
+            return odd * P ** 2 + t[:, 1] * P + t[:, 3]
+
+        def slot_sq(t):
+            # the odd slots by descending |k|, the order M sums them in
+            q = sq[t]
+            q[:, 0], q[:, 2], q[:, 4] = _descending([q[:, 0], q[:, 2], q[:, 4]])
+            return q
+
+        def M(b, q):
+            t = b[q]
+            o = t[:, 0] + t[:, 2] + t[:, 4]
+            return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
+                                    for a in arrangements]))
+
+        def witness(t):
+            k = lat.modes[t, 0].tolist()
+            # odds by descending |k|, ties by descending value
+            o = sorted(k[4::-2], key=abs, reverse=True)
+            return (o[0], k[1], o[1], k[3], o[2], k[5])
+    else:
+        place, slot_sq = lat.position, sq.__getitem__
+
+        def M(b, q):
+            t = b[q]
+            return np.abs(np.stack([t[:, a[0]] - t[:, a[1]] + t[:, a[2]] - t[:, a[3]]
+                                    for a in arrangements]))
+
+        witness = lambda t: tuple(float(x) for x in lat.modes[t].ravel())
+
+    def first(idx, rows, mx, den, b):
+        """Position and tuple of the first maximizer of ratio ``mx`` among
+        the representatives ``idx[rows]`` and their images, by the block's
+        denominators ``den`` and the m^2|k|^2 table ``b``."""
+        cand = np.concatenate([to[idx[rows]] for to in maps])
+        cand[:, 0::2].sort(axis=1)
+        cand[:, 1::2].sort(axis=1)
+        j, r = np.nonzero(_ratios(M(b, slot_sq(cand)), np.tile(den[rows], len(maps))) == mx)
+        t = np.take_along_axis(cand[r], arrangements[j], axis=1)
+        pos = place(t)
+        k = int(np.argmin(pos))
+        return int(pos[k]), witness(t[k])
+
+    done = classified = 0
+    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES, walked):
+        weight = np.concatenate([np.outer(odd_weight[odd], orbit[even]).ravel()
                                  for (odd, even), _ in blocks])
-        ksq = sq[idx]
-        om = np.abs(ksq[:, 0::2].sum(axis=1) - ksq[:, 1::2].sum(axis=1)).astype(np.float64)
-        # |k|^2 of the largest slot, and of the second and third largest
-        # clipped below at 1
-        ranked = np.sort(ksq, axis=1)
-        r1, r2, r3 = ranked[:, -1], np.maximum(ranked[:, -2], 1), np.maximum(ranked[:, -3], 1)
+        ksq = slot_sq(idx)
+        om = np.abs(ksq @ _alt_signs(n))  # exact: integers far below 2^53
         # n1, the largest |k|, is the tables' root[r1]: each |k| is the sqrt
-        # of an integer, so r1 and r3 give the mean-value bound
+        # of an integer, so N1*^2 and N3*^2 (clipped below at 1) give the
+        # mean-value bound
         codes, n1, parts = _lattice_verdicts(lat, idx, G)
         if d == 1:
-            # the representative's odd modes ascend: its triple's position
-            # orders them by descending values
-            P = lat.Q
-            odd = (P - 1 - idx[:, 4]) * P ** 2 + (P - 1 - idx[:, 2]) * P + P - 1 - idx[:, 0]
-            pos = np.stack([odd * P ** 2 + idx[:, a[1]] * P + idx[:, a[3]] for a in arrangements],
-                           axis=1)
-            odd_sq = np.sort(ksq[:, 0::2], axis=1)[:, ::-1]  # odd slots by descending |k|
-
-            def M(b):
-                o, t = b[odd_sq].sum(axis=1), b[ksq]
-                return np.abs(np.stack([o - (t[:, a[1]] + t[:, a[3]] + t[:, a[5]])
-                                        for a in arrangements], axis=1))
-
+            r1, r3 = parts.mags[0] ** 2, np.maximum(parts.mags[2] ** 2, 1)
             claimed = omega_lower_bound(codes, G, n1=n1, n3=np.sqrt(r3), s12=parts.s12)
-
-            def witness(i, j):
-                k = lat.modes[idx[i, arrangements[j]], 0].tolist()
-                # odds by descending |k|, ties by descending value
-                o = sorted(k[4::-2], key=abs, reverse=True)
-                return (o[0], k[1], o[1], k[3], o[2], k[5])
         else:
-            pos = np.stack([lat.position(idx[:, a]) for a in arrangements], axis=1)
-
-            def M(b):
-                t = b[ksq]
-                return np.abs(np.stack([t[:, a[0]] - t[:, a[1]] + t[:, a[2]] - t[:, a[3]]
-                                        for a in arrangements], axis=1))
-
-            claimed = omega_lower_bound(codes, G, lo_sq=r2)
-            witness = lambda i, j: tuple(float(x) for x in
-                                         lat.modes[idx[i, arrangements[j]]].ravel())
+            r1, r2, r3 = _descending(list(ksq.T))[:3]
+            r3 = np.maximum(r3, 1)
+            claimed = omega_lower_bound(codes, G, lo_sq=np.maximum(r2, 1))
         for N, rep in reports.items():
-            _accumulate(rep, np.where(n1 <= N, BELOW, codes), weight, om, M(tabs[N].bare), pos,
-                        claimed, lambda i, t=tabs[N]: _mean_value(t, r1[i], r3[i]), witness)
+            tab, cut = tabs[N], np.where(n1 <= N, BELOW, codes)
+            # M/|Omega| on the non-resonant rows, M over the mean-value
+            # bound on the resonant ones
+            den = np.where(is_nonresonant(cut), om, _mean_value(tab, r1, r3))
+            _accumulate(rep, cut, weight, om, _ratios(M(tab.bare, ksq), den).max(axis=0),
+                        claimed, functools.partial(first, idx, den=den, b=tab.bare))
         done += int(weight.sum())
+        classified += len(idx)
     for rep in reports.values():
-        rep.total = done
+        rep.total, rep.representatives = done, classified
     return reports
 
 
-def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
+def _ratios(M, den):
+    """M / den per arrangement and representative (A, T), inf where the
+    representative's denominator is 0."""
+    out = np.full(M.shape, np.inf)
+    np.divide(M, den, out=out, where=den != 0)
+    return out
+
+
+def _descending(cols):
+    """Equal-length arrays sorted into descending order elementwise, by
+    odd-even transposition: numpy's sort over a short axis is several times
+    slower."""
+    for r in range(len(cols)):
+        for j in range(r % 2, len(cols) - 1, 2):
+            cols[j], cols[j + 1] = (np.maximum(cols[j], cols[j + 1]),
+                                    np.minimum(cols[j], cols[j + 1]))
+    return cols
+
+
+def _accumulate(rep, codes, weight, om, ratio, claimed, first):
     """Fold a block of orbit representatives into ``rep``'s class statistics.
 
-    Per representative: verdict code, weight (its orbit's size) and |Omega|;
-    per representative and arrangement (T, A): M and the enumeration
-    position.  ``claimed`` holds the lower bound on |Omega| that each
-    non-resonant verdict claims (``omega_lower_bound``), ``bound(i)`` the
-    resonant mean-value bound m(N1*)N1* m(N3*)N3* and ``witness(i, j)`` the tuple of
-    representative i in arrangement j.  Per class: the weighted count, min
-    |Omega|, min |Omega|/claimed, and the supremum of M/|Omega| (non-resonant;
-    a zero |Omega| there is a violation for each tuple of the orbit, ratio
-    inf) or of M/bound (resonant) with its witness, the earliest maximizer in
-    enumeration order.
+    Per representative: verdict code, weight (the tuples it stands for),
+    |Omega| and ``ratio``, the largest over its arrangements of M/|Omega|
+    (non-resonant; inf where |Omega| is 0) or of M over the mean-value bound
+    m(N1*)N1* m(N3*)N3* (resonant).  ``claimed`` holds the lower bound on
+    |Omega| that each non-resonant verdict claims (``omega_lower_bound``),
+    and ``first(rows, mx)`` the enumeration position and tuple of the first
+    maximizer of ratio ``mx`` among the representatives ``rows`` and their
+    images.  Per class: the weighted count, min |Omega|, min
+    |Omega|/claimed, and the supremum ratio with its witness, the earliest
+    maximizer in enumeration order; a non-resonant zero |Omega| is a
+    violation for each tuple it stands for.
     """
     for code in np.flatnonzero(np.bincount(codes)):
         i = np.flatnonzero(codes == code)
@@ -218,22 +314,16 @@ def _accumulate(rep, codes, weight, om, M, pos, claimed, bound, witness):
         om_i = om[i]
         st.min_abs_omega = min(st.min_abs_omega, float(om_i.min()))
         if is_nonresonant(code):
-            zero = om_i == 0.0
-            rep.violations += int(weight[i][zero].sum())
+            rep.violations += int(weight[i][om_i == 0.0].sum())
             st.min_omega_ratio = min(st.min_omega_ratio,
                                      float((om_i / claimed[i]).min()))
-            ratios = np.full(M[i].shape, np.inf)
-            np.divide(M[i], om_i[:, None], out=ratios, where=~zero[:, None])
-        else:
-            ratios = M[i] / bound(i)[:, None]
-        mx = float(ratios.max())
-        rows, arr = np.nonzero(ratios == mx)
-        first = np.argmin(pos[i[rows], arr])
-        at, j = i[rows[first]], arr[first]
-        if mx > st.max_ratio or (st.witness and mx == st.max_ratio
-                                 and pos[at, j] < st.witness_pos):
-            st.max_ratio, st.witness_pos = mx, int(pos[at, j])
-            st.witness = witness(at, j)
+        ratio_i = ratio[i]
+        mx = float(ratio_i.max())
+        if mx < st.max_ratio or (mx == st.max_ratio and not st.witness):
+            continue
+        at, witness = first(i[ratio_i == mx], mx)
+        if mx > st.max_ratio or at < st.witness_pos:
+            st.max_ratio, st.witness_pos, st.witness = mx, at, witness
 
 
 def sohinger_presence(kmax: int, thresholds: Thresholds = Thresholds(),

@@ -181,11 +181,12 @@ class _Lattice:
         tup = np.take(self.freqs, idx, axis=0)
         return tup[..., 0] if self.d == 1 else tup
 
-    def groups(self, max_rows: int):
+    def groups(self, max_rows: int, sums=None):
         """Yields (odd, even): slices of ``sets`` holding sets of sums
-        sigma (at most ``max_rows``) and -sigma."""
+        sigma (at most ``max_rows``) and -sigma, for every sigma or only
+        for the sum indices ``sums``."""
         size = len(self.bounds) - 1
-        for g in range(size):
+        for g in range(size) if sums is None else sums:
             lo, hi = self.bounds[g], self.bounds[g + 1]
             even = slice(self.bounds[size - 1 - g], self.bounds[size - g])
             if even.start == even.stop:
@@ -201,9 +202,9 @@ class _Lattice:
         idx[:, :, 1::2] = even[None, :, :]
         return idx
 
-    def batches(self, max_rows: int, max_tuples: int):
-        """Runs of consecutive ``groups(max_rows)`` blocks holding at most
-        ``max_tuples`` tuples together (a larger block forms a run alone).
+    def batches(self, max_rows: int, max_tuples: int, sums=None):
+        """Runs of consecutive ``groups(max_rows, sums)`` blocks holding at
+        most ``max_tuples`` tuples together (a larger block forms a run alone).
 
         Yields (blocks, idx): the run's (block, (rows, cols)) pairs and the
         composite slot indices (T, n) of their tuples, block after block and
@@ -212,7 +213,7 @@ class _Lattice:
         visited.
         """
         run, count = [], 0
-        for block in self.groups(max_rows):
+        for block in self.groups(max_rows, sums):
             idx = self.slots(block)
             size = idx.shape[0] * idx.shape[1]
             if run and count + size > max_tuples:

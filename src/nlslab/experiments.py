@@ -359,7 +359,7 @@ def run_census(cfg: dict, out_dir: Path) -> int:
     _need("n_grid", cfg["n_grid"], "N")
     _need("gap_grid", cfg["gap_grid"], "gap")
     th_grid = [Thresholds(gap=g) for g in cfg["gap_grid"]]
-    rows = []
+    rows, walks = [], []
     violations = 0
     witness = None
     census = resonance_census_1d if cfg["d"] == 1 else resonance_census_2d
@@ -368,6 +368,10 @@ def run_census(cfg: dict, out_dir: Path) -> int:
     for th in th_grid:
         reports = census(cfg["n_grid"], cfg["kmax"], s=cfg["s"], thresholds=th,
                          budget=cfg["budget"])
+        # one walk per gap serves every N
+        walk = next(iter(reports.values()))
+        walks.append({"gap": th.gap, "representatives": walk.representatives,
+                      "tuples": walk.total})
         for N, rep in sorted(reports.items()):
             fams = rep.counts_by_family()
             for row in rep.rows():
@@ -387,7 +391,8 @@ def run_census(cfg: dict, out_dir: Path) -> int:
               ["N", "gap", "kmax"] + CENSUS_COLUMNS, rows)
     soh = sohinger_presence(cfg["kmax"], N=min(cfg["n_grid"])) if cfg["d"] == 1 else []
     guards = {"violations": violations,
-              "sohinger": [s_["K"] for s_ in soh if s_["resonant"] and s_["omega"] == 0]}
+              "sohinger": [s_["K"] for s_ in soh if s_["resonant"] and s_["omega"] == 0],
+              "walks": walks}
     write_manifest(out_dir, "census", cfg, {"seed": cfg["seed"]}, guards)
     lines = [f"census d={cfg['d']} kmax={cfg['kmax']}: {len(rows)} class rows",
              f"violations: {violations}"]
