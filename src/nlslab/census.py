@@ -16,8 +16,8 @@ every N.  One body serves both dimensions.
 
 Bound verification enumerates structured 1-D families tailored to each
 kept region (near-collision pairs, paired quadruples, comparable shells)
-plus a random background, or draws random zero-sum tuples (the sigma and
-2-D cases), classifies them in blocks and reports the supremum of
+plus a random background, or draws random zero-sum tuples (the 2-D
+cases), classifies them in blocks and reports the supremum of
 |multiplier| / bound with its witness; `<n>` denotes max(n, 1) so
 degenerate zero slots use the unit shell.  Both read m, m^2|k|^2 and |k|
 from one per-mode table indexed by the integer |k|^2 (``_mode_table``).
@@ -347,8 +347,7 @@ def sohinger_presence(kmax: int, thresholds: Thresholds = Thresholds(),
 
 # -- multiplier bound verification ----------------------------------------------
 
-VERIFY_CASES = ("i", "ii", "iii", "iv", "nonresonant", "sigma6",
-                "2d-resonant", "2d-nonresonant", "sigma4")
+VERIFY_CASES = ("i", "ii", "iii", "iv", "nonresonant", "2d-resonant", "2d-nonresonant")
 
 
 @dataclass
@@ -364,9 +363,8 @@ class BoundReport:
     empty: bool = False
 
 
-# drawn cases: (draws, slots n, dimension d); cases of one spec share a draw
-_DRAWS = {"sigma6": (20000, 6, 1), "sigma4": (20000, 4, 2),
-          "2d-resonant": (400000, 4, 2), "2d-nonresonant": (400000, 4, 2)}
+# the 2-D cases' shared draw: (draws, slots n, dimension d)
+_DRAW_2D = (400000, 4, 2)
 
 # Origin bits of the 1-D family tuples: the random background, the
 # near-collision family and the two-high-pair family.  Each family case's
@@ -452,49 +450,25 @@ def _unique_rows(blocks, kmax: int):
     concatenated rows, in the smallest signed integer dtype that holds
     +-kmax, and a uint8 mask per row.
 
-    Each row packs into one int64 key with digits k_i + kmax in base
-    2 kmax + 1; key order is the rows' lexicographic order, so sorting the
-    keys and unpacking them gives the same rows in the same order, without
-    concatenating the rows or sorting over a structured dtype.  Each block
-    is packed as it arrives and then released, so the blocks are never all
-    held at once.  Rows too wide for an int64 key are gathered whole and
-    sorted by ``np.unique``.
+    Each block is narrowed to that dtype as it arrives and then released, so
+    the wide blocks are never all held at once.  One lexsort orders the
+    narrow rows; the first row of each run of equal rows is marked by
+    comparing the columns one at a time, and the run's tags OR into its bits.
     """
-    base = 2 * int(kmax) + 1
     dtype = np.min_scalar_type(-int(kmax) - 1)
-    keys, tags = [], []
+    rows, tags = [], []
     for bit, b in blocks:
-        width = b.shape[1]
-        if base ** width > np.iinfo(np.int64).max:
-            keys.append(b)  # too wide for a key: kept whole for np.unique
-        else:
-            key = np.zeros(len(b), dtype=np.int64)
-            for col in b.T:
-                key *= base
-                key += col
-                key += kmax
-            keys.append(key)
+        rows.append(b.astype(dtype))
         tags.append(np.full(len(b), bit, dtype=np.uint8))
-    keys, tags = np.concatenate(keys), np.concatenate(tags)
-    if keys.ndim == 2:
-        rows, inverse = np.unique(keys, axis=0, return_inverse=True)
-        bits = np.zeros(len(rows), dtype=np.uint8)
-        np.bitwise_or.at(bits, inverse.reshape(-1), tags)
-        return rows.astype(dtype), bits
-    order = np.argsort(keys)
-    keys, tags = keys[order], tags[order]
+    rows, tags = np.concatenate(rows), np.concatenate(tags)
+    order = np.lexsort(rows.T[::-1])
+    rows, tags = rows[order], tags[order]
     del order
-    first = np.empty(len(keys), dtype=bool)
+    first = np.zeros(len(rows), dtype=bool)
     first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    bits = np.bitwise_or.reduceat(tags, np.flatnonzero(first))
-    keys = keys[first]
-    rows = np.empty((len(keys), width), dtype=dtype)
-    digit = np.empty_like(keys)
-    for j in range(width - 1, -1, -1):
-        np.divmod(keys, base, out=(keys, digit))
-        np.subtract(digit, kmax, out=rows[:, j])
-    return rows, bits
+    for col in rows.T:
+        first[1:] |= col[1:] != col[:-1]
+    return rows[first], np.bitwise_or.reduceat(tags, np.flatnonzero(first))
 
 
 def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
@@ -520,7 +494,7 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
         if c not in VERIFY_CASES:
             raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
     reports = {c: BoundReport(c, N, kmax, s, thresholds.gap) for c in case}
-    d = max(_DRAWS[c][2] if c in _DRAWS else 1 for c in reports)
+    d = 2 if any(c.startswith("2d") for c in reports) else 1
     tab = _mode_table(d * kmax ** 2, N, s)
     for cases, tup, bits, kind in _verify_sets(list(reports), N, kmax, thresholds.gap, seed):
         for at in range(0, len(tup), _VERIFY_ROWS):
@@ -535,13 +509,13 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
 def _verify_sets(cases, N: float, kmax: int, gap: float, seed: int):
     """(cases, integer rows, origin bits or None, witness type) per shared
     set, built as the loop reaches it: the family cases' union
-    (``_family_tuples_1d``), then one draw per distinct ``_DRAWS`` spec."""
+    (``_family_tuples_1d``), then the 2-D cases' one draw (``_DRAW_2D``)."""
     family = [c for c in cases if c in _SOURCES]
     if family:
         yield family, *_family_tuples_1d(family, N, kmax, gap, np.random.default_rng(seed)), int
-    for spec in dict.fromkeys(_DRAWS[c] for c in cases if c in _DRAWS):
-        yield ([c for c in cases if _DRAWS.get(c) == spec],
-               _zero_sum_draws(np.random.default_rng(seed), kmax, *spec), None, float)
+    drawn = [c for c in cases if c.startswith("2d")]
+    if drawn:
+        yield drawn, _zero_sum_draws(np.random.default_rng(seed), kmax, *_DRAW_2D), None, float
 
 
 def _fold(reports: dict, block: np.ndarray, kind, kept: dict) -> None:
@@ -583,19 +557,13 @@ def _block_ratios(cases, tup: np.ndarray, bits, tab: _ModeTable, N: float,
                   thresholds: Thresholds) -> dict:
     """Per case of a set, the rows of the integer block ``tup`` in its set
     (origin ``bits`` meet its sources; a draw's ``bits`` are None) and kept
-    region, and |multiplier| / bound on them: M, sigma and m(N1*)N1* from
-    ``tab`` by each slot's |k|^2, |Omega| and N3*^2 exact, each in the
-    per-tuple functions' order of operations.  Only the sigma cases, bounded
-    by 1, skip the classifier."""
-    sigma_only = all(c.startswith("sigma") for c in cases)
-    if not sigma_only:
-        classify = classify_batch_1d if tup.ndim == 2 else classify_batch_2d
-        codes, parts = classify(tup.astype(np.float64), N, thresholds)
+    region, and |multiplier| / bound on them: M and m(N1*)N1* from ``tab``
+    by each slot's |k|^2, |Omega| and N3*^2 exact, each in the per-tuple
+    functions' order of operations."""
+    classify = classify_batch_1d if tup.ndim == 2 else classify_batch_2d
+    codes, parts = classify(tup.astype(np.float64), N, thresholds)
     sq = np.square(tup, dtype=np.intp)  # widened: int8 squares overflow
     ksq = sq if tup.ndim == 2 else sq[..., 0] + sq[..., 1]
-    if sigma_only:
-        sigma = np.prod(tab.m[ksq], axis=-1)
-        return {c: (np.ones(len(tup), dtype=bool), sigma) for c in cases}
     signs, gap = _alt_signs(ksq.shape[1]), thresholds.gap
     if tup.ndim == 2:
         # cross-parity pair sums in canonical order: these are the

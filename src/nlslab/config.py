@@ -135,7 +135,7 @@ SCHEMAS = {
         "gap_grid": Field("float-list", [4.0]), "budget": BUDGET,
     },
     "verify": {
-        "cases": Field(str, "i,ii,iii,iv,nonresonant,sigma6"),
+        "cases": Field(str, "i,ii,iii,iv,nonresonant"),
         "n_grid": Field("float-list", [4.0, 8.0, 16.0]),
         "gap_grid": Field("float-list", [3.0, 4.0, 6.0]),
         "kmax_per_n": Field(int, 4), "s": Field(float, 0.5),

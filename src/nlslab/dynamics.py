@@ -21,7 +21,8 @@ the values and |u|^(4/d) (the phase exp(-i kappa dt |u|^(4/d)), or
 |u|^(4/d) u), back to the lattice.  A step builds one ``SpectralField``, so
 finiteness is checked once per step, after its last stage.  ``strang_step``,
 ``rk4_step`` and ``galerkin_rhs`` wrap the same array kernels that
-``evolve`` runs.
+``evolve`` runs; every step carries the nonlinearity, and the free flow is
+``geometry.free_evolve``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 
 from .energies import SIGN, energy, mass, nonlinear_coefficients
 from .geometry import (SpectralField, TorusGeometry, TransformPlan, _free_propagator,
-                       dealiased_map, dealiasing_plan, free_evolve, random_field,
-                       zero_field)
+                       dealiased_map, dealiasing_plan, random_field, zero_field)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class EvolutionConfig:
     dt: float | None = None             # default resolves the fastest phase
     t_end: float = 1.0
     sample_stride: int = 1
-    nonlinear: bool = True              # off-switch reproduces the free flow
 
     def __post_init__(self):
         if self.sign not in SIGN:
@@ -75,22 +74,17 @@ def _strang(plan: TransformPlan, half: np.ndarray, c: np.ndarray, dt: float,
     return half * mid
 
 
-def _galerkin(plan: TransformPlan, c: np.ndarray, kappa: float,
-              nonlinear: bool) -> np.ndarray:
+def _galerkin(plan: TransformPlan, c: np.ndarray, kappa: float) -> np.ndarray:
     """The Galerkin right-hand side of the coefficient array ``c``."""
-    lin = plan.generator * c
-    if not nonlinear:
-        return lin
-    return lin - 1j * kappa * nonlinear_coefficients(plan, c)
+    return plan.generator * c - 1j * kappa * nonlinear_coefficients(plan, c)
 
 
-def _rk4(plan: TransformPlan, c: np.ndarray, dt: float, kappa: float,
-         nonlinear: bool) -> np.ndarray:
+def _rk4(plan: TransformPlan, c: np.ndarray, dt: float, kappa: float) -> np.ndarray:
     """One classic Runge-Kutta step of the coefficient array ``c``."""
-    k1 = _galerkin(plan, c, kappa, nonlinear)
-    k2 = _galerkin(plan, c + 0.5 * dt * k1, kappa, nonlinear)
-    k3 = _galerkin(plan, c + 0.5 * dt * k2, kappa, nonlinear)
-    k4 = _galerkin(plan, c + dt * k3, kappa, nonlinear)
+    k1 = _galerkin(plan, c, kappa)
+    k2 = _galerkin(plan, c + 0.5 * dt * k1, kappa)
+    k3 = _galerkin(plan, c + 0.5 * dt * k2, kappa)
+    k4 = _galerkin(plan, c + dt * k3, kappa)
     return c + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -100,17 +94,15 @@ def strang_step(f: SpectralField, dt: float, sign: str = "defocusing") -> Spectr
                                  dt, SIGN[sign]))
 
 
-def galerkin_rhs(f: SpectralField, sign: str = "defocusing",
-                 nonlinear: bool = True) -> SpectralField:
+def galerkin_rhs(f: SpectralField, sign: str = "defocusing") -> SpectralField:
     """du/dt = -i|k|^2 uhat -i kappa * (projected coefficients of |u|^(4/d) u)."""
     return f.with_coeffs(_galerkin(dealiasing_plan(f.geometry, f.cutoff), f.coeffs,
-                                   SIGN[sign], nonlinear))
+                                   SIGN[sign]))
 
 
-def rk4_step(f: SpectralField, dt: float, sign: str = "defocusing",
-             nonlinear: bool = True) -> SpectralField:
+def rk4_step(f: SpectralField, dt: float, sign: str = "defocusing") -> SpectralField:
     return f.with_coeffs(_rk4(dealiasing_plan(f.geometry, f.cutoff), f.coeffs, dt,
-                              SIGN[sign], nonlinear))
+                              SIGN[sign]))
 
 
 @dataclass
@@ -156,8 +148,6 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
     dt, n_steps = step_grid(cfg, u0)
 
     def step(u):
-        if not cfg.nonlinear:
-            return free_evolve(u, dt)
         if cfg.integrator == "strang":
             return strang_step(u, dt, cfg.sign)
         return rk4_step(u, dt, cfg.sign)

@@ -138,8 +138,7 @@ class _Lattice:
         # the physical |k| of each (the floats the classifiers compute)
         self.modes = np.stack(np.unravel_index(np.arange(self.Q), shape), axis=-1) - self.K
         self.freqs = self.modes / np.array(g.axis_scales)
-        self.kabs = (np.abs(self.freqs[:, 0]) if self.d == 1
-                     else np.sqrt(np.sum(self.freqs ** 2, axis=-1)))
+        self.kabs = np.sqrt(np.sum(self.freqs ** 2, axis=-1))
         h = n // 2
         sets, self.perms = self._sets(h)
         reach = h * self.K

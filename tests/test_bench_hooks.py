@@ -118,7 +118,7 @@ def test_verify_2d_cases_share_one_draw(spans):
     # the hooked classify_batch_2d, and m is evaluated once, into the
     # per-mode table, for the whole call
     N, kmax = 4.0, 8
-    rows = census._zero_sum_draws(np.random.default_rng(0), kmax, *census._DRAWS["2d-resonant"])
+    rows = census._zero_sum_draws(np.random.default_rng(0), kmax, *census._DRAW_2D)
     tracer = spans.Tracer()
     patched = spans.install(tracer)
     try:

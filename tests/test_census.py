@@ -414,9 +414,7 @@ def _reference_bound(case, tup, N, th):
     with M, sigma, m and Omega from the per-tuple functions."""
     sym = SmoothingSymbol(N, 0.5)
     gap = th.gap
-    if case == "sigma4":
-        sel, ratios = np.ones(len(tup), dtype=bool), sigma_product(tup, sym, 2)
-    elif case.startswith("2d"):
+    if case.startswith("2d"):
         codes, parts = classify_batch_2d(tup, N, th)
         M = np.abs(bare_m6(tup, sym, 2))
         if case == "2d-nonresonant":
@@ -452,17 +450,11 @@ def _reference_bound(case, tup, N, th):
     if not len(ratios):
         return 0, 0.0, ()
     i = int(np.argmax(ratios))
-    kind = float if case in census._DRAWS else int
+    kind = float if case.startswith("2d") else int
     return len(ratios), float(ratios[i]), tuple(kind(x) for x in tup[sel][i].ravel())
 
 
 class TestVerify:
-    def test_sigma_bounds_exact(self):
-        r6 = verify_multiplier_bounds("sigma6", N=4.0, kmax=16, s=0.5)
-        assert r6.sup_ratio <= 1.0 + 1e-12
-        r4 = verify_multiplier_bounds("sigma4", N=4.0, kmax=8, s=0.5)
-        assert r4.sup_ratio <= 1.0 + 1e-12
-
     def test_nonresonant_ratio_bounded(self):
         r = verify_multiplier_bounds("nonresonant", N=8.0, kmax=32, s=0.5)
         assert r.count > 0
@@ -486,7 +478,7 @@ class TestVerify:
     def test_chunked_equals_one_shot(self, case, monkeypatch):
         # 3000 of the case's tuples, so that 7-row blocks stay fast; a family
         # case is read from the pass over every family case
-        if case in census._DRAWS:
+        if case.startswith("2d"):
             def subset(*args):
                 rows = draws(*args)
                 return rows[np.sort(np.random.default_rng(2).choice(len(rows), 3000,
@@ -509,7 +501,7 @@ class TestVerify:
         whole = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 7)
         chunked = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
-        if case in census._DRAWS:
+        if case.startswith("2d"):
             assert whole.count > 0, case
         else:
             assert all(rep.count > 0 for rep in whole), case
@@ -541,22 +533,23 @@ class TestVerify:
             assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
 
     def test_drawn_cases_equal_per_tuple_functions(self):
-        # sigma4 and the 2-D cases, the latter two sharing one draw, against
-        # their own draws classified alone with bare_m6, sigma_product,
-        # m_value and omega, at a non-integer N whose transition annulus
-        # (5.5, 11) and beyond the draws reach (|k| <= 9 sqrt 2)
+        # the 2-D cases, sharing one draw, against that draw classified
+        # alone with bare_m6, m_value and omega, at a non-integer N whose
+        # transition annulus (5.5, 11) and beyond the draws reach
+        # (|k| <= 9 sqrt 2)
         N, kmax, th = 5.5, 9, Thresholds()
-        cases = ("sigma4", "2d-resonant", "2d-nonresonant")
-        for rep in verify_multiplier_bounds(cases, N, kmax, s=0.5, thresholds=th):
-            draws = census._zero_sum_draws(np.random.default_rng(0), kmax,
-                                           *census._DRAWS[rep.case]).astype(float)
+        draws = census._zero_sum_draws(np.random.default_rng(0), kmax,
+                                       *census._DRAW_2D).astype(float)
+        for rep in verify_multiplier_bounds(("2d-resonant", "2d-nonresonant"), N, kmax,
+                                            s=0.5, thresholds=th):
             count, sup, witness = _reference_bound(rep.case, draws, N, th)
             assert count > 0, rep.case
             assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
 
     def test_unknown_case_rejected(self):
-        with pytest.raises(ValueError, match="case"):
-            verify_multiplier_bounds("v", N=4.0, kmax=8)
+        for case in ("v", "sigma6", "sigma4"):
+            with pytest.raises(ValueError, match=f"case '{case}'"):
+                verify_multiplier_bounds(case, N=4.0, kmax=8)
 
 
 class TestFamilyTuples:
@@ -579,9 +572,8 @@ class TestFamilyTuples:
             assert np.array_equal(got[(bits & bit) != 0], held)
 
     def test_unique_rows_at_the_int64_key_limit(self):
-        # (2*723+1)^6 fits an int64 key, (2*724+1)^6 does not: the packed
-        # keys and the row sort on either side of the limit, and a row held
-        # by several blocks carries the OR of their origin bits
+        # int16 rows at kmax 723 and 724, and a row held by several blocks
+        # carries the OR of their origin bits
         rng = np.random.default_rng(3)
         tup = rng.integers(-723, 724, size=(500, 6))
         blocks = [(1, tup), (2, tup[:50]), (4, np.full((2, 6), 723)), (2, np.full((1, 6), -723)),
@@ -597,6 +589,23 @@ class TestFamilyTuples:
             assert rows.dtype == np.int16 and np.array_equal(rows, ref)
             assert bits.dtype == np.uint8 and np.array_equal(bits, ref_bits)
             assert next(stream, None) is None
+
+    def test_unique_rows_past_int16(self):
+        # int32 rows at kmax 40,000, against np.unique of the blocks
+        kmax = 40000
+        rng = np.random.default_rng(6)
+        tup = rng.integers(-kmax, kmax + 1, size=(3000, 6))
+        tup[:, ::2] //= 1000  # runs of equal leading columns
+        blocks = [(1, tup), (2, tup[::7]), (4, np.full((3, 6), -kmax)), (4, tup[100:150])]
+        rows, bits = census._unique_rows(iter(blocks), kmax)
+        ref, inverse = np.unique(np.concatenate([b for _, b in blocks]), axis=0,
+                                 return_inverse=True)
+        ref_bits = np.zeros(len(ref), dtype=np.uint8)
+        np.bitwise_or.at(ref_bits, inverse.ravel(),
+                         np.concatenate([np.full(len(b), bit) for bit, b in blocks]))
+        assert set(ref_bits) == {1, 3, 4, 5, 7}
+        assert rows.dtype == np.int32 and np.array_equal(rows, ref)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, ref_bits)
 
     def test_mode_table_equals_m_value(self):
         # integer tuples over |k| <= N, the transition annulus N < |k| < 2N
@@ -661,7 +670,7 @@ class TestZeroSumDraws:
         # concatenation) and one block's temporaries; drawing every row at
         # once traced 58 MB for 11.4 MB kept
         rows, peak = _traced_peak(census._zero_sum_draws, np.random.default_rng(0), 8,
-                                  *census._DRAWS["2d-resonant"])
+                                  *census._DRAW_2D)
         assert peak <= 2 * rows.nbytes + (4 << 20), (peak, rows.nbytes)
 
     def test_verify_memory_is_bounded(self):

@@ -6,8 +6,7 @@ import pytest
 from nlslab.dynamics import (EvolutionConfig, default_dt, evolve, galerkin_rhs,
                              initial_data, rk4_step, strang_step)
 from nlslab.energies import energy, mass
-from nlslab.geometry import (build_geometry, field_from_modes, free_evolve,
-                             norm, random_field, to_physical)
+from nlslab.geometry import build_geometry, field_from_modes, norm, random_field, to_physical
 
 RNG = np.random.default_rng(23)
 G1 = build_geometry(1, (), 1.0)
@@ -120,14 +119,6 @@ class TestGalerkinRhs:
 
 
 class TestEvolve:
-    def test_free_switch_matches_free_evolve(self):
-        u0 = random_field(G1, 8, RNG)
-        cfg = EvolutionConfig(G1, 8, nonlinear=False, dt=1e-2, t_end=0.3,
-                              sample_stride=10)
-        traj = evolve(cfg, u0)
-        exact = free_evolve(u0, 0.3)
-        assert np.max(np.abs(traj.final.coeffs - exact.coeffs)) < 1e-12
-
     def test_rk4_truncated_energy_drift_order4(self):
         u0 = perturbed_plane_wave(K=6, eps=0.3)
         drifts = []

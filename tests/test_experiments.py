@@ -149,18 +149,25 @@ class TestRunners:
         assert hashlib.sha256(body).hexdigest() == (
             "aa71fffaf0961349a1055309af9a329c34bd6588a80aa63f7840270798f9e000")
 
+    def test_verify_rejects_sigma_cases(self, tmp_path, capsys):
+        # sigma6 and sigma4 tested m <= 1, which holds by construction, and
+        # are no longer cases: naming one is a configuration error
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text("cases = sigma6\n")
+        assert main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")]) == 1
+        assert "'sigma6'" in capsys.readouterr().err
+
     def test_verify_all_cases_pinned(self, tmp_path):
         cfgfile = tmp_path / "v.cfg"
-        cfgfile.write_text("cases = i,ii,iii,iv,nonresonant,sigma6,2d-resonant,"
-                           "2d-nonresonant,sigma4\nn_grid = 4\ngap_grid = 4\n"
-                           "kmax_per_n = 2\n")
+        cfgfile.write_text("cases = i,ii,iii,iv,nonresonant,2d-resonant,2d-nonresonant\n"
+                           "n_grid = 4\ngap_grid = 4\nkmax_per_n = 2\n")
         code = main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")])
         assert code == 0
         body = (tmp_path / "v" / "verify.csv").read_bytes()
         rows = [r.split(",") for r in body.decode().splitlines()[1:]]
-        assert len(rows) == 9 and all(all(r[:7]) for r in rows)  # only flags empty
+        assert len(rows) == 7 and all(all(r[:7]) for r in rows)  # only flags empty
         assert hashlib.sha256(body).hexdigest() == (
-            "92f185ee78416233422d323d92ef9d633615355ecff741839c6b8771a337109c")
+            "0aab8707b07cae00ad7623246a5f0482956848c8e1ce3ea139264bda2092783f")
 
     # census.csv digests: 1-D at the defaults (kmax 8), two 1-D configs
     # whose float sums would move with a changed summation order of M, and
@@ -585,7 +592,7 @@ SMOKE = {
                      lambda g: 0 if g["residual_max"] <= g["residual_tol"] else 2),
     "strichartz": ("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 3\n",
                    lambda g: 0),
-    "verify": ("cases = ii,sigma6\nn_grid = 4\nkmax_per_n = 1\ngap_grid = 4\n",
+    "verify": ("cases = ii,2d-nonresonant\nn_grid = 4\nkmax_per_n = 1\ngap_grid = 4\n",
                lambda g: 2 if g["unstable_cases"] else 0),
     "almost-conservation": ("kcut = 5\nn_grid = 2,4\nsamples = 4\nt_end = 0.02\n",
                             lambda g: 0 if g["monotone"] and g["corrected_below_raw"]
