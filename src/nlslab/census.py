@@ -26,7 +26,6 @@ from one per-mode table indexed by the integer |k|^2 (``_mode_table``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -36,7 +35,8 @@ import numpy as np
 from .classify import (BELOW, RES_I, RES_II, Thresholds, classify_batch_1d,
                        classify_batch_2d, code_label, is_nonresonant, is_resonant,
                        omega_lower_bound)
-from .energies import _GROUP_ROWS, _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits
+from .energies import (_GROUP_ROWS, _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits,
+                       _symmetries)
 from .geometry import build_geometry, zero_field
 from .multipliers import _alt_signs
 from .smoothing import SmoothingSymbol, m_value
@@ -121,51 +121,14 @@ _ARRANGEMENTS = {1: [(0, 1, 2, 3, 4, 5), (0, 1, 2, 5, 4, 3), (0, 3, 2, 5, 4, 1)]
                  2: [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]}
 
 
-def _symmetries(lat: _Orbits):
-    """The lattice's symmetry group and its classes of mode sums.
-
-    The group is every signed axis permutation k -> A k that maps the box
-    of modes onto itself and keeps each mode's physical |k| exactly: k ->
-    +-k in 1-D, and the eight of the square on the census's equal-cutoff
-    unit square.  Applied slot by slot, it maps the tuples of sum sigma
-    (the odd slots' mode sum) one to one onto those of sum A sigma and keeps
-    every slot's |k|^2 (and in 1-D the signed modes up to one sign), so a
-    tuple and its image share their verdicts, |Omega|, bounds and set of M
-    values over ``_ARRANGEMENTS``.
-
-    Returns (maps, walked, size): per element, the identity first, the
-    image of each composite mode index (Q,); the ascending sum indices that
-    are the smallest of their class; and per sum index its class's size if
-    walked, else 0.
-    """
-    d, reach = lat.d, lat.n // 2 * lat.K
-    box = tuple(int(b) for b in 2 * reach + 1)
-    sums = np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=-1) - reach
-    maps, images = [], []
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            A = np.zeros((d, d), dtype=np.int64)
-            A[np.arange(d), perm] = signs
-            img = lat.modes @ A.T
-            if np.any(np.abs(img) > lat.K):
-                continue
-            to = np.ravel_multi_index(tuple((img + lat.K).T), tuple(2 * lat.K + 1))
-            if np.array_equal(lat.kabs[to], lat.kabs):
-                maps.append(to)
-                images.append(np.ravel_multi_index(tuple((sums @ A.T + reach).T), box))
-    images = np.stack(images)
-    walked = images.min(axis=0) == np.arange(images.shape[1])
-    distinct = np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0) + 1
-    return maps, np.flatnonzero(walked), np.where(walked, distinct, 0)
-
-
 def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
             budget: int) -> dict:
     """The census of Gamma_n (n = 6 in 1-D, 4 in 2-D) on the integer modes
     |k_i|_inf <= kmax, one report per threshold N.
 
     Walks one representative per slot-parity orbit (``_Orbits``) in one
-    sigma-block per class of the lattice's symmetry group (``_symmetries``),
+    sigma-block per class of the lattice's symmetry group
+    (``energies._symmetries``, the group the Lambda walk quotients by too),
     weighted by its orbit's size, the distinct arrangements of its odd
     multiset times those of its even one, times its class's size.  Every
     statistic is invariant under the group and within each slot parity, so
@@ -388,8 +351,11 @@ def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     kept = []
     for at in range(0, count, _TABLE_TUPLES):
         free = rng.integers(-kmax, kmax + 1, size=(min(_TABLE_TUPLES, count - at), n - 1) + tail)
-        tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        kept.append(tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax])
+        # slot by slot and axis by axis: numpy's reductions over a short
+        # trailing axis are several times slower
+        last = -functools.reduce(np.add, free.swapaxes(0, 1))
+        inside = functools.reduce(np.logical_and, (np.abs(last) <= kmax).reshape(len(last), -1).T)
+        kept.append(np.concatenate([free, last[:, None]], axis=1)[inside])
     return np.concatenate(kept) if kept else np.empty((0, n) + tail, dtype=np.int64)
 
 
@@ -564,7 +530,7 @@ def _block_ratios(cases, tup: np.ndarray, bits, tab: _ModeTable, N: float,
     codes, parts = classify(tup.astype(np.float64), N, thresholds)
     sq = np.square(tup, dtype=np.intp)  # widened: int8 squares overflow
     ksq = sq if tup.ndim == 2 else sq[..., 0] + sq[..., 1]
-    signs, gap = _alt_signs(ksq.shape[1]), thresholds.gap
+    gap = thresholds.gap
     if tup.ndim == 2:
         # cross-parity pair sums in canonical order: these are the
         # separations the mean-value telescoping of the kept region controls
@@ -576,25 +542,35 @@ def _block_ratios(cases, tup: np.ndarray, bits, tab: _ModeTable, N: float,
         held = True if bits is None else (bits & _SOURCES[case]) != 0
         if case.endswith("nonresonant"):
             sel = held & is_nonresonant(codes)
-            om = np.abs(np.sum(ksq[sel] * signs, axis=1))
+            om = np.abs(_alternating(ksq[sel]))
             bound = np.where(om > 0, om, np.inf)
         elif case in ("i", "2d-resonant"):
             sel = held & is_resonant(codes)
             if case == "i":
                 sel &= parts.mags[2] * gap >= parts.mags[0]
-            r = np.sort(ksq[sel], axis=1)  # N1*^2 last
-            bound = _mean_value(tab, r[:, -1], np.maximum(r[:, -3], 1))
+            r = _descending(list(ksq[sel].T))  # N1*^2 first
+            bound = _mean_value(tab, r[0], np.maximum(r[2], 1))
         elif case == "ii":
             sel = held & (codes == RES_I)
-            bound = np.maximum(np.sort(ksq[sel], axis=1)[:, -3], 1)  # <N3*>^2
+            bound = np.maximum(_descending(list(ksq[sel].T))[2], 1)  # <N3*>^2
         elif case == "iii":
             sel = held & (codes == RES_II) & (pair12 <= gap * n5) & (pair34 <= gap * n5)
-            r1 = ksq[sel].max(axis=1)
+            r1 = functools.reduce(np.maximum, ksq[sel].T)
             bound = tab.m[r1] * tab.root[r1] * n5[sel]
         else:
             sel = (held & (codes == RES_II) & (pair12 > gap * n5)
                    & (pair34 <= gap * n12) & (pair34 * gap >= n12))
-            r1 = ksq[sel].max(axis=1)
+            r1 = functools.reduce(np.maximum, ksq[sel].T)
             bound = tab.m[r1] * tab.root[r1] * n12[sel]
-        out[case] = sel, np.abs(np.sum(tab.bare[ksq[sel]] * signs, axis=1)) / bound
+        out[case] = sel, np.abs(_alternating(tab.bare[ksq[sel]])) / bound
+    return out
+
+
+def _alternating(x):
+    """x[:, 0] - x[:, 1] + x[:, 2] - ... per row, the columns added in
+    order: the same float operations as np.sum(x * _alt_signs(n), axis=1),
+    which is several times slower over the short slot axis."""
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        (np.subtract if j % 2 else np.add)(out, x[:, j], out=out)
     return out

@@ -238,11 +238,12 @@ class _Lattice:
                 idx = run[start:start + step]
                 yield self.position(idx), idx
 
-    def _arrangements(self, vecs, rows) -> np.ndarray:
+    def _arrangements(self, vecs, rows, to=None) -> np.ndarray:
         """Per field set, the sum over the distinct arrangements of each set
-        ``sets[rows]`` of the product of ``vecs[i]`` at the mode in place i:
-        over ``perms``, each arrangement weighted by ``share``."""
-        sets = self.sets[rows]
+        ``sets[rows]`` (or its image ``to[sets[rows]]`` under a mode map) of
+        the product of ``vecs[i]`` at the mode in place i: over ``perms``,
+        each arrangement weighted by ``share``."""
+        sets = self.sets[rows] if to is None else to[self.sets[rows]]
         total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
         term, factor = np.empty_like(total), np.empty_like(total)
         # the indices are in range; mode "clip" lets take write into out
@@ -255,15 +256,18 @@ class _Lattice:
         total *= self.share[rows]
         return total
 
-    def weights(self, blocks, families):
+    def weights(self, blocks, families, to):
         """Per family of slot vectors (sets, Q), lazily, a run's (A, B), its
         blocks side by side: the arrangement sums of the odd slot vectors
-        over its rows and of the even ones over its columns.  The run's row
-        indices are concatenated once for all families."""
+        over the images under the mode map ``to`` of its rows, and of the
+        even ones over those of its columns.  A bijection of the modes keeps
+        each set's stabiliser, so an image set has its set's ``share``.  The
+        run's row indices are concatenated once for all families."""
         rows = [np.concatenate([np.arange(b[j].start, b[j].stop) for b in blocks])
                 for j in (0, 1)]
         for vecs in families:
-            yield self._arrangements(vecs[0::2], rows[0]), self._arrangements(vecs[1::2], rows[1])
+            yield (self._arrangements(vecs[0::2], rows[0], to),
+                   self._arrangements(vecs[1::2], rows[1], to))
 
 
 def _multisets(Q: int, h: int) -> np.ndarray:
@@ -286,33 +290,99 @@ class _Orbits(_Lattice):
     is the sum over representatives of the symbol times the row weight (the
     ``_arrangements`` of the odd slot vectors) times the column weight (of
     the even ones), exactly, for any field sets; ``tuples`` counts the
-    representatives.
+    representatives.  ``_correction_walk`` evaluates only those of one
+    sigma-block per class of the lattice's symmetry group (``_symmetries``).
     """
 
     def _sets(self, h: int):
         return _multisets(self.Q, h), list(itertools.permutations(range(h)))
 
 
-def _walk(lat: _Lattice, evaluate, passes) -> list:
+def _symmetries(lat: _Lattice):
+    """The lattice's symmetry group and its classes of mode sums.
+
+    The group is every signed axis permutation k -> A k that maps the box
+    of modes onto itself and keeps each mode's physical |k| exactly: k ->
+    +-k in 1-D, and the eight of the square on an equal-cutoff unit square.
+    Applied slot by slot, it maps the tuples of sum sigma (the odd slots'
+    mode sum) one to one onto those of sum A sigma and keeps every slot's
+    |k|^2 (and in 1-D the signed modes up to one sign), so a tuple and its
+    image share their verdicts and their values of every symbol that reads
+    only these (the correction symbols, the census's statistics).
+
+    Returns (maps, walked, size): per element, the identity first, the
+    image of each composite mode index (Q,); the ascending sum indices that
+    are the smallest of their class; and per sum index its class's size if
+    walked, else 0.
+    """
+    d, reach = lat.d, lat.n // 2 * lat.K
+    box = tuple(int(b) for b in 2 * reach + 1)
+    sums = np.stack(np.unravel_index(np.arange(int(np.prod(box))), box), axis=-1) - reach
+    maps, images = [], []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            A = np.zeros((d, d), dtype=np.int64)
+            A[np.arange(d), perm] = signs
+            img = lat.modes @ A.T
+            if np.any(np.abs(img) > lat.K):
+                continue
+            to = np.ravel_multi_index(tuple((img + lat.K).T), tuple(2 * lat.K + 1))
+            if np.array_equal(lat.kabs[to], lat.kabs):
+                maps.append(to)
+                images.append(np.ravel_multi_index(tuple((sums @ A.T + reach).T), box))
+    images = np.stack(images)
+    walked = images.min(axis=0) == np.arange(images.shape[1])
+    distinct = np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0) + 1
+    return maps, np.flatnonzero(walked), np.where(walked, distinct, 0)
+
+
+def _new_images(lat: _Lattice, maps) -> np.ndarray:
+    """Per element of ``maps`` (the identity first), a flag per set of
+    ``lat.sets``: whether the element maps the set's mode sum onto a sum
+    that no earlier element maps it onto.  Every sum of the box holds a set
+    (each axis of a sum splits into h modes of the box), so the first set of
+    each sum stands for it."""
+    first = lat.sets[lat.bounds[:-1]]
+    images = [lat.modes[to[first]].sum(axis=1) for to in maps]
+    new = np.ones((len(maps), len(first)), dtype=bool)
+    for e, img in enumerate(images):
+        for prior in images[:e]:
+            new[e] &= np.any(img != prior, axis=1)
+    return np.repeat(new, np.diff(lat.bounds), axis=1)
+
+
+def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     """Gamma_n sums of several symbols against several families of field
     sets, in one walk over the blocks of ``lat`` (``_Lattice`` for every
     tuple, ``_Orbits`` for one per slot-parity orbit).
 
-    ``evaluate(idx)`` returns the symbol values on a run of tuples from
-    ``lat.batches``, one flat array per symbol; each run is contracted and
-    dropped before the next is evaluated.  ``passes`` lists (vecs,
-    symbols): per slot the (sets, Q) arrays of ``slot_vectors`` and the
-    indices of the symbols summed against them.  Returns per pass an array
-    (len(symbols), sets) of plain sums.
+    ``group`` is (maps, walked): mode maps, the identity first, under which
+    every symbol is invariant, and the sum indices whose blocks are walked,
+    one per class of sums under the maps (None for every sum).
+    ``gamma_sums`` passes the identity alone and None, ``_correction_walk``
+    the lattice's ``_symmetries``.  ``evaluate(idx)`` returns the symbol
+    values on a run of walked tuples from ``lat.batches``, one flat array
+    per symbol; each run is contracted and dropped before the next is
+    evaluated.  ``passes`` lists (vecs, symbols): per slot the (sets, Q)
+    arrays of ``slot_vectors`` and the indices of the symbols summed against
+    them.  Returns per pass an array (len(symbols), sets) of plain sums.
 
-    Per run and pass, ``lat.weights`` gives the row weights A (sets x rows)
-    and column weights B (sets x cols) of the pass's sets, the run's blocks
-    side by side, and ``_contract`` sums the pass's symbols against them;
-    each pass's weights are dropped before the next pass's are built.
+    A map carries the tuples of a block one to one onto those of its image
+    block, with the same values, and an arrangement sum does not depend on
+    the order of its set.  So per run, element and pass, ``lat.weights``
+    gives the row weights A (sets x rows) and column weights B (sets x
+    cols) over the element's images of the run's blocks, side by side, and
+    ``_contract`` sums the run's values against them, for each block whose
+    image no earlier element gave (``_new_images``): every block of a class
+    once.  A run's values are gathered for an element only when it skips a
+    block of the run (one with a nontrivial stabiliser); each element's and
+    pass's weights are dropped before the next ones are built.
     """
+    maps, walked = group
+    new = _new_images(lat, maps)
     sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
             for vecs, symbols in passes]
-    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES):
+    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES, walked):
         if len(idx) > _TABLE_TUPLES:
             # one block past _TABLE_TUPLES: evaluated in slices, so the
             # classifier's temporaries stay as small as in any other run
@@ -320,10 +390,18 @@ def _walk(lat: _Lattice, evaluate, passes) -> list:
                 evaluate(idx[i:i + _TABLE_TUPLES]) for i in range(0, len(idx), _TABLE_TUPLES)))]
         else:
             values = evaluate(idx)
-        weights = lat.weights([block for block, _ in blocks], [vecs for vecs, _ in passes])
-        shapes = [shape for _, shape in blocks]
-        for (_, symbols), acc in zip(passes, sums):
-            _contract(acc, *next(weights), np.stack([values[k] for k in symbols]), shapes)
+        starts = np.cumsum([0] + [R * C for _, (R, C) in blocks])
+        for to, fresh in zip(maps, new):
+            kept = [i for i, ((odd, _), _) in enumerate(blocks) if fresh[odd.start]]
+            if not kept:
+                continue
+            cols = slice(None) if len(kept) == len(blocks) else np.concatenate(
+                [np.arange(starts[i], starts[i + 1]) for i in kept])
+            weights = lat.weights([blocks[i][0] for i in kept], [vecs for vecs, _ in passes], to)
+            shapes = [blocks[i][1] for i in kept]
+            for (_, symbols), acc in zip(passes, sums):
+                _contract(acc, *next(weights), np.stack([values[k][cols] for k in symbols]),
+                          shapes)
         # release this run before batches builds the next
         idx = values = None
     return sums
@@ -377,7 +455,8 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     or a table of shape (Q,)*(n-1) over slots 1..n-1 (slot n is fixed by the
     constraint; entries at tuples whose slot n is off the lattice are
     ignored).  Returns the plain sums; the caller applies the measure weight
-    w^(n-1).  This is the one-symbol case of ``_walk``.
+    w^(n-1).  This is the one-symbol case of ``_walk``, on the trivial group:
+    the symbol is arbitrary, so every sum's block is walked.
     """
     field_sets = [list(fs) for fs in field_sets]
     lat = _Lattice(field_sets[0][0], len(field_sets[0]), budget)
@@ -386,7 +465,8 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     else:
         flat = np.asarray(symbol).reshape(lat.rows * lat.Q)
         evaluate = lambda idx: [flat[lat.position(idx)]]
-    return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))])[0][0]
+    return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))],
+                 ([np.arange(lat.Q)], None))[0][0]
 
 
 def gamma_sum_1d(fields, symbol_values,
@@ -581,27 +661,34 @@ def correction_sums(template: SpectralField, Ns, s: float, passes,
 
     ``passes`` lists (field_sets, names), the names drawn from
     ``CORRECTION_SYMBOLS``.  The three symbols are symmetric within each
-    slot parity, so the walk visits one representative per orbit
-    (``_Orbits``): each run of representatives is classified once for
+    slot parity and invariant under the lattice's symmetry group, so the
+    walk (``_correction_walk``) visits one representative per orbit
+    (``_Orbits``) in one sigma-block per class of the group
+    (``_symmetries``): each run of representatives is classified once for
     every N, evaluated by ``_correction_values`` at each N, contracted
-    against every pass and dropped.  This is exact for any field sets.
-    Returns per pass an array (len(Ns), len(names), sets) of plain sums;
-    the caller applies the measure weight w^(deg-1).  The budget counts
-    Q^(deg-1), as for every walk.
+    against every pass's weights over each distinct image of its blocks and
+    dropped.  This is exact for any field sets.  Returns per pass an array
+    (len(Ns), len(names), sets) of plain sums; the caller applies the
+    measure weight w^(deg-1).  The budget counts Q^(deg-1), as for every
+    walk.
     """
     lat = _Orbits(template, template.geometry.nonlinearity_degree + 1, budget)
-    return _correction_walk(lat, Ns, s, passes, thresholds)
+    return _correction_walk(lat, Ns, s, passes, thresholds)[0]
 
 
-def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds) -> list:
-    """``correction_sums`` on the orbit representatives ``lat``."""
+def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds):
+    """``correction_sums`` on the orbit representatives ``lat``, and the
+    count of representatives it classifies, those of the walked blocks."""
     k = len(CORRECTION_SYMBOLS)
+    maps, walked, _ = _symmetries(lat)
     sums = _walk(lat, _correction_evaluator(lat, Ns, s, thresholds),
                  [(_slot_stack([list(fs) for fs in sets]),
                    tuple(k * i + CORRECTION_SYMBOLS.index(nm)
                          for i in range(len(Ns)) for nm in names))
-                  for sets, names in passes])
-    return [acc.reshape(len(Ns), -1, acc.shape[1]) for acc in sums]
+                  for sets, names in passes], (maps, walked))
+    count = np.diff(lat.bounds)
+    return ([acc.reshape(len(Ns), -1, acc.shape[1]) for acc in sums],
+            int(np.sum(count[walked] * count[::-1][walked])))
 
 
 # -- modified energies ---------------------------------------------------------
@@ -726,8 +813,9 @@ def energy_identity_residual(samples, times, Ns, s: float,
     arithmetic); exactness of the discrete identity makes r vanish at the
     integrator/quadrature order under dt refinement.  Every Lambda term at
     every N comes from one orbit walk (``correction_sums``);
-    ``walk_tuples`` counts its representatives and ``budget_tuples`` the
-    Q^(deg-1) tuples that the budget checks.
+    ``walk_tuples`` counts the representatives it classifies, one
+    sigma-block per symmetry class, and ``budget_tuples`` the Q^(deg-1)
+    tuples that the budget checks.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -752,8 +840,9 @@ def energy_identity_residual(samples, times, Ns, s: float,
         nl = nonlinear_coefficient_field(f)
         substituted += [[nl] + [f] * (deg - 1), [f, nl] + [f] * (deg - 2)]
     lat = _Orbits(f0, deg, budget)
-    sums, cm = _correction_walk(lat, Ns, s, [(plain, ("sigma_tilde", "mbar")),
-                                             (substituted, ("combined",))], thresholds)
+    (sums, cm), walked = _correction_walk(lat, Ns, s, [(plain, ("sigma_tilde", "mbar")),
+                                                       (substituted, ("combined",))],
+                                          thresholds)
     corr = kappa * np.real(w * sums[:, 0])
     lam_mbar = 1j * w * sums[:, 1]
     sub = w * cm.reshape(len(Ns), len(samples), 2)
@@ -767,4 +856,4 @@ def energy_identity_residual(samples, times, Ns, s: float,
             "lambda_mbar": mbar, "lambda_mbar_big": mbar_big, "residual": residual,
             "imag_leak": np.maximum(np.max(np.abs(np.imag(lam_mbar)), axis=1),
                                     np.max(np.abs(np.imag(lam_big)), axis=1)),
-            "walk_tuples": lat.tuples, "budget_tuples": lat.raw_tuples}
+            "walk_tuples": walked, "budget_tuples": lat.raw_tuples}

@@ -549,10 +549,13 @@ class TestOrbitWalk:
                 assert np.max(np.abs(ref)) > 0
                 assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (family, name)
 
-    @pytest.mark.parametrize("d, gamma, cutoff, expected", [(1, (), 7, 16004),
-                                                            (2, (0.75,), 5, 200361)])
+    @pytest.mark.parametrize("d, gamma, cutoff, expected", [(1, (), 7, 8514),
+                                                            (2, (0.75,), 5, 64666)])
     def test_classifies_each_representative_once(self, d, gamma, cutoff, expected,
                                                  monkeypatch):
+        # the representatives of one sigma-block per symmetry class, each
+        # once; the walked classes, each counted once per distinct image,
+        # hold every representative
         g = build_geometry(d, gamma, 1.0)
         deg = g.nonlinearity_degree + 1
         fs = [random_field(g, cutoff, RNG) for _ in range(3)]
@@ -564,10 +567,15 @@ class TestOrbitWalk:
             return verdicts(lat, idx, G)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
-        correction_sums(fs[0], [2.0], 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
-                                          ([fs[:1] * deg], ("combined",))])
-        assert sum(classified) == expected == _Orbits(fs[0], deg).tuples
-        assert expected < sum(len(p) for p, _ in _Lattice(fs[0], deg).on_lattice(1 << 14))
+        lat = _Orbits(fs[0], deg)
+        _, walked = energies._correction_walk(
+            lat, [2.0], 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
+                              ([fs[:1] * deg], ("combined",))], Thresholds())
+        assert sum(classified) == expected == walked
+        _, _, size = energies._symmetries(lat)
+        count = np.diff(lat.bounds)
+        assert np.sum(size * count * count[::-1]) == lat.tuples > expected
+        assert lat.tuples < sum(len(p) for p, _ in _Lattice(fs[0], deg).on_lattice(1 << 14))
 
     @pytest.mark.parametrize("d, gamma, lam, cutoff, N, gap", [
         (1, (), 3.0, 4, 1.0, 2.0), (2, (1 / np.sqrt(2),), 1.0, (3, 2), 1.0, 2.0)])
@@ -655,12 +663,13 @@ class TestOrbitWalkSums:
             assert np.all(np.abs(sums - exact) <= 4 * np.finfo(float).eps * scale), family
 
     def test_contraction_memory_bounded(self, monkeypatch):
-        # 320 sets on a lattice walked as one run of over a hundred blocks.
-        # Above its inputs, a contraction holds [Re A; Im A] (A.nbytes) and
-        # two buffer-sized arrays, the buffer and its product with B, each
-        # at most max(_CONTRACT_BYTES, one block's product), and numpy's
-        # casting buffers (512 KiB of slack): nothing grows with the run's
-        # blocks x sets
+        # 640 sets on a lattice walked as one run of 35 blocks, one per
+        # symmetry class, contracted once per element of its group of four.
+        # Above its inputs, each contraction holds [Re A; Im A] (A.nbytes)
+        # and two buffer-sized arrays, the buffer and its product with B,
+        # each at most max(_CONTRACT_BYTES, one block's product), and
+        # numpy's casting buffers (512 KiB of slack): nothing grows with the
+        # run's blocks x sets
         f = random_field(build_geometry(2, (0.75,), 1.0), (3, 2), RNG)
         contract, calls = energies._contract, []
 
@@ -676,12 +685,80 @@ class TestOrbitWalkSums:
         monkeypatch.setattr(energies, "_contract", traced)
         tracemalloc.start()
         try:
-            correction_sums(f, [1.5], 0.5, [([[f] * 4] * 320, CORRECTION_SYMBOLS)])
+            correction_sums(f, [1.5], 0.5, [([[f] * 4] * 640, CORRECTION_SYMBOLS)])
         finally:
             tracemalloc.stop()
-        (peak, bound, blocks, products), = calls
-        assert blocks > 100 and products > bound  # an unbounded buffer would not fit
-        assert peak <= bound
+        assert len(calls) == 4
+        walked = energies._symmetries(_Orbits(f, 4))[1]
+        # the identity's call holds every walked block, and an unbounded
+        # buffer would not fit
+        _, bound, blocks, products = calls[0]
+        assert blocks == len(walked) > 30 and products > bound
+        for peak, bound, _, _ in calls:
+            assert peak <= bound
+
+
+# the quotient walk's lattices: ORBIT_LATTICES and the unit square with
+# equal cutoffs, whose group has all eight signed axis permutations
+QUOTIENT_LATTICES = ORBIT_LATTICES + [(2, (1.0,), 1.0, (2, 2), 1.0, 2.0)]
+
+
+class TestQuotientWalk:
+    """The correction walk classifies one sigma-block per class of the
+    lattice's symmetry group and contracts it against the weights of every
+    distinct image of the block."""
+
+    @pytest.mark.parametrize("d, gamma, cutoff, size", [
+        (1, (), 3, 2), (2, (0.75,), (3, 2), 4), (2, (1 / np.sqrt(2),), (2, 2), 4),
+        (2, (1.0,), (3, 3), 8), (2, (1.0,), (3, 2), 4)])
+    def test_group_sizes(self, d, gamma, cutoff, size):
+        # the signed axis permutations that keep the box and every |k|; the
+        # walked classes, each counted once per distinct image, hold every
+        # representative
+        lat = _Orbits(zero_field(build_geometry(d, gamma, 1.0), cutoff), 6 if d == 1 else 4)
+        maps, walked, per_sum = energies._symmetries(lat)
+        assert len(maps) == size and np.array_equal(maps[0], np.arange(lat.Q))
+        count = np.diff(lat.bounds)
+        new = energies._new_images(lat, maps)[:, lat.bounds[walked]]
+        assert np.array_equal(new.sum(axis=0), per_sum[walked])
+        assert np.sum(per_sum[walked] * count[walked] * count[::-1][walked]) == lat.tuples
+
+    @pytest.mark.parametrize("d, gamma, lam, cutoff, N, gap", QUOTIENT_LATTICES)
+    def test_equals_trivial_group_walk(self, d, gamma, lam, cutoff, N, gap):
+        # the same _walk with the identity alone, which walks every block:
+        # within the 4-ulp bound of the exact resummation test, over plain,
+        # substituted and mixed families and an N grid of two values; the
+        # quotient walk classifies only the walked blocks' representatives
+        g = build_geometry(d, gamma, lam)
+        deg = g.nonlinearity_degree + 1
+        th, Ns = Thresholds(gap), (N, 1.5 * N)
+        fs = [random_field(g, cutoff, RNG) for _ in range(deg)]
+        nl = nonlinear_coefficient_field(fs[0])
+        families = {
+            "plain": [[f] * deg for f in fs[:2]],
+            "substituted": [[nl if i == j else fs[0] for i in range(deg)] for j in range(2)],
+            "mixed": [[fs[(i + j) % deg] for i in range(deg)] for j in range(2)],
+        }
+        lat = _Orbits(fs[0], deg)
+        evaluate = energies._correction_evaluator(lat, Ns, 0.5, th)
+        passes = [(energies._slot_stack(sets), tuple(range(3 * len(Ns))))
+                  for sets in families.values()]
+        maps, walked, _ = energies._symmetries(lat)
+        classified = []
+
+        def counting(idx):
+            classified.append(len(idx))
+            return evaluate(idx)
+
+        quotient = energies._walk(lat, counting, passes, (maps, walked))
+        count = np.diff(lat.bounds)
+        assert sum(classified) == np.sum(count[walked] * count[::-1][walked]) < lat.tuples
+        trivial = energies._walk(lat, evaluate, passes, ([np.arange(lat.Q)], None))
+        for (family, sets), q, t in zip(families.items(), quotient, trivial):
+            scale = np.concatenate([np.sum(np.abs(representative_terms(fs[0], n, th, sets)),
+                                           axis=2) for n in Ns])
+            assert np.all(scale > 0)
+            assert np.all(np.abs(q - t) <= 4 * np.finfo(float).eps * scale), family
 
 
 class TestMemoryGuard:
