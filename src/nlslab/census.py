@@ -326,8 +326,10 @@ class BoundReport:
     empty: bool = False
 
 
-# the 2-D cases' shared draw: (draws, slots n, dimension d)
+# the zero-sum draws of bound verification, (draws, slots n, dimension d):
+# the 2-D cases' shared draw and the 1-D families' random background
 _DRAW_2D = (400000, 4, 2)
+_DRAW_BACKGROUND = (200000, 6, 1)
 
 # Origin bits of the 1-D family tuples: the random background, the
 # near-collision family and the two-high-pair family.  Each family case's
@@ -359,19 +361,21 @@ def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     return np.concatenate(kept) if kept else np.empty((0, n) + tail, dtype=np.int64)
 
 
-def _family_tuples_1d(cases, N: float, kmax: int, gap: float, rng):
+def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
     """The union of the family cases' sets, as ``_unique_rows`` (sorted rows
     and their origin bits) of ``_family_blocks``."""
     need = 0
     for case in cases:
         need |= _SOURCES[case]
-    return _unique_rows(_family_blocks(need, N, kmax, gap, rng), kmax)
+    return _unique_rows(_family_blocks(need, N, kmax, gap, background), kmax)
 
 
-def _family_blocks(need: int, N: float, kmax: int, gap: float, rng):
+def _family_blocks(need: int, N: float, kmax: int, gap: float, background):
     """(origin bit, integer rows) blocks: the structured worst-case families
     of the kept regions whose bits are in ``need``, then the random
-    background, which every family case holds."""
+    background, which every family case holds: the rows of
+    ``_DRAW_BACKGROUND`` drawn from ``background`` when it is a Generator,
+    else ``background`` itself, that draw made once for every gap."""
     tops = np.arange(max(2, int(N)), kmax + 1)
     q = 8
     if need & _COLLISION:
@@ -405,8 +409,9 @@ def _family_blocks(need: int, N: float, kmax: int, gap: float, rng):
                 k6 = -(k1 + k2 + k3 + k4 + k5)
                 tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
                 yield _TWO_PAIRS, tup[np.max(np.abs(tup), axis=1) <= kmax]
-    # background: random zero-sum tuples over the box (deterministic seed)
-    yield _BACKGROUND, _zero_sum_draws(rng, kmax, 200000, 6, 1)
+    if isinstance(background, np.random.Generator):
+        background = _zero_sum_draws(background, kmax, *_DRAW_BACKGROUND)
+    yield _BACKGROUND, background
 
 
 def _unique_rows(blocks, kmax: int):
@@ -443,45 +448,71 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
 
     ``case`` is one case name, whose ``BoundReport`` is returned, or a tuple
     of names evaluated in one pass, whose reports are returned in its order.
-    The cases share sets (``_verify_sets``), each built and classified once;
-    a family case reads the union's rows whose origin bits meet its sources,
-    its own set in its own sorted order.  One loop runs every set in blocks
-    of ``_VERIFY_ROWS`` rows (the Lambda walk's run size), which bounds the
+    ``thresholds`` is one ``Thresholds``, or a tuple of them, for which the
+    result is one such return per entry, in its order.  The cases share sets
+    (``_verify_sets``), each built and classified once per gap; a family
+    case reads the union's rows whose origin bits meet its sources, its own
+    set in its own sorted order.  One loop runs every set in blocks of
+    ``_VERIFY_ROWS`` rows (the Lambda walk's run size), which bounds the
     classifier's temporaries, and folds each block into its cases' count,
     supremum and first maximizing witness exactly as one pass over all rows
-    would.  The random sets are drawn in blocks of that size too
-    (``_zero_sum_draws``), so no draw's temporaries outgrow one block.
+    would.  The random sets do not depend on the gap: each is drawn once per
+    call from a fresh generator of ``seed``, in blocks of that size
+    (``_zero_sum_draws``) so that no draw's temporaries outgrow one block,
+    and is held for every gap in the narrow dtype of ``_unique_rows``.
     Every multiplier and bound reads one ``_mode_table``.  Witnesses are
     ints for the families, floats for the drawn tuples.
     """
-    if isinstance(case, str):
-        return verify_multiplier_bounds((case,), N, kmax, s, thresholds, seed)[0]
-    for c in case:
+    cases = (case,) if isinstance(case, str) else tuple(case)
+    gaps = (thresholds,) if isinstance(thresholds, Thresholds) else tuple(thresholds)
+    for c in cases:
         if c not in VERIFY_CASES:
             raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
-    reports = {c: BoundReport(c, N, kmax, s, thresholds.gap) for c in case}
-    d = 2 if any(c.startswith("2d") for c in reports) else 1
+    d = 2 if any(c.startswith("2d") for c in cases) else 1
     tab = _mode_table(d * kmax ** 2, N, s)
-    for cases, tup, bits, kind in _verify_sets(list(reports), N, kmax, thresholds.gap, seed):
+    drawn, narrow = {}, np.min_scalar_type(-int(kmax) - 1)
+
+    def draw(spec):
+        if spec not in drawn:
+            drawn[spec] = _zero_sum_draws(np.random.default_rng(seed), kmax,
+                                          *spec).astype(narrow)
+        return drawn[spec]
+
+    out = []
+    for th in gaps:
+        reports = _gap_reports(cases, N, kmax, s, th, tab, draw)
+        out.append(reports[case] if isinstance(case, str)
+                   else tuple(reports[c] for c in cases))
+    return out[0] if isinstance(thresholds, Thresholds) else tuple(out)
+
+
+def _gap_reports(cases, N: float, kmax: int, s: float, thresholds: Thresholds,
+                 tab: _ModeTable, draw) -> dict:
+    """Case -> ``BoundReport`` at one gap, from the shared sets of
+    ``_verify_sets``; a set's rows are released on return, before the next
+    gap builds its own."""
+    reports = {c: BoundReport(c, N, kmax, s, thresholds.gap) for c in cases}
+    for shared, tup, bits, kind in _verify_sets(list(reports), N, kmax, thresholds.gap, draw):
         for at in range(0, len(tup), _VERIFY_ROWS):
             rows = slice(at, at + _VERIFY_ROWS)
             _fold(reports, tup[rows], kind, _block_ratios(
-                cases, tup[rows], None if bits is None else bits[rows], tab, N, thresholds))
+                shared, tup[rows], None if bits is None else bits[rows], tab, N, thresholds))
     for rep in reports.values():
         rep.empty = rep.count == 0
-    return tuple(reports[c] for c in case)
+    return reports
 
 
-def _verify_sets(cases, N: float, kmax: int, gap: float, seed: int):
+def _verify_sets(cases, N: float, kmax: int, gap: float, draw):
     """(cases, integer rows, origin bits or None, witness type) per shared
     set, built as the loop reaches it: the family cases' union
-    (``_family_tuples_1d``), then the 2-D cases' one draw (``_DRAW_2D``)."""
+    (``_family_tuples_1d`` on the background ``draw(_DRAW_BACKGROUND)``),
+    then the 2-D cases' one draw (``draw(_DRAW_2D)``)."""
     family = [c for c in cases if c in _SOURCES]
     if family:
-        yield family, *_family_tuples_1d(family, N, kmax, gap, np.random.default_rng(seed)), int
+        yield family, *_family_tuples_1d(family, N, kmax, gap, draw(_DRAW_BACKGROUND)), int
     drawn = [c for c in cases if c.startswith("2d")]
     if drawn:
-        yield drawn, _zero_sum_draws(np.random.default_rng(seed), kmax, *_DRAW_2D), None, float
+        yield drawn, draw(_DRAW_2D), None, float
 
 
 def _fold(reports: dict, block: np.ndarray, kind, kept: dict) -> None:

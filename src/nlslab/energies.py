@@ -46,7 +46,8 @@ import numpy as np
 from .classify import (BELOW, Thresholds, _verdicts_1d, _verdicts_2d, is_nonresonant,
                        is_resonant)
 from .geometry import (SpectralField, TransformPlan, dealiased_map, dealiasing_plan,
-                       integrate_grid, mass, pointwise_product, to_physical)
+                       grid_values, integrate_grid, mass, modulus_squared,
+                       pointwise_product)
 from .multipliers import sigma_product
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
@@ -83,14 +84,13 @@ def _kappa(sign: str) -> float:
 
 
 def energy(f: SpectralField, sign: str = "defocusing") -> float:
-    """Kinetic part by Plancherel, potential by dealiased grid quadrature."""
+    """Kinetic part by Plancherel, potential by grid quadrature on the
+    ``dealiasing_plan`` grid, which integrates |u|^(2+4/d) exactly."""
     kappa = _kappa(sign)
     g = f.geometry
     deg = g.nonlinearity_degree + 1  # |u|^(2+4/d)
     kinetic = 0.5 * g.measure_weight * float(np.sum(f.kabs() ** 2 * np.abs(f.coeffs) ** 2))
-    oversample = (deg + 2) // 2
-    vals = to_physical(f, oversample)
-    mod2 = vals.real ** 2 + vals.imag ** 2
+    mod2 = modulus_squared(grid_values(dealiasing_plan(g, f.cutoff), f.coeffs))
     potential = float(np.mean(mod2 ** (deg // 2))) * g.volume / deg
     return kinetic + kappa * potential
 
@@ -760,7 +760,8 @@ def modified_energy(f: SpectralField, level: int, N: float, s: float,
 def nonlinear_coefficients(plan: TransformPlan, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of |u|^(4/d) u for the coefficient array ``coeffs`` of
     u, through the dealiased kernel on ``plan`` (a ``dealiasing_plan``)."""
-    return dealiased_map(plan, coeffs, lambda vals, potential: potential * vals)
+    return dealiased_map(plan, coeffs,
+                         lambda vals, potential: np.multiply(vals, potential, out=vals))
 
 
 def nonlinear_coefficient_field(f: SpectralField) -> SpectralField:

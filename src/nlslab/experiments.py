@@ -22,7 +22,7 @@ from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, default_dt, evolve, initial_data, step_grid
 from .energies import _Lattice, energy_identity_residual
-from .geometry import (build_geometry, field_from_modes, free_evolve,
+from .geometry import (_smooth5_length, build_geometry, field_from_modes, free_evolve,
                        lp_spacetime_norm, norm, save_field)
 from .smoothing import SmoothingSymbol, apply_I, gwp_budget, total_exponent
 
@@ -178,44 +178,43 @@ def _interval_modes(lo: float, hi: float, lam: float) -> np.ndarray:
     return np.arange(int(np.ceil(lo * lam)), int(np.floor(hi * lam)) + 1) / lam
 
 
-def _smooth5_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length pocketfft runs fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p235 = p35
-            while p235 < n:
-                p235 *= 2
-            best = min(best, p235)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-# Bytes of complex128 per block of time rows that a packet draw transforms at
-# once: numpy's FFT runs complex64 input in double precision, with complex128
-# copies of the whole input and output, so the rows run in blocks of this size.
+# Bytes per block of time rows that a packet draw transforms at once, counted
+# at 16 B per padded complex entry: each of the block's complex64 FFT outputs
+# takes about half of it, whatever the number of rows.
 _DRAW_CHUNK_BYTES = 1 << 20
+
+
+class PacketNorms(np.ndarray):
+    """The norms of a packet draw's samples, a float array, carrying
+    ``quad_gap``: per draw, |I_h - I_2h| / I_h for the trapezoid integrals
+    I_h and I_2h of the squared norm over [0, t_m] at the time step h and at
+    2h, where t_m is the last sample of even index."""
+
+    quad_gap = None
 
 
 def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
                           rng, coherent: bool = True,
-                          dtype=np.complex64) -> np.ndarray:
+                          dtype=np.complex64) -> PacketNorms:
     """||P_I1 e^{it dxx} f1 . P_I2 e^{it dxx} f2||_{L2_tx} over random draws.
 
     Frequency intervals [-3M/2, -M/2] and [M/2, 3M/2] (separation M inside
     [-10M, 10M]); the product norm is computed in coefficient space.  Per
     time row the product's coefficients are the linear convolution of the
     two packets, of length len1+len2-1; zero-padded to a 5-smooth length
-    ``pad`` >= that, its squared l2 norm is sum|fa.fb|^2 / pad by Parseval,
-    where fa, fb are the padded packets' DFTs, so a draw costs two batched
-    FFTs and no inverse.  Every step is row by row, so the phases and each
-    draw run in blocks of time rows whose complex128 temporaries take about
-    ``_DRAW_CHUNK_BYTES``, with the same arithmetic as on all rows at once.
-    Coherent draws are amplitude-jittered co-located wave packets (the
-    extremizing class); incoherent draws are random-phase.
+    ``pad`` >= that, its squared l2 norm is pad * sum|fa.fb|^2 by Parseval,
+    where fa, fb are the padded packets' orthonormal DFTs, so a draw costs
+    two batched FFTs and no inverse.  The orthonormal factor is a real of
+    the packets' precision, which keeps numpy's FFT of complex64 packets in
+    single precision; the row sums accumulate in double.  The second
+    interval's modes are the first's negated and reversed, so one phase
+    array serves both: the second packet multiplies a contiguous copy of
+    each block's reversed phases, as numpy's complex64 product with a
+    reversed view of one or two rows can round differently.  Every step is
+    row by row, so the phases and each draw run in blocks of time rows
+    (``_DRAW_CHUNK_BYTES``), with the same arithmetic as on all rows at
+    once.  Coherent draws are amplitude-jittered co-located wave packets
+    (the extremizing class); incoherent draws are random-phase.
     """
     T = lam / n_freq
     k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
@@ -223,16 +222,17 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
     L = 2 * np.pi * lam
     n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
     t = np.linspace(0.0, T, n_t)
+    h = T / (n_t - 1)
+    even = n_t - 1 - (n_t - 1) % 2  # last even row: the end of both rules
     pad = _smooth5_length(len(k1) + len(k2) - 1)
     rows = max(1, _DRAW_CHUNK_BYTES // (pad * 16))
     chunks = [slice(lo, lo + rows) for lo in range(0, n_t, rows)]
-    phase1 = np.empty((n_t, len(k1)), dtype=dtype)
-    phase2 = np.empty((n_t, len(k2)), dtype=dtype)
+    phase = np.empty((n_t, len(k1)), dtype=dtype)  # of k1; k2's is phase[:, ::-1]
     for c in chunks:
-        phase1[c] = np.exp(-1j * np.outer(t[c], k1**2))
-        phase2[c] = np.exp(-1j * np.outer(t[c], k2**2))
+        phase[c] = np.exp(-1j * np.outer(t[c], k1**2))
     sq = np.empty(n_t)
-    out = np.empty(draws)
+    out = np.empty(draws).view(PacketNorms)
+    out.quad_gap = np.empty(draws)
     for i in range(draws):
         if coherent:
             a = 1 + 0.2 * (rng.standard_normal(len(k1)) + 1j * rng.standard_normal(len(k1)))
@@ -243,12 +243,15 @@ def bilinear_packet_norms(M: float, n_freq: float, lam: float, draws: int,
         a = (a / np.sqrt(L * np.sum(np.abs(a) ** 2))).astype(dtype)
         b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
         for c in chunks:
-            fa = np.fft.fft(a[None, :] * phase1[c], n=pad, axis=1)
-            fb = np.fft.fft(b[None, :] * phase2[c], n=pad, axis=1)
-            prod = fa * fb
-            prod = prod.view(prod.real.dtype)  # (re, im) pairs: sum of squares = |.|^2
-            sq[c] = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
-        out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
+            fa = np.fft.fft(a[None, :] * phase[c], n=pad, axis=1, norm="ortho")
+            fb = np.fft.fft(b[None, :] * np.ascontiguousarray(phase[c, ::-1]), n=pad, axis=1,
+                            norm="ortho")
+            fa *= fb
+            prod = fa.view(fa.real.dtype)  # (re, im) pairs: sum of squares = |.|^2
+            sq[c] = (L * pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
+        out[i] = np.sqrt(np.trapezoid(sq, dx=h))
+        fine = np.trapezoid(sq[:even + 1], dx=h)
+        out.quad_gap[i] = abs(fine - np.trapezoid(sq[:even + 1:2], dx=2 * h)) / fine
     return out
 
 
@@ -314,7 +317,8 @@ def run_strichartz(cfg: dict, out_dir: Path) -> int:
         return {"kind": "packet" if coherent else "random-phase", "M": int(M),
                 "N": n_freq, "lambda": lam, "T": lam / n_freq,
                 "samples": cfg["samples"], "max_norm": float(np.max(vals)),
-                "mean_norm": float(np.mean(vals)), "flag": ""}
+                "mean_norm": float(np.mean(vals)),
+                "quad_gap": float(np.max(vals.quad_gap)), "flag": ""}
 
     jobs = [(M, coh) for coh in (True, False) for M in cfg["m_grid"]]
     if cfg["threads"] > 1:
@@ -330,7 +334,8 @@ def run_strichartz(cfg: dict, out_dir: Path) -> int:
         ys = np.log([r["max_norm"] for r in packets])
         fit["slope"] = float(np.polyfit(xs, ys, 1)[0])
     out_dir.mkdir(parents=True, exist_ok=True)
-    cols = ["kind", "M", "N", "lambda", "T", "samples", "max_norm", "mean_norm", "flag"]
+    cols = ["kind", "M", "N", "lambda", "T", "samples", "max_norm", "mean_norm", "quad_gap",
+            "flag"]
     write_csv(out_dir / "strichartz.csv", cols, rows)
     write_manifest(out_dir, "strichartz", cfg, {"seed": cfg["seed"]},
                    {"fit_slope": fit["slope"]})
@@ -412,20 +417,21 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     _need("gap_grid", cfg["gap_grid"], "gap")
     if cfg["kmax_per_n"] < 1:
         raise ValueError(f"kmax_per_n={cfg['kmax_per_n']} must be at least 1")
-    # one pass per (N, gap) and cutoff: the family cases share their tuples
+    # one call per N and cutoff, one pass per gap in it: the family cases
+    # share their tuples, and every gap the call's random draws
     reports = {}
+    gaps = tuple(Thresholds(gap=gap) for gap in cfg["gap_grid"])
     for N in cfg["n_grid"]:
-        for gap in cfg["gap_grid"]:
-            by_kmax = {}
-            for case in cases:
-                kmax = (int(cfg["kmax_per_n"] * N) if not case.startswith("2d")
-                        else max(8, int(N)))
-                by_kmax.setdefault(kmax, {})[case] = None
-            for kmax, group in by_kmax.items():
-                for rep in verify_multiplier_bounds(tuple(group), N, kmax, s=cfg["s"],
-                                                    thresholds=Thresholds(gap=gap),
-                                                    seed=cfg["seed"]):
-                    reports[rep.case, N, gap] = rep
+        by_kmax = {}
+        for case in cases:
+            kmax = (int(cfg["kmax_per_n"] * N) if not case.startswith("2d")
+                    else max(8, int(N)))
+            by_kmax.setdefault(kmax, {})[case] = None
+        for kmax, group in by_kmax.items():
+            for th, reps in zip(gaps, verify_multiplier_bounds(
+                    tuple(group), N, kmax, s=cfg["s"], thresholds=gaps, seed=cfg["seed"])):
+                for rep in reps:
+                    reports[rep.case, N, th.gap] = rep
     rows = []
     for case in cases:
         for N in cfg["n_grid"]:

@@ -281,31 +281,69 @@ def transform_plan(geometry: TorusGeometry, cutoff: tuple[int, ...],
                          _read_only(-1j * _kabs(geometry, cutoff) ** 2))
 
 
+def _smooth5_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length pocketfft runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p235 = p35
+            while p235 < n:
+                p235 *= 2
+            best = min(best, p235)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@lru_cache(maxsize=32)
 def dealiasing_plan(geometry: TorusGeometry, cutoff: tuple[int, ...]) -> TransformPlan:
-    """The plan of the grid on which |u|^(4/d) u is alias-free: (2K+1) times
-    (p + 2) // 2 points per axis for the degree p = 1 + 4/d."""
-    oversample = (geometry.nonlinearity_degree + 2) // 2
-    return transform_plan(geometry, cutoff, tuple((2 * k + 1) * oversample for k in cutoff))
+    """The plan of the grid on which |u|^(4/d) u is alias-free: per axis the
+    smallest 5-smooth length M >= (p+1)K+1 for the degree p = 1 + 4/d.
+
+    The product of p factors holds modes up to pK, and a mode m lands on the
+    lattice of M points as m - jM, so M > (p+1)K keeps every alias j != 0 off
+    [-K, K]; the grid also integrates |u|^(p+1), whose modes reach
+    (p+1)K < M, exactly.  Cached per (geometry, cutoff).
+    """
+    p = geometry.nonlinearity_degree
+    return transform_plan(geometry, cutoff, tuple(_smooth5_length((p + 1) * k + 1)
+                                                  for k in cutoff))
 
 
 def grid_values(plan: TransformPlan, coeffs: np.ndarray) -> np.ndarray:
-    """Grid samples of the coefficient array ``coeffs`` (see ``to_physical``)."""
+    """Grid samples of the coefficient array ``coeffs`` (see ``to_physical``).
+
+    The weighted coefficients go into the grid slots of their modes and the
+    unnormalised inverse FFTs (``norm="forward"``) write into that scratch
+    buffer, so no pass rescales the grid.
+    """
     sizes = plan.sizes
     vals = plan.weight * coeffs
     for axis in reversed(range(len(sizes))):
         buf = np.zeros(vals.shape[:axis] + (sizes[axis],) + vals.shape[axis + 1:],
                        dtype=np.complex128)
         buf[(slice(None),) * axis + (plan.index[axis],)] = vals
-        vals = np.fft.ifft(buf, axis=axis)
-    return vals * plan.points
+        vals = np.fft.ifft(buf, axis=axis, norm="forward", out=buf)
+    return vals
 
 
 def lattice_coeffs(plan: TransformPlan, values: np.ndarray) -> np.ndarray:
-    """Coefficient array of the grid samples ``values`` (see ``from_physical``)."""
+    """Coefficient array of the grid samples ``values`` (see ``from_physical``):
+    unnormalised FFTs, then 1/(points * weight) in place on the kept modes."""
     spec = values
     for axis in reversed(range(len(plan.sizes))):
         spec = np.fft.fft(spec, axis=axis).take(plan.index[axis], axis=axis)
-    return spec / plan.points / plan.weight
+    spec *= 1.0 / (plan.points * plan.weight)
+    return spec
+
+
+def modulus_squared(values: np.ndarray) -> np.ndarray:
+    """|values|^2 as re^2 + im^2, in one new real array."""
+    out = np.square(values.real)
+    out += np.square(values.imag)
+    return out
 
 
 def dealiased_map(plan: TransformPlan, coeffs: np.ndarray, pointwise) -> np.ndarray:
@@ -313,12 +351,15 @@ def dealiased_map(plan: TransformPlan, coeffs: np.ndarray, pointwise) -> np.ndar
 
     The coefficient array goes to ``plan``'s grid, ``pointwise(values,
     |values|^(4/d))`` maps the samples, and the result comes back to the
-    lattice.  On the ``dealiasing_plan`` grid this is exact for the
-    projected nonlinearity |u|^(4/d) u.
+    lattice.  Both arrays are scratch that ``pointwise`` may overwrite and
+    return.  On the ``dealiasing_plan`` grid this is exact for the projected
+    nonlinearity |u|^(4/d) u.
     """
     vals = grid_values(plan, coeffs)
-    mod2 = vals.real ** 2 + vals.imag ** 2
-    potential = mod2 ** ((plan.geometry.nonlinearity_degree - 1) // 2)
+    potential = modulus_squared(vals)
+    power = (plan.geometry.nonlinearity_degree - 1) // 2
+    if power > 1:
+        potential **= power
     return lattice_coeffs(plan, pointwise(vals, potential))
 
 

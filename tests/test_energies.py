@@ -17,7 +17,8 @@ from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, BudgetError, Con
                              cumulative_simpson, e_i1, energy,
                              energy_identity_residual, gamma_sums, lambda_eval,
                              mass, modified_energy, nonlinear_coefficient_field)
-from nlslab.geometry import build_geometry, field_from_modes, free_evolve, random_field, zero_field
+from nlslab.geometry import (build_geometry, field_from_modes, free_evolve, random_field,
+                             to_physical, zero_field)
 from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
 
@@ -48,6 +49,22 @@ class TestPointEnergies:
         u = field_from_modes(g, 3, {(1, 0): g.volume})
         # |u| = 1: E = vol*(1/2*|k|^2 + kappa/4)
         assert energy(u, "defocusing") == pytest.approx(g.volume * (0.5 + 0.25), rel=1e-13)
+
+    @pytest.mark.parametrize("d, gamma, cutoff", [(1, (), 7), (1, (), 32), (2, (0.75,), 5),
+                                                  (2, (0.75,), 32), (2, (0.6,), (3, 8))])
+    @pytest.mark.parametrize("sign", ["defocusing", "focusing"])
+    def test_energy_matches_the_oversampled_grid(self, d, gamma, cutoff, sign):
+        # |u|^(p+1) has modes up to (p+1)K: the dealiasing grid (> (p+1)K
+        # points per axis) and the (2K+1)(p+3)//2 grid both integrate it exactly
+        g = build_geometry(d, gamma, 1.4)
+        u = random_field(g, cutoff, np.random.default_rng(23), profile_s=0.5, mass=0.5)
+        deg = g.nonlinearity_degree + 1
+        kinetic = 0.5 * g.measure_weight * float(np.sum(u.kabs() ** 2 * np.abs(u.coeffs) ** 2))
+        vals = to_physical(u, (deg + 2) // 2)
+        mod2 = vals.real ** 2 + vals.imag ** 2
+        potential = float(np.mean(mod2 ** (deg // 2))) * g.volume / deg
+        ref = kinetic + energies.SIGN[sign] * potential
+        assert energy(u, sign) == pytest.approx(ref, rel=1e-14)
 
 
 class TestLambdaEval:

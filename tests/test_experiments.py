@@ -14,9 +14,9 @@ from nlslab.cli import main
 from nlslab.config import (ConfigError, config_hash, fmt, parse_config_text,
                            validate)
 from nlslab import experiments
-from nlslab.experiments import (_interval_modes, _smooth5_length,
-                                bilinear_packet_norms, identity_tolerance,
+from nlslab.experiments import (_interval_modes, bilinear_packet_norms, identity_tolerance,
                                 linear_l6_plane_wave_check)
+from nlslab.geometry import _smooth5_length
 
 
 class TestConfig:
@@ -693,18 +693,18 @@ def _whole_array_draws(M, n_freq, lam, draws, rng, coherent, dtype=np.complex64)
             b = np.exp(2j * np.pi * rng.random(len(k2)))
         a = (a / np.sqrt(L * np.sum(np.abs(a) ** 2))).astype(dtype)
         b = (b / np.sqrt(L * np.sum(np.abs(b) ** 2))).astype(dtype)
-        fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1)
-        fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1)
+        fa = np.fft.fft(a[None, :] * phase1, n=pad, axis=1, norm="ortho")
+        fb = np.fft.fft(b[None, :] * phase2, n=pad, axis=1, norm="ortho")
         prod = fa * fb
         prod = prod.view(prod.real.dtype)
-        sq = (L / pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
+        sq = (L * pad) * np.einsum("ij,ij->i", prod, prod, dtype=np.float64)
         out[i] = np.sqrt(np.trapezoid(sq, dx=T / (n_t - 1)))
     return out
 
 
 # (M, n_freq, lambda, _DRAW_CHUNK_BYTES or None for the module's): the first
 # runs 30-row blocks over n_t = 320 rows (pad 2160), the others 96 rows in
-# blocks of 7 (pad 9, 1 KiB) and of 1
+# blocks of 2 (pad 25, 1 KiB) and of 1
 CHUNKED_DRAWS = [(16, 256.0, 64.0, None), (3, 32.0, 4.0, 1 << 10), (3, 32.0, 4.0, 1)]
 
 
@@ -723,14 +723,14 @@ def test_row_blocks_bit_identical_to_whole_array(M, n_freq, lam, chunk, dtype, c
 
 
 def test_draw_memory_is_phases_plus_row_blocks():
-    # one M = 16 draw at the bench's n_freq and lambda holds the two phase
-    # arrays and a few complex128 row blocks, however many draws it makes
-    # (the whole-array kernel traced 36-47 MB here)
+    # one M = 16 draw at the bench's n_freq and lambda holds one phase array
+    # and a few complex64 row blocks, however many draws it makes (the
+    # whole-array kernel traced 36-47 MB here; two phase arrays and
+    # complex128 blocks 9.1-10.0 MB)
     M, n_freq, lam = 16, 256.0, 64.0
     n_t = int(np.ceil(5 * M * M * lam / n_freq))
-    modes = len(_interval_modes(-1.5 * M, -0.5 * M, lam)) + len(_interval_modes(
-        0.5 * M, 1.5 * M, lam))
-    bound = n_t * modes * np.dtype(np.complex64).itemsize + 6 * experiments._DRAW_CHUNK_BYTES
+    modes = len(_interval_modes(-1.5 * M, -0.5 * M, lam))
+    bound = n_t * modes * np.dtype(np.complex64).itemsize + 4 * experiments._DRAW_CHUNK_BYTES
     for draws in (1, 4):
         tracemalloc.start()
         try:
@@ -753,3 +753,63 @@ def test_parseval_draw_matches_convolution(M, coherent):
     ref = _convolution_draws(*args, np.random.default_rng(3), coherent,
                              dtype=np.complex128)
     assert np.max(np.abs(exact - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("M, n_freq, lam", [(2, 64.0, 16.0), (8, 64.0, 16.0), (16, 256.0, 64.0)])
+@pytest.mark.parametrize("coherent", [True, False])
+def test_single_precision_draws_match_double(M, n_freq, lam, coherent):
+    # complex64 packets and FFTs, with row sums in double, against complex128
+    args = (M, n_freq, lam, 3)
+    single = bilinear_packet_norms(*args, np.random.default_rng(8), coherent)
+    double = bilinear_packet_norms(*args, np.random.default_rng(8), coherent,
+                                   dtype=np.complex128)
+    assert np.max(np.abs(single - double) / double) <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.3, 4.0, 17.5, 64.0])
+def test_second_interval_is_the_first_negated_and_reversed(lam):
+    # so the second packet's phases are the first's reversed, bit for bit
+    t = np.linspace(0.0, 0.37, 7)
+    for M in (1, 2, 3, 4, 5, 6, 7, 8, 16, 32):
+        k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
+        k2 = _interval_modes(0.5 * M, 1.5 * M, lam)
+        assert k2.tobytes() == (-k1[::-1]).tobytes(), (M, lam)
+        phase1 = np.exp(-1j * np.outer(t, k1 ** 2)).astype(np.complex64)
+        phase2 = np.exp(-1j * np.outer(t, k2 ** 2)).astype(np.complex64)
+        assert phase2.tobytes() == np.ascontiguousarray(phase1[:, ::-1]).tobytes(), (M, lam)
+
+
+@pytest.mark.parametrize("coherent", [True, False])
+def test_quad_gap_is_the_trapezoid_gap_at_twice_the_step(coherent):
+    # each draw's squared norm per time row from the product's coefficients
+    # (a direct convolution per row, in double), integrated over [0, t_m]
+    # (m the last even row) at step h and at 2h
+    M, n_freq, lam, draws = 3, 32.0, 4.0, 3
+    got = bilinear_packet_norms(M, n_freq, lam, draws, np.random.default_rng(6), coherent,
+                                dtype=np.complex128)
+    rng = np.random.default_rng(6)
+    T = lam / n_freq
+    k1 = _interval_modes(-1.5 * M, -0.5 * M, lam)
+    k2 = _interval_modes(0.5 * M, 1.5 * M, lam)
+    L = 2 * np.pi * lam
+    n_t = int(min(4096, max(96, np.ceil(5 * M * M * T))))
+    t = np.linspace(0.0, T, n_t)
+    m = n_t - 1 if (n_t - 1) % 2 == 0 else n_t - 2
+    h = T / (n_t - 1)
+    for i in range(draws):
+        if coherent:
+            a = 1 + 0.2 * (rng.standard_normal(len(k1)) + 1j * rng.standard_normal(len(k1)))
+            b = 1 + 0.2 * (rng.standard_normal(len(k2)) + 1j * rng.standard_normal(len(k2)))
+        else:
+            a = np.exp(2j * np.pi * rng.random(len(k1)))
+            b = np.exp(2j * np.pi * rng.random(len(k2)))
+        a = a / np.sqrt(L * np.sum(np.abs(a) ** 2))
+        b = b / np.sqrt(L * np.sum(np.abs(b) ** 2))
+        sq = np.array([L * np.sum(np.abs(np.convolve(a * np.exp(-1j * s * k1 ** 2),
+                                                     b * np.exp(-1j * s * k2 ** 2))) ** 2)
+                       for s in t])
+        fine = np.trapezoid(sq[:m + 1], dx=h)
+        coarse = np.trapezoid(sq[:m + 1:2], dx=2 * h)
+        assert got.quad_gap[i] == pytest.approx(abs(fine - coarse) / fine, rel=1e-6)
+        assert got[i] == pytest.approx(np.sqrt(np.trapezoid(sq, dx=h)), rel=1e-12)
+    assert 0.0 < np.max(got.quad_gap) < 1e-2

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nlslab.energies import nonlinear_coefficient_field
+from nlslab import geometry
+from nlslab.energies import nonlinear_coefficient_field, nonlinear_coefficients
 from nlslab.geometry import (TorusGeometry, build_geometry, field_from_modes,
                              free_evolve, from_physical, grid_points, load_field,
                              lp_project, lp_spacetime_norm, norm,
@@ -188,18 +189,17 @@ def test_fields_are_immutable():
 # -- the pruned transforms against numpy's n-D FFTs ---------------------------
 
 
-def _ifftn_reference(f, oversample):
-    sizes = tuple((2 * k + 1) * oversample for k in f.cutoff)
+def _ifftn_reference(f, sizes):
     buf = np.zeros(sizes, dtype=np.complex128)
     slots = tuple(np.arange(-k, k + 1) % m for k, m in zip(f.cutoff, sizes))
     buf[np.ix_(*slots)] = f.geometry.measure_weight * f.coeffs
-    return np.fft.ifftn(buf) * np.prod(sizes)
+    return np.fft.ifftn(buf, norm="forward")
 
 
 def _fftn_reference(values, geometry, cutoff):
-    spec = np.fft.fftn(values) / np.prod(values.shape)
     slots = tuple(np.arange(-k, k + 1) % m for k, m in zip(cutoff, values.shape))
-    return spec[np.ix_(*slots)] / (1.0 / geometry.volume)
+    spec = np.fft.fftn(values)[np.ix_(*slots)]
+    return spec * (1.0 / (np.prod(values.shape) * geometry.measure_weight))
 
 
 TRANSFORM_CASES = [(1, (), 7), (1, (), 32), (2, (0.75,), 7), (2, (0.75,), (5, 3)),
@@ -212,7 +212,8 @@ def test_transforms_bit_identical_to_numpy_nd(d, gamma, cutoff, oversample):
     g = build_geometry(d, gamma, 1.7)
     u = random_field(g, cutoff, np.random.default_rng(11))
     vals = to_physical(u, oversample)
-    assert vals.tobytes() == _ifftn_reference(u, oversample).tobytes()
+    sizes = tuple((2 * k + 1) * oversample for k in u.cutoff)
+    assert vals.tobytes() == _ifftn_reference(u, sizes).tobytes()
     back = from_physical(vals, g, u.cutoff)
     assert back.coeffs.tobytes() == _fftn_reference(vals, g, u.cutoff).tobytes()
     # a grid finer than the cutoff needs, and a smaller cutoff on it
@@ -238,10 +239,74 @@ def test_nonlinear_coefficients_bit_identical_to_numpy_nd(d, gamma, cutoff):
     g = build_geometry(d, gamma, 1.7)
     u = random_field(g, cutoff, np.random.default_rng(13))
     p = g.nonlinearity_degree
-    vals = _ifftn_reference(u, (p + 2) // 2)
+    vals = _ifftn_reference(u, geometry.dealiasing_plan(g, u.cutoff).sizes)
     mod2 = vals.real ** 2 + vals.imag ** 2
-    expected = _fftn_reference(mod2 ** ((p - 1) // 2) * vals, g, u.cutoff)
+    expected = _fftn_reference(vals * mod2 ** ((p - 1) // 2), g, u.cutoff)
     assert nonlinear_coefficient_field(u).coeffs.tobytes() == expected.tobytes()
+
+
+def _is_smooth5(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+@pytest.mark.parametrize("d, gamma", [(1, ()), (2, (0.75,))])
+def test_dealiasing_sizes_are_the_smallest_smooth_alias_free(d, gamma):
+    # per axis the smallest 2^a 3^b 5^c >= (p+1)K+1: a product of p factors
+    # holds modes up to pK, whose aliases m - M stay off [-K, K] once M > (p+1)K
+    g = build_geometry(d, gamma, 1.0)
+    p = g.nonlinearity_degree
+    for K in range(0, 70):
+        cutoff = (K,) * d if d == 1 else (K, max(0, K - 3))
+        for k, m in zip(cutoff, geometry.dealiasing_plan(g, cutoff).sizes):
+            low = (p + 1) * k + 1
+            assert m >= low and _is_smooth5(m), (k, m)
+            assert not any(_is_smooth5(n) for n in range(low, m)), (k, m)
+    # 1-D kcut 64 and the bench's 2-D K = 32, where (2K+1)(p+2)//2 read 387 and 130
+    assert geometry.dealiasing_plan(g, (64,) * d).sizes == ((400,) if d == 1 else (270, 270))
+    assert geometry.dealiasing_plan(g, (32,) * d).sizes == ((200,) if d == 1 else (135, 135))
+
+
+@pytest.mark.parametrize("d, gamma, cutoff", TRANSFORM_CASES)
+def test_nonlinear_coefficients_match_the_oversampled_grid(d, gamma, cutoff):
+    # the (2K+1)(p+2)//2 grid is alias-free too: both grids give the same
+    # projected |u|^(4/d) u up to rounding
+    g = build_geometry(d, gamma, 1.7)
+    u = random_field(g, cutoff, np.random.default_rng(17))
+    p = g.nonlinearity_degree
+    wide = geometry.transform_plan(g, u.cutoff,
+                                   tuple((2 * k + 1) * ((p + 2) // 2) for k in u.cutoff))
+    ref = nonlinear_coefficients(wide, u.coeffs)
+    got = nonlinear_coefficient_field(u).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _full_convolution(a, b):
+    out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)), dtype=np.complex128)
+    for idx in np.ndindex(a.shape):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
+    return out
+
+
+@pytest.mark.parametrize("d, gamma, cutoff", [(1, (), 3), (2, (0.75,), (2, 1))])
+def test_nonlinear_coefficients_match_brute_force_convolution(d, gamma, cutoff):
+    # |u|^(4/d) u = u ubar u ... (p factors); ubar has coefficient
+    # conj(uhat(-n)) at n, and a product's coefficients are w^(p-1) times
+    # the lattice convolution of its factors'
+    g = build_geometry(d, gamma, 1.3)
+    u = random_field(g, cutoff, np.random.default_rng(19))
+    p = g.nonlinearity_degree
+    factors = [u.coeffs if j % 2 == 0 else np.conj(np.flip(u.coeffs)) for j in range(p)]
+    full = factors[0]
+    for f in factors[1:]:
+        full = _full_convolution(full, f)
+    centre = tuple(slice((p - 1) * k, (p + 1) * k + 1) for k in u.cutoff)
+    ref = g.measure_weight ** (p - 1) * full[centre]
+    got = nonlinear_coefficient_field(u).coeffs
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_cached_lattice_arrays_are_read_only():
