@@ -45,6 +45,7 @@ import numpy as np
 
 from .classify import (BELOW, Thresholds, _verdicts_1d, _verdicts_2d, is_nonresonant,
                        is_resonant)
+# ``mass`` is imported from here by ``dynamics``, the package and the bench's hooks
 from .geometry import (SpectralField, TransformPlan, dealiased_map, dealiasing_plan,
                        grid_values, integrate_grid, mass, modulus_squared,
                        pointwise_product)
@@ -694,17 +695,6 @@ def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds)
 # -- modified energies ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    t: float
-    mass: float
-    energy: float
-    e_i1: float
-    correction: float
-    e_i2: float
-    sign: str
-
-
 def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
          check: str | None = None, budget: int = DEFAULT_TUPLE_BUDGET,
          rtol: float = 1e-8) -> float:
@@ -731,27 +721,6 @@ def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
             raise ConsistencyError(
                 f"E(Iu) two-path mismatch: physical {value!r} vs direct {alt!r}")
     return value
-
-
-def modified_energy(f: SpectralField, level: int, N: float, s: float,
-                    sign: str = "defocusing",
-                    thresholds: Thresholds = Thresholds(), t: float = 0.0,
-                    check: str | None = "direct",
-                    budget: int = DEFAULT_TUPLE_BUDGET) -> EnergyReport:
-    """EnergyReport at levels 1 (E(Iu)) or 2 (with the resonant correction,
-    one ``correction_sums`` walk)."""
-    if level not in (1, 2):
-        raise ValueError("level must be 1 or 2")
-    kappa = _kappa(sign)
-    base = e_i1(f, N, s, sign, check=check, budget=budget)
-    correction = 0.0
-    if level == 2:
-        deg = f.geometry.nonlinearity_degree + 1
-        st, = correction_sums(f, [N], s, [([[f] * deg], ("sigma_tilde",))], thresholds,
-                              budget=budget)
-        correction = kappa * float(np.real(f.geometry.measure_weight ** (deg - 1) * st[0, 0, 0]))
-    return EnergyReport(t=t, mass=mass(f), energy=energy(f, sign), e_i1=base,
-                        correction=correction, e_i2=base + correction, sign=sign)
 
 
 # -- the d/dt Lambda machinery and the end-to-end residual ---------------------

@@ -78,6 +78,14 @@ def run_simulate(cfg: dict, out_dir: Path) -> int:
     return 2 if traj.aborted else 0
 
 
+def _abort_lines(traj) -> list[str]:
+    """The summary line that names the step at which ``traj`` aborted."""
+    if not traj.aborted:
+        return []
+    d = traj.diagnostics
+    return [f"TRAJECTORY ABORTED at step {d['failed_step']} (t={d['t']!r}): {d['reason']}"]
+
+
 def identity_tolerance(t, y, energy, e_i1) -> float:
     """IDENTITY_SAFETY times the error estimate of the identity residual.
 
@@ -156,7 +164,7 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
             for i, (t, rep) in enumerate(zip(out["t"], traj.reports))]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "energy_track.csv", TRACK_COLUMNS, rows)
-    ok = rmax <= tol
+    identity_ok = rmax <= tol
     write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
                    {"aborted": traj.aborted, "imag_leak": float(out["imag_leak"][0]),
                     "residual_max": rmax, "residual_tol": tol,
@@ -166,9 +174,10 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
         f"energy-track: N={N} s={s} residual max {rmax:.3e} (tolerance {tol:.3e})",
         f"E_I^2 increment: {float(np.max(np.abs(e2 - e2[0]))):.3e}",
         f"E_I^1 increment: {float(np.max(np.abs(e1 - e1[0]))):.3e}",
-        "identity ok" if ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
+        "identity ok" if identity_ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
+        *_abort_lines(traj),
     ])
-    return 0 if ok else 2
+    return 0 if identity_ok and not traj.aborted else 2
 
 
 # -- strichartz probes -----------------------------------------------------------
@@ -558,7 +567,8 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
               ["N", "sup_increment_e_i2", "sup_increment_e_i1", "correction_magnitude",
                "boundary_ratio", "residual_max", "residual_tol", "horizon", "flag"], rows)
     write_manifest(out_dir, "almost-conservation", cfg, {"seed": cfg["seed"]},
-                   {"monotone": monotone, "corrected_below_raw": final_better,
+                   {"aborted": traj.aborted, "monotone": monotone,
+                    "corrected_below_raw": final_better,
                     "identity_ok": identity_ok, "walk_tuples": out["walk_tuples"],
                     "budget_tuples": out["budget_tuples"]})
     _summary(out_dir, [
@@ -567,5 +577,6 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
         f"monotone decreasing in N: {monotone}",
         f"corrected below raw at N={cfg['n_grid'][-1]}: {final_better}",
         "identity ok" if identity_ok else "IDENTITY RESIDUAL ABOVE TOLERANCE",
+        *_abort_lines(traj),
     ])
-    return 0 if (monotone and final_better and identity_ok) else 2
+    return 0 if (monotone and final_better and identity_ok and not traj.aborted) else 2

@@ -1,4 +1,4 @@
-"""Torus lattices, spectral fields, norms, projections, and the free flow.
+"""Torus lattices, spectral fields, norms, grid transforms, and the free flow.
 
 Conventions
 -----------
@@ -91,9 +91,6 @@ class TorusGeometry:
         """Power 1 + 4/d of the mass-critical nonlinearity |u|^(4/d) u."""
         return 1 + 4 // self.dimension
 
-    def rescaled(self, lam: float) -> "TorusGeometry":
-        return TorusGeometry(self.dimension, self.gamma, lam)
-
 
 def build_geometry(d: int, gamma=(), lam: float = 1.0) -> TorusGeometry:
     return TorusGeometry(d, gamma, lam)
@@ -153,22 +150,10 @@ class SpectralField:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return self.with_coeffs(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return self.with_coeffs(self.coeffs - other.coeffs)
-
     def __mul__(self, scalar: complex) -> "SpectralField":
         return self.with_coeffs(self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: "SpectralField"):
-        if self.geometry != other.geometry or self.cutoff != other.cutoff:
-            raise ValueError("fields live on different lattices")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -421,7 +406,7 @@ def integrate_grid(values: np.ndarray, geometry: TorusGeometry) -> complex:
     return complex(np.mean(values) * geometry.volume)
 
 
-# -- dyadic shells and projections --------------------------------------------
+# -- dyadic shells --------------------------------------------------------------
 
 
 def sharp_shell_index(kabs) -> np.ndarray:
@@ -431,36 +416,6 @@ def sharp_shell_index(kabs) -> np.ndarray:
     big = kabs >= 2.0
     out[big] = 2.0 ** np.floor(np.log2(kabs[big]))
     return out
-
-
-def smooth_shell_weight(kabs, level: int) -> np.ndarray:
-    """Raised-cosine Littlewood-Paley weight; the levels sum to one exactly."""
-    kabs = np.asarray(kabs, dtype=float)
-    if level == 1:
-        w = np.zeros_like(kabs)
-        w[kabs < 1.0] = 1.0
-        mid = (kabs >= 1.0) & (kabs < 2.0)
-        t = np.log2(kabs[mid])  # in [0, 1)
-        w[mid] = np.cos(0.5 * np.pi * t) ** 2
-        return w
-    w = np.zeros_like(kabs)
-    with np.errstate(divide="ignore"):
-        t = np.where(kabs > 0, np.log2(np.maximum(kabs, 1e-300) / level), -np.inf)
-    rising = (t >= -1.0) & (t < 0.0)
-    falling = (t >= 0.0) & (t < 1.0)
-    w[rising] = np.sin(0.5 * np.pi * (t[rising] + 1.0)) ** 2
-    w[falling] = np.cos(0.5 * np.pi * t[falling]) ** 2
-    return w
-
-
-def lp_project(f: SpectralField, level: int, sharp: bool = True) -> SpectralField:
-    if level < 1 or (level & (level - 1)) != 0:
-        raise ValueError(f"dyadic level {level} must be a power of two >= 1")
-    kabs = f.kabs()
-    if sharp:
-        mask = sharp_shell_index(kabs) == level
-        return f.with_coeffs(np.where(mask, f.coeffs, 0.0))
-    return f.with_coeffs(smooth_shell_weight(kabs, level) * f.coeffs)
 
 
 # -- free evolution and space-time norms --------------------------------------

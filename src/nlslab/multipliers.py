@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import sharp_shell_index
 from .smoothing import SmoothingSymbol, m_value
 
 
@@ -59,11 +58,6 @@ def _alt_signs(n: int) -> np.ndarray:
     return s
 
 
-def constraint_residual(k, d: int) -> np.ndarray:
-    arr = as_tuple_array(k, d)
-    return np.sum(arr, axis=-1 if d == 1 else -2)
-
-
 def omega(k, d: int = 1) -> np.ndarray:
     """Resonance function sum (-1)^(i+1) |k_i|^2 (exact for integer input)."""
     sq = squared_mags(k, d)
@@ -89,48 +83,7 @@ def sigma_product(k, sym: SmoothingSymbol, d: int = 1) -> np.ndarray:
     return np.prod(m_value(r, sym), axis=-1)
 
 
-@dataclass(frozen=True)
-class FrequencyTuple:
-    """A concrete point of Gamma_n with shell metadata."""
-
-    entries: tuple
-    d: int = 1
-
-    def __post_init__(self):
-        arr = as_tuple_array(np.array(self.entries, dtype=float), self.d)
-        n = arr.shape[0]
-        if n not in (2, 4, 6, 10):
-            raise ValueError(f"slot count {n} not in (2, 4, 6, 10)")
-        res = constraint_residual(arr, self.d)
-        if not np.all(np.abs(res) <= 1e-9 * max(1.0, float(np.max(np.abs(arr))))):
-            raise ValueError(f"tuple off the zero-sum hyperplane (residual {res})")
-        object.__setattr__(self, "entries", tuple(map(tuple, arr)) if self.d == 2
-                           else tuple(float(x) for x in arr))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-    def mags(self) -> np.ndarray:
-        return mags(self.array(), self.d)
-
-    def shells(self) -> np.ndarray:
-        """Sharp dyadic shell of each slot."""
-        return sharp_shell_index(self.mags())
-
-    def sorted_mags(self) -> np.ndarray:
-        return np.sort(self.mags())[::-1]
-
-
-def sohinger_tuple(K: int = 1) -> FrequencyTuple:
-    """The family K*(5, -3, 6, -2, 1, -7): zero sum and zero resonance."""
-    return FrequencyTuple(tuple(K * np.array([5, -3, 6, -2, 1, -7], dtype=float)))
-
-
-# -- generic symbol wrapper and substitution ----------------------------------
+# -- generic symbol wrapper -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -197,55 +150,3 @@ def constant_symbol(value: complex, n: int, d: int = 1) -> SymbolSpec:
 
     return SymbolSpec(f"Const({value})", n, d, ev, "product",
                       (lead,) + tuple(one for _ in range(n - 1)))
-
-
-def x_substitute(base: SymbolSpec, j: int) -> SymbolSpec:
-    """Collapse slots j..j+4 (1-indexed) of a Gamma_(n+4) tuple into their sum.
-
-    Returns the symbol on Gamma_(n+4) that evaluates ``base`` at
-    (k_1, .., k_(j-1), k_j + ... + k_(j+4), k_(j+5), ..).
-    """
-    if not (1 <= j <= base.n):
-        raise ValueError(f"substitution index {j} outside 1..{base.n}")
-    d = base.d
-    n_big = base.n + 4
-
-    def ev(k):
-        arr = as_tuple_array(k, d)
-        slot_ax = -1 if d == 1 else -2
-        group = np.take(arr, range(j - 1, j + 4), axis=slot_ax).sum(axis=slot_ax, keepdims=True)
-        head = np.take(arr, range(0, j - 1), axis=slot_ax)
-        tail = np.take(arr, range(j + 4, n_big), axis=slot_ax)
-        collapsed = np.concatenate([head, group, tail], axis=slot_ax)
-        return base(collapsed)
-
-    return SymbolSpec(f"X{j}[{base.name}]", n_big, d, ev, "general")
-
-
-def symmetrize(spec: SymbolSpec, k) -> np.ndarray:
-    """Average the symbol over permutations of odd slots and of even slots.
-
-    The multilinear pairing only sees this symmetrization, so identities
-    between differently-written symbols are checked modulo it.
-    """
-    from itertools import permutations
-
-    arr = as_tuple_array(k, spec.d)
-    n = spec.n
-    odd = list(range(0, n, 2))
-    even = list(range(1, n, 2))
-    total = None
-    count = 0
-    for po in permutations(odd):
-        for pe in permutations(even):
-            perm = [0] * n
-            for src, dst in zip(odd, po):
-                perm[dst] = src
-            for src, dst in zip(even, pe):
-                perm[dst] = src
-            slot_ax = -1 if spec.d == 1 else -2
-            shuffled = np.take(arr, perm, axis=slot_ax)
-            v = spec(shuffled)
-            total = v if total is None else total + v
-            count += 1
-    return total / count

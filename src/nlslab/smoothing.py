@@ -1,4 +1,4 @@
-"""Smoothing multiplier, rescaling, and the well-posedness iteration arithmetic.
+"""Smoothing multiplier and the well-posedness iteration arithmetic.
 
 The smoothing symbol of threshold N and order alpha is
 
@@ -15,18 +15,16 @@ which is flat to all orders at both junctions.  phi is nondecreasing with
 max phi' ~= 1.39, so xi -> m(xi)|xi| is nondecreasing for alpha <= ~0.72;
 construction rejects larger orders by default (the regimes of interest have
 alpha = 1 - s < 2/3).  Derivative-growth constants of the interpolant are
-implementation defined and reported by ``symbol_self_check`` instead of
-being assumed.
+implementation defined; nothing here assumes their values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpectralField, TorusGeometry
+from .geometry import SpectralField
 
 # max slope of phi on [0,1]; measured on a fine grid, rounded up.
 PHI_MAX_SLOPE = 1.40
@@ -92,51 +90,6 @@ def m_value(xi, sym: SmoothingSymbol):
 def apply_I(f: SpectralField, sym: SmoothingSymbol) -> SpectralField:
     """Coefficientwise multiplication by the smoothing symbol."""
     return f.with_coeffs(m_value(f.kabs(), sym) * f.coeffs)
-
-
-def rescale(f: SpectralField, lam: float) -> SpectralField:
-    """Mass-critical rescaling u(x) -> lam^(-d/2) u(x/lam) onto the lam-torus.
-
-    Mode indices are preserved; the physical frequency of mode n becomes
-    n/(lam*gamma_axis).  The L2 norm is exactly invariant.
-    """
-    g = f.geometry
-    base = g.lam
-    target = TorusGeometry(g.dimension, g.gamma, lam)
-    factor = (lam / base) ** (g.dimension / 2.0)
-    return SpectralField(target, f.cutoff, factor * f.coeffs)
-
-
-def symbol_self_check(sym: SmoothingSymbol, orders: int = 8, grid: int = 801) -> dict:
-    """Measure derivative-growth constants C_a = sup |d^a m| |xi|^a / m.
-
-    Finite differences on a log grid over the transition annulus; returns a
-    JSON-ready report.  Also checks radial monotonicity and monotonicity of
-    m(xi)*|xi| pointwise on the grid.
-    """
-    xi = np.exp(np.linspace(np.log(sym.N * 0.9), np.log(sym.N * 2.4), grid))
-    m = m_value(xi, sym)
-    constants = {}
-    # central binomial differences, step scaled down with the order
-    for a in range(1, orders + 1):
-        h = sym.N * (2.0e-2 / a)
-        vals = sum(
-            (-1) ** i * math.comb(a, i) * m_value(xi + (a - 2 * i) * h / 2, sym)
-            for i in range(a + 1)
-        )
-        deriv = vals / h**a
-        constants[a] = float(np.max(np.abs(deriv) * xi**a / m))
-    radial_monotone = bool(np.all(np.diff(m) <= 1e-12))
-    mxi_monotone = bool(np.all(np.diff(m * xi) >= -1e-9 * sym.N))
-    return {
-        "N": sym.N,
-        "alpha": sym.alpha,
-        "orders": orders,
-        "grid_points": grid,
-        "max_constants": constants,
-        "radially_nonincreasing": radial_monotone,
-        "m_times_xi_nondecreasing": mxi_monotone,
-    }
 
 
 # -- iteration arithmetic ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The benchmark's span hooks name functions that exist in ``nlslab``, and
-its counters read the results those functions return.
+"""The benchmark's span hooks and imports name functions that exist in
+``nlslab``, and its counters read the results those functions return.
 
 ``nlsbench/spans.py`` looks every hooked (module, function) up with
 ``getattr`` when a traced run starts, and its counters read attributes and
@@ -8,6 +8,7 @@ return shapes of the hooked calls, so a renamed function, a renamed
 ``nlsbench/run.py --trace 1``.  This test only reads ``nlsbench/``.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -45,6 +46,34 @@ def test_every_hooked_function_resolves(spans):
     assert missing == []
     boxes = importlib.import_module("nlslab.boxes")
     assert callable(boxes.BoxExpansion.reconstruct)
+
+
+def _bench_imports():
+    """(file, module, name) of every ``from nlslab... import name`` in
+    ``nlsbench/*.py``, and (file, module, None) of every ``import nlslab...``."""
+    found = []
+    for path in sorted(SPANS.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nlslab":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name, None) for alias in node.names
+                          if alias.name.split(".")[0] == "nlslab"]
+    return found
+
+
+def test_every_bench_import_resolves():
+    imports = _bench_imports()
+    assert ("jobs.py", "nlslab.multipliers", "m_multiplier_symbol") in imports
+    missing = []
+    for path, module, name in imports:
+        try:
+            target = importlib.import_module(module)
+            if name is not None and not hasattr(target, name):
+                importlib.import_module(f"{module}.{name}")  # a submodule
+        except ImportError:
+            missing.append((path, module, name))
+    assert missing == []
 
 
 def _on_lattice(field, n):

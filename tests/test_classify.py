@@ -14,7 +14,7 @@ from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TR
                              is_nonresonant, is_resonant, omega_lower_bound)
 from nlslab.energies import _Lattice, _lattice_verdicts
 from nlslab.geometry import build_geometry, zero_field
-from nlslab.multipliers import omega, sohinger_tuple
+from nlslab.multipliers import omega
 
 RNG = np.random.default_rng(5)
 
@@ -49,10 +49,10 @@ def test_separated_pair_is_nonresonant():
 
 
 def test_sohinger_is_resonant_case_iii():
-    t = sohinger_tuple(8).entries
+    t = 8 * np.array([5.0, -3, 6, -2, 1, -7])
     v = classify(t, N=8.0)
     assert v.code == RES_III
-    assert omega(np.array(t)) == 0.0
+    assert omega(t) == 0.0
 
 
 def test_below_threshold():

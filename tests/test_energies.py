@@ -16,7 +16,7 @@ from nlslab.energies import (_TABLE_TUPLES, CORRECTION_SYMBOLS, BudgetError, Con
                              _Lattice, _Orbits, correction_sums, correction_tables,
                              cumulative_simpson, e_i1, energy,
                              energy_identity_residual, gamma_sums, lambda_eval,
-                             mass, modified_energy, nonlinear_coefficient_field)
+                             mass, nonlinear_coefficient_field)
 from nlslab.geometry import (build_geometry, field_from_modes, free_evolve, random_field,
                              to_physical, zero_field)
 from nlslab.multipliers import bare_m6, omega, sigma_product
@@ -236,12 +236,14 @@ class TestTwoPathIdentity:
             e_i1(u, N=2.0, s=0.6, sign="defocusing", check="direct")
 
     def test_below_threshold_identity_with_plain_energy(self):
+        # every mode below N: E_I^1 is the plain energy and the correction
+        # of E_I^2 vanishes
         g = build_geometry(1)
         u = random_field(g, 3, RNG)
-        rep = modified_energy(u, level=2, N=8.0, s=0.5)
-        assert rep.e_i1 == pytest.approx(energy(u, "defocusing"), rel=1e-12)
-        assert rep.correction == 0.0
-        assert rep.e_i2 == rep.e_i1
+        assert e_i1(u, N=8.0, s=0.5, check="direct") == pytest.approx(
+            energy(u, "defocusing"), rel=1e-12)
+        st, = correction_sums(u, [8.0], 0.5, [([[u] * 6], ("sigma_tilde",))])
+        assert np.all(st == 0.0)
 
 
 def table_digest(tabs):
@@ -473,23 +475,6 @@ class TestCorrectionWalk:
                 assert out[key].shape[0] == len(Ns)
                 assert np.max(np.abs(out[key][i] - ref[key][0])) <= 1e-13 * scale, (N, key)
             assert np.max(np.abs(ref["correction"][0])) > 0
-
-    @pytest.mark.parametrize("d, gamma, cutoff, N", WALK_LATTICES)
-    def test_modified_energy_is_one_walk(self, d, gamma, cutoff, N, monkeypatch):
-        def no_tables(*args, **kwargs):
-            raise AssertionError("table built")
-
-        f = random_field(build_geometry(d, gamma, 1.0), cutoff, RNG)
-        deg = f.geometry.nonlinearity_degree + 1
-        sigma_tilde = correction_tables(f, N, 0.5).sigma_tilde
-        lam = np.real(f.geometry.measure_weight ** (deg - 1)
-                      * gamma_sums(sigma_tilde, [[f] * deg])[0])
-        assert lam != 0.0
-        monkeypatch.setattr(energies, "correction_tables", no_tables)
-        for sign, kappa in (("defocusing", 1.0), ("focusing", -1.0)):
-            rep = modified_energy(f, level=2, N=N, s=0.5, sign=sign, check=None)
-            assert abs(rep.correction - kappa * lam) <= 1e-13 * abs(lam)
-            assert rep.e_i2 == rep.e_i1 + rep.correction
 
     def test_residual_stores_no_table(self, monkeypatch):
         def no_tables(*args, **kwargs):

@@ -411,6 +411,26 @@ class TestRunners:
             assert (code, guards["identity_ok"], any(above)) == (
                 (0, True, False) if name == "exact" else (2, False, True))
 
+    @pytest.mark.parametrize("command, text", [
+        ("energy-track", "stride = 1\ndata.mass = 13\ndata.modes = 0\nenergy.n_cut = 1\n"),
+        ("almost-conservation", "samples = 400\nmass = 13\nn_grid = 1\n"),
+    ], ids=["energy-track", "almost-conservation"])
+    def test_aborted_trajectory_fails(self, command, text, tmp_path, monkeypatch):
+        # focusing data of mass 13 at dt 0.05 blow up at step 4; with the
+        # identity gate opened, only the abort can fail the run
+        monkeypatch.setattr(experiments, "identity_tolerance", lambda *a: float("inf"))
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("kcut = 3\nsign = focusing\ndt = 0.05\nt_end = 20\n" + text)
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+        guards = json.loads((tmp_path / "r" / "manifest.json").read_text())["guards"]
+        assert guards["aborted"]
+        if command == "almost-conservation":
+            assert guards["monotone"] and guards["corrected_below_raw"]
+            assert guards["identity_ok"]
+        assert code == 2
+        summary = (tmp_path / "r" / "summary.txt").read_text()
+        assert "TRAJECTORY ABORTED at step 4 " in summary
+
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
         cfgfile.write_text("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 5\n")

@@ -1,4 +1,4 @@
-"""Lattice, norm, projection, and free-flow behavior of spectral fields."""
+"""Lattice, norm, dyadic-shell, and free-flow behavior of spectral fields."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from nlslab import geometry
 from nlslab.energies import nonlinear_coefficient_field, nonlinear_coefficients
 from nlslab.geometry import (TorusGeometry, build_geometry, field_from_modes,
                              free_evolve, from_physical, grid_points, load_field,
-                             lp_project, lp_spacetime_norm, norm,
-                             pointwise_product, random_field,
-                             save_field, sharp_shell_index, smooth_shell_weight,
+                             lp_spacetime_norm, norm, pointwise_product,
+                             random_field, save_field, sharp_shell_index,
                              to_physical, zero_field)
 
 RNG = np.random.default_rng(7)
@@ -92,35 +91,14 @@ def test_product_matches_brute_force_convolution():
 
 
 def test_sharp_shells_partition_and_count():
-    g = build_geometry(1, (), 4.0)
-    u = random_field(g, 30, RNG)
-    levels = [1, 2, 4, 8]
-    total = sum((lp_project(u, N, sharp=True).coeffs for N in levels))
-    assert np.max(np.abs(total - u.coeffs)) == 0.0
-
-    # shell N=1 on the lambda=4 lattice holds |k| < 2, i.e. modes |n| <= 7
-    p1 = lp_project(u, 1, sharp=True)
-    modes = u.mode_range(0)
-    inside = np.abs(modes) <= 7
-    assert np.all(p1.coeffs[~inside] == 0)
-    assert np.all(p1.coeffs[inside] == u.coeffs[inside])
-
-
-def test_sharp_projection_idempotent_and_orthogonal():
-    g = build_geometry(1, (), 2.0)
-    u = random_field(g, 16, RNG)
-    p4 = lp_project(u, 4, sharp=True)
-    assert np.array_equal(lp_project(p4, 4, sharp=True).coeffs, p4.coeffs)
-    p8 = lp_project(u, 8, sharp=True)
-    assert norm(p4 + p8, "l2") ** 2 == pytest.approx(
-        norm(p4, "l2") ** 2 + norm(p8, "l2") ** 2, rel=1e-12)
-
-
-def test_smooth_shells_sum_to_one():
-    kabs = np.linspace(0.0, 40.0, 500)
-    total = sum(smooth_shell_weight(kabs, N) for N in (1, 2, 4, 8, 16, 32, 64))
-    assert np.max(np.abs(total - 1.0)) < 1e-12
     assert np.all(sharp_shell_index([0.5, 1.5, 2.0, 3.9, 4.0]) == [1, 1, 2, 2, 4])
+    # the levels 1, 2, 4, 8 take every mode of a K = 30 field exactly once;
+    # level 1 on the lambda = 4 lattice holds |k| < 2, i.e. modes |n| <= 7
+    f = zero_field(build_geometry(1, (), 4.0), 30)
+    shell = sharp_shell_index(f.kabs())
+    masks = [shell == N for N in (1, 2, 4, 8)]
+    assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(shell.shape, dtype=int))
+    assert np.array_equal(masks[0], np.abs(f.mode_range(0)) <= 7)
 
 
 def test_free_evolution_is_unitary_group():

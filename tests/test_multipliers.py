@@ -1,12 +1,8 @@
-"""Resonance functions, bare multipliers, and the substitution calculus."""
+"""Resonance functions and bare multipliers."""
 
 import numpy as np
-import pytest
 
-from nlslab.multipliers import (FrequencyTuple, SymbolSpec, alpha_n, bare_m6,
-                                constant_symbol, m_multiplier_symbol, omega,
-                                sigma_product, sohinger_tuple, symmetrize,
-                                x_substitute)
+from nlslab.multipliers import alpha_n, bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
 
 RNG = np.random.default_rng(3)
@@ -30,8 +26,7 @@ def test_omega_examples():
 
 def test_sohinger_family():
     for K in range(1, 10):
-        t = sohinger_tuple(K)
-        arr = t.array()
+        arr = K * np.array([5.0, -3, 6, -2, 1, -7])
         assert arr.sum() == 0.0
         assert omega(arr) == 0.0
 
@@ -48,7 +43,7 @@ def test_m_multiplier_reduces_to_omega_below_threshold():
     tups = random_gamma_tuples(6, 300, lo=-12, hi=12)
     assert np.max(np.abs(bare_m6(tups, sym) - omega(tups))) == 0.0
     # Sohinger tuples scaled so everything fits below threshold
-    t = sohinger_tuple(9).array()
+    t = 9 * np.array([5.0, -3, 6, -2, 1, -7])
     assert bare_m6(t[None, :], SmoothingSymbol(N=64.0, alpha=0.5))[0] == 0.0
 
 
@@ -67,53 +62,3 @@ def test_sigma_product_bounded_by_one():
     vals = sigma_product(tups, sym)
     assert np.all(vals <= 1.0 + 1e-15)
     assert np.all(vals > 0.0)
-
-
-def test_frequency_tuple_validation_and_shells():
-    t = FrequencyTuple((4.0, -3.0, 2.0, -3.0, 1.0, -1.0))
-    assert t.n == 6
-    assert np.array_equal(t.sorted_mags(), [4, 3, 3, 2, 1, 1])
-    assert np.array_equal(t.shells(), [4, 2, 2, 2, 1, 1])
-    with pytest.raises(ValueError, match="hyperplane"):
-        FrequencyTuple((1.0, 2.0, 3.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="slot count"):
-        FrequencyTuple((1.0, -1.0, 0.0))
-
-
-class TestSubstitution:
-    def test_constant_passthrough(self):
-        c = constant_symbol(2.5, 2)
-        x1 = x_substitute(c, 1)
-        tups = random_gamma_tuples(6, 50)
-        assert np.max(np.abs(x1(tups) - 2.5)) == 0.0
-
-    def test_collapse_respects_constraint(self):
-        # collapsing slots 2..6 of a Gamma_6 tuple leaves (k_1, -k_1) on Gamma_2
-        probe = SymbolSpec("probe", 2, 1, lambda k: k[..., 0] - (-k[..., 1]), "general")
-        x2 = x_substitute(probe, 2)
-        tups = random_gamma_tuples(6, 100)
-        assert np.max(np.abs(x2(tups))) == 0.0
-
-    def test_index_out_of_range(self):
-        c = constant_symbol(1.0, 2)
-        with pytest.raises(ValueError, match="substitution index"):
-            x_substitute(c, 3)
-
-    def test_sigma2_assembly_matches_smoothed_resonance(self):
-        # (-X_1 + X_2)(sigma_2), symmetrized over the pairing's slot
-        # permutations, equals (1/6) sum (-1)^(j+1) m^2(k_j) k_j^2 on Gamma_6
-        sym = SmoothingSymbol(N=4.0, alpha=0.5)
-
-        def sigma2(k):
-            return -0.5 * (m_value(np.abs(k[..., 0]), sym) * k[..., 0]
-                           * m_value(np.abs(k[..., 1]), sym) * k[..., 1])
-
-        spec2 = SymbolSpec("sigma2", 2, 1, sigma2, "general")
-        assembled = SymbolSpec(
-            "assembled", 6, 1,
-            lambda k: -x_substitute(spec2, 1)(k) + x_substitute(spec2, 2)(k),
-            "general")
-        tups = random_gamma_tuples(6, 40)
-        lhs = symmetrize(assembled, tups)
-        rhs = bare_m6(tups, sym) / 6.0
-        assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from nlslab.classify import Thresholds, classify_batch_1d, is_nonresonant, is_resonant
-from nlslab.geometry import build_geometry, free_evolve, lp_project, norm, zero_field
+from nlslab.geometry import build_geometry, free_evolve, norm, sharp_shell_index, zero_field
 from nlslab.multipliers import alpha_n, bare_m6, omega
 from nlslab.smoothing import ALPHA_MAX, SmoothingSymbol, m_value
 
@@ -36,8 +36,10 @@ def test_free_evolution_preserves_every_sobolev_norm(vals):
 @settings(max_examples=40, deadline=None)
 def test_sharp_shells_decompose_norm(vals):
     f = field_from_list([complex(a, b) for a, b in vals])
+    shell = sharp_shell_index(f.kabs())
     levels = [1, 2, 4, 8, 16]
-    total = sum(norm(lp_project(f, n, sharp=True), "l2") ** 2 for n in levels)
+    total = sum(norm(f.with_coeffs(np.where(shell == n, f.coeffs, 0.0)), "l2") ** 2
+                for n in levels)
     assert total == pytest.approx(norm(f, "l2") ** 2, rel=1e-12, abs=1e-12)
 
 

@@ -1,11 +1,10 @@
-"""Smoothing multiplier profile, rescaling, and budget arithmetic."""
+"""Smoothing multiplier profile and budget arithmetic."""
 
 import numpy as np
 import pytest
 
 from nlslab.geometry import build_geometry, field_from_modes, norm, random_field
-from nlslab.smoothing import (SmoothingSymbol, apply_I, gwp_budget, m_value, rescale,
-                              symbol_self_check, total_exponent)
+from nlslab.smoothing import SmoothingSymbol, apply_I, gwp_budget, m_value, total_exponent
 
 RNG = np.random.default_rng(11)
 
@@ -36,12 +35,6 @@ class TestSymbolValues:
         with pytest.raises(ValueError, match="alpha"):
             SmoothingSymbol(N=2.0, alpha=0.95)
 
-    def test_self_check_reports_finite_constants(self):
-        report = symbol_self_check(SmoothingSymbol(N=4.0, alpha=0.5), orders=6)
-        assert report["radially_nonincreasing"]
-        assert report["m_times_xi_nondecreasing"]
-        assert all(np.isfinite(v) for v in report["max_constants"].values())
-
 
 class TestApplyI:
     def test_identity_below_threshold(self):
@@ -62,45 +55,6 @@ class TestApplyI:
         out = apply_I(u, SmoothingSymbol(N=2.0, alpha=0.6))
         for s in (0.0, 0.5, 1.0):
             assert norm(out, "hs", s=s) <= norm(u, "hs", s=s) + 1e-14
-
-    def test_h1_bound_under_rescaling(self):
-        # || I u_lam ||_H1 <= C ||u||_Hs with lam = N^((1-s)/s); C stays small
-        s = 0.5
-        N = 8.0
-        lam = N ** ((1 - s) / s)
-        g = build_geometry(1, (), 1.0)
-        worst = 0.0
-        for _ in range(100):
-            u = random_field(g, 24, RNG, profile_s=s)
-            ul = rescale(u, lam)
-            val = norm(apply_I(ul, SmoothingSymbol(N, 1 - s)), "hs", s=1.0)
-            worst = max(worst, val / norm(u, "hs", s=s))
-        assert worst <= 4.0
-
-
-class TestRescale:
-    def test_l2_invariance_and_identity(self):
-        g = build_geometry(1, (), 1.0)
-        u = random_field(g, 10, RNG)
-        for lam in (1.0, 3.0, 17.5):
-            v = rescale(u, lam)
-            assert norm(v, "l2") == pytest.approx(norm(u, "l2"), rel=1e-13)
-        assert np.array_equal(rescale(u, 1.0).coeffs, u.coeffs)
-
-    def test_homogeneous_sobolev_scaling_single_mode(self):
-        g = build_geometry(1, (), 1.0)
-        u = field_from_modes(g, 8, {5: 1.3})
-        s = 0.7
-        lam = 4.0
-        v = rescale(u, lam)
-        assert norm(v, "dot_hs", s=s) == pytest.approx(
-            lam ** (-s) * norm(u, "dot_hs", s=s), rel=1e-13)
-
-    def test_roundtrip(self):
-        g = build_geometry(2, (0.8,), 1.0)
-        u = random_field(g, 4, RNG)
-        back = rescale(rescale(u, 6.0), 1.0)
-        assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-13
 
 
 class TestBudget:
