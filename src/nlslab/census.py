@@ -35,8 +35,7 @@ import numpy as np
 from .classify import (BELOW, RES_I, RES_II, Thresholds, classify_batch_1d,
                        classify_batch_2d, code_label, is_nonresonant, is_resonant,
                        omega_lower_bound)
-from .energies import (_GROUP_ROWS, _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits,
-                       _symmetries)
+from .energies import _TABLE_TUPLES, BudgetError, _lattice_verdicts, _Orbits, _symmetries
 from .geometry import build_geometry, zero_field
 from .multipliers import _alt_signs
 from .smoothing import SmoothingSymbol, m_value
@@ -204,7 +203,7 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
         return int(pos[k]), witness(t[k])
 
     done = classified = 0
-    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES, walked):
+    for blocks, idx in lat.batches(_TABLE_TUPLES, walked):
         weight = np.concatenate([np.outer(odd_weight[odd], orbit[even]).ravel()
                                  for (odd, even), _ in blocks])
         ksq = slot_sq(idx)
@@ -289,16 +288,16 @@ def _accumulate(rep, codes, weight, om, ratio, claimed, first):
             st.max_ratio, st.witness_pos, st.witness = mx, at, witness
 
 
-def sohinger_presence(kmax: int, thresholds: Thresholds = Thresholds(),
-                      N: float = 8.0):
+def sohinger_presence(kmax: int, N: float = 8.0):
     """All multiples of the vanishing-resonance family up to the cutoff must
-    be classified resonant with exactly zero resonance function."""
+    be classified resonant with exactly zero resonance function, at the
+    default thresholds."""
     base = np.array([5, -3, 6, -2, 1, -7], dtype=np.int64)
     out = []
     K = 1
     while 7 * K <= kmax:
         t = (K * base).astype(np.float64)
-        codes, _ = classify_batch_1d(t[None, :], N, thresholds)
+        codes, _ = classify_batch_1d(t[None, :], N, Thresholds())
         out.append({
             "K": K,
             "omega": int(np.sum((K * base) ** 2 * np.array([1, -1, 1, -1, 1, -1]))),
@@ -323,7 +322,6 @@ class BoundReport:
     sup_ratio: float = 0.0
     count: int = 0
     witness: tuple = ()
-    empty: bool = False
 
 
 # the zero-sum draws of bound verification, (draws, slots n, dimension d):
@@ -442,14 +440,12 @@ def _unique_rows(blocks, kmax: int):
     return rows[first], np.bitwise_or.reduceat(tags, np.flatnonzero(first))
 
 
-def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
-                             thresholds: Thresholds = Thresholds(), seed: int = 0):
+def verify_multiplier_bounds(cases: tuple, N: float, kmax: int, s: float = 0.5,
+                             thresholds: tuple = (Thresholds(),), seed: int = 0) -> dict:
     """Supremum of |multiplier| / claimed bound over each case's tuples.
 
-    ``case`` is one case name, whose ``BoundReport`` is returned, or a tuple
-    of names evaluated in one pass, whose reports are returned in its order.
-    ``thresholds`` is one ``Thresholds``, or a tuple of them, for which the
-    result is one such return per entry, in its order.  The cases share sets
+    ``cases`` are case names evaluated in one pass per entry of
+    ``thresholds``; returns {(case, gap): BoundReport}.  The cases share sets
     (``_verify_sets``), each built and classified once per gap; a family
     case reads the union's rows whose origin bits meet its sources, its own
     set in its own sorted order.  One loop runs every set in blocks of
@@ -463,8 +459,6 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
     Every multiplier and bound reads one ``_mode_table``.  Witnesses are
     ints for the families, floats for the drawn tuples.
     """
-    cases = (case,) if isinstance(case, str) else tuple(case)
-    gaps = (thresholds,) if isinstance(thresholds, Thresholds) else tuple(thresholds)
     for c in cases:
         if c not in VERIFY_CASES:
             raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
@@ -478,12 +472,8 @@ def verify_multiplier_bounds(case, N: float, kmax: int, s: float = 0.5,
                                           *spec).astype(narrow)
         return drawn[spec]
 
-    out = []
-    for th in gaps:
-        reports = _gap_reports(cases, N, kmax, s, th, tab, draw)
-        out.append(reports[case] if isinstance(case, str)
-                   else tuple(reports[c] for c in cases))
-    return out[0] if isinstance(thresholds, Thresholds) else tuple(out)
+    return {(c, th.gap): rep for th in thresholds
+            for c, rep in _gap_reports(cases, N, kmax, s, th, tab, draw).items()}
 
 
 def _gap_reports(cases, N: float, kmax: int, s: float, thresholds: Thresholds,
@@ -497,8 +487,6 @@ def _gap_reports(cases, N: float, kmax: int, s: float, thresholds: Thresholds,
             rows = slice(at, at + _VERIFY_ROWS)
             _fold(reports, tup[rows], kind, _block_ratios(
                 shared, tup[rows], None if bits is None else bits[rows], tab, N, thresholds))
-    for rep in reports.values():
-        rep.empty = rep.count == 0
     return reports
 
 

@@ -210,11 +210,11 @@ def write_csv(path: Path, columns, rows) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, seeds: dict,
-                   guards: dict, schema_version: str = "1") -> None:
+                   guards: dict) -> None:
     manifest = {
         "command": command,
         "code_version": __version__,
-        "csv_schema_version": schema_version,
+        "csv_schema_version": "1",
         "config": cfg,
         "config_hash": config_hash(cfg),
         "seeds": seeds,

@@ -157,11 +157,10 @@ def step_grid(cfg: EvolutionConfig, u0: SpectralField) -> tuple[float, int]:
     return dt, n_steps
 
 
-def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
-    """Integrate to t_end, sampling every ``sample_stride`` steps.
-
-    ``monitor(t, field) -> dict`` rows are attached per sample; coefficients
-    going non-finite abort the run with the last good state kept.
+def evolve(cfg: EvolutionConfig, u0: SpectralField) -> Trajectory:
+    """Integrate to t_end, sampling every ``sample_stride`` steps, with a
+    mass and energy report per sample; coefficients going non-finite abort
+    the run with the last good state kept.
     """
     dt, n_steps = step_grid(cfg, u0)
 
@@ -172,7 +171,7 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
 
     times = [0.0]
     samples = [u0]
-    reports = [_basic_report(0.0, u0, cfg.sign, monitor)]
+    reports = [_basic_report(0.0, u0, cfg.sign)]
     u = u0
     aborted = False
     diagnostics = {}
@@ -189,12 +188,9 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField, monitor=None) -> Trajectory:
             t = i * dt
             times.append(t)
             samples.append(u)
-            reports.append(_basic_report(t, u, cfg.sign, monitor))
+            reports.append(_basic_report(t, u, cfg.sign))
     return Trajectory(np.array(times), samples, reports, aborted, diagnostics)
 
 
-def _basic_report(t, u, sign, monitor):
-    row = {"t": t, "mass": mass(u), "energy": energy(u, sign)}
-    if monitor is not None:
-        row.update(monitor(t, u))
-    return row
+def _basic_report(t, u, sign):
+    return {"t": t, "mass": mass(u), "energy": energy(u, sign)}

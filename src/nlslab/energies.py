@@ -56,15 +56,13 @@ SIGN = {"defocusing": 1.0, "focusing": -1.0}
 
 DEFAULT_TUPLE_BUDGET = 2 ** 27
 
-# block sizes of the Gamma_n walk: a lattice sum pairs the slot sets of
-# each mode sum, at most _GROUP_ROWS of them at a time (rows), with every
-# set of the opposite sum (columns), which bounds a block's working set;
-# symbol values (and the census) are evaluated on runs of blocks holding
-# about _TABLE_TUPLES on-lattice tuples, which bounds the classifier's
-# temporaries; a run's block products wait for their column weights in a
-# buffer of at most _CONTRACT_BYTES (or one block's product).  The three fix
+# block sizes of the Gamma_n walk: ``_Lattice.groups`` cuts every sigma-group
+# into blocks of at most _TABLE_TUPLES on-lattice tuples, which bounds a
+# block's slot indices and the classifier's temporaries; symbol values (and
+# the census) are evaluated on runs of blocks holding at most that many
+# together; a run's block products wait for their column weights in a
+# buffer of at most _CONTRACT_BYTES (or one block's product).  The two fix
 # a sum's summation order, hence the last bits of every Lambda value
-_GROUP_ROWS = 1 << 12
 _TABLE_TUPLES = 1 << 14
 _CONTRACT_BYTES = 1 << 20
 
@@ -116,13 +114,13 @@ class _Lattice:
     axes, Q = prod(2 K_a + 1), so d = 1 is the one-axis case.  A tuple holds
     a set of h odd-slot modes in slots 1, 3, ... and a set of h even-slot
     modes in slots 2, 4, ...; the sets are sorted by mode sum sigma, and
-    blocks pair the sets of sum sigma (rows, at most ``max_rows`` at a time)
-    with every set of sum -sigma (columns).  Here the sets are the ordered
-    h-tuples, each its own one arrangement, so any symbol can be summed;
-    ``_Orbits`` walks fewer sets with more arrangements.  Tables over slots
-    1..n-1 are stored as (rows, Q) and addressed by ``position``.  An
-    over-budget lattice is refused before any set is built; ``tuples``
-    counts the tuples walked.
+    blocks pair the sets of sum sigma (rows) with those of sum -sigma
+    (columns), at most ``max_tuples`` tuples a block (``groups``).  Here the
+    sets are the ordered h-tuples, each its own one arrangement, so any
+    symbol can be summed; ``_Orbits`` walks fewer sets with more
+    arrangements.  Tables over slots 1..n-1 are stored as (rows, Q) and
+    addressed by ``position``.  An over-budget lattice is refused before any
+    set is built; ``tuples`` counts the tuples walked.
     """
 
     def __init__(self, field: SpectralField, n: int, budget: int = DEFAULT_TUPLE_BUDGET):
@@ -181,18 +179,23 @@ class _Lattice:
         tup = np.take(self.freqs, idx, axis=0)
         return tup[..., 0] if self.d == 1 else tup
 
-    def groups(self, max_rows: int, sums=None):
-        """Yields (odd, even): slices of ``sets`` holding sets of sums
-        sigma (at most ``max_rows``) and -sigma, for every sigma or only
-        for the sum indices ``sums``."""
+    def groups(self, max_tuples: int, sums=None):
+        """Yields (odd, even): slices of ``sets`` holding sets of sums sigma
+        (rows) and -sigma (columns), for every sigma or only for the sum
+        indices ``sums``, at most ``max_tuples`` tuples per block: each
+        sigma-group of C columns is cut into blocks of floor(max_tuples / C)
+        rows against all C, or of one row against slices of ``max_tuples``
+        columns when C is larger."""
         size = len(self.bounds) - 1
         for g in range(size) if sums is None else sums:
             lo, hi = self.bounds[g], self.bounds[g + 1]
-            even = slice(self.bounds[size - 1 - g], self.bounds[size - g])
-            if even.start == even.stop:
+            first, end = self.bounds[size - 1 - g], self.bounds[size - g]
+            if first == end:
                 continue
-            for start in range(lo, hi, max_rows):
-                yield slice(start, min(start + max_rows, hi)), even
+            rows, cols = max(max_tuples // (end - first), 1), min(end - first, max_tuples)
+            for start in range(lo, hi, rows):
+                for at in range(first, end, cols):
+                    yield slice(start, min(start + rows, hi)), slice(at, min(at + cols, end))
 
     def slots(self, block):
         """Composite slot indices (R, C, n) of one block from ``groups``."""
@@ -202,9 +205,9 @@ class _Lattice:
         idx[:, :, 1::2] = even[None, :, :]
         return idx
 
-    def batches(self, max_rows: int, max_tuples: int, sums=None):
-        """Runs of consecutive ``groups(max_rows, sums)`` blocks holding at
-        most ``max_tuples`` tuples together (a larger block forms a run alone).
+    def batches(self, max_tuples: int, sums=None):
+        """Runs of consecutive ``groups(max_tuples, sums)`` blocks holding at
+        most ``max_tuples`` tuples together.
 
         Yields (blocks, idx): the run's (block, (rows, cols)) pairs and the
         composite slot indices (T, n) of their tuples, block after block and
@@ -213,10 +216,10 @@ class _Lattice:
         visited.
         """
         run, count = [], 0
-        for block in self.groups(max_rows, sums):
+        for block in self.groups(max_tuples, sums):
             idx = self.slots(block)
             size = idx.shape[0] * idx.shape[1]
-            if run and count + size > max_tuples:
+            if count + size > max_tuples:
                 yield self._gather(run)
                 run, count = [], 0
             run.append((block, idx))
@@ -231,19 +234,17 @@ class _Lattice:
                 flat[0] if len(flat) == 1 else np.concatenate(flat))
 
     def on_lattice(self, max_tuples: int):
-        """The on-lattice tuples, each once, in blocks of at most
-        max(``max_tuples``, Q) tuples: (flat table positions, slot indices)."""
-        step = max(max_tuples, self.Q)
-        for _, run in self.batches(_GROUP_ROWS, max_tuples):
-            for start in range(0, len(run), step):
-                idx = run[start:start + step]
-                yield self.position(idx), idx
+        """The on-lattice tuples, each once, in runs of at most
+        ``max_tuples`` tuples: (flat table positions, slot indices)."""
+        for _, idx in self.batches(max_tuples):
+            yield self.position(idx), idx
 
     def _arrangements(self, vecs, rows, to=None) -> np.ndarray:
         """Per field set, the sum over the distinct arrangements of each set
         ``sets[rows]`` (or its image ``to[sets[rows]]`` under a mode map) of
         the product of ``vecs[i]`` at the mode in place i: over ``perms``,
-        each arrangement weighted by ``share``."""
+        each arrangement weighted by ``share``.  A bijection of the modes
+        keeps each set's stabiliser, so an image set has its set's share."""
         sets = self.sets[rows] if to is None else to[self.sets[rows]]
         total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
         term, factor = np.empty_like(total), np.empty_like(total)
@@ -256,19 +257,6 @@ class _Lattice:
             total += term
         total *= self.share[rows]
         return total
-
-    def weights(self, blocks, families, to):
-        """Per family of slot vectors (sets, Q), lazily, a run's (A, B), its
-        blocks side by side: the arrangement sums of the odd slot vectors
-        over the images under the mode map ``to`` of its rows, and of the
-        even ones over those of its columns.  A bijection of the modes keeps
-        each set's stabiliser, so an image set has its set's ``share``.  The
-        run's row indices are concatenated once for all families."""
-        rows = [np.concatenate([np.arange(b[j].start, b[j].stop) for b in blocks])
-                for j in (0, 1)]
-        for vecs in families:
-            yield (self._arrangements(vecs[0::2], rows[0], to),
-                   self._arrangements(vecs[1::2], rows[1], to))
 
 
 def _multisets(Q: int, h: int) -> np.ndarray:
@@ -352,6 +340,11 @@ def _new_images(lat: _Lattice, maps) -> np.ndarray:
     return np.repeat(new, np.diff(lat.bounds), axis=1)
 
 
+def _indices(slices) -> np.ndarray:
+    """The indices of consecutive slices, concatenated."""
+    return np.concatenate([np.arange(b.start, b.stop) for b in slices])
+
+
 def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     """Gamma_n sums of several symbols against several families of field
     sets, in one walk over the blocks of ``lat`` (``_Lattice`` for every
@@ -370,39 +363,46 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
 
     A map carries the tuples of a block one to one onto those of its image
     block, with the same values, and an arrangement sum does not depend on
-    the order of its set.  So per run, element and pass, ``lat.weights``
-    gives the row weights A (sets x rows) and column weights B (sets x
-    cols) over the element's images of the run's blocks, side by side, and
-    ``_contract`` sums the run's values against them, for each block whose
-    image no earlier element gave (``_new_images``): every block of a class
-    once.  A run's values are gathered for an element only when it skips a
-    block of the run (one with a nontrivial stabiliser); each element's and
-    pass's weights are dropped before the next ones are built.
+    the order of its set.  So per run and element, the row weights A (sets
+    x rows) of the odd slot vectors and the column weights B (sets x cols)
+    of the even ones, over the element's images of the run's blocks side by
+    side and for every pass's sets at once (``lat._arrangements``), and per
+    pass ``_contract`` sums the run's values against its sets' rows of
+    them, for each block whose image no earlier element gave
+    (``_new_images``): every block of a class once.  A run's values are
+    gathered for an element only when it skips a block of the run (one with
+    a nontrivial stabiliser).  Row weights are dropped after each run; each
+    element keeps the column weights of its last run if that run held one
+    block, and reuses them while its runs pair the same columns, as the row
+    blocks of a cut sigma-group do.
     """
     maps, walked = group
     new = _new_images(lat, maps)
     sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
             for vecs, symbols in passes]
-    for blocks, idx in lat.batches(_GROUP_ROWS, _TABLE_TUPLES, walked):
-        if len(idx) > _TABLE_TUPLES:
-            # one block past _TABLE_TUPLES: evaluated in slices, so the
-            # classifier's temporaries stay as small as in any other run
-            values = [np.concatenate(v) for v in zip(*(
-                evaluate(idx[i:i + _TABLE_TUPLES]) for i in range(0, len(idx), _TABLE_TUPLES)))]
-        else:
-            values = evaluate(idx)
+    # every pass's sets stacked, one arrangement sum for all of them
+    stacked = [np.concatenate(v) for v in zip(*(vecs for vecs, _ in passes))]
+    ends = np.cumsum([len(vecs[0]) for vecs, _ in passes])
+    sets = [slice(end - len(vecs[0]), end) for (vecs, _), end in zip(passes, ends)]
+    last = [(None, None)] * len(maps)  # per element: a one-block run's (columns, B)
+    for blocks, idx in lat.batches(_TABLE_TUPLES, walked):
+        values = evaluate(idx)
         starts = np.cumsum([0] + [R * C for _, (R, C) in blocks])
-        for to, fresh in zip(maps, new):
+        for e, (to, fresh) in enumerate(zip(maps, new)):
             kept = [i for i, ((odd, _), _) in enumerate(blocks) if fresh[odd.start]]
             if not kept:
                 continue
-            cols = slice(None) if len(kept) == len(blocks) else np.concatenate(
-                [np.arange(starts[i], starts[i + 1]) for i in kept])
-            weights = lat.weights([blocks[i][0] for i in kept], [vecs for vecs, _ in passes], to)
+            cols = slice(None) if len(kept) == len(blocks) else _indices(
+                [slice(starts[i], starts[i + 1]) for i in kept])
+            columns = [blocks[i][0][1] for i in kept]
+            B = last[e][1] if last[e][0] == columns else lat._arrangements(
+                stacked[1::2], _indices(columns), to)
+            last[e] = (columns, B) if len(kept) == 1 else (None, None)
+            A = lat._arrangements(stacked[0::2], _indices([blocks[i][0][0] for i in kept]), to)
             shapes = [blocks[i][1] for i in kept]
-            for (_, symbols), acc in zip(passes, sums):
-                _contract(acc, *next(weights), np.stack([values[k][cols] for k in symbols]),
-                          shapes)
+            for (_, symbols), acc, at in zip(passes, sums, sets):
+                _contract(acc, A[at], B[at],
+                          np.stack([values[k][cols] for k in symbols]), shapes)
         # release this run before batches builds the next
         idx = values = None
     return sums
@@ -470,20 +470,18 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
                  ([np.arange(lat.Q)], None))[0][0]
 
 
-def gamma_sum_1d(fields, symbol_values,
-                 budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
+def gamma_sum_1d(fields, symbol_values) -> complex:
     """Gamma_n sum of one field set on the 1d mode lattice (``gamma_sums``)."""
-    return complex(gamma_sums(symbol_values, [fields], budget)[0])
+    return complex(gamma_sums(symbol_values, [fields])[0])
 
 
-def gamma_sum_2d(fields, symbol_values,
-                 budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
+def gamma_sum_2d(fields, symbol_values) -> complex:
     """Gamma_n sum of one field set on the 2d mode lattice (``gamma_sums``)."""
-    return complex(gamma_sums(symbol_values, [fields], budget)[0])
+    return complex(gamma_sums(symbol_values, [fields])[0])
 
 
 def lambda_eval(symbol_values, fields, strategy: str = "direct",
-                slot_factors=None, budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
+                slot_factors=None) -> complex:
     """Multilinear functional Lambda_n over the truncated lattice.
 
     direct: exact constrained sum with measure weight w^(n-1).
@@ -495,8 +493,8 @@ def lambda_eval(symbol_values, fields, strategy: str = "direct",
     g = fields[0].geometry
     w = g.measure_weight
     if strategy == "direct":
-        s = gamma_sum_1d(fields, symbol_values, budget=budget) if g.dimension == 1 \
-            else gamma_sum_2d(fields, symbol_values, budget=budget)
+        s = gamma_sum_1d(fields, symbol_values) if g.dimension == 1 \
+            else gamma_sum_2d(fields, symbol_values)
         return w ** (n - 1) * s
     if strategy == "physical":
         if slot_factors is None:
@@ -627,8 +625,7 @@ def _correction_evaluator(lat: _Lattice, Ns, s: float, thresholds: Thresholds):
 
 
 def correction_tables(template: SpectralField, N: float, s: float,
-                      thresholds: Thresholds = Thresholds(),
-                      budget: int = DEFAULT_TUPLE_BUDGET) -> CorrectionTables:
+                      thresholds: Thresholds = Thresholds()) -> CorrectionTables:
     """Build the sigma~/Mbar/combined tables for the lattice of ``template``.
 
     A reference for tests: the evaluator that ``correction_sums`` streams is
@@ -638,12 +635,12 @@ def correction_tables(template: SpectralField, N: float, s: float,
     """
     g = template.geometry
     deg = g.nonlinearity_degree + 1
-    raw = _Lattice.check_budget(template, deg, budget)
+    raw = _Lattice.check_budget(template, deg, DEFAULT_TUPLE_BUDGET)
     nbytes = len(CORRECTION_SYMBOLS) * raw * np.dtype(np.float64).itemsize
     if nbytes > _physical_memory() // 2:
         raise ValueError(f"tables of {nbytes} bytes exceed half of physical memory "
                          f"({_physical_memory()} bytes)")
-    lat = _Lattice(template, deg, budget)
+    lat = _Lattice(template, deg)
     evaluate = _correction_evaluator(lat, [N], s, thresholds)
     tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
@@ -696,13 +693,12 @@ def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds)
 
 
 def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
-         check: str | None = None, budget: int = DEFAULT_TUPLE_BUDGET,
-         rtol: float = 1e-8) -> float:
+         check: str | None = None) -> float:
     """E(I u), optionally cross-checked against the Lambda decomposition.
 
     check='direct' recomputes the potential part as the exact constrained
     Gamma_deg sum of sigma_deg and raises ConsistencyError on disagreement
-    beyond ``rtol`` relative.
+    beyond 1e-8 relative.
     """
     sym = SmoothingSymbol(N, 1.0 - s)
     iu = apply_I(f, sym)
@@ -714,10 +710,10 @@ def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
         kinetic = 0.5 * g.measure_weight * float(
             np.sum(f.kabs() ** 2 * m_value(f.kabs(), sym) ** 2 * np.abs(f.coeffs) ** 2))
         sig = lambda tup: sigma_product(tup, sym, g.dimension) / deg
-        pot = lambda_eval(sig, [f] * deg, "direct", budget=budget)
+        pot = lambda_eval(sig, [f] * deg, "direct")
         alt = kinetic + kappa * float(np.real(pot))
         scale = max(abs(value), abs(alt), 1e-300)
-        if abs(value - alt) > rtol * scale:
+        if abs(value - alt) > 1e-8 * scale:
             raise ConsistencyError(
                 f"E(Iu) two-path mismatch: physical {value!r} vs direct {alt!r}")
     return value
@@ -739,8 +735,7 @@ def nonlinear_coefficient_field(f: SpectralField) -> SpectralField:
                                                 f.coeffs))
 
 
-def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField,
-                             budget: int = DEFAULT_TUPLE_BUDGET) -> complex:
+def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField) -> complex:
     """Lambda_deg with slot j's field replaced by the nonlinear coefficients.
 
     This evaluates the Lambda_(deg+4) term produced by substituting the
@@ -751,8 +746,7 @@ def lambda_with_substitution(table, fields, j: int, nl_field: SpectralField,
     fields[j - 1] = nl_field
     g = fields[0].geometry
     w = g.measure_weight
-    s = gamma_sum_1d(fields, table, budget=budget) if g.dimension == 1 \
-        else gamma_sum_2d(fields, table, budget=budget)
+    s = gamma_sum_1d(fields, table) if g.dimension == 1 else gamma_sum_2d(fields, table)
     return w ** (len(fields) - 1) * s
 
 

@@ -116,7 +116,8 @@ def _identity_run(u0, evo, Ns, s, sign, gap, budget):
     an over-budget lattice or on samples the identity cannot use, and
     ``energy_identity_residual`` along it at every N of ``Ns``, with
     max|residual| and its ``identity_tolerance`` per N (a NaN residual
-    fails)."""
+    fails).  A trajectory that aborts before its third sample leaves no
+    identity to check: the three are then None."""
     _Lattice.check_budget(u0, u0.geometry.nonlinearity_degree + 1, budget)
     dt, steps = step_grid(evo, u0)
     stride = evo.sample_stride
@@ -125,12 +126,25 @@ def _identity_run(u0, evo, Ns, s, sign, gap, budget):
                          ": it must divide them (uniform samples) and leave at least three "
                          "samples; choose stride/samples to fit")
     traj = evolve(evo, u0)
+    if len(traj.samples) < 3:
+        return traj, None, None, None
     out = energy_identity_residual(traj.samples, traj.times, Ns, s, sign=sign,
                                    thresholds=Thresholds(gap=gap), budget=budget)
     energy = [r["energy"] for r in traj.reports]
     tol = [identity_tolerance(out["t"], y, energy, e1)
            for y, e1 in zip(out["lambda_mbar"] + out["lambda_mbar_big"], out["e_i1"])]
     return traj, out, np.max(np.abs(out["residual"]), axis=1), np.array(tol)
+
+
+def _early_abort(out_dir: Path, command: str, cfg: dict, traj) -> int:
+    """Manifest and summary of a run whose trajectory aborted before its
+    third sample; exit code 2."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest(out_dir, command, cfg, {"seed": cfg["seed"]},
+                   {"aborted": traj.aborted, **traj.diagnostics})
+    _summary(out_dir, [f"{command}: {len(traj.samples)} samples, too few for the identity",
+                       *_abort_lines(traj)])
+    return 2
 
 
 def run_energy_track(cfg: dict, out_dir: Path) -> int:
@@ -156,8 +170,11 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
                           integrator=cfg["integrator"], dt=dt,
                           t_end=cfg["t_end"], sample_stride=cfg["stride"])
     N, s = cfg["energy.n_cut"], cfg["energy.s"]
-    traj, out, (rmax,), (tol,) = _identity_run(u0, evo, [N], s, cfg["sign"],
-                                               cfg["gap_factor"], cfg["budget"])
+    traj, out, rmax, tol = _identity_run(u0, evo, [N], s, cfg["sign"],
+                                         cfg["gap_factor"], cfg["budget"])
+    if out is None:
+        return _early_abort(out_dir, "energy-track", cfg, traj)
+    (rmax,), (tol,) = rmax, tol
     keys = ("e_i1", "correction", "e_i2", "lambda_mbar", "lambda_mbar_big", "residual")
     rows = [{"t": float(t), "mass": rep["mass"], "energy": rep["energy"],
              **{col: float(out[key][0, i]) for col, key in zip(TRACK_COLUMNS[3:], keys)}}
@@ -437,10 +454,9 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
                     else max(8, int(N)))
             by_kmax.setdefault(kmax, {})[case] = None
         for kmax, group in by_kmax.items():
-            for th, reps in zip(gaps, verify_multiplier_bounds(
-                    tuple(group), N, kmax, s=cfg["s"], thresholds=gaps, seed=cfg["seed"])):
-                for rep in reps:
-                    reports[rep.case, N, th.gap] = rep
+            for (case, gap), rep in verify_multiplier_bounds(
+                    tuple(group), N, kmax, s=cfg["s"], thresholds=gaps, seed=cfg["seed"]).items():
+                reports[case, N, gap] = rep
     rows = []
     for case in cases:
         for N in cfg["n_grid"]:
@@ -449,7 +465,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
                 rows.append({"case": case, "N": N, "gap": gap, "kmax": rep.kmax,
                              "count": rep.count, "sup_ratio": rep.sup_ratio,
                              "witness_tuple": rep.witness,
-                             "flag": "empty-region" if rep.empty else ""})
+                             "flag": "empty-region" if rep.count == 0 else ""})
     # stability table: spread of sups around the per-case grid median
     stability = []
     unbounded = 0
@@ -541,6 +557,8 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
     # E_I^2 = E_I^1 + kappa Lambda_deg(sigma~)
     traj, out, rmax, tol = _identity_run(u0, evo, cfg["n_grid"], cfg["s"], cfg["sign"],
                                          cfg["gap_factor"], cfg["budget"])
+    if out is None:
+        return _early_abort(out_dir, "almost-conservation", cfg, traj)
     deg = g.nonlinearity_degree + 1
     rows = []
     for i, N in enumerate(cfg["n_grid"]):

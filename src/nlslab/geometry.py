@@ -387,12 +387,9 @@ def grid_points(f: SpectralField, oversample: int = 1) -> tuple[np.ndarray, ...]
     )
 
 
-def pointwise_product(fields: Sequence[SpectralField], conjugate: Sequence[bool],
-                      oversample: int | None = None) -> np.ndarray:
-    """Grid values of prod_i u_i (or conj u_i); default grid avoids aliasing."""
-    if oversample is None:
-        p = len(fields)
-        oversample = (p + 2) // 2
+def pointwise_product(fields: Sequence[SpectralField], conjugate: Sequence[bool]) -> np.ndarray:
+    """Grid values of prod_i u_i (or conj u_i), on a grid that avoids aliasing."""
+    oversample = (len(fields) + 2) // 2
     vals = None
     for u, c in zip(fields, conjugate):
         v = to_physical(u, oversample)
@@ -435,8 +432,7 @@ def free_evolve(f: SpectralField, t: float) -> SpectralField:
     return f.with_coeffs(_free_propagator(f.geometry, f.cutoff, float(t)) * f.coeffs)
 
 
-def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float,
-                      oversample: int | None = None) -> float:
+def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float) -> float:
     """(int_0^T int |u|^p dx dt)^(1/p) by trapezoid in time over the samples.
 
     The samples must be uniform on [0, T]; fewer than 4 samples is an error.
@@ -445,8 +441,7 @@ def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float,
         raise ValueError("need at least 4 time samples")
     if p < 2:
         raise ValueError(f"p={p} must be >= 2")
-    if oversample is None:
-        oversample = max(3, (int(np.ceil(p)) + 2) // 2)
+    oversample = max(3, (int(np.ceil(p)) + 2) // 2)
     geometry = fields[0].geometry
     space = np.array([
         np.mean(np.abs(to_physical(u, oversample)) ** p) * geometry.volume
@@ -462,23 +457,20 @@ def lp_spacetime_norm(fields: Sequence[SpectralField], p: float, t_end: float,
 _MAGIC = b"NLSLABF1"
 
 
-def save_field(path, f: SpectralField, dtype: str = "complex128") -> None:
-    """Little-endian complex array prefixed by a JSON header line."""
-    if dtype not in ("complex64", "complex128"):
-        raise ValueError(f"dtype {dtype} not supported")
+def save_field(path, f: SpectralField) -> None:
+    """Little-endian complex128 array prefixed by a JSON header line."""
     header = {
         "dimension": f.geometry.dimension,
         "gamma": list(f.geometry.gamma),
         "lambda": f.geometry.lam,
         "cutoff": list(f.cutoff),
-        "dtype": dtype,
+        "dtype": "complex128",
         "layout": "C-order, mode n stored at index n+K per axis",
     }
-    le = "<c8" if dtype == "complex64" else "<c16"
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(f.coeffs.astype(le)).tobytes())
+        fh.write(np.ascontiguousarray(f.coeffs.astype("<c16")).tobytes())
 
 
 def load_field(path) -> SpectralField:

@@ -137,16 +137,17 @@ def sigma_symbol(n: int, sym: SmoothingSymbol, d: int = 1) -> SymbolSpec:
                       "product", tuple(factor for _ in range(n)))
 
 
-def constant_symbol(value: complex, n: int, d: int = 1) -> SymbolSpec:
+def constant_symbol(value: complex, n: int) -> SymbolSpec:
+    """The constant symbol ``value`` on 1-D n-tuples."""
     def ev(k):
-        sq = squared_mags(k, d)
+        sq = squared_mags(k, 1)
         return np.full(sq.shape[:-1], value, dtype=complex)
 
     def lead(k):
-        return np.full(np.shape(slot_sq(k, d)), value, dtype=complex)
+        return np.full(np.shape(slot_sq(k, 1)), value, dtype=complex)
 
     def one(k):
-        return np.ones(np.shape(slot_sq(k, d)))
+        return np.ones(np.shape(slot_sq(k, 1)))
 
-    return SymbolSpec(f"Const({value})", n, d, ev, "product",
+    return SymbolSpec(f"Const({value})", n, 1, ev, "product",
                       (lead,) + tuple(one for _ in range(n - 1)))

@@ -133,7 +133,7 @@ def test_verify_family_pass_is_counted(spans):
     tracer = spans.Tracer()
     patched = spans.install(tracer)
     try:
-        census.verify_multiplier_bounds(cases, N, kmax, thresholds=th, seed=0)
+        census.verify_multiplier_bounds(cases, N, kmax, thresholds=(th,), seed=0)
     finally:
         spans.uninstall(patched)
     counted = [s.attrs["tuples"] for s in tracer.spans if s.name == "classify_batch_1d"]

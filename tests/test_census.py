@@ -324,7 +324,7 @@ class TestLatticeSymmetry:
         count = np.diff(lat.bounds)
         assert np.sum(size * count * count[::-1]) == lat.tuples
         assert np.array_equal(walked, np.flatnonzero(size))
-        idx = np.concatenate([i for _, i in lat.batches(1 << 30, 1 << 30)])
+        idx = np.concatenate([i for _, i in lat.batches(1 << 30)])
         assert len(idx) == lat.tuples
         ref = self.statistics(lat, idx, gap, Ns, s)
         assert np.any(is_nonresonant(ref[0])) and np.any(is_resonant(ref[0]))
@@ -456,21 +456,21 @@ def _reference_bound(case, tup, N, th):
 
 class TestVerify:
     def test_nonresonant_ratio_bounded(self):
-        r = verify_multiplier_bounds("nonresonant", N=8.0, kmax=32, s=0.5)
+        r, = verify_multiplier_bounds(("nonresonant",), N=8.0, kmax=32, s=0.5).values()
         assert r.count > 0
         assert np.isfinite(r.sup_ratio)
         assert r.sup_ratio < 10.0
 
     def test_resonant_cases_bounded(self):
         for case in ("i", "ii", "iii", "iv"):
-            r = verify_multiplier_bounds(case, N=8.0, kmax=32, s=0.5)
+            r, = verify_multiplier_bounds((case,), N=8.0, kmax=32, s=0.5).values()
             assert r.count > 0, case
             assert np.isfinite(r.sup_ratio), case
             assert r.sup_ratio < 50.0, case
 
     def test_2d_cases(self):
-        res = verify_multiplier_bounds("2d-resonant", N=4.0, kmax=8, s=0.5)
-        non = verify_multiplier_bounds("2d-nonresonant", N=4.0, kmax=8, s=0.5)
+        res, = verify_multiplier_bounds(("2d-resonant",), N=4.0, kmax=8, s=0.5).values()
+        non, = verify_multiplier_bounds(("2d-nonresonant",), N=4.0, kmax=8, s=0.5).values()
         assert res.count > 0 and non.count > 0
         assert non.sup_ratio <= 1.5
 
@@ -486,7 +486,7 @@ class TestVerify:
 
             draws = census._zero_sum_draws
             monkeypatch.setattr(census, "_zero_sum_draws", subset)
-            cases = case
+            cases = (case,)
         else:
             def subset(*args):
                 rows, bits = family(*args)
@@ -501,10 +501,7 @@ class TestVerify:
         whole = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
         monkeypatch.setattr(census, "_VERIFY_ROWS", 7)
         chunked = verify_multiplier_bounds(cases, N=4.0, kmax=10, s=0.5)
-        if case.startswith("2d"):
-            assert whole.count > 0, case
-        else:
-            assert all(rep.count > 0 for rep in whole), case
+        assert all(rep.count > 0 for rep in whole.values()), case
         assert chunked == whole
 
     @pytest.mark.parametrize("N, gap", [(4.0, 4.0), (5.0, 3.0), (6.5, 4.0)])
@@ -516,7 +513,7 @@ class TestVerify:
         kmax = 2 * int(N)
         th = Thresholds(gap=gap)
         shared = verify_multiplier_bounds(tuple(census._SOURCES), N, kmax, s=0.5,
-                                          thresholds=th)
+                                          thresholds=(th,))
         seen = []
         unique_rows = census._unique_rows
 
@@ -525,7 +522,7 @@ class TestVerify:
             return unique_rows(seen[-1], kmax)
 
         monkeypatch.setattr(census, "_unique_rows", capture)
-        for rep in shared:
+        for rep in shared.values():
             census._family_tuples_1d((rep.case,), N, kmax, gap, np.random.default_rng(0))
             tup = np.unique(np.concatenate([b for _, b in seen.pop()]), axis=0).astype(float)
             count, sup, witness = _reference_bound(rep.case, tup, N, th)
@@ -541,7 +538,7 @@ class TestVerify:
         draws = census._zero_sum_draws(np.random.default_rng(0), kmax,
                                        *census._DRAW_2D).astype(float)
         for rep in verify_multiplier_bounds(("2d-resonant", "2d-nonresonant"), N, kmax,
-                                            s=0.5, thresholds=th):
+                                            s=0.5, thresholds=(th,)).values():
             count, sup, witness = _reference_bound(rep.case, draws, N, th)
             assert count > 0, rep.case
             assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
@@ -549,7 +546,7 @@ class TestVerify:
     def test_unknown_case_rejected(self):
         for case in ("v", "sigma6", "sigma4"):
             with pytest.raises(ValueError, match=f"case '{case}'"):
-                verify_multiplier_bounds(case, N=4.0, kmax=8)
+                verify_multiplier_bounds((case,), N=4.0, kmax=8)
 
 
 class TestFamilyTuples:
@@ -677,5 +674,5 @@ class TestZeroSumDraws:
         # the family union at kmax 12 and its 200,000-row background draw;
         # the whole-draw background and 65,536-row blocks traced 25.9 MB
         reps, peak = _traced_peak(verify_multiplier_bounds, ("ii", "nonresonant"), 6.0, 12)
-        assert all(rep.count > 0 for rep in reps)
+        assert all(rep.count > 0 for rep in reps.values())
         assert peak <= 16e6, peak

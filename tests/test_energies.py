@@ -3,11 +3,16 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.classify import (BELOW, Thresholds, classify_batch_1d, is_nonresonant,
                              is_resonant)
 from nlslab.dynamics import EvolutionConfig, evolve
@@ -346,7 +351,7 @@ class TestOnLatticeEnumeration:
         field = zero_field(build_geometry(d, gamma, 1.0), cutoff)
         lat = _Lattice(field, n)
         blocks = list(lat.on_lattice(block))
-        assert all(0 < len(p) == len(i) <= max(block, lat.Q) for p, i in blocks)
+        assert all(0 < len(p) == len(i) <= block for p, i in blocks)
         pos = np.concatenate([p for p, _ in blocks])
         idx = np.concatenate([i for _, i in blocks])
         free, on, last_idx = slots_1_to_n_minus_1(field, n)
@@ -356,6 +361,28 @@ class TestOnLatticeEnumeration:
         assert len(seen) == len(idx) and seen == {tuple(r) for r in expected}
         assert np.array_equal(pos, np.ravel_multi_index(tuple(idx[:, :-1].T),
                                                         (lat.Q,) * (n - 1)))
+
+    @pytest.mark.parametrize("block", [1, 7, _TABLE_TUPLES])
+    @pytest.mark.parametrize("d, gamma, cutoff, n", ENUMERATED)
+    def test_groups_hold_at_most_max_tuples(self, d, gamma, cutoff, n, block):
+        # every block holds at most ``block`` tuples, and the blocks visit
+        # every on-lattice tuple once; at 1 and 7 tuples the widest groups
+        # have more columns than that, so they are cut into column slices
+        field = zero_field(build_geometry(d, gamma, 1.0), cutoff)
+        lat = _Lattice(field, n)
+        count = np.diff(lat.bounds)
+        blocks = list(lat.groups(block))
+        sizes = [(odd.stop - odd.start, even.stop - even.start) for odd, even in blocks]
+        assert all(0 < R * C <= block for R, C in sizes)
+        # a block's group has as many columns as its sum -sigma has sets
+        group = np.searchsorted(lat.bounds, [odd.start for odd, _ in blocks], side="right") - 1
+        sliced = [C < count[len(count) - 1 - g] for (_, C), g in zip(sizes, group)]
+        assert any(sliced) == (block < count.max())
+        idx = np.concatenate([lat.slots(b).reshape(-1, n) for b in blocks])
+        free, on, last_idx = slots_1_to_n_minus_1(field, n)
+        expected = np.concatenate([free[on], last_idx[:, None]], axis=1)
+        assert len(idx) == len(expected) == lat.tuples
+        assert {tuple(r) for r in idx} == {tuple(r) for r in expected}
 
     @pytest.mark.parametrize("d, gamma, cutoff, n", ENUMERATED)
     def test_off_lattice_entries_zero(self, d, gamma, cutoff, n):
@@ -388,13 +415,13 @@ class TestCorrectionWalk:
         assert np.max(np.abs(full[0::2] - full[0])) <= 1e-12 * scale
         assert np.max(np.abs(full[1::2] - full[1])) <= 1e-12 * scale
 
-    # two rows and five tuples per block cut every sigma group apart and
-    # slice every run; 2^30 holds the whole lattice in one block
-    @pytest.mark.parametrize("rows, tuples", [(2, 5), (1 << 30, 1 << 30)])
+    # five tuples per block cut every sigma-group into rows, and a group of
+    # more than five columns into column slices too; 2^30 holds the whole
+    # lattice in one block
+    @pytest.mark.parametrize("tuples", [5, 1 << 30])
     @pytest.mark.parametrize("d, gamma, cutoff, N", [(1, (), 3, 1.0),
                                                      (2, (0.75,), (3, 2), 1.5)])
-    def test_streamed_sums_equal_table_path(self, d, gamma, cutoff, N, rows, tuples,
-                                            monkeypatch):
+    def test_streamed_sums_equal_table_path(self, d, gamma, cutoff, N, tuples, monkeypatch):
         g = build_geometry(d, gamma, 1.0)
         deg = g.nonlinearity_degree + 1
         fs = [random_field(g, cutoff, RNG) for _ in range(3)]
@@ -402,7 +429,6 @@ class TestCorrectionWalk:
         mixed = [[fs[(i + j) % 3] for i in range(deg)] for j in range(3)]
         tabs = correction_tables(fs[0], N, 0.5)
         table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
-        monkeypatch.setattr(energies, "_GROUP_ROWS", rows)
         monkeypatch.setattr(energies, "_TABLE_TUPLES", tuples)
         passes = [(plain, ("sigma_tilde", "mbar")), (mixed, ("combined", "sigma_tilde"))]
         got = [sums[0] for sums in correction_sums(fs[0], [N], 0.5, passes)]
@@ -427,7 +453,7 @@ class TestCorrectionWalk:
         tables = (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)
         orbits = _Orbits(fs[0], deg)
         evaluate = energies._correction_evaluator(orbits, [N], 0.5, Thresholds())
-        for _, idx in orbits.batches(1 << 30, 1 << 30):
+        for _, idx in orbits.batches(1 << 30):
             for table, vals in zip(tables, evaluate(idx)):
                 assert np.array_equal(vals, table.reshape(-1)[orbits.position(idx)])
         streamed, = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)])
@@ -447,7 +473,7 @@ class TestCorrectionWalk:
         orbits = _Orbits(fs[0], deg)
         grid = energies._correction_evaluator(orbits, Ns, 0.5, Thresholds())
         alone = [energies._correction_evaluator(orbits, [n], 0.5, Thresholds()) for n in Ns]
-        for _, idx in orbits.batches(1 << 12, 1 << 12):
+        for _, idx in orbits.batches(1 << 12):
             assert all(np.array_equal(a, b) for a, b in zip(
                 grid(idx), [v for evaluate in alone for v in evaluate(idx)]))
         passes = [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
@@ -616,7 +642,7 @@ def representative_terms(f, N, th, sets):
     evaluate = energies._correction_evaluator(lat, [N], 0.5, th)
     vecs = energies._slot_stack(sets)
     terms = []
-    for blocks, idx in lat.batches(1 << 30, 1 << 30):
+    for blocks, idx in lat.batches(1 << 30):
         values = np.stack(evaluate(idx))
         t = 0
         for (odd, even), (R, C) in blocks:
@@ -663,6 +689,38 @@ class TestOrbitWalkSums:
             scale = np.sum(np.abs(terms), axis=2)
             assert np.all(scale > 0)
             assert np.all(np.abs(sums - exact) <= 4 * np.finfo(float).eps * scale), family
+
+    @pytest.mark.parametrize("d, gamma, lam, cutoff, N", ACCURACY_LATTICES)
+    def test_cut_groups_within_ulps_of_exact_resummation(self, d, gamma, lam, cutoff, N,
+                                                          monkeypatch):
+        # blocks of at most seven tuples cut the sigma-groups into rows and
+        # column slices; the sums keep the 4-ulp bound of the uncut walk
+        monkeypatch.setattr(energies, "_TABLE_TUPLES", 7)
+        self.test_sums_within_ulps_of_exact_resummation(d, gamma, lam, cutoff, N,
+                                                        energies._CONTRACT_BYTES, monkeypatch)
+
+    def test_walk_memory_is_flat_in_the_cutoff(self):
+        # at 1-D kcut 32 the widest sigma-group pairs 545 x 545
+        # representatives; cut at _TABLE_TUPLES tuples its blocks keep the
+        # walk near the interpreter's import footprint (98-112 MB when a
+        # block held up to 4,096 rows against every column).  The peak is
+        # the child's own VmHWM: Linux carries ru_maxrss over from the
+        # forking process
+        script = ("import numpy as np\n"
+                  "from nlslab.energies import CORRECTION_SYMBOLS, correction_sums\n"
+                  "from nlslab.geometry import build_geometry, random_field\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "fs = [random_field(build_geometry(1), 32, rng) for _ in range(3)]\n"
+                  "correction_sums(fs[0], [4.0, 8.0], 0.5,\n"
+                  "                [([[f] * 6 for f in fs], CORRECTION_SYMBOLS)], budget=10 ** 10)\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(status.split('VmHWM:')[1].split()[0])\n")
+        src = str(Path(nlslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        assert int(proc.stdout) / 1024 < 65
 
     def test_contraction_memory_bounded(self, monkeypatch):
         # 640 sets on a lattice walked as one run of 35 blocks, one per

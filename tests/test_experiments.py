@@ -431,6 +431,24 @@ class TestRunners:
         summary = (tmp_path / "r" / "summary.txt").read_text()
         assert "TRAJECTORY ABORTED at step 4 " in summary
 
+    @pytest.mark.parametrize("command, text", [
+        ("energy-track", "stride = 1\ndata.mass = 1000\ndata.modes = 0\n"),
+        ("almost-conservation", "samples = 400\nmass = 1000\nn_grid = 1\n"),
+    ], ids=["energy-track", "almost-conservation"])
+    def test_abort_before_third_sample_fails(self, command, text, tmp_path):
+        # focusing data of mass 1000 at dt 0.05 blow up at step 1, which
+        # leaves one sample and no identity to check: the run still writes
+        # its manifest and summary and fails the invariant check, not the
+        # configuration
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("kcut = 3\nsign = focusing\ndt = 0.05\nt_end = 20\n" + text)
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+        guards = json.loads((tmp_path / "r" / "manifest.json").read_text())["guards"]
+        assert code == 2
+        assert guards["aborted"] and guards["failed_step"] == 1
+        summary = (tmp_path / "r" / "summary.txt").read_text()
+        assert "TRAJECTORY ABORTED at step 1 " in summary
+
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
         cfgfile.write_text("n_freq = 32\nlambda = 4\nm_grid = 2,4\nsamples = 5\n")
