@@ -211,9 +211,11 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
         # n1, the largest |k|, is the tables' root[r1]: each |k| is the sqrt
         # of an integer, so N1*^2 and N3*^2 (clipped below at 1) give the
         # mean-value bound
-        codes, n1, parts = _lattice_verdicts(lat, idx, G)
+        codes, n1, parts = _lattice_verdicts(lat, idx, G, blocks)
         if d == 1:
-            r1, r3 = parts.mags[0] ** 2, np.maximum(parts.mags[2] ** 2, 1)
+            # widened: the merged magnitudes keep the narrow mode dtype
+            r1, r3 = (np.square(parts.mags[j], dtype=np.intp) for j in (0, 2))
+            r3 = np.maximum(r3, 1)
             claimed = omega_lower_bound(codes, G, n1=n1, n3=np.sqrt(r3), s12=parts.s12)
         else:
             r1, r2, r3 = _descending(list(ksq.T))[:3]
@@ -546,7 +548,7 @@ def _block_ratios(cases, tup: np.ndarray, bits, tab: _ModeTable, N: float,
     by each slot's |k|^2, |Omega| and N3*^2 exact, each in the per-tuple
     functions' order of operations."""
     classify = classify_batch_1d if tup.ndim == 2 else classify_batch_2d
-    codes, parts = classify(tup.astype(np.float64), N, thresholds)
+    codes, parts = classify(tup, N, thresholds)
     sq = np.square(tup, dtype=np.intp)  # widened: int8 squares overflow
     ksq = sq if tup.ndim == 2 else sq[..., 0] + sq[..., 1]
     gap = thresholds.gap

@@ -113,11 +113,21 @@ class ResonanceClassification:
         return bool(is_nonresonant(self.code))
 
 
-def _sort3_abs_desc(v0, v1, v2):
-    """Three-element compare-exchange network on |.|, keeping signed values."""
-    def ce(a, b):
-        swap = np.abs(a) < np.abs(b)
+def _exchange(swap, a, b):
+    """(where(swap, b, a), where(swap, a, b)): branch-free on integers, by
+    xor under an all-ones mask.  np.where branches per element, which costs
+    several ns each when ``swap`` is irregular."""
+    if a.dtype.kind == "f":
         return np.where(swap, b, a), np.where(swap, a, b)
+    flips = (a ^ b) & -swap.view(np.int8)
+    return a ^ flips, b ^ flips
+
+
+def _sort3_abs_desc(v0, v1, v2):
+    """Three-element compare-exchange network on |.|, keeping signed values;
+    equal |.| keep their slot order."""
+    def ce(a, b):
+        return _exchange(np.abs(a) < np.abs(b), a, b)
 
     v0, v1 = ce(v0, v1)
     v1, v2 = ce(v1, v2)
@@ -139,64 +149,6 @@ def _merge_sorted_triples(a, b):
     return n1, n2, n3, n4, n5, n6
 
 
-def _cascade_1d(A, B, aA, aB, aom, G):
-    """Rules 2-6 on canonical six-slot tuples; the below-threshold cut is the
-    caller's.
-
-    ``A`` is the parity holding the largest magnitude, ``B`` the other; each
-    is a triple of signed slot arrays sorted by descending |.|, and ``aA``,
-    ``aB`` are their magnitudes (integer or float).  ``aom`` is |Omega| as
-    float.  Returns (codes, ns, s12, L): ``ns`` the six merged magnitudes in
-    the input dtype, ``s12`` the top cross-parity pair sum and ``L`` the
-    near-collision scale N3*^2/N1*.
-    """
-    ns = _merge_sorted_triples(aA, aB)
-    n1, n2, n3, n4, n5 = ns[:5]
-    n1f = n1.astype(np.float64)
-    n3f = n3.astype(np.float64)
-
-    codes = np.full(n1.shape, RES_III, dtype=np.int8)
-    undecided = np.ones(n1.shape, dtype=bool)
-
-    def settle(mask, code):
-        hit = undecided & mask
-        codes[hit] = code
-        undecided[hit] = False
-
-    settle(aB[0] * G <= n1, NR_PAIR)
-    settle((n3 > 0) & (n3 >= G * n4) & (aom * G >= n1f * n3f), NR_TRIPLE)
-
-    two_high = undecided & (n1 >= G * n3)
-    s12 = (A[0] + B[0]).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(n1 > 0, n3f**2 / np.maximum(n1f, 1e-300), 0.0)
-    settle(two_high & (np.abs(s12) > G * L) & (aom * G >= n1f * np.abs(s12)),
-           NR_BILINEAR)
-    settle(two_high, RES_I)
-
-    four_high = undecided & (n4 >= G * n5) & (n4 > 0)
-    cert = aom * G >= n1f**2
-    # high slots in A: |A0| = N1* >= N4* always counts
-    c_odd = 1 + (aA[1] >= n4).astype(np.int8) + (aA[2] >= n4).astype(np.int8)
-    settle(four_high & (c_odd == 2), RES_II)
-
-    # distribution (II): one high slot in A, trio = B; (III): mirrored
-    for c, trio, u in ((1, B, A[0]), (3, A, B[0])):
-        sel = four_high & undecided & (c_odd == c)
-        if not np.any(sel):
-            continue
-        same_sign_trio = ((np.sign(trio[0]) == np.sign(trio[1]))
-                          & (np.sign(trio[1]) == np.sign(trio[2])))
-        near = np.zeros_like(sel)
-        for v in trio:
-            same = np.sign(v) == np.sign(u)
-            near |= np.where(same, np.abs(v - u), np.abs(v + u)) * G <= n1
-        settle(sel & (same_sign_trio | near) & cert, NR_SIGNS)
-        settle(sel, RES_II)
-    # remaining: five comparable magnitudes, RES_III
-    return codes, ns, s12, L
-
-
 class Parts1D(NamedTuple):
     """The per-slot arrays the 1-D rules compare.  ``odd``, ``even``: the
     canonical triples, signed and by descending |.|, after the parity flip
@@ -210,47 +162,139 @@ class Parts1D(NamedTuple):
     abs_omega: np.ndarray
 
 
+def _cascade_1d(odd, even, aom, G):
+    """Rules 2-6 on canonical six-slot tuples; the below-threshold cut is the
+    caller's.
+
+    ``odd`` and ``even`` are the two parity triples, each signed and sorted
+    by descending |.| with ties in slot order (``_sort3_abs_desc``): float,
+    or integer in a signed dtype that holds twice the largest |k|, so that
+    pair sums and differences stay exact.  ``aom`` is |Omega| (int64 or
+    float64).  Every product with G, and N1* N3*, N1*^2 and N1* |s12|, is
+    formed in float64.  The parity holding the largest magnitude becomes
+    ``A``, the other ``B``.  Returns (codes, ``Parts1D``): the merged
+    magnitudes, the flipped triples and s12 in the input dtype.
+    """
+    flip = np.abs(even[0]) > np.abs(odd[0])
+    A, B = zip(*(_exchange(flip, o, e) for o, e in zip(odd, even)))
+    aA, aB = tuple(map(np.abs, A)), tuple(map(np.abs, B))
+    ns = _merge_sorted_triples(aA, aB)
+    n1, n2, n3, n4, n5 = ns[:5]
+    n1f = n1.astype(np.float64)
+    n3f = n3.astype(np.float64)
+
+    codes = np.full(n1.shape, RES_III, dtype=np.int8)
+    undecided = np.ones(n1.shape, dtype=bool)
+
+    def settle(mask, code):
+        hit = undecided & mask
+        codes[hit] = code
+        undecided[hit] = False
+
+    aom_G = aom * G
+    settle(aB[0] * G <= n1, NR_PAIR)
+    settle((n3 > 0) & (n3 >= G * n4) & (aom_G >= n1f * n3f), NR_TRIPLE)
+
+    two_high = undecided & (n1 >= G * n3)
+    s12 = A[0] + B[0]
+    abs_s12 = np.abs(s12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.where(n1 > 0, n3f**2 / np.maximum(n1f, 1e-300), 0.0)
+    settle(two_high & (abs_s12 > G * L) & (aom_G >= n1f * abs_s12), NR_BILINEAR)
+    settle(two_high, RES_I)
+
+    four_high = undecided & (n4 >= G * n5) & (n4 > 0)
+    cert = aom_G >= n1f**2
+    # high slots in A: |A0| = N1* >= N4* always counts
+    c_odd = 1 + (aA[1] >= n4).astype(np.int8) + (aA[2] >= n4).astype(np.int8)
+    settle(four_high & (c_odd == 2), RES_II)
+
+    # distribution (II): one high slot in A, trio = B; (III): mirrored
+    for c, trio, mags, u in ((1, B, aB, aA[0]), (3, A, aA, aB[0])):
+        sel = four_high & undecided & (c_odd == c)
+        if not np.any(sel):
+            continue
+        same_sign_trio = ((np.sign(trio[0]) == np.sign(trio[1]))
+                          & (np.sign(trio[1]) == np.sign(trio[2])))
+        # |v - u| for v of the high slot's sign, else |v + u|: either way
+        # ||v| - |u||
+        near = np.zeros_like(sel)
+        for m in mags:
+            near |= np.abs(m - u) * G <= n1
+        settle(sel & (same_sign_trio | near) & cert, NR_SIGNS)
+        settle(sel, RES_II)
+    # remaining: five comparable magnitudes, RES_III
+    return codes, Parts1D(A, B, ns, s12, L, aom)
+
+
+def _integer_slots(slots):
+    """Integer slot arrays (slots, ...) as contiguous rows in the smallest
+    signed dtype that holds twice their largest |k|, so that the sums and
+    differences of two modes stay exact, and their int64 squares."""
+    top = max(int(slots.max(initial=0)), -int(slots.min(initial=0)))
+    slots = np.ascontiguousarray(slots, dtype=np.min_scalar_type(-2 * top - 1))
+    return slots, np.square(slots, dtype=np.int64)
+
+
+def _verdicts_1d(arr, G: float):
+    """Per-row producer of the rule cascade: the verdicts of six-slot tuples
+    (..., 6), float or integer; the below-threshold cut is the caller's.
+
+    Integer tuples stay integers (``_integer_slots``), and |Omega| is formed
+    from their int64 squares.  Returns (codes, ``Parts1D``).  Every rule
+    compares products of magnitudes of equal degree, so integer modes give
+    the verdicts of the physical tuples they scale to, exactly.
+    """
+    slots = np.moveaxis(arr, -1, 0)
+    if arr.dtype.kind == "f":
+        slots = np.ascontiguousarray(slots)
+        sq = slots * slots
+    else:
+        slots, sq = _integer_slots(slots)
+    aom = np.abs(sq[0] - sq[1] + sq[2] - sq[3] + sq[4] - sq[5])
+    return _cascade_1d(_sort3_abs_desc(slots[0], slots[2], slots[4]),
+                       _sort3_abs_desc(slots[1], slots[3], slots[5]), aom, G)
+
+
+def _set_verdicts_1d(odd_sets, even_sets, rows, cols, G: float):
+    """Per-set producer of the rule cascade: the verdicts of the tuples that
+    put row set ``odd_sets[rows[t]]`` in the odd slots and column set
+    ``even_sets[cols[t]]`` in the even ones, each set a row of three integer
+    modes in slot order; the below-threshold cut is the caller's.
+
+    Each set's triple is sorted and its sum of k^2 formed once
+    (``_integer_slots``) and gathered for its tuples, with |Omega| = |odd
+    sum - even sum|: the cascade reads what ``_verdicts_1d`` reads on the
+    tuples' rows, so it returns the same codes and ``Parts1D``.
+    """
+    slots, sq = _integer_slots(np.concatenate([odd_sets, even_sets]).T)
+    triples, sums = _sort3_abs_desc(*slots), sq[0] + sq[1] + sq[2]
+    R = len(odd_sets)
+    aom = np.abs(sums[:R][rows] - sums[R:][cols])
+    return _cascade_1d(tuple(v[:R][rows] for v in triples),
+                       tuple(v[R:][cols] for v in triples), aom, G)
+
+
+def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
+    """Vectorized six-slot classifier: the verdicts of physical tuples
+    (..., 6), cut below N.  Integer tuples are classified as integers
+    (``_verdicts_1d``), others as float64.  Returns (codes, ``Parts1D``)."""
+    arr = np.asarray(k)
+    if arr.dtype.kind not in "iu":
+        arr = as_tuple_array(arr, 1)
+    if arr.ndim == 0 or arr.shape[-1] != 6:
+        raise ValueError("1d classifier expects six slots")
+    codes, parts = _verdicts_1d(arr, thresholds.gap)
+    codes[parts.mags[0] <= N] = BELOW
+    return codes, parts
+
+
 class Parts2D(NamedTuple):
     """The per-slot arrays the 2-D rules compare."""
 
     mags: np.ndarray  # |k_i|, (..., 4)
     odd_pair: tuple  # (dominant, lo) of slots 1, 3: dominates the other pair; smaller |k|
     even_pair: tuple  # (dominant, lo) of slots 2, 4
-
-
-def _verdicts_1d(arr, G: float):
-    """Canonicalize six-slot tuples (float or integer, (..., 6)) and run the
-    rule cascade; the below-threshold cut is the caller's.
-
-    Returns (codes, ``Parts1D``).  Every rule compares products of
-    magnitudes of equal degree, so integer modes give the verdicts of the
-    physical tuples they scale to, exactly.
-    """
-    o0, o1, o2 = _sort3_abs_desc(arr[..., 0], arr[..., 2], arr[..., 4])
-    e0, e1, e2 = _sort3_abs_desc(arr[..., 1], arr[..., 3], arr[..., 5])
-    flip = np.abs(e0) > np.abs(o0)
-    o0, e0 = np.where(flip, e0, o0), np.where(flip, o0, e0)
-    o1, e1 = np.where(flip, e1, o1), np.where(flip, o1, e1)
-    o2, e2 = np.where(flip, e2, o2), np.where(flip, o2, e2)
-    sq = arr * arr
-    aom = np.abs(sq[..., 0] - sq[..., 1] + sq[..., 2] - sq[..., 3]
-                 + sq[..., 4] - sq[..., 5])
-
-    codes, ns, s12, L = _cascade_1d(
-        (o0, o1, o2), (e0, e1, e2), (np.abs(o0), np.abs(o1), np.abs(o2)),
-        (np.abs(e0), np.abs(e1), np.abs(e2)), aom, G)
-    return codes, Parts1D((o0, o1, o2), (e0, e1, e2), ns, s12, L, aom)
-
-
-def classify_batch_1d(k, N: float, thresholds: Thresholds = Thresholds()):
-    """Vectorized six-slot classifier: the verdicts of physical tuples
-    (..., 6), cut below N.  Returns (codes, ``Parts1D``)."""
-    arr = as_tuple_array(k, 1)
-    if arr.shape[-1] != 6:
-        raise ValueError("1d classifier expects six slots")
-    codes, parts = _verdicts_1d(arr, thresholds.gap)
-    codes[parts.mags[0] <= N] = BELOW
-    return codes, parts
 
 
 def _verdicts_2d(m, G: float):

@@ -175,20 +175,22 @@ def evolve(cfg: EvolutionConfig, u0: SpectralField) -> Trajectory:
     u = u0
     aborted = False
     diagnostics = {}
-    for i in range(1, n_steps + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a step toward blow-up may overflow, and so may the report of the last
+    # finite sample before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            try:
                 u = step(u)
-        except ValueError:  # SpectralField refuses non-finite coefficients
-            aborted = True
-            diagnostics = {"failed_step": i, "t": i * dt,
-                           "reason": "non-finite coefficients"}
-            break
-        if i % cfg.sample_stride == 0 or i == n_steps:
-            t = i * dt
-            times.append(t)
-            samples.append(u)
-            reports.append(_basic_report(t, u, cfg.sign))
+            except ValueError:  # SpectralField refuses non-finite coefficients
+                aborted = True
+                diagnostics = {"failed_step": i, "t": i * dt,
+                               "reason": "non-finite coefficients"}
+                break
+            if i % cfg.sample_stride == 0 or i == n_steps:
+                t = i * dt
+                times.append(t)
+                samples.append(u)
+                reports.append(_basic_report(t, u, cfg.sign))
     return Trajectory(np.array(times), samples, reports, aborted, diagnostics)
 
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (BELOW, Thresholds, _verdicts_1d, _verdicts_2d, is_nonresonant,
-                       is_resonant)
+from .classify import (BELOW, Thresholds, _set_verdicts_1d, _verdicts_1d, _verdicts_2d,
+                       is_nonresonant, is_resonant)
 # ``mass`` is imported from here by ``dynamics``, the package and the bench's hooks
 from .geometry import (SpectralField, TransformPlan, dealiased_map, dealiasing_plan,
                        grid_values, integrate_grid, mass, modulus_squared,
@@ -196,6 +196,16 @@ class _Lattice:
             for start in range(lo, hi, rows):
                 for at in range(first, end, cols):
                     yield slice(start, min(start + rows, hi)), slice(at, min(at + cols, end))
+
+    def rows_follow(self, block) -> bool:
+        """Whether ``groups`` follows ``block`` with later rows of its
+        sigma-group against the same columns: ``block`` is a row block of a
+        group cut into row blocks, and not its last."""
+        odd, even = block
+        size = len(self.bounds) - 1
+        g = int(np.searchsorted(self.bounds, odd.start, side="right")) - 1
+        return (odd.stop < self.bounds[g + 1]
+                and even == slice(self.bounds[size - 1 - g], self.bounds[size - g]))
 
     def slots(self, block):
         """Composite slot indices (R, C, n) of one block from ``groups``."""
@@ -354,12 +364,13 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     every symbol is invariant, and the sum indices whose blocks are walked,
     one per class of sums under the maps (None for every sum).
     ``gamma_sums`` passes the identity alone and None, ``_correction_walk``
-    the lattice's ``_symmetries``.  ``evaluate(idx)`` returns the symbol
-    values on a run of walked tuples from ``lat.batches``, one flat array
-    per symbol; each run is contracted and dropped before the next is
-    evaluated.  ``passes`` lists (vecs, symbols): per slot the (sets, Q)
-    arrays of ``slot_vectors`` and the indices of the symbols summed against
-    them.  Returns per pass an array (len(symbols), sets) of plain sums.
+    the lattice's ``_symmetries``.  ``evaluate(blocks, idx)`` returns the
+    symbol values on a run of walked tuples, as ``lat.batches`` yields it,
+    one flat array per symbol; each run is contracted and dropped before
+    the next is evaluated.  ``passes`` lists (vecs, symbols): per slot the
+    (sets, Q) arrays of ``slot_vectors`` and the indices of the symbols
+    summed against them.  Returns per pass an array (len(symbols), sets) of
+    plain sums.
 
     A map carries the tuples of a block one to one onto those of its image
     block, with the same values, and an arrangement sum does not depend on
@@ -371,10 +382,13 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     them, for each block whose image no earlier element gave
     (``_new_images``): every block of a class once.  A run's values are
     gathered for an element only when it skips a block of the run (one with
-    a nontrivial stabiliser).  Row weights are dropped after each run; each
-    element keeps the column weights of its last run if that run held one
-    block, and reuses them while its runs pair the same columns, as the row
-    blocks of a cut sigma-group do.
+    a nontrivial stabiliser).  Row weights are dropped after each run.  An
+    element's one-block runs that pair the same columns, as the row blocks
+    of a cut sigma-group do, share one B: their block products
+    (``_block_product``) are added up and folded against B (``_fold``) once,
+    at the group's last row block (``lat.rows_follow``).  Every other
+    one-block run is folded as it ends, so a walk that cuts no group adds
+    its terms in the order of ``_contract`` run by run.
     """
     maps, walked = group
     new = _new_images(lat, maps)
@@ -384,9 +398,19 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     stacked = [np.concatenate(v) for v in zip(*(vecs for vecs, _ in passes))]
     ends = np.cumsum([len(vecs[0]) for vecs, _ in passes])
     sets = [slice(end - len(vecs[0]), end) for (vecs, _), end in zip(passes, ends)]
-    last = [(None, None)] * len(maps)  # per element: a one-block run's (columns, B)
+    # per element: the columns of its last one-block run, their B, and per
+    # pass the block products on them that wait for B
+    held = [None] * len(maps)
+
+    def fold(e):
+        if held[e] is not None:
+            _, B, products = held[e]
+            for acc, at, G in zip(sums, sets, products):
+                acc += _fold(G, B[at])
+            held[e] = None
+
     for blocks, idx in lat.batches(_TABLE_TUPLES, walked):
-        values = evaluate(idx)
+        values = evaluate(blocks, idx)
         starts = np.cumsum([0] + [R * C for _, (R, C) in blocks])
         for e, (to, fresh) in enumerate(zip(maps, new)):
             kept = [i for i, ((odd, _), _) in enumerate(blocks) if fresh[odd.start]]
@@ -395,17 +419,57 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
             cols = slice(None) if len(kept) == len(blocks) else _indices(
                 [slice(starts[i], starts[i + 1]) for i in kept])
             columns = [blocks[i][0][1] for i in kept]
-            B = last[e][1] if last[e][0] == columns else lat._arrangements(
-                stacked[1::2], _indices(columns), to)
-            last[e] = (columns, B) if len(kept) == 1 else (None, None)
+            if held[e] is not None and held[e][0] == columns:
+                B = held[e][1]
+            else:
+                fold(e)
+                B = lat._arrangements(stacked[1::2], _indices(columns), to)
             A = lat._arrangements(stacked[0::2], _indices([blocks[i][0][0] for i in kept]), to)
             shapes = [blocks[i][1] for i in kept]
-            for (_, symbols), acc, at in zip(passes, sums, sets):
-                _contract(acc, A[at], B[at],
-                          np.stack([values[k][cols] for k in symbols]), shapes)
+            V = lambda symbols: np.stack([values[k][cols] for k in symbols])
+            if len(kept) > 1:
+                for (_, symbols), acc, at in zip(passes, sums, sets):
+                    _contract(acc, A[at], B[at], V(symbols), shapes)
+                continue
+            if held[e] is None:
+                held[e] = (columns, B, [None] * len(passes))
+            products = held[e][2]
+            # pass by pass, so that one pass's new product is alive at a time
+            for p, ((_, symbols), at) in enumerate(zip(passes, sets)):
+                product = _block_product(A[at], V(symbols), *shapes[0])
+                if products[p] is None:
+                    products[p] = product
+                else:
+                    products[p] += product
+            if not lat.rows_follow(blocks[kept[0]][0]):
+                fold(e)
         # release this run before batches builds the next
         idx = values = None
+    for e in range(len(maps)):
+        fold(e)
     return sums
+
+
+def _lhs(A, V):
+    """The left factor of a block product: [Re A; Im A] for real values
+    ``V`` (one real matrix product), A for complex ones."""
+    return A if np.iscomplexobj(V) else np.concatenate([A.real, A.imag])
+
+
+def _block_product(A, V, R, C):
+    """``_lhs`` @ V of one block: row weights A (sets, R) and values V
+    (symbols, R * C), row-major; (symbols, rows of the left factor, C)."""
+    return np.matmul(_lhs(A, V), V.reshape(len(V), R, C))
+
+
+def _fold(G, B):
+    """Per symbol and set, the sum over the columns c of block products G
+    (``_block_product``) times the column weights B[s, c], pairwise as
+    ``np.sum`` adds: of [Re G; Im G] B for real values."""
+    if np.iscomplexobj(G):
+        return np.sum(G * B, axis=2)
+    S = len(B)
+    return np.sum(G[:, :S] * B, axis=2) + 1j * np.sum(G[:, S:] * B, axis=2)
 
 
 def _contract(acc, A, B, V, shapes) -> None:
@@ -414,33 +478,25 @@ def _contract(acc, A, B, V, shapes) -> None:
     weights, ``V`` (symbols, run tuples) its values, each block's (R, C)
     of them block after block and row-major within a block.
 
-    Each block costs one matrix product for all symbols, [Re A; Im A] @ V
-    for real values and A @ V for complex ones, written into its columns of
-    a buffer.  The buffer is multiplied by its columns of B and summed over
-    them (pairwise, as ``np.sum`` adds) once it is full and at the end of
-    the run; it holds at most ``_CONTRACT_BYTES`` or one block's product.
+    Each block costs one matrix product for all symbols (``_lhs`` @ V),
+    written into its columns of a buffer.  The buffer is folded against its
+    columns of B (``_fold``) once it is full and at the end of the run; it
+    holds at most ``_CONTRACT_BYTES`` or one block's product.
     """
-    S, k = len(A), len(V)
-    real = not np.iscomplexobj(V)
-    lhs = np.concatenate([A.real, A.imag]) if real else A
+    lhs = _lhs(A, V)
+    k = len(V)
     column = k * len(lhs) * lhs.itemsize  # buffer bytes per column
     width = min(B.shape[1], max(max(C for _, C in shapes), _CONTRACT_BYTES // max(column, 1)))
     buf = np.empty((k, len(lhs), width), dtype=lhs.dtype)
-
-    def fold(G, Bc):
-        if real:
-            return np.sum(G[:, :S] * Bc, axis=2) + 1j * np.sum(G[:, S:] * Bc, axis=2)
-        return np.sum(G * Bc, axis=2)
-
     r = t = c = lo = 0  # offsets of the block's rows, tuples, columns; first buffered column
     for R, C in shapes:
         if c + C - lo > width:
-            acc += fold(buf[:, :, :c - lo], B[:, lo:c])
+            acc += _fold(buf[:, :, :c - lo], B[:, lo:c])
             lo = c
         np.matmul(lhs[:, r:r + R], V[:, t:t + R * C].reshape(k, R, C),
                   out=buf[:, :, c - lo:c - lo + C])
         r, t, c = r + R, t + R * C, c + C
-    acc += fold(buf[:, :, :c - lo], B[:, lo:c])
+    acc += _fold(buf[:, :, :c - lo], B[:, lo:c])
 
 
 def _slot_stack(field_sets) -> list[np.ndarray]:
@@ -462,10 +518,10 @@ def gamma_sums(symbol, field_sets, budget: int = DEFAULT_TUPLE_BUDGET) -> np.nda
     field_sets = [list(fs) for fs in field_sets]
     lat = _Lattice(field_sets[0][0], len(field_sets[0]), budget)
     if callable(symbol):
-        evaluate = lambda idx: [symbol(lat.physical(idx))]
+        evaluate = lambda blocks, idx: [symbol(lat.physical(idx))]
     else:
         flat = np.asarray(symbol).reshape(lat.rows * lat.Q)
-        evaluate = lambda idx: [flat[lat.position(idx)]]
+        evaluate = lambda blocks, idx: [flat[lat.position(idx)]]
     return _walk(lat, evaluate, [(_slot_stack(field_sets), (0,))],
                  ([np.arange(lat.Q)], None))[0][0]
 
@@ -535,7 +591,7 @@ class CorrectionTables:
     combined: np.ndarray   # sigma_deg + sigma_tilde (real table)
 
 
-def _lattice_verdicts(lat: _Lattice, idx, G: float):
+def _lattice_verdicts(lat: _Lattice, idx, G: float, blocks=None):
     """Verdict codes of on-lattice tuples (composite slot indices (T, n))
     from per-mode lookups, uncut; each tuple's largest physical |k|, where
     the below-threshold cut at N sets code BELOW if it is at most N; and the
@@ -544,20 +600,43 @@ def _lattice_verdicts(lat: _Lattice, idx, G: float):
     The 1-D rules run on the integer modes, where they are exact and hence
     the same for every slot order within a parity (on the physical floats
     n/lambda an exact tie can read differently in two slot orders); the
-    2-D rules run on the physical |k| of each slot.
+    2-D rules run on the physical |k| of each slot.  With ``blocks``, the
+    run's blocks as ``lat.batches`` yields them with ``idx``, the 1-D rules
+    read each row and column set once (``classify._set_verdicts_1d``);
+    without, they read the slots of each tuple (``classify._verdicts_1d``),
+    which need not form blocks.  A 1-D tuple's largest |k| is that of the
+    mode N1*, |k| being |n|/lambda.
     """
     if lat.d == 1:
-        codes, parts = _verdicts_1d(lat.modes[idx, 0], G)
-        slot = lambda j: lat.kabs[idx[:, j]]
-    else:
-        codes, parts = _verdicts_2d(lat.kabs[idx], G)
-        slot = lambda j: parts.mags[:, j]
+        if blocks is None:
+            codes, parts = _verdicts_1d(lat.modes[idx, 0], G)
+        else:
+            odd, even, rows, cols = _run_sets(blocks)
+            codes, parts = _set_verdicts_1d(lat.modes[lat.sets[odd], 0],
+                                            lat.modes[lat.sets[even], 0], rows, cols, G)
+        return codes, np.take(lat.kabs[lat.K[0]:], parts.mags[0]), parts
+    codes, parts = _verdicts_2d(lat.kabs[idx], G)
     # the largest |k| of each tuple, slot by slot: numpy's max over the
     # short slot axis is several times slower
-    top = np.maximum(slot(0), slot(1))
+    top = np.maximum(parts.mags[:, 0], parts.mags[:, 1])
     for j in range(2, lat.n):
-        np.maximum(top, slot(j), out=top)
+        np.maximum(top, parts.mags[:, j], out=top)
     return codes, top, parts
+
+
+def _run_sets(blocks):
+    """The row and column sets of a run's ``blocks`` (indices into
+    ``sets``, block after block) and, per tuple of the run, block after
+    block and row-major within a block, the place of its row set and of its
+    column set among them."""
+    R, C = np.array([shape for _, shape in blocks]).T
+    width = np.repeat(C, R)  # per row set: its block's columns
+    rows = np.repeat(np.arange(len(width)), width)
+    # per row set: its first tuple, less its block's first column
+    shift = np.cumsum(width) - width - np.repeat(np.cumsum(C) - C, R)
+    cols = np.arange(len(rows)) - np.repeat(shift, width)
+    return (_indices([odd for (odd, _), _ in blocks]),
+            _indices([even for (_, even), _ in blocks]), rows, cols)
 
 
 def _correction_values(idx, codes, d, deg, slots):
@@ -612,13 +691,15 @@ def _physical_memory() -> int:
 def _correction_evaluator(lat: _Lattice, Ns, s: float, thresholds: Thresholds):
     """Evaluator for ``_walk`` of sigma~, R and sigma+sigma~ on the lattice
     ``lat`` of Gamma_deg at every N of ``Ns``, N-major: the three at Ns[0],
-    then at Ns[1], ...  Each run is classified once and cut below each N."""
+    then at Ns[1], ...  Each run is classified once, from its blocks, or
+    tuple by tuple where they are None (``_lattice_verdicts``), and cut
+    below each N."""
     sq = np.sum(lat.freqs ** 2, axis=-1)
     ms = [m_value(np.sqrt(sq), SmoothingSymbol(N, 1.0 - s)) for N in Ns]
     slots = [{"sq": sq, "m": m, "msq_sq": m**2 * sq} for m in ms]
 
-    def evaluate(idx):
-        codes, top, _ = _lattice_verdicts(lat, idx, thresholds.gap)
+    def evaluate(blocks, idx):
+        codes, top, _ = _lattice_verdicts(lat, idx, thresholds.gap, blocks)
         return [v for N, per_mode in zip(Ns, slots) for v in _correction_values(
             idx, np.where(top <= N, BELOW, codes), lat.d, lat.n, per_mode)]
     return evaluate
@@ -644,7 +725,9 @@ def correction_tables(template: SpectralField, N: float, s: float,
     evaluate = _correction_evaluator(lat, [N], s, thresholds)
     tables = [np.zeros(lat.rows * lat.Q) for _ in CORRECTION_SYMBOLS]
     for pos, idx in lat.on_lattice(_TABLE_TUPLES):
-        for table, vals in zip(tables, evaluate(idx)):
+        # no blocks: the 1-D rules read each tuple's slots, a check on the
+        # walk's per-set reading
+        for table, vals in zip(tables, evaluate(None, idx)):
             table[pos] = vals
     st, mb, cm = (t.reshape((lat.Q,) * (deg - 1)) for t in tables)
     return CorrectionTables(g.dimension, deg, N, s, thresholds, st, mb, cm)

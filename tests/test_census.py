@@ -378,10 +378,10 @@ class TestSoundnessGate:
     def test_d1(self, tmp_path, monkeypatch):
         cascade = classify._cascade_1d
 
-        def unsound(A, B, aA, aB, aom, G):
-            codes, ns, s12, L = cascade(A, B, aA, aB, aom, G)
-            codes[(aom == 0.0) & is_resonant(codes) & (ns[0] % 2 == 0)] = NR_SIGNS
-            return codes, ns, s12, L
+        def unsound(odd, even, aom, G):
+            codes, parts = cascade(odd, even, aom, G)
+            codes[(aom == 0.0) & is_resonant(codes) & (parts.mags[0] % 2 == 0)] = NR_SIGNS
+            return codes, parts
 
         monkeypatch.setattr(classify, "_cascade_1d", unsound)
         code, guards, witness, resonant_zero = self.run(tmp_path, 1)

@@ -124,6 +124,47 @@ def test_2d_verdict_invariance_under_slot_symmetries():
         assert np.array_equal(codes, swapped), perm
 
 
+def assert_same_verdicts(got, ref):
+    """(codes, Parts1D) pairs equal as values, field by field and slot by
+    slot, whatever their dtypes."""
+    (codes, parts), (ref_codes, ref_parts) = got, ref
+    assert np.array_equal(codes, ref_codes)
+    for name, field, ref_field in zip(parts._fields, parts, ref_parts):
+        for a, b in (zip(field, ref_field) if isinstance(field, tuple) else [(field, ref_field)]):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("top, dtypes", [(127, (np.int8, np.int16, np.int32, np.int64)),
+                                         (32767, (np.int16, np.int32, np.int64))])
+def test_integer_input_is_dtype_invariant(top, dtypes):
+    # the same tuples as integer rows of every dtype that holds them and as
+    # float64 rows: the same codes and Parts1D values.  |k| up to the
+    # dtype's bound, where a pair sum such as s12 = 127 + 120 leaves the
+    # dtype; equal-|k| ties of opposite signs in either parity; zero slots;
+    # and the vanishing-resonance (Sohinger) family
+    big = top - 7
+    special = [(top, big, -top, -big, 0, 0), (-top, -big, top, big, 0, 0),
+               (top, -top, big, -big, 0, 0), (big, top, -big, -top, 7, -7),
+               (5, 2, -5, -2, 3, -3), (-5, 2, 5, -2, 3, -3), (2, 5, 3, -5, -5, 0),
+               (2, -5, 3, 5, -5, 0), (0, 0, 0, 0, 0, 0), (top, 0, 0, top, 0, 0),
+               (0, top, -top, 0, 0, 0)]
+    sohinger = [K * np.array([5, -3, 6, -2, 1, -7]) for K in range(1, top // 7 + 1)]
+    rng = np.random.default_rng(29)
+    drawn = []
+    for hi in (3, 24, top // 5):
+        free = rng.integers(-hi, hi + 1, size=(4000, 5))
+        drawn.append(np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1))
+    tups = np.concatenate([np.array(special), np.array(sohinger)] + drawn)
+    assert np.abs(tups).max() == top
+    th = Thresholds(gap=3.0)
+    ref = classify_batch_1d(tups.astype(np.float64), 2.0, th)
+    assert len(np.unique(ref[0])) > 5
+    for dtype in dtypes:
+        assert_same_verdicts(classify_batch_1d(tups.astype(dtype), 2.0, th), ref)
+    # some pair sum leaves the narrowest dtype of the rows
+    assert np.abs(ref[1].s12).max() > top
+
+
 def test_lattice_verdicts_equal_batch_codes():
     # the Lambda walk classifies integer modes (1-D) or per-mode |k| (2-D);
     # at lambda = 1 or a power of two, and on any 2-D lattice, that gives the

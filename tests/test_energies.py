@@ -378,6 +378,10 @@ class TestOnLatticeEnumeration:
         group = np.searchsorted(lat.bounds, [odd.start for odd, _ in blocks], side="right") - 1
         sliced = [C < count[len(count) - 1 - g] for (_, C), g in zip(sizes, group)]
         assert any(sliced) == (block < count.max())
+        # rows_follow names each block that the next one continues with later
+        # rows against the same columns
+        for b, after in zip(blocks, blocks[1:] + [(None, None)]):
+            assert lat.rows_follow(b) == (after[1] == b[1] and after[0].start == b[0].stop)
         idx = np.concatenate([lat.slots(b).reshape(-1, n) for b in blocks])
         free, on, last_idx = slots_1_to_n_minus_1(field, n)
         expected = np.concatenate([free[on], last_idx[:, None]], axis=1)
@@ -453,8 +457,8 @@ class TestCorrectionWalk:
         tables = (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)
         orbits = _Orbits(fs[0], deg)
         evaluate = energies._correction_evaluator(orbits, [N], 0.5, Thresholds())
-        for _, idx in orbits.batches(1 << 30):
-            for table, vals in zip(tables, evaluate(idx)):
+        for blocks, idx in orbits.batches(1 << 30):
+            for table, vals in zip(tables, evaluate(blocks, idx)):
                 assert np.array_equal(vals, table.reshape(-1)[orbits.position(idx)])
         streamed, = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)])
         for name, table, row in zip(CORRECTION_SYMBOLS, tables, streamed[0]):
@@ -473,9 +477,9 @@ class TestCorrectionWalk:
         orbits = _Orbits(fs[0], deg)
         grid = energies._correction_evaluator(orbits, Ns, 0.5, Thresholds())
         alone = [energies._correction_evaluator(orbits, [n], 0.5, Thresholds()) for n in Ns]
-        for _, idx in orbits.batches(1 << 12):
+        for blocks, idx in orbits.batches(1 << 12):
             assert all(np.array_equal(a, b) for a, b in zip(
-                grid(idx), [v for evaluate in alone for v in evaluate(idx)]))
+                grid(blocks, idx), [v for evaluate in alone for v in evaluate(blocks, idx)]))
         passes = [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
                   ([fs * (deg // 2)], ("combined",))]
         got = correction_sums(fs[0], Ns, 0.5, passes)
@@ -590,9 +594,9 @@ class TestOrbitWalk:
         classified = []
         verdicts = energies._lattice_verdicts
 
-        def counting(lat, idx, G):
+        def counting(lat, idx, G, blocks=None):
             classified.append(len(idx))
-            return verdicts(lat, idx, G)
+            return verdicts(lat, idx, G, blocks)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
         lat = _Orbits(fs[0], deg)
@@ -604,6 +608,31 @@ class TestOrbitWalk:
         count = np.diff(lat.bounds)
         assert np.sum(size * count * count[::-1]) == lat.tuples > expected
         assert lat.tuples < sum(len(p) for p, _ in _Lattice(fs[0], deg).on_lattice(1 << 14))
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("lam, gap", [(1.0, 4.0), (3.3, 2.0)])
+    @pytest.mark.parametrize("cutoff", range(1, 10))
+    def test_per_set_verdicts_are_per_row_verdicts(self, cutoff, lam, gap, cut, monkeypatch):
+        # every run of the 1-D orbit walk, classified from its row and
+        # column sets, against the per-row rules on the run's tuples: the
+        # same codes, Parts1D values and largest |k|, also when blocks of
+        # at most seven tuples cut the sigma-groups
+        if cut:
+            monkeypatch.setattr(energies, "_TABLE_TUPLES", 7)
+        lat = _Orbits(zero_field(build_geometry(1, (), lam), cutoff), 6)
+        _, walked, _ = energies._symmetries(lat)
+        seen, multi = set(), 0
+        for blocks, idx in lat.batches(energies._TABLE_TUPLES, walked):
+            multi += len(blocks) > 1
+            codes, top, parts = energies._lattice_verdicts(lat, idx, gap, blocks)
+            ref_codes, ref_parts = energies._verdicts_1d(lat.modes[idx, 0], gap)
+            assert np.array_equal(codes, ref_codes)
+            for name, field, ref in zip(parts._fields, parts, ref_parts):
+                for a, b in zip(field, ref) if isinstance(field, tuple) else [(field, ref)]:
+                    assert np.array_equal(a, b), name
+            assert np.array_equal(top, np.max(lat.kabs[idx], axis=1))
+            seen.update(np.unique(codes).tolist())
+        assert multi > 0 and len(seen) > (1 if cutoff < 3 else 4)
 
     @pytest.mark.parametrize("d, gamma, lam, cutoff, N, gap", [
         (1, (), 3.0, 4, 1.0, 2.0), (2, (1 / np.sqrt(2),), 1.0, (3, 2), 1.0, 2.0)])
@@ -643,7 +672,7 @@ def representative_terms(f, N, th, sets):
     vecs = energies._slot_stack(sets)
     terms = []
     for blocks, idx in lat.batches(1 << 30):
-        values = np.stack(evaluate(idx))
+        values = np.stack(evaluate(blocks, idx))
         t = 0
         for (odd, even), (R, C) in blocks:
             A = lat._arrangements(vecs[0::2], np.arange(odd.start, odd.stop))
@@ -806,9 +835,9 @@ class TestQuotientWalk:
         maps, walked, _ = energies._symmetries(lat)
         classified = []
 
-        def counting(idx):
+        def counting(blocks, idx):
             classified.append(len(idx))
-            return evaluate(idx)
+            return evaluate(blocks, idx)
 
         quotient = energies._walk(lat, counting, passes, (maps, walked))
         count = np.diff(lat.bounds)

@@ -289,9 +289,9 @@ class TestRunners:
         classified = []
         verdicts = energies._lattice_verdicts
 
-        def counting(lat, idx, G):
+        def counting(lat, idx, G, blocks=None):
             classified.append(len(idx))
-            return verdicts(lat, idx, G)
+            return verdicts(lat, idx, G, blocks)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
         cfgfile = tmp_path / "w.cfg"
@@ -448,6 +448,19 @@ class TestRunners:
         assert guards["aborted"] and guards["failed_step"] == 1
         summary = (tmp_path / "r" / "summary.txt").read_text()
         assert "TRAJECTORY ABORTED at step 1 " in summary
+
+    @pytest.mark.filterwarnings("error")
+    def test_early_abort_raises_no_overflow_warning(self, tmp_path):
+        # focusing data of mass 100 at dt 0.05 blow up at step 2: the mass
+        # and energy of the last finite sample overflow, and the run still
+        # fails quietly with exit 2 and the abort line
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("kcut = 3\nsign = focusing\ndt = 0.05\nt_end = 20\nstride = 1\n"
+                           "data.modes = 0\ndata.mass = 100\n")
+        code = main(["energy-track", "--config", str(cfgfile), "--out", str(tmp_path / "r")])
+        assert code == 2
+        summary = (tmp_path / "r" / "summary.txt").read_text()
+        assert "TRAJECTORY ABORTED at step 2 " in summary
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         cfgfile = tmp_path / "d.cfg"
