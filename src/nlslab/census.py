@@ -207,17 +207,18 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
         weight = np.concatenate([np.outer(odd_weight[odd], orbit[even]).ravel()
                                  for (odd, even), _ in blocks])
         ksq = slot_sq(idx)
-        om = np.abs(ksq @ _alt_signs(n))  # exact: integers far below 2^53
         # n1, the largest |k|, is the tables' root[r1]: each |k| is the sqrt
         # of an integer, so N1*^2 and N3*^2 (clipped below at 1) give the
         # mean-value bound
         codes, n1, parts = _lattice_verdicts(lat, idx, G, blocks)
         if d == 1:
+            om = parts.abs_omega  # the rules' exact integer |Omega|
             # widened: the merged magnitudes keep the narrow mode dtype
             r1, r3 = (np.square(parts.mags[j], dtype=np.intp) for j in (0, 2))
             r3 = np.maximum(r3, 1)
             claimed = omega_lower_bound(codes, G, n1=n1, n3=np.sqrt(r3), s12=parts.s12)
         else:
+            om = np.abs(ksq @ _alt_signs(n))  # exact: integers far below 2^53
             r1, r2, r3 = _descending(list(ksq.T))[:3]
             r3 = np.maximum(r3, 1)
             claimed = omega_lower_bound(codes, G, lo_sq=np.maximum(r2, 1))

@@ -10,6 +10,7 @@ NLSLAB_OUT environment variable overrides --out.  Exit code 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,7 +30,10 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(prog="nlslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:

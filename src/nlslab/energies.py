@@ -39,6 +39,8 @@ is time-integration error, which must vanish at the integrator's order.
 from __future__ import annotations
 
 import itertools
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,24 +251,73 @@ class _Lattice:
         for _, idx in self.batches(max_tuples):
             yield self.position(idx), idx
 
-    def _arrangements(self, vecs, rows, to=None) -> np.ndarray:
+    def weight_kinds(self, vecs):
+        """Runs of consecutive field sets that ``_arrangements`` weighs
+        alike, as (sets, kind) for the slot vectors ``vecs``: here one run,
+        every set by its arrangements (kind -1, ``_Orbits.weight_kinds``)."""
+        return [(slice(0, len(vecs[0])), -1)]
+
+    def _arrangements(self, vecs, kinds, rows, to=None) -> np.ndarray:
         """Per field set, the sum over the distinct arrangements of each set
         ``sets[rows]`` (or its image ``to[sets[rows]]`` under a mode map) of
-        the product of ``vecs[i]`` at the mode in place i: over ``perms``,
-        each arrangement weighted by ``share``.  A bijection of the modes
-        keeps each set's stabiliser, so an image set has its set's share."""
+        the product of ``vecs[i]`` at the mode in place i, each arrangement
+        weighted by ``share``.  A bijection of the modes keeps each set's
+        stabiliser, so an image set has its set's share.
+
+        ``kinds`` (``weight_kinds``) says how each run of field sets is
+        summed: kind -1 over ``perms``; the kinds of ``_Orbits``, whose
+        ``perms`` are every slot permutation, from the slot vectors' structure:
+        kind h (one vector v in every slot) as h! share prod_i v[x_i], and
+        kind j < h (v in every slot but slot j, which holds w) as (h-1)!
+        share sum_i w[x_i] prod_(k != i) v[x_k], h gathers and h - 1
+        products or 2h gathers and 3h - 4 products against the loop's h! h
+        gathers.  Both sums are symmetric in the set's order, as every
+        arrangement sum is."""
         sets = self.sets[rows] if to is None else to[self.sets[rows]]
-        total = np.zeros((len(vecs[0]), len(sets)), dtype=np.complex128)
-        term, factor = np.empty_like(total), np.empty_like(total)
-        # the indices are in range; mode "clip" lets take write into out
-        # directly, where "raise" gathers into a temporary first
-        for p in self.perms:
-            np.take(vecs[0], sets[:, p[0]], axis=1, out=term, mode="clip")
-            for v, j in zip(vecs[1:], p[1:]):
-                term *= np.take(v, sets[:, j], axis=1, out=factor, mode="clip")
-            total += term
-        total *= self.share[rows]
+        h, share = sets.shape[1], self.share[rows]
+        cols = list(np.ascontiguousarray(sets.T))
+        total = np.empty((len(vecs[0]), len(sets)), dtype=np.complex128)
+        width = max(at.stop - at.start for at, _ in kinds)
+        buf = np.empty((3, width, len(sets)), dtype=np.complex128)
+        for at, kind in kinds:
+            out = total[at]
+            term, factor, extra = buf[:, :len(out)]
+            if kind == h:
+                _product([vecs[0][at]] * h, cols, out, factor)
+                out *= math.factorial(h) * share
+            elif kind >= 0:
+                w, v = vecs[kind][at], vecs[1 if kind == 0 else 0][at]
+                # slot by slot: out sums, over the slots seen so far, w at
+                # one of them times v at the others; term is v at all of them
+                np.take(w, cols[0], axis=1, out=out, mode="clip")
+                np.take(v, cols[0], axis=1, out=term, mode="clip")
+                for j in range(1, h):
+                    out *= np.take(v, cols[j], axis=1, out=factor, mode="clip")
+                    np.take(w, cols[j], axis=1, out=extra, mode="clip")
+                    extra *= term
+                    out += extra
+                    if j < h - 1:
+                        term *= factor
+                out *= math.factorial(h - 1) * share
+            else:
+                out[...] = 0.0
+                run = [v[at] for v in vecs]
+                for p in self.perms:
+                    _product(run, [cols[j] for j in p], term, factor)
+                    out += term
+                out *= share
         return total
+
+
+def _product(vecs, cols, out, factor) -> None:
+    """Per field set (row of each ``vecs[i]``) and set, the product over i
+    of ``vecs[i]`` at the modes ``cols[i]``, into ``out``; ``factor`` is
+    scratch of its shape."""
+    # the indices are in range; mode "clip" lets take write into out
+    # directly, where "raise" gathers into a temporary first
+    np.take(vecs[0], cols[0], axis=1, out=out, mode="clip")
+    for v, c in zip(vecs[1:], cols[1:]):
+        out *= np.take(v, c, axis=1, out=factor, mode="clip")
 
 
 def _multisets(Q: int, h: int) -> np.ndarray:
@@ -295,6 +346,25 @@ class _Orbits(_Lattice):
 
     def _sets(self, h: int):
         return _multisets(self.Q, h), list(itertools.permutations(range(h)))
+
+    def weight_kinds(self, vecs):
+        """The runs of ``_Lattice.weight_kinds`` from the structure of each
+        field set's slot vectors, compared exactly: kind h where every slot
+        holds one vector, j < h where every slot but slot j does, else -1.
+        At h = 2 every set is summed over its two arrangements, which cost
+        what the structured sums cost."""
+        h, S = len(vecs), len(vecs[0])
+        kind = np.full(S, -1)
+        if h > 2:
+            same = [[np.all(a == b, axis=1) for b in vecs] for a in vecs]
+            for j in range(h):
+                # every slot but j equals slot ref, and slot j does not
+                ref = 1 if j == 0 else 0
+                kind[np.logical_and.reduce([same[ref][i] for i in range(h) if i != j]
+                                           + [~same[ref][j]])] = j
+            kind[np.logical_and.reduce(same[0])] = h
+        ends = [*(np.flatnonzero(np.diff(kind)) + 1).tolist(), S]
+        return [(slice(a, b), int(kind[a])) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _symmetries(lat: _Lattice):
@@ -377,7 +447,8 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     the order of its set.  So per run and element, the row weights A (sets
     x rows) of the odd slot vectors and the column weights B (sets x cols)
     of the even ones, over the element's images of the run's blocks side by
-    side and for every pass's sets at once (``lat._arrangements``), and per
+    side and for every pass's sets at once (``lat._arrangements``, by the
+    sets' ``lat.weight_kinds``), and per
     pass ``_contract`` sums the run's values against its sets' rows of
     them, for each block whose image no earlier element gave
     (``_new_images``): every block of a class once.  A run's values are
@@ -394,8 +465,11 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     new = _new_images(lat, maps)
     sums = [np.zeros((len(symbols), len(vecs[0])), dtype=np.complex128)
             for vecs, symbols in passes]
-    # every pass's sets stacked, one arrangement sum for all of them
+    # every pass's sets stacked, one arrangement sum for all of them, each
+    # side's sets told apart by kind once per walk
     stacked = [np.concatenate(v) for v in zip(*(vecs for vecs, _ in passes))]
+    odd, even = stacked[0::2], stacked[1::2]
+    odd_kinds, even_kinds = lat.weight_kinds(odd), lat.weight_kinds(even)
     ends = np.cumsum([len(vecs[0]) for vecs, _ in passes])
     sets = [slice(end - len(vecs[0]), end) for (vecs, _), end in zip(passes, ends)]
     # per element: the columns of its last one-block run, their B, and per
@@ -423,8 +497,8 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
                 B = held[e][1]
             else:
                 fold(e)
-                B = lat._arrangements(stacked[1::2], _indices(columns), to)
-            A = lat._arrangements(stacked[0::2], _indices([blocks[i][0][0] for i in kept]), to)
+                B = lat._arrangements(even, even_kinds, _indices(columns), to)
+            A = lat._arrangements(odd, odd_kinds, _indices([blocks[i][0][0] for i in kept]), to)
             shapes = [blocks[i][1] for i in kept]
             V = lambda symbols: np.stack([values[k][cols] for k in symbols])
             if len(kept) > 1:
@@ -861,8 +935,8 @@ def energy_identity_residual(samples, times, Ns, s: float,
     integrator/quadrature order under dt refinement.  Every Lambda term at
     every N comes from one orbit walk (``correction_sums``);
     ``walk_tuples`` counts the representatives it classifies, one
-    sigma-block per symmetry class, and ``budget_tuples`` the Q^(deg-1)
-    tuples that the budget checks.
+    sigma-block per symmetry class, ``walk_s`` its wall seconds, and
+    ``budget_tuples`` the Q^(deg-1) tuples that the budget checks.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -881,19 +955,22 @@ def energy_identity_residual(samples, times, Ns, s: float,
     # of sigma + sigma~, the equation substituted into slot j (the collapsed
     # group is a lattice mode).  sigma + sigma~ is symmetric within each slot
     # parity, so every odd j gives the same sum and so does every even j:
-    # the sum over j is (deg/2) [Lambda(nl in slot 2) - Lambda(nl in slot 1)]
-    substituted = []
-    for f in samples:
-        nl = nonlinear_coefficient_field(f)
-        substituted += [[nl] + [f] * (deg - 1), [f, nl] + [f] * (deg - 2)]
+    # the sum over j is (deg/2) [Lambda(nl in slot 2) - Lambda(nl in slot 1)].
+    # Every sample's nl in slot 1, then every sample's nl in slot 2: each
+    # side's sets of one kind are consecutive, one run of the walk's weights
+    nls = [nonlinear_coefficient_field(f) for f in samples]
+    substituted = ([[nl] + [f] * (deg - 1) for f, nl in zip(samples, nls)]
+                   + [[f, nl] + [f] * (deg - 2) for f, nl in zip(samples, nls)])
     lat = _Orbits(f0, deg, budget)
+    start = time.perf_counter()
     (sums, cm), walked = _correction_walk(lat, Ns, s, [(plain, ("sigma_tilde", "mbar")),
                                                        (substituted, ("combined",))],
                                           thresholds)
+    walk_s = time.perf_counter() - start
     corr = kappa * np.real(w * sums[:, 0])
     lam_mbar = 1j * w * sums[:, 1]
-    sub = w * cm.reshape(len(Ns), len(samples), 2)
-    lam_big = 1j * kappa * (deg // 2) * (sub[..., 1] - sub[..., 0])
+    sub = w * cm.reshape(len(Ns), 2, len(samples))
+    lam_big = 1j * kappa * (deg // 2) * (sub[:, 1] - sub[:, 0])
     mbar = kappa * np.real(lam_mbar)
     mbar_big = np.real(lam_big)
     integral = np.array([cumulative_simpson(y, float(dts[0])) for y in mbar + mbar_big])
@@ -903,4 +980,4 @@ def energy_identity_residual(samples, times, Ns, s: float,
             "lambda_mbar": mbar, "lambda_mbar_big": mbar_big, "residual": residual,
             "imag_leak": np.maximum(np.max(np.abs(np.imag(lam_mbar)), axis=1),
                                     np.max(np.abs(np.imag(lam_big)), axis=1)),
-            "walk_tuples": walked, "budget_tuples": lat.raw_tuples}
+            "walk_tuples": walked, "budget_tuples": lat.raw_tuples, "walk_s": walk_s}

@@ -11,6 +11,7 @@ rows they affect.
 from __future__ import annotations
 
 import inspect
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -116,7 +117,8 @@ def _identity_run(u0, evo, Ns, s, sign, gap, budget):
     an over-budget lattice or on samples the identity cannot use, and
     ``energy_identity_residual`` along it at every N of ``Ns``, with
     max|residual| and its ``identity_tolerance`` per N (a NaN residual
-    fails).  A trajectory that aborts before its third sample leaves no
+    fails); the residual's dict also holds ``evolve_s``, the integration's
+    wall seconds.  A trajectory that aborts before its third sample leaves no
     identity to check: the three are then None."""
     _Lattice.check_budget(u0, u0.geometry.nonlinearity_degree + 1, budget)
     dt, steps = step_grid(evo, u0)
@@ -125,11 +127,14 @@ def _identity_run(u0, evo, Ns, s, sign, gap, budget):
         raise ValueError(f"sample stride {stride} over {steps} steps (t_end={evo.t_end}, dt={dt})"
                          ": it must divide them (uniform samples) and leave at least three "
                          "samples; choose stride/samples to fit")
+    start = time.perf_counter()
     traj = evolve(evo, u0)
+    evolve_s = time.perf_counter() - start
     if len(traj.samples) < 3:
         return traj, None, None, None
     out = energy_identity_residual(traj.samples, traj.times, Ns, s, sign=sign,
                                    thresholds=Thresholds(gap=gap), budget=budget)
+    out["evolve_s"] = evolve_s
     energy = [r["energy"] for r in traj.reports]
     tol = [identity_tolerance(out["t"], y, energy, e1)
            for y, e1 in zip(out["lambda_mbar"] + out["lambda_mbar_big"], out["e_i1"])]
@@ -185,7 +190,8 @@ def run_energy_track(cfg: dict, out_dir: Path) -> int:
     write_manifest(out_dir, "energy-track", cfg, {"seed": cfg["seed"]},
                    {"aborted": traj.aborted, "imag_leak": float(out["imag_leak"][0]),
                     "residual_max": rmax, "residual_tol": tol,
-                    "walk_tuples": out["walk_tuples"], "budget_tuples": out["budget_tuples"]})
+                    "walk_tuples": out["walk_tuples"], "budget_tuples": out["budget_tuples"],
+                    "evolve_s": out["evolve_s"], "walk_s": out["walk_s"]})
     e1, e2 = out["e_i1"][0], out["e_i2"][0]
     _summary(out_dir, [
         f"energy-track: N={N} s={s} residual max {rmax:.3e} (tolerance {tol:.3e})",
@@ -588,7 +594,8 @@ def run_almost_conservation(cfg: dict, out_dir: Path) -> int:
                    {"aborted": traj.aborted, "monotone": monotone,
                     "corrected_below_raw": final_better,
                     "identity_ok": identity_ok, "walk_tuples": out["walk_tuples"],
-                    "budget_tuples": out["budget_tuples"]})
+                    "budget_tuples": out["budget_tuples"], "evolve_s": out["evolve_s"],
+                    "walk_s": out["walk_s"]})
     _summary(out_dir, [
         f"almost-conservation d={cfg['d']} N grid {cfg['n_grid']}",
         f"E_I^2 increments: {incs}",

@@ -26,6 +26,7 @@ from nlslab.geometry import (build_geometry, field_from_modes, free_evolve, rand
                              to_physical, zero_field)
 from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
+from reference import arrangement_weights
 
 RNG = np.random.default_rng(17)
 
@@ -665,7 +666,8 @@ class TestOrbitWalk:
 def representative_terms(f, N, th, sets):
     """Per symbol, set and orbit representative, the term value x A x B of
     an orbit walk's sums (symbols, sets, representatives), from
-    ``_correction_values`` and the arrangement sums of each block."""
+    ``_correction_values`` and the arrangement sums of each block, summed
+    over every permutation (``reference.arrangement_weights``)."""
     deg = f.geometry.nonlinearity_degree + 1
     lat = _Orbits(f, deg)
     evaluate = energies._correction_evaluator(lat, [N], 0.5, th)
@@ -675,8 +677,8 @@ def representative_terms(f, N, th, sets):
         values = np.stack(evaluate(blocks, idx))
         t = 0
         for (odd, even), (R, C) in blocks:
-            A = lat._arrangements(vecs[0::2], np.arange(odd.start, odd.stop))
-            B = lat._arrangements(vecs[1::2], np.arange(even.start, even.stop))
+            A = arrangement_weights(lat, vecs[0::2], np.arange(odd.start, odd.stop))
+            B = arrangement_weights(lat, vecs[1::2], np.arange(even.start, even.stop))
             weight = (A[:, :, None] * B[:, None, :]).reshape(len(A), R * C)
             terms.append(values[:, None, t:t + R * C] * weight[None])
             t += R * C
@@ -785,6 +787,86 @@ class TestOrbitWalkSums:
         assert blocks == len(walked) > 30 and products > bound
         for peak, bound, _, _ in calls:
             assert peak <= bound
+
+
+def random_vectors(shape):
+    return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+
+
+def side_vectors(Q, layouts):
+    """One side's slot vectors (h arrays (sets, Q)) for field sets laid out
+    as strings over fresh random vectors: "vvw" holds v in its first two
+    slots and w in its third."""
+    h = len(layouts[0])
+    vecs = [np.empty((len(layouts), Q), dtype=np.complex128) for _ in range(h)]
+    for s, layout in enumerate(layouts):
+        fresh = {name: random_vectors(Q) for name in set(layout)}
+        for i, name in enumerate(layout):
+            vecs[i][s] = fresh[name]
+    return vecs
+
+
+class TestArrangementWeights:
+    """The orbit walk's row and column weights, summed by the kind of each
+    field set's slot vectors, against the permutation loop."""
+
+    # per set: its layout and the kind ``weight_kinds`` gives it; runs of
+    # one kind, and kinds that alternate set by set
+    LAYOUTS = [("vvv", 3), ("vvv", 3), ("wvv", 0), ("vwv", 1), ("vvw", 2), ("vvw", 2),
+               ("uvw", -1), ("vvv", 3), ("wvv", 0), ("vvv", 3), ("vuv", 1), ("uwu", 1)]
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_kinds_within_ulps_of_the_permutation_loop(self, lam):
+        # every set of every kind, under both group elements (the identity
+        # and k -> -k), within 4 ulps of its sum of |products|
+        lat = _Orbits(zero_field(build_geometry(1, (), lam), 4), 6)
+        maps, _, _ = energies._symmetries(lat)
+        assert len(maps) == 2
+        layouts, expected = zip(*self.LAYOUTS)
+        vecs = side_vectors(lat.Q, layouts)
+        kinds = lat.weight_kinds(vecs)
+        got = np.concatenate([np.full(at.stop - at.start, kind) for at, kind in kinds])
+        assert np.array_equal(got, expected)
+        assert len(kinds) == 9
+        rows = np.arange(len(lat.sets))
+        for to in maps:
+            W = lat._arrangements(vecs, kinds, rows, to)
+            ref = arrangement_weights(lat, vecs, rows, to)
+            scale = arrangement_weights(lat, [np.abs(v) for v in vecs], rows, to).real
+            assert np.all(np.abs(W - ref) <= 4 * np.finfo(float).eps * scale)
+
+    def test_one_coefficient_apart_is_another_kind(self):
+        # vectors equal but for one coefficient are different vectors: "vvv"
+        # with one slot apart is "vvw", and "wvv" with one of its v slots
+        # apart holds three vectors; the structured sums of the kinds they
+        # resemble would miss that coefficient
+        lat = _Orbits(zero_field(build_geometry(1, (), 1.0), 3), 6)
+        v, w = random_vectors(lat.Q), random_vectors(lat.Q)
+        for q in range(lat.Q):
+            near = v.copy()
+            near[q] *= 2.0
+            for slots, kind in (((v, v, near), 2), ((near, v, v), 0), ((w, v, near), -1),
+                                ((v, near, w), -1), ((near, w, v), -1)):
+                vecs = [x[None, :] for x in slots]
+                assert lat.weight_kinds(vecs) == [(slice(0, 1), kind)]
+                rows = np.flatnonzero(np.any(lat.sets == q, axis=1))
+                W = lat._arrangements(vecs, lat.weight_kinds(vecs), rows)
+                ref = arrangement_weights(lat, vecs, rows)
+                assert np.allclose(W, ref, rtol=1e-14, atol=0)
+
+    def test_two_slots_keep_the_permutation_loop(self):
+        # at h = 2 the structured sums cost what the loop costs: every set
+        # is one run of the loop, the identity's weights the loop's own
+        lat = _Orbits(zero_field(build_geometry(2, (0.75,), 1.0), (3, 2)), 4)
+        vecs = side_vectors(lat.Q, ["vv", "vw", "wv", "vv"])
+        kinds = lat.weight_kinds(vecs)
+        assert kinds == [(slice(0, 4), -1)]
+        rows = np.arange(len(lat.sets))
+        for to in energies._symmetries(lat)[0]:
+            W = lat._arrangements(vecs, kinds, rows, to)
+            scale = arrangement_weights(lat, [np.abs(v) for v in vecs], rows, to).real
+            assert np.all(np.abs(W - arrangement_weights(lat, vecs, rows, to))
+                          <= 4 * np.finfo(float).eps * scale)
 
 
 # the quotient walk's lattices: ORBIT_LATTICES and the unit square with

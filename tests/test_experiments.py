@@ -61,6 +61,33 @@ class TestConfig:
         assert main(["strichartz", "--threads", "0", "--out", str(tmp_path / "s")]) == 1
         assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
 
+    def test_cached_parser_parses_as_a_fresh_one(self, tmp_path, monkeypatch):
+        # main's parser is built once per process; in-process calls with
+        # different subcommands and flags read what a fresh parser reads
+        from nlslab import cli
+
+        calls = [["census", "--seed", "3", "--out", str(tmp_path / "c")],
+                 ["budget", "--out", str(tmp_path / "b")],
+                 ["strichartz", "--threads", "2", "--config", str(tmp_path / "s.cfg")],
+                 ["census", "--out", str(tmp_path / "c2")]]
+        (tmp_path / "s.cfg").write_text("samples = 2\n")
+        got = []
+        monkeypatch.setattr(cli, "validate", lambda command, raw: (command, dict(raw)))
+        monkeypatch.setattr(cli, "RUNNERS", {name: lambda cfg, out: got.append((cfg, out)) or 0
+                                             for name in cli.RUNNERS})
+        monkeypatch.delenv("NLSLAB_OUT", raising=False)
+        for argv in calls:
+            assert main(argv) == 0
+        assert cli.build_parser() is cli.build_parser()
+        fresh = cli.build_parser.__wrapped__
+        for argv, (cfg, out) in zip(calls, got):
+            args = fresh().parse_args(argv)
+            assert vars(cli.build_parser().parse_args(argv)) == vars(args)
+            assert cfg[0] == args.command and out == cli.resolve_out_dir(args.out)
+            assert cfg[1].get("seed") == args.seed and cfg[1].get("threads") == args.threads
+        assert got[0][0][1] == {"seed": 3} and got[3][0][1] == {}
+        assert got[2][0][1] == {"samples": 2, "threads": 2}
+
     def test_strichartz_rejects_d_and_kind(self, tmp_path):
         # the probe is the 1-D bilinear one; it reads neither key
         for text in ("d = 2\n", "kind = bilinear\n"):
@@ -283,7 +310,8 @@ class TestRunners:
         ("almost-conservation", "kcut = 4\nn_grid = 2,3\nsamples = 4\nt_end = 0.05\n"),
         ("almost-conservation", "kcut = 4\nn_grid = 2,3,4\nsamples = 4\nt_end = 0.05\n")])
     def test_manifest_records_walk_cost(self, tmp_path, monkeypatch, command, text):
-        # one classification pass per run, whatever the length of the N grid
+        # one classification pass per run, whatever the length of the N
+        # grid, and what the run's two phases took
         import nlslab.energies as energies
 
         classified = []
@@ -301,6 +329,8 @@ class TestRunners:
         assert guards["budget_tuples"] == 9 ** 5
         assert sum(classified) == guards["walk_tuples"]
         assert 0 < guards["walk_tuples"] < guards["budget_tuples"]
+        # the wall seconds of the integration and of the walk
+        assert all(isinstance(guards[k], float) and guards[k] > 0 for k in ("evolve_s", "walk_s"))
 
     @pytest.mark.parametrize("command, text", [
         ("energy-track", "kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
