@@ -327,10 +327,14 @@ class BoundReport:
     witness: tuple = ()
 
 
+# slots of the 1-D family tuples, and the origin bits below their slots in a
+# family key (``_keys``)
+_FAMILY_SLOTS, _ORIGIN_BITS = 6, 3
+
 # the zero-sum draws of bound verification, (draws, slots n, dimension d):
 # the 2-D cases' shared draw and the 1-D families' random background
 _DRAW_2D = (400000, 4, 2)
-_DRAW_BACKGROUND = (200000, 6, 1)
+_DRAW_BACKGROUND = (200000, _FAMILY_SLOTS, 1)
 
 # Origin bits of the 1-D family tuples: the random background, the
 # near-collision family and the two-high-pair family.  Each family case's
@@ -364,7 +368,10 @@ def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
 
 def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
     """The union of the family cases' sets, as ``_unique_rows`` (sorted rows
-    and their origin bits) of ``_family_blocks``."""
+    and their origin bits) of ``_family_blocks``.  ``background`` is a
+    Generator to draw the background from, or the background's sorted
+    ``_keys``, packed once for every gap.  Every row is zero-sum, as the
+    keys need, and kmax is at most 2047 (``_key_width``)."""
     need = 0
     for case in cases:
         need |= _SOURCES[case]
@@ -372,75 +379,135 @@ def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
 
 
 def _family_blocks(need: int, N: float, kmax: int, gap: float, background):
-    """(origin bit, integer rows) blocks: the structured worst-case families
-    of the kept regions whose bits are in ``need``, then the random
-    background, which every family case holds: the rows of
+    """(origin bit, rows) blocks: the structured worst-case families of the
+    kept regions whose bits are in ``need``, one block per top mode t, then
+    the random background, which every family case holds: the rows of
     ``_DRAW_BACKGROUND`` drawn from ``background`` when it is a Generator,
-    else ``background`` itself, that draw made once for every gap."""
+    else ``background`` itself, its keys packed once for every gap.
+
+    A family block holds int16 zero-sum rows with every entry in [-kmax,
+    kmax] (``_closed_rows``).  The near-collision offsets are clipped to
+    those that keep slot 2 in [-kmax, kmax], so no entry passes 2 kmax + 19
+    before the filter, which int16 holds at every kmax the keys allow
+    (``_key_width``).  Each family's grid axes follow its slots and t
+    ascends, so its rows come in ``_keys`` order: with the sorted
+    background, the union's sort merges one sorted run per source."""
     tops = np.arange(max(2, int(N)), kmax + 1)
     q = 8
     if need & _COLLISION:
-        # near-collision pair with a small opposite pair
+        # near-collision pair (t, j - t) with a small opposite pair
         for t in tops:
             c = max(1, int(np.ceil(gap * min(t, q) ** 2 / t)) + 2)
-            j = np.arange(-c, c + 1)
-            m3 = np.arange(0, min(q, t) + 1)
+            j = np.arange(max(-c, t - kmax), min(c, t + kmax) + 1)
+            m3 = np.arange(0, min(q, t) + 1)[:, None]
             r = np.arange(-min(q, t), min(q, t) + 1)
-            J, M3, R = np.meshgrid(j, m3, r, indexing="ij")
-            k1 = np.full_like(J, t)
-            k2 = -t + J
-            k3 = M3
-            k4 = -M3 + R
-            k5 = np.zeros_like(J)
-            k6 = -(k1 + k2 + k3 + k4 + k5)
-            tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
-            yield _COLLISION, tup[np.max(np.abs(tup), axis=1) <= kmax]
+            yield _COLLISION, _closed_rows(kmax, t, (j - t)[:, None, None], m3, r - m3, 0)
     if need & _TWO_PAIRS:
-        # two high pairs with small coupling offsets
+        # two high pairs (t, e1 - t), (b, e2 - b) with small coupling offsets
+        e = np.arange(-q, q + 1)
         for t in tops:
-            bs = np.unique(np.maximum(1, np.linspace(t / gap, t, 6).astype(int)))
-            for b in bs:
-                e = np.arange(-q, q + 1)
-                E1, E2, R = np.meshgrid(e, e, np.arange(-3, 4), indexing="ij")
-                k1 = np.full_like(E1, t)
-                k2 = -t + E1
-                k3 = np.full_like(E1, b)
-                k4 = -b + E2
-                k5 = R
-                k6 = -(k1 + k2 + k3 + k4 + k5)
-                tup = np.stack([k1, k2, k3, k4, k5, k6], axis=-1).reshape(-1, 6)
-                yield _TWO_PAIRS, tup[np.max(np.abs(tup), axis=1) <= kmax]
+            bs = np.unique(np.maximum(1, np.linspace(t / gap, t, 6).astype(int)))[:, None, None]
+            yield _TWO_PAIRS, _closed_rows(kmax, t, (e - t)[:, None, None, None], bs,
+                                           e[:, None] - bs, np.arange(-3, 4))
     if isinstance(background, np.random.Generator):
         background = _zero_sum_draws(background, kmax, *_DRAW_BACKGROUND)
     yield _BACKGROUND, background
 
 
-def _unique_rows(blocks, kmax: int):
-    """The distinct rows of an iterable of ``(bit, rows)`` blocks of n-slot
-    integer rows with entries in [-kmax, kmax], and each one's origin bits,
-    the OR of the bits of the blocks that hold it: ``np.unique`` of the
-    concatenated rows, in the smallest signed integer dtype that holds
-    +-kmax, and a uint8 mask per row.
+def _closed_rows(kmax: int, *slots) -> np.ndarray:
+    """The int16 rows over the broadcast grid of slots 1..n-1 (integers or
+    integer arrays), closed to zero sum by slot n, without those with an
+    entry past kmax: a (rows, n) view of the kept (n, rows) columns."""
+    cols = np.empty((len(slots) + 1,) + np.broadcast_shapes(*map(np.shape, slots)), np.int16)
+    for col, s in zip(cols, slots):
+        col[...] = s
+    np.negative(functools.reduce(np.add, cols[:-1]), out=cols[-1])
+    cols = cols.reshape(len(cols), -1)
+    return cols[:, np.abs(cols).max(axis=0) <= kmax].T
 
-    Each block is narrowed to that dtype as it arrives and then released, so
-    the wide blocks are never all held at once.  One lexsort orders the
-    narrow rows; the first row of each run of equal rows is marked by
-    comparing the columns one at a time, and the run's tags OR into its bits.
+
+def _key_width(kmax: int) -> int:
+    """Bits per slot field of a family key, (2 kmax).bit_length(); a
+    ValueError, naming the limit, when slots 1..n-1 and the origin bits pass
+    64 bits: kmax > 2047 at n = 6."""
+    w = (2 * int(kmax)).bit_length()
+    fields = _FAMILY_SLOTS - 1
+    if fields * w + _ORIGIN_BITS > 64:
+        top = (1 << (64 - _ORIGIN_BITS) // fields) // 2 - 1
+        raise ValueError(f"kmax={kmax} is past {top}, the largest cutoff of the 1-D family "
+                         f"cases: {fields} slots of {w} bits and {_ORIGIN_BITS} origin bits "
+                         f"pass a 64-bit key")
+    return w
+
+
+def _keys(rows: np.ndarray, bit: int, kmax: int) -> np.ndarray:
+    """One uint64 key per zero-sum ``_FAMILY_SLOTS``-slot integer row with
+    entries in [-kmax, kmax]: slots 1..n-1, each offset by kmax into a field
+    of ``_key_width`` bits, most significant slot first, above
+    ``_ORIGIN_BITS`` bits that hold ``bit``.  Slot n is not stored: the row
+    is zero-sum, so it is minus the sum of the others."""
+    w = _key_width(kmax)
+    # a negative slot wraps as uint64 and the offset wraps it back: exact
+    key = np.add(rows[:, 0], kmax, dtype=np.uint64, casting="unsafe")
+    for j in range(1, _FAMILY_SLOTS - 1):
+        key <<= w
+        key |= np.add(rows[:, j], kmax, dtype=np.uint64, casting="unsafe")
+    key <<= _ORIGIN_BITS
+    key |= bit
+    return key
+
+
+def _unique_rows(blocks, kmax: int):
+    """The distinct rows of an iterable of ``(bit, rows)`` blocks of
+    zero-sum ``_FAMILY_SLOTS``-slot integer rows with entries in [-kmax,
+    kmax], and each one's origin bits, the OR of the bits of the blocks that
+    hold it: ``np.unique`` of the concatenated rows, in the smallest signed
+    integer dtype that holds +-kmax (stored slot-major), and a uint8 mask
+    per row.  A block may hold its rows' ``_keys`` (a 1-D array) instead.
+
+    Each block is packed into ``_keys`` as it arrives and then released, so
+    the rows are never all held at once; the keys are concatenated once and
+    sorted in place by a merge sort, which joins sorted runs in about one
+    pass.  Offset, most significant slot first, the keys order as the rows
+    do, and rows equal on slots 1..n-1 are equal, being zero-sum: each run
+    of keys equal above the origin bits is one row, whose bits OR the run's.
+    Only the distinct keys are decoded, slot n as minus the sum of the
+    others, so a row that is not zero-sum comes back closed: the
+    precondition is the caller's.  kmax is at most 2047 (``_key_width``).
     """
-    dtype = np.min_scalar_type(-int(kmax) - 1)
-    rows, tags = [], []
-    for bit, b in blocks:
-        rows.append(b.astype(dtype))
-        tags.append(np.full(len(b), bit, dtype=np.uint8))
-    rows, tags = np.concatenate(rows), np.concatenate(tags)
-    order = np.lexsort(rows.T[::-1])
-    rows, tags = rows[order], tags[order]
-    del order
-    first = np.zeros(len(rows), dtype=bool)
+    w = _key_width(kmax)
+    keys = np.concatenate([b if b.ndim == 1 else _keys(b, bit, kmax) for bit, b in blocks])
+    keys.sort(kind="stable")
+    tags = keys.astype(np.uint8)  # the low byte
+    tags &= (1 << _ORIGIN_BITS) - 1
+    keys >>= _ORIGIN_BITS
+    first = np.empty(len(keys), dtype=bool)
     first[:1] = True
-    for col in rows.T:
-        first[1:] |= col[1:] != col[:-1]
-    return rows[first], np.bitwise_or.reduceat(tags, np.flatnonzero(first))
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    bits = np.bitwise_or.reduceat(tags, starts)
+    del tags
+    # the distinct keys to the front, a block at a time: starts[i] >= i, so
+    # no block overwrites a key a later block reads
+    count = len(starts)
+    for at in range(0, count, _TABLE_TUPLES):
+        end = min(at + _TABLE_TUPLES, count)
+        keys[at:end] = keys[starts[at:end]]
+    del starts
+    distinct = keys[:count]
+    # slot-major, so that each slot is written and summed contiguously
+    cols = np.empty((_FAMILY_SLOTS, count), dtype=np.min_scalar_type(-int(kmax) - 1))
+    field = np.empty(count, dtype=np.int16)  # 2 kmax < 2^12
+    for j in reversed(range(_FAMILY_SLOTS - 1)):
+        np.bitwise_and(distinct, (1 << w) - 1, out=field, casting="unsafe")
+        distinct >>= w
+        field -= kmax
+        cols[j] = field
+    # the narrow sum may wrap, but slot n of a zero-sum row fits the dtype,
+    # and so does the wrapped sum's negative
+    np.negative(functools.reduce(np.add, cols[:-1]), out=cols[-1])
+    return cols.T, bits
 
 
 def verify_multiplier_bounds(cases: tuple, N: float, kmax: int, s: float = 0.5,
@@ -458,21 +525,28 @@ def verify_multiplier_bounds(cases: tuple, N: float, kmax: int, s: float = 0.5,
     would.  The random sets do not depend on the gap: each is drawn once per
     call from a fresh generator of ``seed``, in blocks of that size
     (``_zero_sum_draws``) so that no draw's temporaries outgrow one block,
-    and is held for every gap in the narrow dtype of ``_unique_rows``.
-    Every multiplier and bound reads one ``_mode_table``.  Witnesses are
-    ints for the families, floats for the drawn tuples.
+    and is held for every gap: the 2-D draw in the smallest signed integer
+    dtype that holds +-kmax, the 1-D background as its sorted ``_keys``.
+    The family cases pack their zero-sum rows into 64-bit keys, so they
+    refuse kmax past 2047 with a ValueError before any draw
+    (``_key_width``); the 2-D cases take any kmax.  Every multiplier and
+    bound reads one ``_mode_table``.  Witnesses are ints for the families,
+    floats for the drawn tuples.
     """
     for c in cases:
         if c not in VERIFY_CASES:
             raise ValueError(f"case {c!r} not one of {VERIFY_CASES}")
+    if any(c in _SOURCES for c in cases):
+        _key_width(kmax)
     d = 2 if any(c.startswith("2d") for c in cases) else 1
     tab = _mode_table(d * kmax ** 2, N, s)
-    drawn, narrow = {}, np.min_scalar_type(-int(kmax) - 1)
+    drawn = {}
 
     def draw(spec):
         if spec not in drawn:
-            drawn[spec] = _zero_sum_draws(np.random.default_rng(seed), kmax,
-                                          *spec).astype(narrow)
+            rows = _zero_sum_draws(np.random.default_rng(seed), kmax, *spec)
+            drawn[spec] = (np.sort(_keys(rows, _BACKGROUND, kmax)) if spec == _DRAW_BACKGROUND
+                           else rows.astype(np.min_scalar_type(-int(kmax) - 1)))
         return drawn[spec]
 
     return {(c, th.gap): rep for th in thresholds
@@ -496,7 +570,7 @@ def _gap_reports(cases, N: float, kmax: int, s: float, thresholds: Thresholds,
 def _verify_sets(cases, N: float, kmax: int, gap: float, draw):
     """(cases, integer rows, origin bits or None, witness type) per shared
     set, built as the loop reaches it: the family cases' union
-    (``_family_tuples_1d`` on the background ``draw(_DRAW_BACKGROUND)``),
+    (``_family_tuples_1d`` on the background's keys ``draw(_DRAW_BACKGROUND)``),
     then the 2-D cases' one draw (``draw(_DRAW_2D)``)."""
     family = [c for c in cases if c in _SOURCES]
     if family:

@@ -550,8 +550,9 @@ class TestVerify:
 
 
 class TestFamilyTuples:
+    @pytest.mark.parametrize("N, kmax, dtype", [(6.0, 12, np.int8), (96.0, 128, np.int16)])
     @pytest.mark.parametrize("case", ["ii", "nonresonant"])
-    def test_equals_unique_of_concatenated_families(self, case, monkeypatch):
+    def test_equals_unique_of_concatenated_families(self, case, N, kmax, dtype, monkeypatch):
         seen = []
         unique_rows = census._unique_rows
 
@@ -560,49 +561,95 @@ class TestFamilyTuples:
             return unique_rows(seen[-1], kmax)
 
         monkeypatch.setattr(census, "_unique_rows", capture)
-        got, bits = census._family_tuples_1d((case,), 6.0, 12, 4.0, np.random.default_rng(0))
+        got, bits = census._family_tuples_1d((case,), N, kmax, 4.0, np.random.default_rng(0))
         ref = np.unique(np.concatenate([b for _, b in seen[0]]), axis=0)
-        assert got.dtype == np.int8 and np.array_equal(got, ref)
+        assert got.dtype == dtype and np.array_equal(got, ref)
         # every row's bits name exactly the sources that hold it
         for bit in {bit for bit, _ in seen[0]}:
             held = np.unique(np.concatenate([b for t, b in seen[0] if t == bit]), axis=0)
             assert np.array_equal(got[(bits & bit) != 0], held)
 
-    def test_unique_rows_at_the_int64_key_limit(self):
-        # int16 rows at kmax 723 and 724, and a row held by several blocks
-        # carries the OR of their origin bits
-        rng = np.random.default_rng(3)
-        tup = rng.integers(-723, 724, size=(500, 6))
-        blocks = [(1, tup), (2, tup[:50]), (4, np.full((2, 6), 723)), (2, np.full((1, 6), -723)),
+    def test_unique_rows_at_the_int8_limit(self):
+        # zero-sum rows at kmax 127 (int8 rows, 8-bit key fields) and 128
+        # (int16, 9 bits), and a row held by several blocks carries the OR
+        # of their origin bits
+        tup = census._zero_sum_draws(np.random.default_rng(3), 127, 1000, 6, 1)[:500]
+        top = np.array([127, -127] * 3)
+        blocks = [(1, tup), (2, tup[:50]), (4, np.tile(top, (2, 1))), (2, -top[None]),
                   (4, tup[40:60])]
         ref = np.unique(np.concatenate([b for _, b in blocks]), axis=0)
         ref_bits = np.array([np.bitwise_or.reduce([bit for bit, b in blocks
                                                    if (b == row).all(axis=1).any()])
                              for row in ref], dtype=np.uint8)
         assert set(ref_bits) == {1, 2, 3, 4, 5, 7}
-        for kmax in (723, 724):
+        for kmax, dtype in ((127, np.int8), (128, np.int16)):
             stream = iter(blocks)
             rows, bits = census._unique_rows(stream, kmax)
-            assert rows.dtype == np.int16 and np.array_equal(rows, ref)
+            assert rows.dtype == dtype and np.array_equal(rows, ref)
             assert bits.dtype == np.uint8 and np.array_equal(bits, ref_bits)
             assert next(stream, None) is None
 
-    def test_unique_rows_past_int16(self):
-        # int32 rows at kmax 40,000, against np.unique of the blocks
-        kmax = 40000
+    def test_unique_rows_at_the_key_limit(self):
+        # zero-sum int16 rows at kmax 2047, five 12-bit fields and three
+        # origin bits in 63 bits, against np.unique of the blocks; at 2048 a
+        # key would take 68 bits, and the blocks are refused unread
+        kmax = 2047
         rng = np.random.default_rng(6)
-        tup = rng.integers(-kmax, kmax + 1, size=(3000, 6))
-        tup[:, ::2] //= 1000  # runs of equal leading columns
-        blocks = [(1, tup), (2, tup[::7]), (4, np.full((3, 6), -kmax)), (4, tup[100:150])]
+        free = rng.integers(-kmax, kmax + 1, size=(6000, 5))
+        free[:, ::2] //= 1000  # runs of equal leading columns
+        tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        tup = tup[np.abs(tup[:, 5]) <= kmax][:3000]
+        top = np.array([kmax, -kmax] * 3)
+        blocks = [(1, tup), (2, tup[::7]), (4, np.tile(-top, (3, 1))), (4, tup[100:150]),
+                  (2, top[None])]
         rows, bits = census._unique_rows(iter(blocks), kmax)
         ref, inverse = np.unique(np.concatenate([b for _, b in blocks]), axis=0,
                                  return_inverse=True)
         ref_bits = np.zeros(len(ref), dtype=np.uint8)
         np.bitwise_or.at(ref_bits, inverse.ravel(),
                          np.concatenate([np.full(len(b), bit) for bit, b in blocks]))
-        assert set(ref_bits) == {1, 3, 4, 5, 7}
-        assert rows.dtype == np.int32 and np.array_equal(rows, ref)
+        assert set(ref_bits) == {1, 2, 3, 4, 5, 7}
+        assert rows.dtype == np.int16 and np.array_equal(rows, ref)
         assert bits.dtype == np.uint8 and np.array_equal(bits, ref_bits)
+        stream = iter(blocks)
+        with pytest.raises(ValueError, match="past 2047"):
+            census._unique_rows(stream, kmax + 1)
+        assert next(stream, None) is not None
+
+    def test_verify_refuses_family_keys_past_64_bits(self, monkeypatch):
+        # a family case at kmax 2048 is refused before the mode table and
+        # any draw; the 2-D cases pack no keys and go on at that kmax
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(census, "_zero_sum_draws", reached)
+        monkeypatch.setattr(census, "_mode_table", reached)
+        for cases in (("ii",), ("nonresonant", "2d-resonant")):
+            with pytest.raises(ValueError, match="kmax=2048 is past 2047"):
+                verify_multiplier_bounds(cases, 4.0, 2048)
+        with pytest.raises(Reached):
+            verify_multiplier_bounds(("2d-resonant", "2d-nonresonant"), 4.0, 2048)
+        with pytest.raises(Reached):
+            verify_multiplier_bounds(("ii",), 4.0, 2047)
+
+    def test_union_memory_is_bounded(self):
+        # the family union at N 16, kmax 64, gap 4 (828,397 block rows),
+        # with the background's keys held as verify holds them; narrowed
+        # rows, their lexsort order and its permuted copies traced 19.9 MB,
+        # the keys 15.7 MB
+        rows = census._zero_sum_draws(np.random.default_rng(0), 64, *census._DRAW_BACKGROUND)
+        background = np.sort(census._keys(rows, census._BACKGROUND, 64))
+        del rows
+        cases, need = tuple(census._SOURCES), census._SOURCES["nonresonant"]
+        blocks = census._family_blocks(need, 16.0, 64, 4.0, background)
+        assert sum(len(b) for _, b in blocks) == 828397
+        (union, _), peak = _traced_peak(census._family_tuples_1d, cases, 16.0, 64, 4.0,
+                                        background)
+        assert len(union) == 820302
+        assert peak <= 17.2e6, peak
 
     def test_mode_table_equals_m_value(self):
         # integer tuples over |k| <= N, the transition annulus N < |k| < 2N
@@ -672,7 +719,8 @@ class TestZeroSumDraws:
 
     def test_verify_memory_is_bounded(self):
         # the family union at kmax 12 and its 200,000-row background draw;
-        # the whole-draw background and 65,536-row blocks traced 25.9 MB
+        # the whole-draw background and 65,536-row blocks traced 25.9 MB,
+        # the blocked draw 11.4 MB, which sets the peak here
         reps, peak = _traced_peak(verify_multiplier_bounds, ("ii", "nonresonant"), 6.0, 12)
         assert all(rep.count > 0 for rep in reps.values())
-        assert peak <= 16e6, peak
+        assert peak <= 12.6e6, peak

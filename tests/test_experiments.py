@@ -630,6 +630,7 @@ class TestRunners:
         ("verify", "cases = ii\nn_grid =\n", "n_grid"),
         ("verify", "cases = ii\ngap_grid =\n", "gap_grid"),
         ("verify", "cases = ii\nn_grid = 4\nkmax_per_n = 0\n", "kmax_per_n"),
+        ("verify", "cases = ii\nn_grid = 4\nkmax_per_n = 512\ngap_grid = 4\n", "past 2047"),
         ("strichartz", "m_grid =\n", "m_grid"),
         ("strichartz", "m_grid = 0,4\nsamples = 2\n", "m_grid"),
         ("strichartz", "m_grid = 2\nsamples = 0\n", "samples"),
@@ -638,7 +639,8 @@ class TestRunners:
         ("strichartz", "m_grid = 2\nlambda = 0\n", "lambda"),
     ], ids=["samples-zero", "almost-conservation-empty-n-grid", "census-empty-n-grid",
             "census-empty-gap-grid", "verify-empty-cases", "verify-empty-n-grid",
-            "verify-empty-gap-grid", "verify-kmax-per-n-zero", "strichartz-empty-m-grid",
+            "verify-empty-gap-grid", "verify-kmax-per-n-zero", "verify-kmax-past-key-limit",
+            "strichartz-empty-m-grid",
             "strichartz-m-zero", "strichartz-samples-zero", "strichartz-n-freq-zero",
             "strichartz-n-freq-negative", "strichartz-lambda-zero"])
     def test_bad_samples_or_n_grid_exit_one(self, command, text, key, tmp_path, capsys):
