@@ -10,8 +10,7 @@ from .smoothing import (ScalingPlan, SmoothingSymbol, apply_I, gwp_budget,
                         m_value, total_exponent)
 from .multipliers import (SymbolSpec, alpha_n, bare_m6, m_multiplier_symbol,
                           omega, sigma_product, sigma_symbol)
-from .classify import (ResonanceClassification, Thresholds, classify,
-                       classify_batch_1d, classify_batch_2d)
+from .classify import Thresholds, classify_batch_1d, classify_batch_2d
 from .energies import (CorrectionTables, correction_sums, correction_tables,
                        energy, energy_identity_residual, lambda_eval, mass)
-from .dynamics import EvolutionConfig, evolve, galerkin_rhs, rk4_step, strang_step
+from .dynamics import EvolutionConfig, evolve, rk4_step, strang_step

@@ -94,7 +94,11 @@ class CensusReport:
             yield self.classes[code].row(code_label(code))
 
 
-def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
+# each dimension's smoothing order s, when a census is given none
+DEFAULT_S = {1: 0.5, 2: 0.6}
+
+
+def resonance_census_1d(N_values, kmax: int, s: float = DEFAULT_S[1],
                         thresholds: Thresholds = Thresholds(),
                         budget: int = 10 ** 9) -> dict:
     """Exhaustive census over Gamma_6 on the integer lattice |k_i| <= kmax
@@ -102,7 +106,7 @@ def resonance_census_1d(N_values, kmax: int, s: float = 0.5,
     return _census(1, N_values, kmax, s, thresholds, budget)
 
 
-def resonance_census_2d(N_values, kmax: int, s: float = 0.6,
+def resonance_census_2d(N_values, kmax: int, s: float = DEFAULT_S[2],
                         thresholds: Thresholds = Thresholds(),
                         budget: int = 10 ** 9) -> dict:
     """Census over Gamma_4 with 2-vector integer frequencies, |k_i|_inf <= kmax,
@@ -368,10 +372,9 @@ def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
 
 def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
     """The union of the family cases' sets, as ``_unique_rows`` (sorted rows
-    and their origin bits) of ``_family_blocks``.  ``background`` is a
-    Generator to draw the background from, or the background's sorted
-    ``_keys``, packed once for every gap.  Every row is zero-sum, as the
-    keys need, and kmax is at most 2047 (``_key_width``)."""
+    and their origin bits) of ``_family_blocks``.  ``background`` holds the
+    background's sorted ``_keys``, packed once for every gap.  Every row is
+    zero-sum, as the keys need, and kmax is at most 2047 (``_key_width``)."""
     need = 0
     for case in cases:
         need |= _SOURCES[case]
@@ -381,9 +384,8 @@ def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
 def _family_blocks(need: int, N: float, kmax: int, gap: float, background):
     """(origin bit, rows) blocks: the structured worst-case families of the
     kept regions whose bits are in ``need``, one block per top mode t, then
-    the random background, which every family case holds: the rows of
-    ``_DRAW_BACKGROUND`` drawn from ``background`` when it is a Generator,
-    else ``background`` itself, its keys packed once for every gap.
+    the random background, which every family case holds: its sorted
+    ``_keys`` ``background``, packed once for every gap.
 
     A family block holds int16 zero-sum rows with every entry in [-kmax,
     kmax] (``_closed_rows``).  The near-collision offsets are clipped to
@@ -409,8 +411,6 @@ def _family_blocks(need: int, N: float, kmax: int, gap: float, background):
             bs = np.unique(np.maximum(1, np.linspace(t / gap, t, 6).astype(int)))[:, None, None]
             yield _TWO_PAIRS, _closed_rows(kmax, t, (e - t)[:, None, None, None], bs,
                                            e[:, None] - bs, np.arange(-3, 4))
-    if isinstance(background, np.random.Generator):
-        background = _zero_sum_draws(background, kmax, *_DRAW_BACKGROUND)
     yield _BACKGROUND, background
 
 

@@ -6,9 +6,10 @@ signs.  Asymptotic comparisons are made concrete through a gap factor G:
 
     A << B  iff  A <= B / G,        A ~ B  iff  B/G < A <= G*B,
 
-applied to raw magnitudes.  Every non-resonant verdict carries the claimed
-lower bound for the resonance function so sweeps can measure the implied
-constant; resonant verdicts record which part of the kept region fired.
+applied to raw magnitudes.  Every non-resonant verdict claims a lower
+bound for the resonance function (``omega_lower_bound``) so sweeps can
+measure the implied constant; resonant verdicts record which part of the
+kept region fired.
 
 One-dimensional rules, in order (six slots):
   1. all magnitudes <= N: below threshold (the smoothed resonance vanishes
@@ -40,7 +41,7 @@ from the definition alone); otherwise resonant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -96,21 +97,6 @@ class Thresholds:
     def __post_init__(self):
         if not self.gap > 1.0:
             raise ValueError(f"gap={self.gap} must exceed 1")
-
-
-@dataclass(frozen=True)
-class ResonanceClassification:
-    code: int
-    label: str
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def resonant(self) -> bool:
-        return bool(is_resonant(self.code))
-
-    @property
-    def nonresonant(self) -> bool:
-        return bool(is_nonresonant(self.code))
 
 
 def _exchange(swap, a, b):
@@ -337,30 +323,3 @@ def omega_lower_bound(codes, G: float, n1=0.0, n3=0.0, s12=0.0, lo_sq=0.0) -> np
                       codes == NR_SIGNS, codes == NR_2D],
                      [(1 - 3 / G**2) * n1 ** 2, n1 * n3 / G, n1 * np.abs(s12) / G,
                       n1 ** 2 / G, 2 * (1 - 1 / G**2) * lo_sq], np.nan)
-
-
-def classify(entries, N: float, thresholds: Thresholds = Thresholds(),
-             d: int = 1) -> ResonanceClassification:
-    """Classify one tuple and report the compared quantities as a witness."""
-    arr = as_tuple_array(np.array(entries, dtype=float), d)
-    n_slots = arr.shape[0]
-    if (d, n_slots) not in ((1, 6), (2, 4)):
-        raise ValueError(f"classification defined for 6 slots (1d) / 4 slots (2d), got {n_slots}")
-    G = thresholds.gap
-    if d == 1:
-        codes, parts = classify_batch_1d(arr[None, :], N, thresholds)
-        mags = [float(x[0]) for x in parts.mags]
-        bound = omega_lower_bound(codes, G, n1=parts.mags[0], n3=parts.mags[2],
-                                  s12=parts.s12)
-    else:
-        codes, parts = classify_batch_2d(arr[None, ...], N, thresholds)
-        mags = [float(x) for x in np.sort(parts.mags[0])[::-1]]
-        bound = omega_lower_bound(codes, G, lo_sq=np.sort(np.sum(arr**2, axis=-1))[-2])
-    code = int(codes[0])
-    witness = {"sorted_mags": mags, "N": float(N), "gap": G}
-    if code == RES_I or code == NR_BILINEAR:  # 1-D only
-        witness["pair_sum"] = float(abs(parts.s12[0]))
-        witness["collision_scale"] = float(parts.L[0])
-    if is_nonresonant(code):
-        witness["omega_lower_bound"] = float(bound[0])
-    return ResonanceClassification(code, code_label(code), witness)

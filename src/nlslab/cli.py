@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config, resolve_out_dir, validate
+from .energies import ConsistencyError
 from .experiments import (run_almost_conservation, run_budget, run_census,
                           run_energy_track, run_simulate, run_strichartz,
                           run_verify)
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"nlslab: {err}", file=sys.stderr)
         return 1
+    except ConsistencyError as err:
+        print(f"nlslab: invariant check failed: {err}", file=sys.stderr)
+        return 2
     if code != 0:
         print(f"nlslab: invariant check failed (see {out_dir}/summary.txt)",
               file=sys.stderr)

@@ -157,6 +157,16 @@ SCHEMAS = {
 }
 
 
+def _unread_data_keys(cfg: dict) -> tuple[set, str]:
+    """The initial-data keys that ``cfg``'s data does not read, and why."""
+    if cfg["data.kind"] == "zero":
+        return {"data.s", "data.mass", "data.modes"}, "zero data reads no data key"
+    if cfg["data.kind"] == "hs_random" and cfg.get("data.modes"):
+        return {"data.s", "data.mass"}, (f"sparse data (data.modes={cfg['data.modes']}) reads "
+                                         "neither data.s nor data.mass; data.modes = 0 does")
+    return set(), ""
+
+
 def validate(command: str, raw: dict) -> dict:
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
@@ -173,6 +183,10 @@ def validate(command: str, raw: dict) -> dict:
     if out["threads"] != 1 and command != "strichartz":
         raise ConfigError(f"threads={out['threads']}: {command} runs on one "
                           "thread; only strichartz uses more")
+    if "data.kind" in out:
+        keys, why = _unread_data_keys(out)
+        if keys & set(raw):
+            raise ConfigError(f"{', '.join(sorted(keys & set(raw)))} set but not read: {why}")
     return out
 
 

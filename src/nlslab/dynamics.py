@@ -19,10 +19,9 @@ goes through the one dealiased kernel, ``geometry.dealiased_map`` on the
 cached ``dealiasing_plan`` of the lattice: to the grid, a pointwise map of
 the values and |u|^(4/d) (the phase exp(-i kappa dt |u|^(4/d)), or
 |u|^(4/d) u), back to the lattice.  A step builds one ``SpectralField``, so
-finiteness is checked once per step, after its last stage.  ``strang_step``,
-``rk4_step`` and ``galerkin_rhs`` wrap the same array kernels that
-``evolve`` runs; every step carries the nonlinearity, and the free flow is
-``geometry.free_evolve``.
+finiteness is checked once per step, after its last stage.  ``strang_step``
+and ``rk4_step`` wrap the same array kernels that ``evolve`` runs; every
+step carries the nonlinearity, and the free flow is ``geometry.free_evolve``.
 """
 
 from __future__ import annotations
@@ -110,12 +109,6 @@ def strang_step(f: SpectralField, dt: float, sign: str = "defocusing") -> Spectr
     half = _free_propagator(f.geometry, f.cutoff, float(dt / 2.0))
     return f.with_coeffs(_strang(dealiasing_plan(f.geometry, f.cutoff), half, f.coeffs,
                                  dt, SIGN[sign]))
-
-
-def galerkin_rhs(f: SpectralField, sign: str = "defocusing") -> SpectralField:
-    """du/dt = -i|k|^2 uhat -i kappa * (projected coefficients of |u|^(4/d) u)."""
-    return f.with_coeffs(_galerkin(dealiasing_plan(f.geometry, f.cutoff), f.coeffs,
-                                   SIGN[sign]))
 
 
 def rk4_step(f: SpectralField, dt: float, sign: str = "defocusing") -> SpectralField:

@@ -49,9 +49,7 @@ from .classify import (BELOW, Thresholds, _set_verdicts_1d, _verdicts_1d, _verdi
                        is_nonresonant, is_resonant)
 # ``mass`` is imported from here by ``dynamics``, the package and the bench's hooks
 from .geometry import (SpectralField, TransformPlan, dealiased_map, dealiasing_plan,
-                       grid_values, integrate_grid, mass, modulus_squared,
-                       pointwise_product)
-from .multipliers import sigma_product
+                       grid_values, mass, modulus_squared)
 from .smoothing import SmoothingSymbol, apply_I, m_value
 
 SIGN = {"defocusing": 1.0, "focusing": -1.0}
@@ -340,7 +338,7 @@ class _Orbits(_Lattice):
     is the sum over representatives of the symbol times the row weight (the
     ``_arrangements`` of the odd slot vectors) times the column weight (of
     the even ones), exactly, for any field sets; ``tuples`` counts the
-    representatives.  ``_correction_walk`` evaluates only those of one
+    representatives.  ``correction_sums`` evaluates only those of one
     sigma-block per class of the lattice's symmetry group (``_symmetries``).
     """
 
@@ -433,7 +431,7 @@ def _walk(lat: _Lattice, evaluate, passes, group) -> list:
     ``group`` is (maps, walked): mode maps, the identity first, under which
     every symbol is invariant, and the sum indices whose blocks are walked,
     one per class of sums under the maps (None for every sum).
-    ``gamma_sums`` passes the identity alone and None, ``_correction_walk``
+    ``gamma_sums`` passes the identity alone and None, ``correction_sums``
     the lattice's ``_symmetries``.  ``evaluate(blocks, idx)`` returns the
     symbol values on a run of walked tuples, as ``lat.batches`` yields it,
     one flat array per symbol; each run is contracted and dropped before
@@ -610,33 +608,13 @@ def gamma_sum_2d(fields, symbol_values) -> complex:
     return complex(gamma_sums(symbol_values, [fields])[0])
 
 
-def lambda_eval(symbol_values, fields, strategy: str = "direct",
-                slot_factors=None) -> complex:
-    """Multilinear functional Lambda_n over the truncated lattice.
-
-    direct: exact constrained sum with measure weight w^(n-1).
-    physical: only for symbols factoring as prod_i g_i(k_i); each field is
-    weighted coefficientwise by its factor and the pointwise product is
-    integrated on an alias-free grid (agrees with direct exactly).
-    """
-    n = len(fields)
+def lambda_eval(symbol_values, fields) -> complex:
+    """Multilinear functional Lambda_n over the truncated lattice: the exact
+    constrained sum with measure weight w^(n-1)."""
     g = fields[0].geometry
-    w = g.measure_weight
-    if strategy == "direct":
-        s = gamma_sum_1d(fields, symbol_values) if g.dimension == 1 \
-            else gamma_sum_2d(fields, symbol_values)
-        return w ** (n - 1) * s
-    if strategy == "physical":
-        if slot_factors is None:
-            raise ValueError("physical strategy needs per-slot factors g_i(k_i)")
-        weighted = []
-        for f, factor in zip(fields, slot_factors):
-            grids = f.freq_grids()
-            fk = factor(grids[0]) if g.dimension == 1 else factor(np.stack(grids, axis=-1))
-            weighted.append(f.with_coeffs(fk * f.coeffs))
-        vals = pointwise_product(weighted, [(j + 1) % 2 == 0 for j in range(n)])
-        return integrate_grid(vals, g)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    s = gamma_sum_1d(fields, symbol_values) if g.dimension == 1 \
+        else gamma_sum_2d(fields, symbol_values)
+    return g.measure_weight ** (len(fields) - 1) * s
 
 
 # -- symbol tables on the lattice ---------------------------------------------
@@ -809,7 +787,7 @@ def correction_tables(template: SpectralField, N: float, s: float,
 
 def correction_sums(template: SpectralField, Ns, s: float, passes,
                     thresholds: Thresholds = Thresholds(),
-                    budget: int = DEFAULT_TUPLE_BUDGET) -> list:
+                    budget: int = DEFAULT_TUPLE_BUDGET):
     """Gamma_deg sums of sigma~, R (Mbar = iR) and sigma+sigma~ at every N
     of ``Ns`` in one walk over the lattice of ``template``, with no stored
     table.
@@ -817,23 +795,17 @@ def correction_sums(template: SpectralField, Ns, s: float, passes,
     ``passes`` lists (field_sets, names), the names drawn from
     ``CORRECTION_SYMBOLS``.  The three symbols are symmetric within each
     slot parity and invariant under the lattice's symmetry group, so the
-    walk (``_correction_walk``) visits one representative per orbit
-    (``_Orbits``) in one sigma-block per class of the group
-    (``_symmetries``): each run of representatives is classified once for
-    every N, evaluated by ``_correction_values`` at each N, contracted
-    against every pass's weights over each distinct image of its blocks and
-    dropped.  This is exact for any field sets.  Returns per pass an array
-    (len(Ns), len(names), sets) of plain sums; the caller applies the
-    measure weight w^(deg-1).  The budget counts Q^(deg-1), as for every
-    walk.
+    walk visits one representative per orbit (``_Orbits``) in one
+    sigma-block per class of the group (``_symmetries``): each run of
+    representatives is classified once for every N, evaluated by
+    ``_correction_values`` at each N, contracted against every pass's
+    weights over each distinct image of its blocks and dropped.  This is exact for any field sets.  Returns (sums, walked,
+    raw): per pass an array (len(Ns), len(names), sets) of plain sums, to
+    which the caller applies the measure weight w^(deg-1); the count of
+    representatives classified, those of the walked blocks; and the raw
+    Q^(deg-1) tuples that the budget checks, as for every walk.
     """
     lat = _Orbits(template, template.geometry.nonlinearity_degree + 1, budget)
-    return _correction_walk(lat, Ns, s, passes, thresholds)[0]
-
-
-def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds):
-    """``correction_sums`` on the orbit representatives ``lat``, and the
-    count of representatives it classifies, those of the walked blocks."""
     k = len(CORRECTION_SYMBOLS)
     maps, walked, _ = _symmetries(lat)
     sums = _walk(lat, _correction_evaluator(lat, Ns, s, thresholds),
@@ -843,37 +815,15 @@ def _correction_walk(lat: _Orbits, Ns, s: float, passes, thresholds: Thresholds)
                   for sets, names in passes], (maps, walked))
     count = np.diff(lat.bounds)
     return ([acc.reshape(len(Ns), -1, acc.shape[1]) for acc in sums],
-            int(np.sum(count[walked] * count[::-1][walked])))
+            int(np.sum(count[walked] * count[::-1][walked])), lat.raw_tuples)
 
 
 # -- modified energies ---------------------------------------------------------
 
 
-def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing",
-         check: str | None = None) -> float:
-    """E(I u), optionally cross-checked against the Lambda decomposition.
-
-    check='direct' recomputes the potential part as the exact constrained
-    Gamma_deg sum of sigma_deg and raises ConsistencyError on disagreement
-    beyond 1e-8 relative.
-    """
-    sym = SmoothingSymbol(N, 1.0 - s)
-    iu = apply_I(f, sym)
-    value = energy(iu, sign)
-    if check == "direct":
-        kappa = _kappa(sign)
-        g = f.geometry
-        deg = g.nonlinearity_degree + 1
-        kinetic = 0.5 * g.measure_weight * float(
-            np.sum(f.kabs() ** 2 * m_value(f.kabs(), sym) ** 2 * np.abs(f.coeffs) ** 2))
-        sig = lambda tup: sigma_product(tup, sym, g.dimension) / deg
-        pot = lambda_eval(sig, [f] * deg, "direct")
-        alt = kinetic + kappa * float(np.real(pot))
-        scale = max(abs(value), abs(alt), 1e-300)
-        if abs(value - alt) > 1e-8 * scale:
-            raise ConsistencyError(
-                f"E(Iu) two-path mismatch: physical {value!r} vs direct {alt!r}")
-    return value
+def e_i1(f: SpectralField, N: float, s: float, sign: str = "defocusing") -> float:
+    """E(I u): the energy of I u (``apply_I``)."""
+    return energy(apply_I(f, SmoothingSymbol(N, 1.0 - s)), sign)
 
 
 # -- the d/dt Lambda machinery and the end-to-end residual ---------------------
@@ -935,8 +885,9 @@ def energy_identity_residual(samples, times, Ns, s: float,
     integrator/quadrature order under dt refinement.  Every Lambda term at
     every N comes from one orbit walk (``correction_sums``);
     ``walk_tuples`` counts the representatives it classifies, one
-    sigma-block per symmetry class, ``walk_s`` its wall seconds, and
-    ``budget_tuples`` the Q^(deg-1) tuples that the budget checks.
+    sigma-block per symmetry class, ``walk_s`` its wall seconds (the orbit
+    lattice's build included), and ``budget_tuples`` the Q^(deg-1) tuples
+    that the budget checks.
     """
     times = np.asarray(times, dtype=float)
     if len(samples) < 3 or len(samples) != len(times):
@@ -949,7 +900,7 @@ def energy_identity_residual(samples, times, Ns, s: float,
     deg = f0.geometry.nonlinearity_degree + 1
     w = f0.geometry.measure_weight ** (deg - 1)
 
-    e1 = np.array([[e_i1(f, N, s, sign, check=None) for f in samples] for N in Ns])
+    e1 = np.array([[e_i1(f, N, s, sign) for f in samples] for N in Ns])
     plain = [[f] * deg for f in samples]
     # Lambda_(deg+4)(Mbar_(deg+4)) = i kappa sum_j (-1)^j Lambda(nl in slot j)
     # of sigma + sigma~, the equation substituted into slot j (the collapsed
@@ -961,11 +912,10 @@ def energy_identity_residual(samples, times, Ns, s: float,
     nls = [nonlinear_coefficient_field(f) for f in samples]
     substituted = ([[nl] + [f] * (deg - 1) for f, nl in zip(samples, nls)]
                    + [[f, nl] + [f] * (deg - 2) for f, nl in zip(samples, nls)])
-    lat = _Orbits(f0, deg, budget)
     start = time.perf_counter()
-    (sums, cm), walked = _correction_walk(lat, Ns, s, [(plain, ("sigma_tilde", "mbar")),
-                                                       (substituted, ("combined",))],
-                                          thresholds)
+    (sums, cm), walked, raw = correction_sums(f0, Ns, s, [(plain, ("sigma_tilde", "mbar")),
+                                                          (substituted, ("combined",))],
+                                              thresholds, budget)
     walk_s = time.perf_counter() - start
     corr = kappa * np.real(w * sums[:, 0])
     lam_mbar = 1j * w * sums[:, 1]
@@ -980,4 +930,4 @@ def energy_identity_residual(samples, times, Ns, s: float,
             "lambda_mbar": mbar, "lambda_mbar_big": mbar_big, "residual": residual,
             "imag_leak": np.maximum(np.max(np.abs(np.imag(lam_mbar)), axis=1),
                                     np.max(np.abs(np.imag(lam_big)), axis=1)),
-            "walk_tuples": walked, "budget_tuples": lat.raw_tuples, "walk_s": walk_s}
+            "walk_tuples": walked, "budget_tuples": raw, "walk_s": walk_s}

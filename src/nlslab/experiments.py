@@ -10,15 +10,14 @@ rows they affect.
 
 from __future__ import annotations
 
-import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .census import (VERIFY_CASES, resonance_census_1d, resonance_census_2d,
-                     sohinger_presence, verify_multiplier_bounds)
+from .census import (DEFAULT_S, VERIFY_CASES, _key_width, resonance_census_1d,
+                     resonance_census_2d, sohinger_presence, verify_multiplier_bounds)
 from .classify import Thresholds, is_nonresonant
 from .config import write_csv, write_manifest
 from .dynamics import EvolutionConfig, default_dt, evolve, initial_data, step_grid
@@ -401,7 +400,7 @@ def run_census(cfg: dict, out_dir: Path) -> int:
     witness = None
     census = resonance_census_1d if cfg["d"] == 1 else resonance_census_2d
     if not cfg["s"]:  # 0: the census's own default for the dimension
-        cfg = dict(cfg, s=inspect.signature(census).parameters["s"].default)
+        cfg = dict(cfg, s=DEFAULT_S[cfg["d"]])
     for th in th_grid:
         reports = census(cfg["n_grid"], cfg["kmax"], s=cfg["s"], thresholds=th,
                          budget=cfg["budget"])
@@ -449,6 +448,10 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     _need("gap_grid", cfg["gap_grid"], "gap")
     if cfg["kmax_per_n"] < 1:
         raise ValueError(f"kmax_per_n={cfg['kmax_per_n']} must be at least 1")
+    if any(not c.startswith("2d") for c in cases):
+        # a family cutoff past the keys' limit is refused before any N runs
+        for N in cfg["n_grid"]:
+            _key_width(int(cfg["kmax_per_n"] * N))
     # one call per N and cutoff, one pass per gap in it: the family cases
     # share their tuples, and every gap the call's random draws
     reports = {}

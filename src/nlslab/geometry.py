@@ -379,30 +379,6 @@ def from_physical(values: np.ndarray, geometry: TorusGeometry, cutoff) -> Spectr
     return SpectralField(geometry, cut, lattice_coeffs(plan, values))
 
 
-def grid_points(f: SpectralField, oversample: int = 1) -> tuple[np.ndarray, ...]:
-    sizes = grid_sizes(f, oversample)
-    return tuple(
-        np.arange(m) * (side / m)
-        for m, side in zip(sizes, f.geometry.side_lengths)
-    )
-
-
-def pointwise_product(fields: Sequence[SpectralField], conjugate: Sequence[bool]) -> np.ndarray:
-    """Grid values of prod_i u_i (or conj u_i), on a grid that avoids aliasing."""
-    oversample = (len(fields) + 2) // 2
-    vals = None
-    for u, c in zip(fields, conjugate):
-        v = to_physical(u, oversample)
-        v = np.conj(v) if c else v
-        vals = v if vals is None else vals * v
-    return vals
-
-
-def integrate_grid(values: np.ndarray, geometry: TorusGeometry) -> complex:
-    """Torus integral of grid samples: volume times the mean."""
-    return complex(np.mean(values) * geometry.volume)
-
-
 # -- dyadic shells --------------------------------------------------------------
 
 

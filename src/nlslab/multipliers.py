@@ -136,18 +136,3 @@ def sigma_symbol(n: int, sym: SmoothingSymbol, d: int = 1) -> SymbolSpec:
     return SymbolSpec(f"Sigma{n}", n, d, lambda k: sigma_product(k, sym, d),
                       "product", tuple(factor for _ in range(n)))
 
-
-def constant_symbol(value: complex, n: int) -> SymbolSpec:
-    """The constant symbol ``value`` on 1-D n-tuples."""
-    def ev(k):
-        sq = squared_mags(k, 1)
-        return np.full(sq.shape[:-1], value, dtype=complex)
-
-    def lead(k):
-        return np.full(np.shape(slot_sq(k, 1)), value, dtype=complex)
-
-    def one(k):
-        return np.ones(np.shape(slot_sq(k, 1)))
-
-    return SymbolSpec(f"Const({value})", n, 1, ev, "product",
-                      (lead,) + tuple(one for _ in range(n - 1)))

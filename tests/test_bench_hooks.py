@@ -129,7 +129,9 @@ def test_verify_family_pass_is_counted(spans):
     # every row of it
     N, kmax, th = 4.0, 8, classify.Thresholds()
     cases = ("ii", "nonresonant")
-    rows, _ = census._family_tuples_1d(cases, N, kmax, th.gap, np.random.default_rng(0))
+    draw = census._zero_sum_draws(np.random.default_rng(0), kmax, *census._DRAW_BACKGROUND)
+    keys = np.sort(census._keys(draw, census._BACKGROUND, kmax))
+    rows, _ = census._family_tuples_1d(cases, N, kmax, th.gap, keys)
     tracer = spans.Tracer()
     patched = spans.install(tracer)
     try:

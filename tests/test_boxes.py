@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nlslab.boxes import MultiplierBox, QuadratureError, fourier_expand
-from nlslab.multipliers import (SymbolSpec, constant_symbol, m_multiplier_symbol,
-                                sigma_symbol)
+from nlslab.multipliers import SymbolSpec, m_multiplier_symbol, sigma_symbol
 from nlslab.smoothing import SmoothingSymbol
+from reference import constant_symbol
 
 RNG = np.random.default_rng(31)
 SYM = SmoothingSymbol(N=4.0, alpha=0.5)

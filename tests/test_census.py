@@ -454,6 +454,21 @@ def _reference_bound(case, tup, N, th):
     return len(ratios), float(ratios[i]), tuple(kind(x) for x in tup[sel][i].ravel())
 
 
+def _background(kmax):
+    """The family cases' background at seed 0, as rows and as the sorted
+    ``_keys`` that verify passes to the family union."""
+    rows = census._zero_sum_draws(np.random.default_rng(0), kmax, *census._DRAW_BACKGROUND)
+    return rows, np.sort(census._keys(rows, census._BACKGROUND, kmax))
+
+
+def _row_blocks(blocks, keys, rows):
+    """``blocks`` as ``_family_blocks`` yielded them, the background's
+    ``keys`` (its last block) replaced by its ``rows``."""
+    (bit, last), = blocks[-1:]
+    assert bit == census._BACKGROUND and last is keys
+    return blocks[:-1] + [(bit, rows)]
+
+
 class TestVerify:
     def test_nonresonant_ratio_bounded(self):
         r, = verify_multiplier_bounds(("nonresonant",), N=8.0, kmax=32, s=0.5).values()
@@ -522,9 +537,11 @@ class TestVerify:
             return unique_rows(seen[-1], kmax)
 
         monkeypatch.setattr(census, "_unique_rows", capture)
+        rows, keys = _background(kmax)
         for rep in shared.values():
-            census._family_tuples_1d((rep.case,), N, kmax, gap, np.random.default_rng(0))
-            tup = np.unique(np.concatenate([b for _, b in seen.pop()]), axis=0).astype(float)
+            census._family_tuples_1d((rep.case,), N, kmax, gap, keys)
+            blocks = _row_blocks(seen.pop(), keys, rows)
+            tup = np.unique(np.concatenate([b for _, b in blocks]), axis=0).astype(float)
             count, sup, witness = _reference_bound(rep.case, tup, N, th)
             assert count > 0, rep.case
             assert (rep.count, rep.sup_ratio, rep.witness) == (count, sup, witness), rep.case
@@ -561,12 +578,14 @@ class TestFamilyTuples:
             return unique_rows(seen[-1], kmax)
 
         monkeypatch.setattr(census, "_unique_rows", capture)
-        got, bits = census._family_tuples_1d((case,), N, kmax, 4.0, np.random.default_rng(0))
-        ref = np.unique(np.concatenate([b for _, b in seen[0]]), axis=0)
+        rows, keys = _background(kmax)
+        got, bits = census._family_tuples_1d((case,), N, kmax, 4.0, keys)
+        blocks = _row_blocks(seen[0], keys, rows)
+        ref = np.unique(np.concatenate([b for _, b in blocks]), axis=0)
         assert got.dtype == dtype and np.array_equal(got, ref)
         # every row's bits name exactly the sources that hold it
-        for bit in {bit for bit, _ in seen[0]}:
-            held = np.unique(np.concatenate([b for t, b in seen[0] if t == bit]), axis=0)
+        for bit in {bit for bit, _ in blocks}:
+            held = np.unique(np.concatenate([b for t, b in blocks if t == bit]), axis=0)
             assert np.array_equal(got[(bits & bit) != 0], held)
 
     def test_unique_rows_at_the_int8_limit(self):
@@ -640,9 +659,7 @@ class TestFamilyTuples:
         # with the background's keys held as verify holds them; narrowed
         # rows, their lexsort order and its permuted copies traced 19.9 MB,
         # the keys 15.7 MB
-        rows = census._zero_sum_draws(np.random.default_rng(0), 64, *census._DRAW_BACKGROUND)
-        background = np.sort(census._keys(rows, census._BACKGROUND, 64))
-        del rows
+        background = _background(64)[1]
         cases, need = tuple(census._SOURCES), census._SOURCES["nonresonant"]
         blocks = census._family_blocks(need, 16.0, 64, 4.0, background)
         assert sum(len(b) for _, b in blocks) == 828397

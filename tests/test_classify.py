@@ -9,12 +9,13 @@ import pytest
 
 import nlslab
 from nlslab.classify import (BELOW, NR_2D, NR_BILINEAR, NR_PAIR, NR_SIGNS, NR_TRIPLE,
-                             RES_I, RES_III, ResonanceClassification, Thresholds,
-                             classify, classify_batch_1d, classify_batch_2d,
-                             is_nonresonant, is_resonant, omega_lower_bound)
+                             RES_I, RES_III, Thresholds, classify_batch_1d,
+                             classify_batch_2d, is_nonresonant, is_resonant,
+                             omega_lower_bound)
 from nlslab.energies import _Lattice, _lattice_verdicts
 from nlslab.geometry import build_geometry, zero_field
 from nlslab.multipliers import omega
+from reference import classify
 
 RNG = np.random.default_rng(5)
 

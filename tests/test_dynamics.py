@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nlslab.dynamics import (EvolutionConfig, default_dt, evolve, galerkin_rhs,
-                             initial_data, rk4_step, strang_step)
+from nlslab.dynamics import (EvolutionConfig, default_dt, evolve, initial_data, rk4_step,
+                             strang_step)
 from nlslab.energies import energy, mass
 from nlslab.geometry import build_geometry, field_from_modes, norm, random_field, to_physical
+from reference import galerkin_rhs
 
 RNG = np.random.default_rng(23)
 G1 = build_geometry(1, (), 1.0)

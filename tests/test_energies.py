@@ -26,7 +26,7 @@ from nlslab.geometry import (build_geometry, field_from_modes, free_evolve, rand
                              to_physical, zero_field)
 from nlslab.multipliers import bare_m6, omega, sigma_product
 from nlslab.smoothing import SmoothingSymbol, m_value
-from reference import arrangement_weights
+from reference import arrangement_weights, lambda_physical
 
 RNG = np.random.default_rng(17)
 
@@ -83,7 +83,7 @@ class TestLambdaEval:
             return -0.5 * (m_value(np.abs(k[..., 0]), sym) * k[..., 0]
                            * m_value(np.abs(k[..., 1]), sym) * k[..., 1])
 
-        val = lambda_eval(sigma2, [u, u], "direct")
+        val = lambda_eval(sigma2, [u, u])
         assert complex(val).real == pytest.approx(np.pi, rel=1e-13)
         assert abs(complex(val).imag) < 1e-13
 
@@ -91,7 +91,7 @@ class TestLambdaEval:
         g = build_geometry(1)
         z = zero_field(g, 3)
         sym = SmoothingSymbol(2.0, 0.5)
-        val = lambda_eval(lambda k: sigma_product(k, sym), [z] * 6, "direct")
+        val = lambda_eval(lambda k: sigma_product(k, sym), [z] * 6)
         assert val == 0.0
 
     def test_direct_equals_physical_on_factorizable(self):
@@ -102,15 +102,9 @@ class TestLambdaEval:
         def factor(k):
             return m_value(np.abs(k), sym)
 
-        direct = lambda_eval(lambda k: sigma_product(k, sym), [u] * 6, "direct")
-        phys = lambda_eval(None, [u] * 6, "physical", slot_factors=[factor] * 6)
+        direct = lambda_eval(lambda k: sigma_product(k, sym), [u] * 6)
+        phys = lambda_physical([u] * 6, [factor] * 6)
         assert abs(direct - phys) <= 1e-9 * max(abs(direct), 1e-30)
-
-    def test_physical_needs_factors(self):
-        g = build_geometry(1)
-        u = random_field(g, 3, RNG)
-        with pytest.raises(ValueError, match="factors"):
-            lambda_eval(None, [u] * 6, "physical")
 
 
 def brute_gamma_sum(table, fields):
@@ -227,28 +221,44 @@ class TestGammaSums:
             gamma_sums(lambda tup: np.ones(tup.shape[:-1]), [[f] * 3])
 
 
+def two_path_e_i1(u, N, s, sign="defocusing"):
+    """``e_i1`` (E(Iu) on the grid), asserted to agree within 1e-8 relative
+    with the Lambda decomposition: the kinetic part by Plancherel plus kappa
+    times Lambda_deg(sigma_deg), the exact constrained sum of ``lambda_eval``."""
+    value = e_i1(u, N, s, sign)
+    sym = SmoothingSymbol(N, 1.0 - s)
+    g = u.geometry
+    deg = g.nonlinearity_degree + 1
+    kinetic = 0.5 * g.measure_weight * float(
+        np.sum(u.kabs() ** 2 * m_value(u.kabs(), sym) ** 2 * np.abs(u.coeffs) ** 2))
+    pot = lambda_eval(lambda tup: sigma_product(tup, sym, g.dimension) / deg, [u] * deg)
+    alt = kinetic + energies.SIGN[sign] * float(np.real(pot))
+    assert abs(value - alt) <= 1e-8 * max(abs(value), abs(alt), 1e-300), (value, alt)
+    return value
+
+
 class TestTwoPathIdentity:
     def test_1d_random_fields(self):
         g = build_geometry(1, (), 1.5)
         for _ in range(20):
             u = random_field(g, 4, RNG)
             for sign in ("defocusing", "focusing"):
-                e_i1(u, N=2.0, s=0.5, sign=sign, check="direct")  # raises on mismatch
+                two_path_e_i1(u, N=2.0, s=0.5, sign=sign)
 
     def test_2d_random_fields(self):
         g = build_geometry(2, (0.8,), 1.0)
         for _ in range(10):
             u = random_field(g, 2, RNG)
-            e_i1(u, N=2.0, s=0.6, sign="defocusing", check="direct")
+            two_path_e_i1(u, N=2.0, s=0.6, sign="defocusing")
 
     def test_below_threshold_identity_with_plain_energy(self):
         # every mode below N: E_I^1 is the plain energy and the correction
         # of E_I^2 vanishes
         g = build_geometry(1)
         u = random_field(g, 3, RNG)
-        assert e_i1(u, N=8.0, s=0.5, check="direct") == pytest.approx(
+        assert two_path_e_i1(u, N=8.0, s=0.5) == pytest.approx(
             energy(u, "defocusing"), rel=1e-12)
-        st, = correction_sums(u, [8.0], 0.5, [([[u] * 6], ("sigma_tilde",))])
+        st, = correction_sums(u, [8.0], 0.5, [([[u] * 6], ("sigma_tilde",))])[0]
         assert np.all(st == 0.0)
 
 
@@ -412,7 +422,7 @@ class TestCorrectionWalk:
         nl = nonlinear_coefficient_field(f)
         deg = f.geometry.nonlinearity_degree + 1
         sets = [[nl if i == j else f for i in range(deg)] for j in range(deg)]
-        (full,), = correction_sums(f, [N], 0.5, [(sets, ("combined",))])[0]
+        (full,), = correction_sums(f, [N], 0.5, [(sets, ("combined",))])[0][0]
         scale = np.max(np.abs(full))
         assert scale > 0
         alternating = np.sum(full * (-1.0) ** np.arange(1, deg + 1))
@@ -436,7 +446,7 @@ class TestCorrectionWalk:
         table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
         monkeypatch.setattr(energies, "_TABLE_TUPLES", tuples)
         passes = [(plain, ("sigma_tilde", "mbar")), (mixed, ("combined", "sigma_tilde"))]
-        got = [sums[0] for sums in correction_sums(fs[0], [N], 0.5, passes)]
+        got = [sums[0] for sums in correction_sums(fs[0], [N], 0.5, passes)[0]]
         monkeypatch.undo()
         for (sets, names), sums in zip(passes, got):
             assert sums.shape == (len(names), len(sets))
@@ -461,7 +471,7 @@ class TestCorrectionWalk:
         for blocks, idx in orbits.batches(1 << 30):
             for table, vals in zip(tables, evaluate(blocks, idx)):
                 assert np.array_equal(vals, table.reshape(-1)[orbits.position(idx)])
-        streamed, = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)])
+        streamed, = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)])[0]
         for name, table, row in zip(CORRECTION_SYMBOLS, tables, streamed[0]):
             ref = gamma_sums(table, sets)
             assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), name
@@ -483,9 +493,9 @@ class TestCorrectionWalk:
                 grid(blocks, idx), [v for evaluate in alone for v in evaluate(blocks, idx)]))
         passes = [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
                   ([fs * (deg // 2)], ("combined",))]
-        got = correction_sums(fs[0], Ns, 0.5, passes)
+        got = correction_sums(fs[0], Ns, 0.5, passes)[0]
         for i, n in enumerate(Ns):
-            for sums, ref in zip(got, correction_sums(fs[0], [n], 0.5, passes)):
+            for sums, ref in zip(got, correction_sums(fs[0], [n], 0.5, passes)[0]):
                 assert sums.shape[0] == len(Ns) and np.max(np.abs(ref)) > 0
                 assert np.max(np.abs(sums[i] - ref[0])) <= 1e-13 * np.max(np.abs(ref)), n
 
@@ -575,7 +585,7 @@ class TestOrbitWalk:
         tabs = correction_tables(fs[0], N, 0.5, th)
         table = dict(zip(CORRECTION_SYMBOLS, (tabs.sigma_tilde, tabs.mbar_imag, tabs.combined)))
         passes = [(sets, CORRECTION_SYMBOLS) for sets in families.values()]
-        got = correction_sums(fs[0], [N], 0.5, passes, th)
+        got = correction_sums(fs[0], [N], 0.5, passes, th)[0]
         for family, (sets, names), sums in zip(families, passes, got):
             for name, row in zip(names, sums[0]):
                 ref = gamma_sums(table[name], sets)
@@ -600,11 +610,11 @@ class TestOrbitWalk:
             return verdicts(lat, idx, G, blocks)
 
         monkeypatch.setattr(energies, "_lattice_verdicts", counting)
-        lat = _Orbits(fs[0], deg)
-        _, walked = energies._correction_walk(
-            lat, [2.0], 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
-                              ([fs[:1] * deg], ("combined",))], Thresholds())
+        _, walked, _ = correction_sums(
+            fs[0], [2.0], 0.5, [([[f] * deg for f in fs], ("sigma_tilde", "mbar")),
+                                ([fs[:1] * deg], ("combined",))], Thresholds())
         assert sum(classified) == expected == walked
+        lat = _Orbits(fs[0], deg)
         _, _, size = energies._symmetries(lat)
         count = np.diff(lat.bounds)
         assert np.sum(size * count * count[::-1]) == lat.tuples > expected
@@ -658,7 +668,7 @@ class TestOrbitWalk:
         sets = [[nl if i == j else f for i in range(6)] for j in range(6)]
         full = gamma_sums(correction_tables(f, 1.5, 0.5, th).combined, sets)
         alternating = np.sum(full * (-1.0) ** np.arange(1, 7))
-        (collapsed,), = correction_sums(f, [1.5], 0.5, [(sets[:2], ("combined",))], th)[0]
+        (collapsed,), = correction_sums(f, [1.5], 0.5, [(sets[:2], ("combined",))], th)[0][0]
         assert abs(3 * (collapsed[1] - collapsed[0]) - alternating) \
             <= 1e-13 * np.max(np.abs(full))
 
@@ -712,7 +722,7 @@ class TestOrbitWalkSums:
         }
         monkeypatch.setattr(energies, "_CONTRACT_BYTES", contract_bytes)
         got = correction_sums(fs[0], [N], 0.5, [(sets, CORRECTION_SYMBOLS)
-                                                for sets in families.values()], th)
+                                                for sets in families.values()], th)[0]
         for (family, sets), sums in zip(families.items(), (sums[0] for sums in got)):
             terms = representative_terms(fs[0], N, th, sets)
             exact = np.array([[complex(math.fsum(t.real), math.fsum(t.imag)) for t in row]

@@ -621,6 +621,57 @@ class TestRunners:
         assert "data.modes=6" in err and "kcut=2" in err and " 5 " in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command, raw, unread", [
+        ("energy-track", {"data.mass": 0.5, "data.s": 0.9}, "data.mass, data.s"),
+        ("energy-track", {"data.kind": "zero", "data.modes": 3}, "data.modes"),
+        ("simulate", {"data.kind": "zero", "data.mass": 0.5}, "data.mass"),
+    ], ids=["sparse-data-mass-and-s", "zero-data-modes", "simulate-zero-data-mass"])
+    def test_unread_data_keys_refused(self, command, raw, unread, tmp_path, capsys):
+        # sparse random data (data.modes > 0, the default) reads neither
+        # data.s nor data.mass, and zero data reads no data key: setting one
+        # would be echoed into the manifest as if it had been applied
+        with pytest.raises(ConfigError, match=unread):
+            validate(command, raw)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
+        assert unread in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_read_data_keys_and_defaults_accepted(self):
+        for command, raw in (("energy-track", {}), ("simulate", {}),
+                             ("energy-track", {"data.modes": 0, "data.mass": 0.5, "data.s": 0.9}),
+                             ("energy-track", {"data.modes": 3}),
+                             ("simulate", {"data.mass": 0.5, "data.s": 0.9}),
+                             ("energy-track", {"data.kind": "zero"})):
+            validate(command, raw)
+
+    def test_verify_refuses_an_over_limit_cutoff_before_any_call(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # N = 600 at kmax_per_n 4 is kmax 2400, past the family keys' 2047:
+        # refused before the calls for N = 4, 8 and 16 run
+        calls = []
+        monkeypatch.setattr(experiments, "verify_multiplier_bounds",
+                            lambda *args, **kwargs: calls.append(args))
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text("n_grid = 4,8,16,600\n")
+        assert main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "r")]) == 1
+        assert "kmax=2400 is past 2047" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "r").exists()
+
+    def test_consistency_error_exits_two(self, tmp_path, capsys):
+        # at gap 1.1 the classifier calls a tuple with vanishing resonance
+        # function non-resonant: an invariant check, not a config error
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text("kcut = 4\nt_end = 0.02\ndt = 0.002\nstride = 2\n"
+                           "energy.n_cut = 1\ngap_factor = 1.1\n")
+        assert main(["energy-track", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("nlslab: invariant check failed: non-resonant verdict with vanishing "
+                       "resonance function; classifier thresholds are unsound on this lattice\n")
+
     @pytest.mark.parametrize("command, text, key", [
         ("almost-conservation", "kcut = 4\nn_grid = 2\nt_end = 0.02\nsamples = 0\n", "samples"),
         ("almost-conservation", "kcut = 4\nn_grid =\nt_end = 0.02\n", "n_grid"),

@@ -6,10 +6,10 @@ import pytest
 from nlslab import geometry
 from nlslab.energies import nonlinear_coefficient_field, nonlinear_coefficients
 from nlslab.geometry import (TorusGeometry, build_geometry, field_from_modes,
-                             free_evolve, from_physical, grid_points, load_field,
-                             lp_spacetime_norm, norm, pointwise_product,
-                             random_field, save_field, sharp_shell_index,
-                             to_physical, zero_field)
+                             free_evolve, from_physical, load_field,
+                             lp_spacetime_norm, norm, random_field, save_field,
+                             sharp_shell_index, to_physical, zero_field)
+from reference import grid_points, pointwise_product
 
 RNG = np.random.default_rng(7)
 

@@ -10,10 +10,11 @@ A top-level name of ``src/nlslab/*.py`` is reached when
   helper of a hooked function, an exception a called function raises, a
   class one returns);
 * ``nlsbench/*.py`` names it: the benchmark hooks or imports it; or
-* ``KEPT_FOR_TESTS`` keeps it, as an entry point or oracle that the tests of
-  kept code go through.
+* ``KEPT_FOR_TESTS`` keeps it, with a reason.
 
-Run as a script, this file prints the names that are not reached.
+An oracle or entry point that only the tests use lives in
+``tests/reference.py``, not in the package.  Run as a script, this file
+prints the names that are not reached.
 """
 
 import ast
@@ -28,16 +29,13 @@ import tempfile
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nlslab"
 BENCH = ROOT / "nlsbench"
 
 KEPT_FOR_TESTS = {
-    ("classify", "classify"): "one tuple's verdict with its witness, which the rule tests read",
-    ("energies", "correction_sums"): "the streamed correction walk the table tests compare",
-    ("dynamics", "galerkin_rhs"): "the tests' handle on the Galerkin right-hand side",
-    ("geometry", "grid_points"): "the grid of to_physical, checked against plane waves",
-    ("multipliers", "constant_symbol"): "the delta symbol of the box-expansion tests",
     ("geometry", "load_field"): "the reader of simulate's checkpoints",
 }
 
@@ -154,6 +152,10 @@ def unreached():
 
 
 def test_every_name_is_reached():
+    top = top_level_names()
+    for stem, name in KEPT_FOR_TESTS:
+        assert (stem, name) in top, \
+            f"KEPT_FOR_TESTS keeps {stem}.{name}, which is not a top-level name of src/nlslab"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     env.pop("NLSLAB_OUT", None)  # it would override the runs' --out
@@ -161,8 +163,16 @@ def test_every_name_is_reached():
                           env=env, cwd=ROOT, timeout=600)
     assert proc.returncode == 0, proc.stderr
     missing, kept_anyway = json.loads(proc.stdout.splitlines()[-1])
-    assert missing == [], f"not run, hooked, imported by the bench or kept: {missing}"
+    assert missing == [], (f"not run, hooked, imported by the bench or kept: {missing}; "
+                           "an oracle only the tests use belongs in tests/reference.py")
     assert kept_anyway == [], f"reached without KEPT_FOR_TESTS, drop them there: {kept_anyway}"
+
+
+def test_a_stale_keep_is_named(monkeypatch):
+    # checked in this process, before the runs, with the entry's name
+    monkeypatch.setitem(KEPT_FOR_TESTS, ("geometry", "gone"), "a name that no longer exists")
+    with pytest.raises(AssertionError, match="keeps geometry.gone"):
+        test_every_name_is_reached()
 
 
 if __name__ == "__main__":
