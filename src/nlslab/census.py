@@ -9,15 +9,17 @@ with ``classify``'s per-mode verdicts (the integer modes in 1-D, |k| in
 2-D) and accumulates per-class counts, the minimum |omega| per
 non-resonant rule against its claimed lower bound, the non-resonant
 supremum |M|/|omega|, the resonant supremum against the mean-value bound
-m(N1*)N1* m(N3*)N3*, and the worst witnesses, the first maximizers, read
-from the images of the skipped blocks too.  The rules themselves are
-threshold-free apart from the below-threshold cut, so one pass serves
-every N.  One body serves both dimensions.
+m(N1*)N1* m(N3*)N3*, and the worst witnesses, the first maximizers,
+searched once per class after the walk among the representatives that tie
+its supremum and their images, those of the skipped blocks too.  The rules
+themselves are threshold-free apart from the below-threshold cut, so one
+pass serves every N.  One body serves both dimensions.
 
 Bound verification enumerates structured 1-D families tailored to each
 kept region (near-collision pairs, paired quadruples, comparable shells)
 plus a random background, or draws random zero-sum tuples (the 2-D
-cases), classifies them in blocks and reports the supremum of
+cases), each random set drawn block by block and held as narrow integers,
+classifies them in blocks and reports the supremum of
 |multiplier| / bound with its witness; `<n>` denotes max(n, 1) so
 degenerate zero slots use the unit shell.  Both read m, m^2|k|^2 and |k|
 from one per-mode table indexed by the integer |k|^2 (``_mode_table``).
@@ -53,7 +55,6 @@ class ClassStat:
     min_omega_ratio: float = np.inf  # |omega| / claimed lower bound
     max_ratio: float = 0.0           # class-specific supremum
     witness: tuple = ()
-    witness_pos: int = -1            # enumeration position of the witness
 
     def row(self, label):
         return {
@@ -142,10 +143,12 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
     documented in (1-D: odd triples by descending values, then (k2, k4)
     ascending; 2-D: (k1, k2, k3) in C order), over the ``_ARRANGEMENTS``
     whose float sums can differ, each at the position of its first tuple in
-    that order.  The rows that tie a class's running supremum are also read
-    in their images under the group, each canonicalized to the sorted
-    multisets of its own representative, so the supremum and its witness,
-    the first maximizer, are those of a walk over every tuple.
+    that order.  Per N and class, the representatives that tie the running
+    supremum are held (``_accumulate``), and once the walk is done the held
+    rows are read in their images under the group, each canonicalized to
+    the sorted multisets of its own representative (``_first_maximizer``),
+    so the supremum and its witness, the first maximizer, are those of a
+    walk over every tuple.
     """
     n = 6 if d == 1 else 4
     lat = _Orbits(zero_field(build_geometry(d, (1.0,) * (d - 1)), kmax), n, budget)
@@ -193,19 +196,9 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
 
         witness = lambda t: tuple(float(x) for x in lat.modes[t].ravel())
 
-    def first(idx, rows, mx, den, b):
-        """Position and tuple of the first maximizer of ratio ``mx`` among
-        the representatives ``idx[rows]`` and their images, by the block's
-        denominators ``den`` and the m^2|k|^2 table ``b``."""
-        cand = np.concatenate([to[idx[rows]] for to in maps])
-        cand[:, 0::2].sort(axis=1)
-        cand[:, 1::2].sort(axis=1)
-        j, r = np.nonzero(_ratios(M(b, slot_sq(cand)), np.tile(den[rows], len(maps))) == mx)
-        t = np.take_along_axis(cand[r], arrangements[j], axis=1)
-        pos = place(t)
-        k = int(np.argmin(pos))
-        return int(pos[k]), witness(t[k])
-
+    walk = (maps, arrangements, slot_sq, M, place, witness)
+    search = {N: functools.partial(_first_maximizer, walk, b=tabs[N].bare) for N in reports}
+    ties = {N: {} for N in reports}  # class -> held ties of the running supremum
     done = classified = 0
     for blocks, idx in lat.batches(_TABLE_TUPLES, walked):
         weight = np.concatenate([np.outer(odd_weight[odd], orbit[even]).ravel()
@@ -232,12 +225,35 @@ def _census(d: int, N_values, kmax: int, s: float, thresholds: Thresholds,
             # bound on the resonant ones
             den = np.where(is_nonresonant(cut), om, _mean_value(tab, r1, r3))
             _accumulate(rep, cut, weight, om, _ratios(M(tab.bare, ksq), den).max(axis=0),
-                        claimed, functools.partial(first, idx, den=den, b=tab.bare))
+                        claimed, (idx, den), ties[N], search[N])
         done += int(weight.sum())
         classified += len(idx)
-    for rep in reports.values():
+    for N, rep in reports.items():
         rep.total, rep.representatives = done, classified
+        for code, held in ties[N].items():
+            st = rep.classes[code]
+            st.witness = search[N](held, st.max_ratio)[1]
     return reports
+
+
+def _first_maximizer(walk, held, mx, b):
+    """The first maximizer, in enumeration order, of ratio ``mx`` among the
+    representatives ``held`` ((slot indices, denominators) blocks) and their
+    images under the group, each image canonicalized to the sorted
+    multisets of its representative and read in the ``walk``'s arrangements
+    (maps, arrangements, slot |k|^2, M, position, witness tuple) by the
+    m^2|k|^2 table ``b``.  Returns the held row it is an image of, as a
+    one-row ``held``, and the maximizer's witness tuple."""
+    maps, arrangements, slot_sq, M, place, witness = walk
+    idx, den = (np.concatenate(part) for part in zip(*held))
+    cand = np.concatenate([to[idx] for to in maps])
+    cand[:, 0::2].sort(axis=1)
+    cand[:, 1::2].sort(axis=1)
+    j, r = np.nonzero(_ratios(M(b, slot_sq(cand)), np.tile(den, len(maps))) == mx)
+    t = np.take_along_axis(cand[r], arrangements[j], axis=1)
+    k = int(np.argmin(place(t)))
+    row = slice(r[k] % len(idx), r[k] % len(idx) + 1)
+    return [(idx[row], den[row])], witness(t[k])
 
 
 def _ratios(M, den):
@@ -259,20 +275,23 @@ def _descending(cols):
     return cols
 
 
-def _accumulate(rep, codes, weight, om, ratio, claimed, first):
+def _accumulate(rep, codes, weight, om, ratio, claimed, rows, ties, search):
     """Fold a block of orbit representatives into ``rep``'s class statistics.
 
     Per representative: verdict code, weight (the tuples it stands for),
     |Omega| and ``ratio``, the largest over its arrangements of M/|Omega|
     (non-resonant; inf where |Omega| is 0) or of M over the mean-value bound
-    m(N1*)N1* m(N3*)N3* (resonant).  ``claimed`` holds the lower bound on
-    |Omega| that each non-resonant verdict claims (``omega_lower_bound``),
-    and ``first(rows, mx)`` the enumeration position and tuple of the first
-    maximizer of ratio ``mx`` among the representatives ``rows`` and their
-    images.  Per class: the weighted count, min |Omega|, min
-    |Omega|/claimed, and the supremum ratio with its witness, the earliest
-    maximizer in enumeration order; a non-resonant zero |Omega| is a
-    violation for each tuple it stands for.
+    m(N1*)N1* m(N3*)N3* (resonant), and in ``rows`` its slot indices and
+    the ratio's denominator.  ``claimed`` holds the lower bound on |Omega|
+    that each non-resonant verdict claims (``omega_lower_bound``).  Per
+    class: the weighted count, min |Omega|, min |Omega|/claimed, and the
+    supremum ratio; a non-resonant zero |Omega| is a violation for each
+    tuple it stands for.  ``ties[class]`` holds the ``rows`` blocks of the
+    representatives that tie a positive supremum, dropped when it rises;
+    the caller reads the witness, the earliest maximizer in enumeration
+    order, from them (``_first_maximizer``).  Past ``_TABLE_TUPLES`` held
+    rows, ``search(held, mx)`` reduces them to the row of their first
+    maximizer, so what is held stays bounded.
     """
     for code in np.flatnonzero(np.bincount(codes)):
         i = np.flatnonzero(codes == code)
@@ -288,11 +307,14 @@ def _accumulate(rep, codes, weight, om, ratio, claimed, first):
                                      float((om_i / claimed[i]).min()))
         ratio_i = ratio[i]
         mx = float(ratio_i.max())
-        if mx < st.max_ratio or (mx == st.max_ratio and not st.witness):
+        if mx < st.max_ratio or mx == 0.0:
             continue
-        at, witness = first(i[ratio_i == mx], mx)
-        if mx > st.max_ratio or at < st.witness_pos:
-            st.max_ratio, st.witness_pos, st.witness = mx, at, witness
+        if mx > st.max_ratio:
+            st.max_ratio, ties[code] = mx, []
+        tied = i[ratio_i == mx]
+        ties[code].append(tuple(part[tied] for part in rows))
+        if sum(len(t) for t, _ in ties[code]) > _TABLE_TUPLES:
+            ties[code] = search(ties[code], mx)[0]
 
 
 def sohinger_presence(kmax: int, N: float = 8.0):
@@ -352,22 +374,31 @@ _SOURCES = {"i": _BACKGROUND, "ii": _BACKGROUND | _COLLISION,
 def _zero_sum_draws(rng, kmax: int, count: int, n: int, d: int) -> np.ndarray:
     """``count`` uniform draws of slots 1..n-1 in [-kmax, kmax]^d, closed to
     zero-sum n-tuples by slot n; draws whose slot n leaves the box are
-    dropped.  Integer rows of shape (n,) in 1-D and (n, d) otherwise.
+    dropped.  Integer rows of shape (n,) in 1-D and (n, d) otherwise, in the
+    smallest signed integer dtype that holds +-kmax (int8 up to kmax 127).
 
     The draws are made in blocks of ``_TABLE_TUPLES`` rows, each closed and
-    filtered before the next, so only the kept rows outlive their block.
-    The generator's stream carries across ``integers`` calls, so the rows
-    and their order are those of one draw of all ``count`` at once."""
+    filtered before the next in the smallest signed dtype that holds the
+    sum of n - 1 slots, so only the kept rows, narrow, outlive their block.
+    The generator draws int64, and its stream carries across ``integers``
+    calls, so the rows and their order are those of one int64 draw of all
+    ``count`` at once: a narrower draw dtype draws another stream."""
     tail = (d,) if d > 1 else ()
-    kept = []
+    closing = np.min_scalar_type(-(n - 1) * int(kmax) - 1)
+    narrow = np.min_scalar_type(-int(kmax) - 1)
+    kept = [np.empty((0, n) + tail, dtype=narrow)]
     for at in range(0, count, _TABLE_TUPLES):
-        free = rng.integers(-kmax, kmax + 1, size=(min(_TABLE_TUPLES, count - at), n - 1) + tail)
-        # slot by slot and axis by axis: numpy's reductions over a short
-        # trailing axis are several times slower
-        last = -functools.reduce(np.add, free.swapaxes(0, 1))
-        inside = functools.reduce(np.logical_and, (np.abs(last) <= kmax).reshape(len(last), -1).T)
-        kept.append(np.concatenate([free, last[:, None]], axis=1)[inside])
-    return np.concatenate(kept) if kept else np.empty((0, n) + tail, dtype=np.int64)
+        size = min(_TABLE_TUPLES, count - at)
+        # slot-major, so that each slot is summed and filtered contiguously
+        # (numpy's reductions over a short trailing axis are several times
+        # slower); the int64 draw is released once it is copied
+        cols = np.empty((n,) + tail + (size,), dtype=closing)
+        cols[:-1] = np.moveaxis(rng.integers(-kmax, kmax + 1, size=(size, n - 1) + tail), 0, -1)
+        np.negative(functools.reduce(np.add, cols[:-1]), out=cols[-1])
+        inside = functools.reduce(np.logical_and, (np.abs(cols[-1]) <= kmax).reshape(-1, size))
+        kept.append(np.ascontiguousarray(np.moveaxis(np.compress(inside, cols, axis=-1), -1, 0),
+                                         dtype=narrow))
+    return np.concatenate(kept)
 
 
 def _family_tuples_1d(cases, N: float, kmax: int, gap: float, background):
@@ -523,10 +554,12 @@ def verify_multiplier_bounds(cases: tuple, N: float, kmax: int, s: float = 0.5,
     classifier's temporaries, and folds each block into its cases' count,
     supremum and first maximizing witness exactly as one pass over all rows
     would.  The random sets do not depend on the gap: each is drawn once per
-    call from a fresh generator of ``seed``, in blocks of that size
-    (``_zero_sum_draws``) so that no draw's temporaries outgrow one block,
-    and is held for every gap: the 2-D draw in the smallest signed integer
-    dtype that holds +-kmax, the 1-D background as its sorted ``_keys``.
+    call from a fresh generator of ``seed``, in blocks of that size, each
+    closed and filtered in a narrow dtype (``_zero_sum_draws``), so that no
+    draw's temporaries outgrow one block and no int64 copy of a draw
+    exists, and is held for every gap: the 2-D draw as drawn, in the
+    smallest signed integer dtype that holds +-kmax, the 1-D background as
+    its sorted ``_keys``.
     The family cases pack their zero-sum rows into 64-bit keys, so they
     refuse kmax past 2047 with a ValueError before any draw
     (``_key_width``); the 2-D cases take any kmax.  Every multiplier and
@@ -546,7 +579,7 @@ def verify_multiplier_bounds(cases: tuple, N: float, kmax: int, s: float = 0.5,
         if spec not in drawn:
             rows = _zero_sum_draws(np.random.default_rng(seed), kmax, *spec)
             drawn[spec] = (np.sort(_keys(rows, _BACKGROUND, kmax)) if spec == _DRAW_BACKGROUND
-                           else rows.astype(np.min_scalar_type(-int(kmax) - 1)))
+                           else rows)
         return drawn[spec]
 
     return {(c, th.gap): rep for th in thresholds

@@ -131,6 +131,47 @@ def test_1d_census_matches_reference_enumeration(kmax, gap, s, N):
         assert got == row, code
 
 
+def _count_searches(monkeypatch):
+    """Wrap the census's witness search; the list of its calls' held rows."""
+    calls, search = [], census._first_maximizer
+
+    def counted(walk, held, mx, b):
+        calls.append(sum(len(idx) for idx, _ in held))
+        return search(walk, held, mx, b)
+
+    monkeypatch.setattr(census, "_first_maximizer", counted)
+    return calls
+
+
+def test_witness_search_runs_once_per_class(monkeypatch):
+    # the bench's census: the image search runs once per (N, class) with a
+    # positive supremum, after the walk; searching as the walk went, at
+    # every block that tied the running supremum, took 83 searches
+    calls = _count_searches(monkeypatch)
+    reports = resonance_census_1d([4.0, 8.0], 13, thresholds=Thresholds(gap=4.0))
+    stats = [st for rep in reports.values() for st in rep.classes.values()]
+    assert all(bool(st.witness) == (st.max_ratio > 0) for st in stats)
+    assert len(calls) == sum(st.max_ratio > 0 for st in stats) == 14
+
+
+def test_held_ties_resolve_past_the_bound(monkeypatch):
+    # a bound of one tuple walks one tuple per block and resolves a class's
+    # held ties whenever a second row joins them; the rows still equal the
+    # reference enumeration's
+    calls = _count_searches(monkeypatch)
+    monkeypatch.setattr(census, "_TABLE_TUPLES", 1)
+    N, kmax, s, th = 2.0, 5, 0.3, Thresholds(gap=3.0)
+    rows, total = reference_census_1d(N, kmax, s, th)
+    rep = resonance_census_1d([N], kmax, s, th)[N]
+    assert rep.total == total and sorted(rep.classes) == sorted(rows)
+    for code, row in rows.items():
+        got = rep.classes[code].row(None)
+        del got["class"]
+        assert got == row, code
+    positive = sum(st.max_ratio > 0 for st in rep.classes.values())
+    assert len(calls) > positive and max(calls) == 2
+
+
 def test_partition_property():
     reports = resonance_census_1d([4.0], kmax=8, s=0.5)
     rep = reports[4.0]
@@ -677,7 +718,9 @@ class TestFamilyTuples:
         sym = SmoothingSymbol(N, 0.5)
         for d, n in ((1, 6), (2, 4)):
             tab = census._mode_table(d * kmax ** 2, N, 0.5)
-            rows = census._zero_sum_draws(np.random.default_rng(5), kmax, 20000, n, d)
+            # widened: the draw's int8 squares wrap at kmax 40
+            rows = census._zero_sum_draws(np.random.default_rng(5), kmax, 20000, n,
+                                          d).astype(np.int64)
             ksq = np.sum(rows.reshape(len(rows), n, -1) ** 2, axis=-1)
             tup = rows.astype(float)
             mags = tab.root[ksq]
@@ -705,39 +748,97 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def _one_draw(free, kmax):
+    """The free slots closed to zero-sum rows in int64, without the rows
+    whose last slot leaves [-kmax, kmax]^d: the one-shot draw."""
+    tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+    return tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax]
+
+
+class _Stream:
+    """A generator stand-in that deals the rows of ``free`` in order, its
+    stream carrying across ``integers`` calls as a Generator's does."""
+
+    def __init__(self, free):
+        self.free, self.at = free, 0
+
+    def integers(self, low, high, size):
+        out = self.free[self.at:self.at + size[0]]
+        self.at += size[0]
+        assert out.shape == size and low == -high + 1 and np.abs(out).max() < high
+        return out
+
+
 class TestZeroSumDraws:
     @pytest.mark.parametrize("block", [7, 16384, 1 << 30])
     @pytest.mark.parametrize("n, d", [(6, 1), (4, 2)])
     def test_blocks_equal_one_draw(self, n, d, block, monkeypatch):
-        # the one-shot draw of every row at once: a block that re-seeds, or
-        # draws another shape or dtype, changes the rows or their order
+        # the one-shot int64 draw of every row at once: a block that
+        # re-seeds, or draws another shape or dtype, changes the rows or
+        # their order; the rows are held as int8
         kmax, count = 8, 20000
         rng = np.random.default_rng(4)
-        free = rng.integers(-kmax, kmax + 1, size=(count, n - 1) + ((d,) if d > 1 else ()))
-        tup = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        ref = tup[np.abs(tup[:, -1]).reshape(len(tup), -1).max(axis=1) <= kmax]
+        ref = _one_draw(rng.integers(-kmax, kmax + 1,
+                                     size=(count, n - 1) + ((d,) if d > 1 else ())), kmax)
         monkeypatch.setattr(census, "_TABLE_TUPLES", block)
         got = census._zero_sum_draws(np.random.default_rng(4), kmax, count, n, d)
-        assert got.dtype == ref.dtype == np.int64 and got.shape == ref.shape
+        assert got.dtype == np.int8 and ref.dtype == np.int64 and got.shape == ref.shape
         assert 0 < len(got) < count and np.array_equal(got, ref)
+
+    # the closing sum of n - 1 slots passes int8 at kmax 26 for n = 6 and 43
+    # for the 2-D draw; the rows pass int8 at kmax 128
+    @pytest.mark.parametrize("n, d, kmax", [(6, 1, 25), (6, 1, 26), (4, 2, 42), (4, 2, 43),
+                                            (6, 1, 127), (6, 1, 128), (6, 1, 2047)])
+    def test_closing_dtype_edges(self, n, d, kmax):
+        # random rows, then rows whose free slots reach every sum in
+        # [-(n-1) kmax, (n-1) kmax] on each axis, which a closing dtype too
+        # narrow for that sum wraps into the box, against the one-shot int64
+        # draw
+        tail = (d,) if d > 1 else ()
+        sums = np.arange(-(n - 1) * kmax, (n - 1) * kmax + 1)
+        base, extra = np.divmod(sums, n - 1)
+        edge = base[:, None] + (np.arange(n - 1) < extra[:, None])
+        if d > 1:
+            edge = np.stack([edge, edge[::-1]], axis=-1)
+        rng = np.random.default_rng(7)
+        free = np.concatenate([rng.integers(-kmax, kmax + 1, size=(3000, n - 1) + tail), edge])
+        ref = _one_draw(free, kmax)
+        got = census._zero_sum_draws(_Stream(free), kmax, len(free), n, d)
+        assert got.dtype == np.min_scalar_type(-kmax - 1) and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        # the edge rows kept are those whose sums lie in [-kmax, kmax]
+        assert len(ref) - len(_one_draw(free[:3000], kmax)) == 2 * kmax + 1
 
     @pytest.mark.parametrize("n, d, shape", [(6, 1, (0, 6)), (4, 2, (0, 4, 2))])
     def test_no_draws(self, n, d, shape):
         got = census._zero_sum_draws(np.random.default_rng(0), 8, 0, n, d)
-        assert got.shape == shape and got.dtype == np.int64
+        assert got.shape == shape and got.dtype == np.int8
 
     def test_draw_memory_is_kept_rows_plus_one_block(self):
-        # the 2-D verify draw holds its kept rows twice (the blocks and their
-        # concatenation) and one block's temporaries; drawing every row at
-        # once traced 58 MB for 11.4 MB kept
+        # the 2-D verify draw at kmax 8 holds its kept int8 rows twice (the
+        # blocks and their concatenation) and the last block's temporaries,
+        # 73 KB traced past the rows; int64 rows traced 23.3 MB
         rows, peak = _traced_peak(census._zero_sum_draws, np.random.default_rng(0), 8,
                                   *census._DRAW_2D)
-        assert peak <= 2 * rows.nbytes + (4 << 20), (peak, rows.nbytes)
+        assert rows.dtype == np.int8
+        assert peak <= 2 * rows.size + (96 << 10), (peak, rows.size)
+
+    def test_background_draw_memory_is_kept_rows_plus_one_block(self):
+        # the 1-D background at kmax 12, as the 2-D draw: 52 KB traced past
+        # twice its int8 rows; int64 rows and their concatenation traced
+        # 10.7 MB
+        rows, peak = _traced_peak(census._zero_sum_draws, np.random.default_rng(0), 12,
+                                  *census._DRAW_BACKGROUND)
+        assert rows.dtype == np.int8
+        assert peak <= 2 * rows.size + (96 << 10), (peak, rows.size)
 
     def test_verify_memory_is_bounded(self):
         # the family union at kmax 12 and its 200,000-row background draw;
         # the whole-draw background and 65,536-row blocks traced 25.9 MB,
-        # the blocked draw 11.4 MB, which sets the peak here
+        # int64 blocks 10.7 MB, the narrow blocks 4.40 MB.  The call is
+        # traced the second time: the first imports numpy.random and
+        # numpy.ma, which traced 1.75 MB more in a fresh process
+        verify_multiplier_bounds(("ii", "nonresonant"), 6.0, 12)
         reps, peak = _traced_peak(verify_multiplier_bounds, ("ii", "nonresonant"), 6.0, 12)
         assert all(rep.count > 0 for rep in reps.values())
-        assert peak <= 12.6e6, peak
+        assert peak <= 4.85e6, peak
